@@ -12,12 +12,29 @@ Witness tuple layout per axiom:
     SYM, NOR-*, CLO-*, SCLO        (A, C, B)
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
+
+The three-variable axioms fill one dense (A, C, B) violation array.  The
+four-variable axioms never build the 2^(4n) array; one of three scans
+runs at every ground-set size, chosen by axiom family:
+
+- chain scan (BMON-*, TRA-*): the 4^n chains C <= B <= D are listed in
+  (C, B, D) order.  A runs ascending and each A gets one violation
+  vector over all chains, so the first A with a violation and the first
+  true entry of its vector are the least (A, C, B, D).
+- zeta scan (MON-*): some D violates the body at (A, C, B) exactly when
+  r fails at (A, B, C) and holds with a superset of B (of A for MON-L)
+  in its place.  A superset-OR transform along that axis marks these
+  triples; the least one in (A, C, B) order fixes the prefix, and the
+  first D that makes r hold with B+D (A+D) completes it.
+- slice scan (TRA-STRONG, BMON-STRONG, FREE): base C by base C, the
+  least entry of the dense (A, B, D) slice is that base's candidate and
+  the least candidate wins.  A precedes C, so after a candidate with
+  A = a the later slices only need rows A < a, and A = {} ends the scan.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -26,10 +43,6 @@ import numpy as np
 from .closure import ClosureOperator
 from .lattice import GroundSet, format_mask
 from .relcalc import CapExceeded, TernaryRelation, from_table, materialize
-
-# Unconstrained four-variable scans build a dense 2^(4n) array.
-DENSE_4VAR_MAX_SIZE = 6
-
 
 class MissingClosure(Exception):
     """The axiom needs an ambient closure operator and none was given."""
@@ -85,7 +98,6 @@ class AxiomReport:
     status: str  # pass | fail | vacuous
     witness: Optional[tuple[int, ...]]
     note: str = ""
-    elapsed: float = 0.0
 
     def result_line(self) -> str:
         """Machine-readable line: RESULT <relation> <axiom> <status> [witness=...]."""
@@ -113,52 +125,92 @@ def _scan_3var(r: TernaryRelation, body) -> Optional[tuple[int, ...]]:
     return _first_true(viol)
 
 
-def _scan_4var(r: TernaryRelation, body) -> Optional[tuple[int, ...]]:
-    """Dense scan in (A, C, B, D) order; body(c) returns the (A, B, D) slice."""
-    if r.ground.size > DENSE_4VAR_MAX_SIZE:
-        raise CapExceeded(
-            f"four-variable scan needs ground size <= {DENSE_4VAR_MAX_SIZE}, "
-            f"got {r.ground.size}"
-        )
-    count = r.ground.subset_count
-    viol = np.empty((count, count, count, count), dtype=bool)
-    for c in range(count):
-        viol[:, c] = body(c)
-    return _first_true(viol)
+def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The chains C <= B <= D sorted by (C, B, D); base-4 digit i of the
+    code places element i outside D, in D only, in B only, or in C.
 
-
-def _scan_chain(t: np.ndarray, chain_body) -> Optional[tuple[int, ...]]:
-    """Sparse scan for axioms constrained by C <= B <= D.
-
-    chain_body(c, b, d) returns the boolean violation vector over A.
-    Keeps the lexicographically least (A, C, B, D) across all chains, so
-    it agrees with the dense scan while staying feasible for size 7..8.
+    Not cached: arrays kept alive above a freed 2^24-cell table stop the
+    heap from shrinking, which raised peak RSS by 20 MB at n = 8.
     """
-    count = t.shape[0]
-    full = count - 1
-    best: Optional[tuple[int, int, int, int]] = None
+    code = np.arange(4**size)
+    key = np.zeros_like(code)  # C, B, D side by side: sorts as (C, B, D)
+    for i in range(size):
+        place = code >> 2 * i & 3
+        bits = (place == 3) << 2 * size | (place >= 2) << size | (place >= 1)
+        key |= bits << i
+    key.sort()
+    full = (1 << size) - 1
+    return key >> 2 * size, key >> size & full, key & full
+
+
+def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
+    """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
+    violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
+    t[D, B] and not t[D, C]."""
+    count = t3.shape[0]
+    c, b, d = _chains(count.bit_length() - 1)
+    dc, db, bc = d * count + c, d * count + b, b * count + c
+    for a in range(count):
+        t = (t3[:, a] if left else t3[a]).ravel()
+        if transitive:
+            viol = t[bc] & t[db] & ~t[dc]
+        else:
+            viol = t[dc] & ~t[db]
+        if viol.any():
+            i = int(np.argmax(viol))
+            return (a, int(c[i]), int(b[i]), int(d[i]))
+    return None
+
+
+def _superset_or(t3: np.ndarray, axis: int) -> np.ndarray:
+    """Copy of t3 OR-ed over all supersets along `axis`, one pass per bit."""
+    up = t3.copy()
+    count = up.shape[axis]
+    lead = (slice(None),) * (axis + 1)
+    bit = 1
+    while bit < count:
+        split = up.reshape(
+            up.shape[:axis] + (count // (2 * bit), 2, bit) + up.shape[axis + 1:]
+        )
+        split[lead + (0,)] |= split[lead + (1,)]
+        bit <<= 1
+    return up
+
+
+def _scan_mon(t3: np.ndarray, left: bool):
+    masks = np.arange(t3.shape[0])
+    bad = _superset_or(t3, 0 if left else 1)
+    np.greater(bad, t3, out=bad)
+    hit = _first_true(bad.transpose(0, 2, 1))
+    if hit is None:
+        return None
+    a, c, b = hit
+    grown = t3[a | masks, b, c] if left else t3[a, b | masks, c]
+    return (a, c, b, int(np.argmax(grown)))
+
+
+def _scan_slices(t3: np.ndarray, body):
+    """body(rows, c) returns the (A, B, D) violation slice of base C for
+    the table rows t3[:limit]; limit drops to the best witness's A."""
+    count = t3.shape[0]
+    best = None
+    limit = count
     for c in range(count):
-        rest = full & ~c
-        b_extra = rest
-        while True:
-            b = c | b_extra
-            d_free = full & ~b
-            d_extra = d_free
-            while True:
-                d = b | d_extra
-                vec = chain_body(c, b, d)
-                if vec.any():
-                    a = int(np.argmax(vec))
-                    cand = (a, c, b, d)
-                    if best is None or cand < best:
-                        best = cand
-                if d_extra == 0:
-                    break
-                d_extra = (d_extra - 1) & d_free
-            if b_extra == 0:
+        hit = _first_true(body(t3[:limit], c))
+        if hit is not None:
+            a, b, d = hit
+            best, limit = (a, c, b, d), a
+            if limit == 0:
                 break
-            b_extra = (b_extra - 1) & rest
     return best
+
+
+_CHAIN_AXIOMS = {  # axiom -> (left form, transitive form)
+    AxiomId.BMON_R: (False, False),
+    AxiomId.BMON_L: (True, False),
+    AxiomId.TRA_R: (False, True),
+    AxiomId.TRA_L: (True, True),
+}
 
 
 def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
@@ -173,10 +225,6 @@ def _find_violation(
     t3 = materialize(r).table
     count = r.ground.subset_count
     masks = np.arange(count)
-    dense4 = r.ground.size <= DENSE_4VAR_MAX_SIZE
-    if dense4:
-        orm = masks[:, None] | masks[None, :]
-        subm = (masks[:, None] & ~masks[None, :]) == 0
 
     if ax is AxiomId.EX:
         return _first_true(~t3[:, masks, masks])
@@ -212,99 +260,41 @@ def _find_violation(
                     return (bit, c)
         return None
 
-    if ax is AxiomId.MON_R:
+    if ax in _CHAIN_AXIOMS:
+        return _scan_chain(t3, *_CHAIN_AXIOMS[ax])
 
-        def mon_r_body(c: int) -> np.ndarray:
-            t = t3[:, :, c]
-            return t[:, orm] & ~t[:, :, None]
+    if ax in (AxiomId.MON_R, AxiomId.MON_L):
+        return _scan_mon(t3, left=ax is AxiomId.MON_L)
 
-        return _scan_4var(r, mon_r_body)
-
-    if ax is AxiomId.MON_L:
-
-        def mon_l_body(c: int) -> np.ndarray:
-            t = t3[:, :, c]
-            return t[orm].transpose(0, 2, 1) & ~t[:, :, None]
-
-        return _scan_4var(r, mon_l_body)
-
-    if ax is AxiomId.BMON_R:
-        if dense4:
-            # viol[A,C,B,D] = C<=B<=D and r(A, D, C) and not r(A, D, B)
-            z = t3.transpose(0, 2, 1)  # z[a, b, d] = r(a, d, b)
-
-            def bmon_r_body(c: int) -> np.ndarray:
-                cond = subm[c][:, None] & subm
-                return cond[None] & t3[:, :, c][:, None, :] & ~z
-
-            return _scan_4var(r, bmon_r_body)
-        return _scan_chain(t3, lambda c, b, d: t3[:, d, c] & ~t3[:, d, b])
-
-    if ax is AxiomId.BMON_L:
-        if dense4:
-            x = t3.transpose(1, 2, 0)  # x[a, b, d] = r(d, a, b)
-
-            def bmon_l_body(c: int) -> np.ndarray:
-                cond = subm[c][:, None] & subm
-                return cond[None] & t3[:, :, c].T[:, None, :] & ~x
-
-            return _scan_4var(r, bmon_l_body)
-        return _scan_chain(t3, lambda c, b, d: t3[d, :, c] & ~t3[d, :, b])
-
-    if ax is AxiomId.TRA_R:
-        if dense4:
-            z = t3.transpose(0, 2, 1)
-
-            def tra_r_body(c: int) -> np.ndarray:
-                t = t3[:, :, c]
-                cond = subm[c][:, None] & subm
-                return cond[None] & t[:, :, None] & z & ~t[:, None, :]
-
-            return _scan_4var(r, tra_r_body)
-        return _scan_chain(
-            t3, lambda c, b, d: t3[:, b, c] & t3[:, d, b] & ~t3[:, d, c]
-        )
-
-    if ax is AxiomId.TRA_L:
-        if dense4:
-            x = t3.transpose(1, 2, 0)
-
-            def tra_l_body(c: int) -> np.ndarray:
-                t = t3[:, :, c].T  # t[a, y] = r(y, a, c)
-                cond = subm[c][:, None] & subm
-                return cond[None] & t[:, :, None] & x & ~t[:, None, :]
-
-            return _scan_4var(r, tra_l_body)
-        return _scan_chain(
-            t3, lambda c, b, d: t3[b, :, c] & t3[d, :, b] & ~t3[d, :, c]
-        )
+    orm = masks[:, None] | masks[None, :]
 
     if ax is AxiomId.TRA_STRONG:
 
-        def tra_s_body(c: int) -> np.ndarray:
-            t = t3[:, :, c]
-            prem2 = t3[:, :, masks | c].transpose(0, 2, 1)
+        def tra_s_body(rows: np.ndarray, c: int) -> np.ndarray:
+            t = rows[:, :, c]
+            prem2 = rows[:, :, masks | c].transpose(0, 2, 1)
             return t[:, :, None] & prem2 & ~t[:, orm]
 
-        return _scan_4var(r, tra_s_body)
+        return _scan_slices(t3, tra_s_body)
 
     if ax is AxiomId.BMON_STRONG:
 
-        def bmon_s_body(c: int) -> np.ndarray:
-            t = t3[:, :, c]
-            return t[:, orm] & ~t3[:, :, masks | c]
+        def bmon_s_body(rows: np.ndarray, c: int) -> np.ndarray:
+            t = rows[:, :, c]
+            return t[:, orm] & ~rows[:, :, masks | c]
 
-        return _scan_4var(r, bmon_s_body)
+        return _scan_slices(t3, bmon_s_body)
 
     if ax is AxiomId.FREE:
+        subm = (masks[:, None] & ~masks[None, :]) == 0
 
-        def free_body(c: int) -> np.ndarray:
-            t = t3[:, :, c]
-            covers = subm[c & orm]  # [a, b, d]: C & (A|B) <= D
+        def free_body(rows: np.ndarray, c: int) -> np.ndarray:
+            t = rows[:, :, c]
+            covers = subm[c & orm[: len(rows)]]  # [a, b, d]: C & (A|B) <= D
             inside = subm[:, c][None, None, :]  # D <= C
-            return t[:, :, None] & covers & inside & ~t3
+            return t[:, :, None] & covers & inside & ~rows
 
-        return _scan_4var(r, free_body)
+        return _scan_slices(t3, free_body)
 
     raise ValueError(f"axiom {ax} has no scan")  # pragma: no cover
 
@@ -313,17 +303,13 @@ def check_axiom(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator] = None
 ) -> AxiomReport:
     """Exhaustively check one axiom; first violation in scan order is reported."""
-    start = time.perf_counter()
     if ax in (AxiomId.FIN, AxiomId.LOC):
-        return AxiomReport(
-            ax, r.name, "vacuous", None, _VACUOUS_NOTES[ax],
-            time.perf_counter() - start,
-        )
+        return AxiomReport(ax, r.name, "vacuous", None, _VACUOUS_NOTES[ax])
     if ax.needs_closure:
         _require_op(ax, op)
     witness = _find_violation(r, ax, op)
     status = "pass" if witness is None else "fail"
-    return AxiomReport(ax, r.name, status, witness, "", time.perf_counter() - start)
+    return AxiomReport(ax, r.name, status, witness)
 
 
 def check_all(

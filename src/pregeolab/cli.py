@@ -70,10 +70,6 @@ def resolve_relation(inst: Instance, rel_id: str) -> relcalc.TernaryRelation:
     if rid == "int":
         return relcalc.rel_intersection(inst.ground)
     if rid == "a":
-        if inst.op is not None:
-            return relcalc.rel_a(inst.op)
-        if inst.graph is not None:
-            return instances.rel_a_graph(inst.graph)
         return relcalc.rel_a(instance_operator(inst))
     if rid == "cl":
         if inst.pg is None:
@@ -157,23 +153,22 @@ def _require_pg(inst: Instance) -> closure.Pregeometry:
     return inst.pg
 
 
-def cmd_dim(args: argparse.Namespace) -> int:
+def _basis(args: argparse.Namespace) -> geometry.DimResult:
     inst = load_instance(args.instance)
     pg = _require_pg(inst)
     subset = _parse_set(inst, "--set", args.set)
     over = _parse_set(inst, "--over", args.over)
-    res = geometry.basis_of(pg, subset, over)
+    return geometry.basis_of(pg, subset, over)
+
+
+def cmd_dim(args: argparse.Namespace) -> int:
+    res = _basis(args)
     print(f"dim={res.value} basis={format_mask(res.basis)}")
     return 0
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    pg = _require_pg(inst)
-    subset = _parse_set(inst, "--set", args.set)
-    over = _parse_set(inst, "--over", args.over)
-    res = geometry.basis_of(pg, subset, over)
-    print(f"basis={format_mask(res.basis)}")
+    print(f"basis={format_mask(_basis(args).basis)}")
     return 0
 
 
@@ -272,8 +267,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         suite_ids = [s.strip() for s in args.suite.split(",")]
     names = args.instances.split(",") if args.instances else None
+    if args.workers < 1:
+        raise UsageError(f"--workers: need at least 1, got {args.workers}")
     try:
         results = verify.run_suites(suite_ids, names, workers=args.workers)
+    except verify.UnknownInstance as exc:
+        raise UsageError(f"--instances: {exc}") from exc
     except verify.UnknownSuite as exc:
         raise UsageError(f"--suite: {exc}") from exc
     sys.stdout.write(verify.render_summary(results))
@@ -381,7 +380,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (closure.LawViolation, instances.InstanceFormatError) as exc:
+    except (closure.LawViolation, instances.InstanceFormatError,
+            relcalc.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

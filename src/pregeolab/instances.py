@@ -20,7 +20,7 @@ import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
 from .lattice import GroundSet, elements_of, mask_of, parse_mask
-from .relcalc import TernaryRelation, rel_intersection
+from .relcalc import TernaryRelation
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +179,6 @@ def rel_st(graph: Graph) -> TernaryRelation:
         return table
 
     return TernaryRelation(ground, "st", fn, builder=builder)
-
-
-def rel_a_graph(graph: Graph) -> TernaryRelation:
-    """The closure-based relation on a graph's trivial pregeometry.
-
-    With trivial closure it reduces to "A and B meet inside C".
-    """
-    base = rel_intersection(graph.ground)
-    return TernaryRelation(graph.ground, "a", base.fn, builder=base.builder)
 
 
 class BaseMismatch(Exception):

@@ -53,7 +53,8 @@ class TernaryRelation:
 def materialize(
     r: TernaryRelation, cap_bits: int = DEFAULT_TABLE_CAP_BITS
 ) -> TernaryRelation:
-    """Fill the truth table exhaustively; evaluation becomes a lookup."""
+    """Fill the truth table exhaustively, once: the table is kept on `r`,
+    which is returned, and evaluation becomes a lookup."""
     if r.table is not None:
         return r
     count = r.ground.subset_count
@@ -71,7 +72,8 @@ def materialize(
                 row = table[a, b]
                 for c in range(count):
                     row[c] = fn(a, b, c)
-    return TernaryRelation(r.ground, r.name, r.fn, r.builder, table)
+    r.table = table
+    return r
 
 
 def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelation:

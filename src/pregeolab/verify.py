@@ -9,7 +9,6 @@ deterministic construction order.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, permutations
@@ -44,13 +43,16 @@ class UnknownSuite(ValueError):
     pass
 
 
+class UnknownInstance(UnknownSuite):
+    """A suite was restricted to names that are not in the catalog."""
+
+
 @dataclass(frozen=True)
 class CheckResult:
     subject: str  # e.g. "u34:cl" or "graphs5:st"
     check: str  # axiom id or check keyword like "eq:cl"
     status: str  # pass | fail | vacuous
     witness: Optional[tuple[int, ...]] = None
-    cells: int = 0  # tuples scanned to produce this result (not reported)
 
     @property
     def ok(self) -> bool:
@@ -67,8 +69,6 @@ class CheckResult:
 class SuiteResult:
     suite: str
     checks: list[CheckResult]
-    triples_scanned: int = 0
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -132,13 +132,7 @@ STACK_SUITE_MAX = 5  # transformer-stack suites
 def _selected(kind_ok: Callable[[Instance], bool],
               names: Optional[Sequence[str]]) -> list[Instance]:
     cat = catalog()
-    if names is not None:
-        missing = [n for n in names if n not in cat]
-        if missing:
-            raise UnknownSuite(f"unknown instances: {', '.join(missing)}")
-        pool = [cat[n] for n in names]
-    else:
-        pool = list(cat.values())
+    pool = list(cat.values()) if names is None else [cat[n] for n in names]
     return [inst for inst in pool if kind_ok(inst)]
 
 
@@ -154,20 +148,18 @@ def _axiom_checks(
     op: Optional[ClosureOperator],
     axiom_ids: Sequence[AxiomId],
 ) -> list[CheckResult]:
-    cells = relation.ground.subset_count ** 3
     out = []
     for ax in axiom_ids:
         rep = check_axiom(relation, ax, op)
-        out.append(CheckResult(subject, ax.value, rep.status, rep.witness,
-                               cells))
+        out.append(CheckResult(subject, ax.value, rep.status, rep.witness))
     return out
 
 
 def _cmp_check(subject: str, check: str, cmp: Comparison,
-               accept: tuple[str, ...], cells: int = 0) -> CheckResult:
+               accept: tuple[str, ...]) -> CheckResult:
     status = "pass" if cmp.verdict in accept else "fail"
     return CheckResult(subject, check, status,
-                       cmp.witness if status == "fail" else None, cells)
+                       cmp.witness if status == "fail" else None)
 
 
 def _catalog_relations(max_size: int) -> list[tuple[str, TernaryRelation, ClosureOperator]]:
@@ -194,8 +186,8 @@ def _catalog_relations(max_size: int) -> list[tuple[str, TernaryRelation, Closur
 
 
 # ---------------------------------------------------------------------------
-# Suite bodies.  Each returns (units, triples) where units are thunks
-# producing lists of CheckResult; thunks are independent and order-stable.
+# Suite bodies.  Each returns its units: thunks producing lists of
+# CheckResult; thunks are independent and order-stable.
 
 Unit = Callable[[], list[CheckResult]]
 
@@ -222,8 +214,7 @@ def _suite_am_eq_cl(names) -> list[Unit]:
         def unit(inst=inst, pg=pg) -> list[CheckResult]:
             lhs = monotonise_M(rel_a(pg.op), pg.op)
             return [_cmp_check(f"{inst.name}:aM", "eq:cl",
-                               compare(lhs, rel_cl(pg)), ("equal",),
-                               pg.ground.subset_count ** 3)]
+                               compare(lhs, rel_cl(pg)), ("equal",))]
 
         units.append(unit)
     return units
@@ -239,8 +230,7 @@ def _suite_am_eq_am(names) -> list[Unit]:
             lhs = monotonise_M(rel_a(pg.op), pg.op)
             rhs = monotonise_m(rel_a(pg.op))
             return [_cmp_check(f"{inst.name}:aM", "eq:am",
-                               compare(lhs, rhs), ("equal",),
-                               pg.ground.subset_count ** 3)]
+                               compare(lhs, rhs), ("equal",))]
 
         units.append(unit)
     return units
@@ -259,8 +249,7 @@ def _suite_mon_preserve(names) -> list[Unit]:
             for r in (monotonise_M(base, op), monotonise_m(base)):
                 rep = check_axiom(r, AxiomId.BMON_R)
                 out.append(CheckResult(f"{label}:{r.name}", "BMON-R",
-                                       rep.status, rep.witness,
-                                       cells=r.ground.subset_count ** 3))
+                                       rep.status, rep.witness))
             return out
 
         units.append(unit)
@@ -275,8 +264,7 @@ def _suite_mon_preserve(names) -> list[Unit]:
                 for r in (monotonise_M(base, ident), monotonise_m(base)):
                     rep = check_axiom(r, AxiomId.BMON_R)
                     out.append(CheckResult(f"rand:{r.name}", "BMON-R",
-                                           rep.status, rep.witness,
-                                           cells=r.ground.subset_count ** 3))
+                                           rep.status, rep.witness))
                 return out
 
             units.append(unit)
@@ -300,8 +288,7 @@ def _suite_c_preserve(names) -> list[Unit]:
                 for ax in (AxiomId.CLO_R, AxiomId.NOR_R):
                     rep = check_axiom(r, ax, op)
                     out.append(CheckResult(f"{inst.name}:{r.name}", ax.value,
-                                           rep.status, rep.witness,
-                                           cells=r.ground.subset_count ** 3))
+                                           rep.status, rep.witness))
             return out
 
         units.append(unit)
@@ -316,17 +303,14 @@ def _suite_mc_to_m(names) -> list[Unit]:
             subject = f"{label}:{base.name}"
             nor = check_axiom(base, AxiomId.NOR_R).status == "pass"
             mon = check_axiom(base, AxiomId.MON_R).status == "pass"
-            cells = base.ground.subset_count ** 3
             if not (nor and mon):
-                return [CheckResult(subject, "mc-to-M", "vacuous",
-                                    cells=cells)]
+                return [CheckResult(subject, "mc-to-M", "vacuous")]
             lhs = closure_extend_c(monotonise_m(base), op)
             rhs = monotonise_M(base, op)
             clo = check_axiom(base, AxiomId.CLO_R, op).status == "pass"
             accept = ("equal",) if clo else ("equal", "implies")
             check = "mc-eq-M" if clo else "mc-to-M"
-            return [_cmp_check(subject, check, compare(lhs, rhs), accept,
-                               cells)]
+            return [_cmp_check(subject, check, compare(lhs, rhs), accept)]
 
         units.append(unit)
     return units
@@ -340,10 +324,8 @@ def _suite_modularity(names) -> list[Unit]:
 
         def unit(inst=inst, pg=pg) -> list[CheckResult]:
             verdict = check_modular(pg)
-            cells = pg.ground.subset_count ** 2
             out = [CheckResult(f"{inst.name}:modularity", "agree",
-                               "pass" if verdict.agree else "fail",
-                               cells=cells)]
+                               "pass" if verdict.agree else "fail")]
             expected = inst.name not in NONMODULAR
             ok = verdict.modular == expected
             out.append(CheckResult(
@@ -351,7 +333,6 @@ def _suite_modularity(names) -> list[Unit]:
                 "modular" if expected else "nonmodular",
                 "pass" if ok else "fail",
                 None if ok else verdict.witnesses.get(5),
-                cells=cells,
             ))
             return out
 
@@ -380,8 +361,7 @@ def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
         None,
     )
     out.append(CheckResult(subject, "oracle",
-                           "pass" if oracle_bad is None else "fail", oracle_bad,
-                           cells=count ** 2))
+                           "pass" if oracle_bad is None else "fail", oracle_bad))
 
     if pg.ground.size > STACK_SUITE_MAX:
         return out
@@ -392,8 +372,7 @@ def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
         None,
     )
     out.append(CheckResult(subject, "additivity",
-                           "pass" if add_bad is None else "fail", add_bad,
-                           cells=count ** 2))
+                           "pass" if add_bad is None else "fail", add_bad))
 
     anti_bad = None
     for a in range(count):
@@ -407,8 +386,7 @@ def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
         if anti_bad:
             break
     out.append(CheckResult(subject, "base-antitone",
-                           "pass" if anti_bad is None else "fail", anti_bad,
-                           cells=count ** 3))
+                           "pass" if anti_bad is None else "fail", anti_bad))
 
     closed = pg.op.closed_masks()
     sub_bad = next(
@@ -417,8 +395,7 @@ def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
         None,
     )
     out.append(CheckResult(subject, "submodular-closed",
-                           "pass" if sub_bad is None else "fail", sub_bad,
-                           cells=len(closed) ** 2))
+                           "pass" if sub_bad is None else "fail", sub_bad))
     return out
 
 
@@ -439,17 +416,14 @@ def _suite_rg_st(names) -> list[Unit]:
     def axiom_unit(ax: AxiomId) -> Unit:
         def unit() -> list[CheckResult]:
             ident = trivial_closure(GroundSet(GRAPH_SUITE_VERTICES))
-            cube = ident.ground.subset_count ** 3
-            scanned = 0
             for idx, g in enumerate(_all_graphs(GRAPH_SUITE_VERTICES)):
                 rep = check_axiom(rel_st(g), ax, ident)
-                scanned += cube
                 if rep.status == "fail":
                     return [CheckResult(f"graphs5#{idx}:st", ax.value,
-                                        "fail", rep.witness, cells=scanned)]
+                                        "fail", rep.witness)]
             return [CheckResult("graphs5:st", ax.value,
                                 "vacuous" if ax in (AxiomId.FIN, AxiomId.LOC)
-                                else "pass", cells=scanned)]
+                                else "pass")]
 
         return unit
 
@@ -560,8 +534,7 @@ def _suite_dlo_div(names) -> list[Unit]:
                 rep = check_axiom(rel_div(config), AxiomId.TRA_R)
                 status = "pass" if rep.status == "fail" else "fail"
                 out.append(CheckResult(f"dlo{n}:div", "TRA-R-fails", status,
-                                       rep.witness,
-                                       cells=config.ground.subset_count ** 4))
+                                       rep.witness))
             return out
 
         units.append(unit)
@@ -590,16 +563,17 @@ def run_suite(
     """Run one suite; `instances` restricts to named catalog entries."""
     if suite_id not in _SUITE_BODIES:
         raise UnknownSuite(f"unknown suite: {suite_id}")
-    start = time.perf_counter()
+    if instances is not None:
+        missing = [n for n in instances if n not in catalog()]
+        if missing:
+            raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
     units = _SUITE_BODIES[suite_id](instances)
     if workers > 1 and len(units) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(lambda u: u(), units))
     else:
         chunks = [u() for u in units]
-    checks = [c for chunk in chunks for c in chunk]
-    triples = sum(c.cells for c in checks)
-    return SuiteResult(suite_id, checks, triples, time.perf_counter() - start)
+    return SuiteResult(suite_id, [c for chunk in chunks for c in chunk])
 
 
 def run_suites(

@@ -150,6 +150,29 @@ def test_verify_unknown_suite(capsys):
     assert code == 2 and "--suite" in err
 
 
+def test_verify_unknown_instances_names_the_flag(capsys):
+    code, _, err = run(capsys, "verify", "--instances", "nope")
+    assert code == 2
+    assert err == "error: --instances: unknown instances: nope\n"
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_verify_rejects_nonpositive_workers(capsys, workers):
+    code, _, err = run(capsys, "verify", "--suite", "dim-laws",
+                       "--workers", workers)
+    assert code == 2
+    assert err.startswith("error: --workers:") and err.count("\n") == 1
+
+
+def test_over_budget_instance_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text("type = trivial\nsize = 9\n")
+    code, out, err = run(capsys, "check", "--instance", str(path),
+                         "--relation", "int", "--axiom", "SYM")
+    assert code == 2 and out == ""
+    assert err.startswith("error: truth table needs") and err.count("\n") == 1
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0

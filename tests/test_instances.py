@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from pregeolab.axioms import compare
+from pregeolab.cli import resolve_relation
 from pregeolab.geometry import dim, is_independent
 from pregeolab.instances import (
     BaseMismatch,
@@ -15,7 +17,6 @@ from pregeolab.instances import (
     isomorphic_over_base,
     linear_pregeometry,
     parse_instance,
-    rel_a_graph,
     rel_div,
     rel_st,
     render_instance,
@@ -99,14 +100,13 @@ def test_rel_st_separates_edges():
     assert not r.fn(1 << 1, 1 << 1, 0)
 
 
-def test_rel_a_graph_is_plain_intersection():
-    g = Graph.build(4, [(0, 1), (2, 3)])
-    r = rel_a_graph(g)
-    base = rel_intersection(g.ground)
+def test_graph_a_is_plain_intersection():
+    """On a graph instance `a` uses the identity closure, so it is the
+    plain intersection relation."""
+    path4 = catalog()["path4"]
+    r = resolve_relation(path4, "a")
     assert r.name == "a"
-    for a in range(16):
-        for b in range(16):
-            assert r.fn(a, b, 0) == base.fn(a, b, 0)
+    assert compare(r, rel_intersection(path4.ground)).verdict == "equal"
 
 
 def test_free_amalgam_of_two_edges_is_a_path():

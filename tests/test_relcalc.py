@@ -66,6 +66,11 @@ def test_materialize_is_idempotent(u34):
     assert materialize(r) is r
 
 
+def test_materialize_keeps_the_table_on_its_argument(u34):
+    r = rel_a(u34.op)
+    assert materialize(r) is r and r.table is not None
+
+
 def test_rel_intersection_examples():
     r = rel_intersection(GroundSet(2))
     assert not r.holds(0b01, 0b01, 0)

@@ -29,7 +29,6 @@ def test_all_fast_suites_pass(fast_results):
     for suite_id, res in fast_results.items():
         assert res.passed, (suite_id, [c.result_line() for c in res.failures()])
         assert res.checks
-        assert res.triples_scanned > 0
 
 
 def test_unknown_suite():
@@ -75,7 +74,7 @@ def test_suite_result_failures():
 
     good = CheckResult("x", "c", "pass", None)
     bad = CheckResult("y", "c", "fail", (1, 2))
-    res = SuiteResult("demo", [good, bad], 10, 0.0)
+    res = SuiteResult("demo", [good, bad])
     assert not res.passed
     assert res.failures() == [bad]
     assert res.result_lines()[0] == "SUITE demo fail"
