@@ -224,23 +224,25 @@ def free_amalgam(g1: Graph, g2: Graph, base: Sequence[int]) -> Graph:
 def isomorphic_over_base(g1: Graph, g2: Graph, base: Sequence[int]) -> bool:
     """True when some isomorphism g1 -> g2 fixes every base vertex.
 
-    Brute force over permutations of the non-base vertices; intended for
-    the small amalgamation checks only (at most ~6 free vertices).
+    Brute force over permutations of the non-base vertices, looking each
+    mapped edge of g1 up in the adjacency masks of g2.  The degree
+    sequences agree first, so the edge counts are equal and a permutation
+    that maps every edge onto an edge is an isomorphism.  Intended for the
+    small amalgamation checks only (at most ~6 free vertices).
     """
     if g1.size != g2.size:
         return False
+    adj1, adj2 = g1.adjacency_masks(), g2.adjacency_masks()
+    if sorted(map(int.bit_count, adj1)) != sorted(map(int.bit_count, adj2)):
+        return False
+    edges1 = [tuple(e) for e in g1.edges]
     fixed = set(base)
     free = [v for v in range(g1.size) if v not in fixed]
-    if g1.degree_sequence() != g2.degree_sequence():
-        return False
+    mapping = list(range(g1.size))
     for perm in permutations(free):
-        mapping = {v: v for v in fixed}
-        mapping.update(zip(free, perm))
-        if all(
-            g2.has_edge(mapping[u], mapping[v]) == g1.has_edge(u, v)
-            for u in range(g1.size)
-            for v in range(u + 1, g1.size)
-        ):
+        for v, w in zip(free, perm):
+            mapping[v] = w
+        if all(adj2[mapping[u]] >> mapping[v] & 1 for u, v in edges1):
             return True
     return False
 

@@ -103,7 +103,7 @@ def test_c6_initial_segment_closure_pathology():
 
 
 def test_c7_graph_independence_and_amalgamation():
-    res = _timed_suite("rg-st", 300)
+    res = _timed_suite("rg-st", 60)
     assert any(c.check == "FREE" for c in res.checks)
     assert any(c.check == "unique-over-base" for c in res.checks)
 

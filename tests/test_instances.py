@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -142,6 +142,34 @@ def test_isomorphic_over_base():
     assert isomorphic_over_base(g1, g2, base)
     assert not isomorphic_over_base(g1, g2, [0, 1, 2])
     assert not isomorphic_over_base(g1, Graph.build(4, []), base)
+
+
+def _isomorphic_over_base_by_edges(g1, g2, base):
+    """Reference: some permutation of the free vertices maps every vertex
+    pair of g1 to a pair of g2 with the same adjacency."""
+    free = [v for v in range(g1.size) if v not in base]
+    for perm in permutations(free):
+        mapping = {v: v for v in base}
+        mapping.update(zip(free, perm))
+        if all(g2.has_edge(mapping[u], mapping[v]) == g1.has_edge(u, v)
+               for u, v in combinations(range(g1.size), 2)):
+            return True
+    return False
+
+
+def test_isomorphic_over_base_matches_edge_reference():
+    slots = list(combinations(range(4), 2))
+    graphs = [Graph.build(4, [slots[k] for k in range(6) if code >> k & 1])
+              for code in range(64)]
+    for base_size in (0, 1, 2):
+        base = list(range(base_size))
+        hits = 0
+        for g1 in graphs:
+            for g2 in graphs:
+                found = isomorphic_over_base(g1, g2, base)
+                assert found == _isomorphic_over_base_by_edges(g1, g2, base)
+                hits += found
+        assert 0 < hits < 64 * 64
 
 
 def test_ordered_config_requires_increasing_points():
