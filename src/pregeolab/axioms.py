@@ -13,9 +13,12 @@ Witness tuple layout per axiom:
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
 
-The three-variable axioms fill one dense (A, C, B) violation array.  The
-four-variable axioms never build the 2^(4n) array; one of three scans
-runs at every ground-set size, chosen by axiom family:
+The three-variable axioms scan the table one contiguous A row at a time:
+each row gives the (B, C) violation plane of that A, the first row with
+a violation holds the least witness, and the least (C, B) within it is
+the first true entry of the transposed plane.  The four-variable axioms
+never build the 2^(4n) array; one of three scans runs at every
+ground-set size, chosen by axiom family:
 
 - chain scan (BMON-*, TRA-*): the 4^n chains C <= B <= D are listed in
   (C, B, D) order.  A runs ascending and each A gets one violation
@@ -116,13 +119,15 @@ def _first_true(violations: np.ndarray) -> Optional[tuple[int, ...]]:
     return tuple(int(v) for v in np.unravel_index(flat, violations.shape))
 
 
-def _scan_3var(r: TernaryRelation, body) -> Optional[tuple[int, ...]]:
-    """Dense scan in (A, C, B) order; body(c) returns the (A, B) violation slice."""
-    count = r.ground.subset_count
-    viol = np.empty((count, count, count), dtype=bool)
-    for c in range(count):
-        viol[:, c, :] = body(c)
-    return _first_true(viol)
+def _scan_3var(count: int, plane) -> Optional[tuple[int, int, int]]:
+    """Row scan in (A, C, B) order; plane(a) returns the (B, C) violation
+    plane of row A = a."""
+    for a in range(count):
+        viol = plane(a)
+        if viol.any():
+            c, b = divmod(int(np.argmax(viol.T)), count)
+            return (a, c, b)
+    return None
 
 
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,29 +234,31 @@ def _find_violation(
     if ax is AxiomId.EX:
         return _first_true(~t3[:, masks, masks])
 
+    # Planes are (B, C); t3[a] is the row of r(a, B, C).
+    orm = masks[:, None] | masks[None, :]  # (B, C): B+C
+
     if ax is AxiomId.SYM:
-        return _scan_3var(r, lambda c: t3[:, :, c] & ~t3[:, :, c].T)
+        return _scan_3var(count, lambda a: t3[a] & ~t3[:, a])
 
     if ax is AxiomId.NOR_R:
-        return _scan_3var(r, lambda c: t3[:, :, c] & ~t3[:, masks | c, c])
+        cells = orm * count + masks  # flat index of (B+C, C) in a row
+        return _scan_3var(count, lambda a: t3[a] & ~t3[a].ravel()[cells])
 
     if ax is AxiomId.NOR_L:
-        return _scan_3var(r, lambda c: t3[:, :, c] & ~t3[masks | c, :, c])
+        return _scan_3var(count, lambda a: t3[a] & ~t3[a | masks, :, masks].T)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
         cl = np.array(_require_op(ax, op).table)
         if ax is AxiomId.CLO_R:
-            return _scan_3var(r, lambda c: t3[:, :, c] & ~t3[:, cl, c])
+            return _scan_3var(count, lambda a: t3[a] & ~t3[a][cl])
         if ax is AxiomId.CLO_L:
-            return _scan_3var(r, lambda c: t3[:, :, c] & ~t3[cl, :, c])
+            return _scan_3var(count, lambda a: t3[a] & ~t3[cl[a]])
         if ax is AxiomId.SCLO:
-
-            def sclo_body(c: int) -> np.ndarray:
-                closed = cl[masks | c]
-                rhs = t3[closed[:, None], closed[None, :], cl[c]]
-                return t3[:, :, c] ^ rhs
-
-            return _scan_3var(r, sclo_body)
+            rows = t3.reshape(count, -1)
+            cells = cl[orm] * count + cl  # (cl(B+C), cl(C)) in a row
+            return _scan_3var(
+                count, lambda a: t3[a] ^ rows[cl[a | masks], cells]
+            )
         # AREF: scan singletons a, then bases C.
         for a in range(r.ground.size):
             bit = 1 << a
@@ -265,8 +272,6 @@ def _find_violation(
 
     if ax in (AxiomId.MON_R, AxiomId.MON_L):
         return _scan_mon(t3, left=ax is AxiomId.MON_L)
-
-    orm = masks[:, None] | masks[None, :]
 
     if ax is AxiomId.TRA_STRONG:
 

@@ -60,6 +60,10 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
 
     cl(A) = { i : vectors[i] lies in the span of {vectors[j] : j in A} }.
     Supported moduli: 2 and 3.
+
+    Spans grow subset by subset: the span of A is the span of A without
+    its top element t, or, when t is not yet in it, its `modulus` disjoint
+    cosets by multiples of vectors[t].
     """
     if modulus not in (2, 3):
         raise ValueError("only GF(2) and GF(3) are supported")
@@ -68,39 +72,25 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
         raise ValueError("need at least one vector")
     dim, n = cols.shape
     ground = GroundSet(n)
-    # enumerate all span members per subset via rank comparison
+    vecs = cols.T
+    weights = modulus ** np.arange(dim)  # a vector's code: its base-p digits
+    owners: dict[int, int] = {}  # code -> mask of the vectors with that code
+    for j, code in enumerate((vecs @ weights).tolist()):
+        owners[code] = owners.get(code, 0) | 1 << j
+    multiples = np.arange(modulus)[:, None, None]
+    spans = [np.zeros((1, dim), dtype=np.int64)]
     table = []
     for m in range(ground.subset_count):
-        base = cols[:, elements_of(m)]
-        r0 = _gf_rank(base, modulus)
-        closed = m
-        for j in range(n):
-            if closed >> j & 1:
-                continue
-            aug = np.concatenate([base, cols[:, j : j + 1]], axis=1)
-            if _gf_rank(aug, modulus) == r0:
-                closed |= 1 << j
-        table.append(closed)
+        if m:
+            top = m.bit_length() - 1
+            rest = m ^ 1 << top
+            span = spans[rest]
+            if not table[rest] >> top & 1:
+                span = ((span + multiples * vecs[top]) % modulus).reshape(-1, dim)
+            spans.append(span)
+        # span members are distinct, so their owner masks are disjoint
+        table.append(sum(owners.get(c, 0) for c in (spans[m] @ weights).tolist()))
     return Pregeometry(operator_from_table(ground, table))
-
-
-def _gf_rank(matrix: np.ndarray, modulus: int) -> int:
-    """Row reduction rank over GF(p), tiny sizes only."""
-    m = matrix.copy() % modulus
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, rows) if m[r, c] % modulus), None)
-        if pivot is None:
-            continue
-        m[[rank, pivot]] = m[[pivot, rank]]
-        inv = pow(int(m[rank, c]), modulus - 2, modulus)
-        m[rank] = m[rank] * inv % modulus
-        for r in range(rows):
-            if r != rank and m[r, c]:
-                m[r] = (m[r] - m[r, c] * m[rank]) % modulus
-        rank += 1
-    return rank
 
 
 # ---------------------------------------------------------------------------
@@ -140,10 +130,6 @@ class Graph:
     def ground(self) -> GroundSet:
         return GroundSet(self.size)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        adj = self.adjacency_masks()
-        return tuple(sorted(bin(a).count("1") for a in adj))
-
 
 def rel_st(graph: Graph) -> TernaryRelation:
     """Stationary independence on a graph.
@@ -165,17 +151,16 @@ def rel_st(graph: Graph) -> TernaryRelation:
         return True
 
     def builder() -> np.ndarray:
-        masks = np.arange(count)
+        # A and its neighbourhood off C must miss B \ C.
+        masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
+        reach = np.zeros_like(masks)  # reach[m]: neighbourhood of m
+        for u in range(graph.size):
+            reach[masks >> u & 1 == 1] |= adj[u]
+        off_base = masks[:, None] & ~masks[None, :]  # (B, C): B \ C
         table = np.empty((count, count, count), dtype=bool)
-        for c in range(count):
-            # cross[a] = neighbourhood of A\C as a mask
-            cross = np.zeros(count, dtype=np.int64)
-            for u in range(graph.size):
-                in_a = ((masks & ~c) >> u & 1).astype(bool)
-                cross[in_a] |= adj[u]
-            meet_ok = (masks[:, None] & masks[None, :] & ~c) == 0
-            edge_ok = (cross[:, None] & (masks & ~c)[None, :]) == 0
-            table[:, :, c] = meet_ok & edge_ok
+        for a in range(count):
+            blocked = a | reach[a & ~masks]  # over C
+            np.equal(off_base & blocked, 0, out=table[a])
         return table
 
     return TernaryRelation(ground, "st", fn, builder=builder)

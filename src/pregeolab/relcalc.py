@@ -7,6 +7,12 @@ implementations and are cross-checked in the test suite; all heavy
 scanning (axiom checks, table comparisons) runs on the materialized
 table.
 
+Table layout: every truth table is a C-contiguous `bool` array indexed
+[A, B, C], so the (B, C) plane of one A is one contiguous block.
+Builders fill the table one such A row at a time from (B, C) planes of
+closures, dimensions or maxima computed once, in the narrowest integer
+dtype that holds them; the axiom scans read it the same way.
+
 Transformer stacks materialize their base relation once: the inner
 for-all loop of a monotonisation over an unmaterialized base would be
 quadratic-exponential.
@@ -81,7 +87,7 @@ def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelati
     count = ground.subset_count
     if table.shape != (count, count, count):
         raise ValueError("table shape does not match the ground set")
-    t = table.astype(bool)
+    t = table.astype(bool, order="C")
     return TernaryRelation(ground, name, lambda a, b, c: bool(t[a, b, c]), None, t)
 
 
@@ -103,6 +109,11 @@ def always_true(ground: GroundSet) -> TernaryRelation:
 # Built-in relations
 
 
+def _masks(count: int) -> np.ndarray:
+    """All subset masks, ascending, in the narrowest unsigned dtype."""
+    return np.arange(count, dtype=np.min_scalar_type(count - 1))
+
+
 def rel_intersection(ground: GroundSet) -> TernaryRelation:
     """(A, B, C) |-> A & B <= C."""
 
@@ -111,11 +122,11 @@ def rel_intersection(ground: GroundSet) -> TernaryRelation:
 
     def build() -> np.ndarray:
         count = ground.subset_count
-        masks = np.arange(count)
-        meet = masks[:, None] & masks[None, :]
+        masks = _masks(count)
+        off_base = masks[:, None] & ~masks[None, :]  # (B, C): B \ C
         table = np.empty((count, count, count), dtype=bool)
-        for c in range(count):
-            table[:, :, c] = meet & ~c == 0
+        for a in range(count):
+            np.equal(off_base & a, 0, out=table[a])
         return table
 
     return TernaryRelation(ground, "int", fn, build)
@@ -130,12 +141,12 @@ def rel_a(op: ClosureOperator) -> TernaryRelation:
 
     def build() -> np.ndarray:
         count = op.ground.subset_count
-        masks = np.arange(count)
-        cl_arr = np.array(cl)
+        masks = _masks(count)
+        cl_arr = np.array(cl, dtype=masks.dtype)
+        joined = cl_arr[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
         table = np.empty((count, count, count), dtype=bool)
-        for c in range(count):
-            u = cl_arr[masks | c]
-            table[:, :, c] = (u[:, None] & u[None, :]) == cl[c]
+        for a in range(count):
+            np.equal(joined & joined[a], cl_arr, out=table[a])
         return table
 
     return TernaryRelation(op.ground, "a", fn, build)
@@ -155,10 +166,11 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     def build() -> np.ndarray:
         count = pg.ground.subset_count
         masks = np.arange(count)
-        d = np.array(dims)
+        d = np.array(dims, dtype=np.int8)  # (A, X): dim(A/X)
+        joined = masks[:, None] | masks[None, :]  # (B, C): B+C
         table = np.empty((count, count, count), dtype=bool)
-        for c in range(count):
-            table[:, :, c] = d[:, masks | c] == d[:, c][:, None]
+        for a in range(count):
+            np.equal(d[a][joined], d[a], out=table[a])
         return table
 
     return TernaryRelation(pg.ground, "cl", fn, build)
@@ -193,21 +205,23 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
             sub = (sub - 1) & free
 
     def build() -> np.ndarray:
+        # Bases B that share cl(B+C) share the interval [C, cl(B+C)], so
+        # each group is one gather from a copy with A innermost.  Base C
+        # reads only slots X that contain C, none below C, so its result
+        # overwrites slot C, which the bases after it never read.
         base = materialize(r).table
         count = r.ground.subset_count
-        table = np.empty((count, count, count), dtype=bool)
+        masks = np.arange(count)
+        cl_arr = np.array(cl)
+        inside = (masks[:, None] & ~masks[None, :]) == 0  # [x, y]: x <= y
+        by_a = base.transpose(1, 2, 0).copy()  # [B, X, A], then [B, C, A]
         for c in range(count):
-            for b in range(count):
-                free = cl[b | c] & ~c
-                xs = []
-                sub = free
-                while True:
-                    xs.append(c | sub)
-                    if sub == 0:
-                        break
-                    sub = (sub - 1) & free
-                table[:, b, c] = base[:, b, xs].all(axis=1)
-        return table
+            tops = cl_arr[masks | c]
+            for top in set(tops.tolist()):
+                bs = np.flatnonzero(tops == top)
+                xs = np.flatnonzero(inside[c] & inside[:, top])
+                by_a[bs, c] = by_a[bs[:, None], xs].all(axis=1)
+        return np.ascontiguousarray(by_a.transpose(2, 0, 1))
 
     return TernaryRelation(r.ground, _suffix(r, "M"), fn, build)
 
@@ -235,9 +249,11 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
         count = r.ground.subset_count
         masks = np.arange(count)
         cl_arr = np.array(cl)
+        # (B, C): flat index of (cl(B+C), C) in one A row
+        cells = cl_arr[masks[:, None] | masks[None, :]] * count + masks
         table = np.empty((count, count, count), dtype=bool)
-        for c in range(count):
-            table[:, :, c] = base[:, cl_arr[masks | c], c]
+        for a in range(count):
+            table[a] = base[a].ravel()[cells]
         return table
 
     return TernaryRelation(r.ground, _suffix(r, "c"), fn, build)
@@ -269,11 +285,11 @@ def rel_sup(ground: GroundSet) -> TernaryRelation:
         return top(a) <= top(c) or top(b) <= top(c)
 
     def build() -> np.ndarray:
-        tops = np.array([m.bit_length() for m in ground.masks()])
+        tops = np.array([m.bit_length() for m in ground.masks()], dtype=np.int8)
+        below = tops[:, None] <= tops[None, :]  # (X, C): top(X) <= top(C)
         table = np.empty((ground.subset_count,) * 3, dtype=bool)
-        for c in range(ground.subset_count):
-            tc = tops[c]
-            table[:, :, c] = (tops[:, None] <= tc) | (tops[None, :] <= tc)
+        for a in range(ground.subset_count):
+            np.bitwise_or(below, below[a], out=table[a])
         return table
 
     return TernaryRelation(ground, "sup", fn, build)

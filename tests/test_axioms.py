@@ -112,15 +112,23 @@ def _scalar_least_witness(r, ax, op=None):
     return None
 
 
-def _dense_tables():
-    """Mostly-true tables at n = 3 push the least witness past A = {}."""
-    g = GroundSet(3)
+def _dense_cases():
+    """Mostly-true tables at n = 3 and 4 push the least witness past
+    A = {}, so a scan must stop at the first row that violates.  At n = 4
+    the closure varies too, so CLO-L/R and SCLO see a non-identity cl."""
     rng = np.random.default_rng(2023)
-    return [
-        from_table(g, f"dense{density}", rng.random((8, 8, 8)) < density)
-        for density in (0.9, 0.98)
-        for _ in range(3)
-    ]
+    ops4 = (trivial_closure(GroundSet(4)), gebert_closure(4),
+            uniform_pregeometry(3, 4).op)
+    cases = []
+    for size, densities in ((3, (0.9, 0.98)), (4, (0.98, 0.995))):
+        count = 1 << size
+        for density in densities:
+            for k in range(3):
+                cells = rng.random((count,) * 3) < density
+                r = from_table(GroundSet(size), f"dense{density}", cells)
+                op = ops4[k] if size == 4 else trivial_closure(r.ground)
+                cases.append((r, op))
+    return cases
 
 
 @pytest.mark.parametrize(
@@ -128,9 +136,10 @@ def _dense_tables():
 )
 def test_witness_minimality_against_scalar_rescan(axiom):
     g = GroundSet(2)
-    cases = [random_relation(g, seed) for seed in range(8)] + _dense_tables()
-    for k, r in enumerate(cases):
-        op = trivial_closure(r.ground)
+    cases = [(random_relation(g, seed), trivial_closure(g)) for seed in range(8)]
+    cases += _dense_cases()
+    rows_hit = set()
+    for k, (r, op) in enumerate(cases):
         rep = check_axiom(r, axiom, op)
         expected = _scalar_least_witness(r, axiom, op)
         if expected is None:
@@ -138,6 +147,8 @@ def test_witness_minimality_against_scalar_rescan(axiom):
         else:
             assert rep.status == "fail", (axiom, k)
             assert rep.witness == expected, (axiom, k)
+            rows_hit.add(expected[0])
+    assert max(rows_hit) > 0  # some least witness lies past the row A = {}
 
 
 def test_four_variable_axioms_at_size_seven():

@@ -1,7 +1,10 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from pregeolab.axioms import compare
+from pregeolab.cli import RELATION_IDS, UsageError, resolve_relation
 from pregeolab.closure import trivial_closure
 from pregeolab.geometry import dim
 from pregeolab.instances import catalog, gebert_closure, uniform_pregeometry
@@ -29,15 +32,18 @@ def u34():
     return uniform_pregeometry(3, 4)
 
 
-def assert_table_matches_scalar(r):
+def assert_table_matches_scalar(r, scalar=None):
     """The vectorised table and the scalar evaluator are independent
-    routes to the same relation."""
+    routes to the same relation.  The table is a C-contiguous bool array."""
     t = materialize(r).table
+    assert t.dtype == bool and t.flags.c_contiguous, r.name
+    fn = r.fn if scalar is None else scalar.fn
     count = r.ground.subset_count
-    for a in range(count):
-        for b in range(count):
-            for c in range(count):
-                assert bool(t[a, b, c]) == r.fn(a, b, c), (r.name, a, b, c)
+    expected = np.array(
+        [fn(a, b, c) for a, b, c in product(range(count), repeat=3)], dtype=bool
+    ).reshape(t.shape)
+    mismatch = np.argwhere(t != expected)
+    assert len(mismatch) == 0, (r.name, tuple(mismatch[0]))
 
 
 def test_builders_match_scalar_eval(u34):
@@ -50,6 +56,34 @@ def test_builders_match_scalar_eval(u34):
     assert_table_matches_scalar(monotonise_m(rel_a(g)))
     assert_table_matches_scalar(closure_extend_c(rel_intersection(g.ground), g))
     assert_table_matches_scalar(opposite(rel_sup(GroundSet(3))))
+    # a random base fails at every X, including the interval's ends
+    for seed in range(3):
+        assert_table_matches_scalar(monotonise_M(random_relation(g.ground, seed), g))
+        assert_table_matches_scalar(monotonise_m(random_relation(u34.ground, seed)))
+    # Every relation id and its opposite on every catalog instance with
+    # n <= 4 that resolves.  The scalar route runs on a second, fresh
+    # relation, so a transformer's base is evaluated by its own scalar
+    # predicate and never through a built table.
+    ids = list(RELATION_IDS) + [f"opp({rid})" for rid in RELATION_IDS]
+    checked = set()
+    for inst in catalog().values():
+        if inst.ground.size > 4:
+            continue
+        for rid in ids:
+            try:
+                r = resolve_relation(inst, rid)
+            except UsageError:
+                continue
+            assert_table_matches_scalar(r, resolve_relation(inst, rid))
+            checked.add((inst.name, rid))
+    assert len(checked) == 160
+    # aM on u34 and gebert4 has bases C whose bases B reach several
+    # distinct cl(B+C), so its builder gathers several groups per C
+    for name in ("u34", "gebert4"):
+        op = catalog()[name].op
+        count = op.ground.subset_count
+        tops = [{op.table[b | c] for b in range(count)} for c in range(count)]
+        assert max(map(len, tops)) >= 4 and (name, "aM") in checked
 
 
 def test_materialize_cap():
