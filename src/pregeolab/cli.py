@@ -41,9 +41,8 @@ class UsageError(Exception):
 
 
 def load_instance(spec: str) -> Instance:
-    cat = instances.catalog()
-    if spec in cat:
-        return cat[spec]
+    if spec in instances.CATALOG_NAMES:
+        return instances.catalog_instance(spec)
     path = Path(spec)
     if not path.exists():
         raise UsageError(

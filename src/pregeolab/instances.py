@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -336,49 +336,70 @@ def _dlo(n: int) -> OrderedConfig:
     return OrderedConfig(tuple(Fraction(i) for i in range(n)))
 
 
+def _graph_instance(name: str, g: Graph) -> Instance:
+    return Instance(name, "graph", f"graph on {g.size} vertices "
+                    f"with {len(g.edges)} edges", graph=g)
+
+
+def _dlo_instance(name: str, n: int) -> Instance:
+    return Instance(name, "order", f"{n} rational points in increasing order",
+                    config=_dlo(n))
+
+
+#: name -> builder of each built-in instance, in catalog order
+_BUILDERS: dict[str, Callable[[str], Instance]] = {
+    "trivial3": lambda name: _pg_instance(
+        name, Pregeometry(trivial_closure(GroundSet(3))),
+        "trivial closure on 3 elements"),
+    "trivial4": lambda name: _pg_instance(
+        name, Pregeometry(trivial_closure(GroundSet(4))),
+        "trivial closure on 4 elements"),
+    "trivial5": lambda name: _pg_instance(
+        name, Pregeometry(trivial_closure(GroundSet(5))),
+        "trivial closure on 5 elements"),
+    "gebert4": lambda name: Instance(
+        name, "closure", "initial-segment closure on 4 elements",
+        op=gebert_closure(4)),
+    "gebert8": lambda name: Instance(
+        name, "closure", "initial-segment closure on 8 elements",
+        op=gebert_closure(8)),
+    "u23": lambda name: _pg_instance(
+        name, uniform_pregeometry(2, 3), "uniform rank 2 on 3 elements"),
+    "u34": lambda name: _pg_instance(
+        name, uniform_pregeometry(3, 4), "uniform rank 3 on 4 elements"),
+    "u36": lambda name: _pg_instance(
+        name, uniform_pregeometry(3, 6), "uniform rank 3 on 6 elements"),
+    "gf2-3": lambda name: _pg_instance(
+        name, linear_pregeometry(GF2_LINE, 2), "all nonzero vectors of GF(2)^2"),
+    "gf3-4": lambda name: _pg_instance(
+        name, linear_pregeometry(GF3_LINE, 3), "one vector per line of GF(3)^2"),
+    "gf2-7": lambda name: _pg_instance(
+        name, linear_pregeometry(GF2_PLANE, 2), "all nonzero vectors of GF(2)^3"),
+    "path3": lambda name: _graph_instance(name, _path_graph(3)),
+    "path4": lambda name: _graph_instance(name, _path_graph(4)),
+    "triangle3": lambda name: _graph_instance(
+        name, Graph.build(3, [(0, 1), (1, 2), (0, 2)])),
+    "star4": lambda name: _graph_instance(
+        name, Graph.build(4, [(0, 1), (0, 2), (0, 3)])),
+    "empty4": lambda name: _graph_instance(name, Graph.build(4, [])),
+    "dlo4": lambda name: _dlo_instance(name, 4),
+    "dlo5": lambda name: _dlo_instance(name, 5),
+    "dlo6": lambda name: _dlo_instance(name, 6),
+}
+
+#: the names of the built-in instances, in catalog order
+CATALOG_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+
+
+def catalog_instance(name: str) -> Instance:
+    """One built-in instance, built without the others; KeyError when no
+    instance has that name."""
+    return _BUILDERS[name](name)
+
+
 def catalog() -> dict[str, Instance]:
     """The built-in instance library, keyed by short name."""
-    items = [
-        _pg_instance("trivial3", Pregeometry(trivial_closure(GroundSet(3))),
-                     "trivial closure on 3 elements"),
-        _pg_instance("trivial4", Pregeometry(trivial_closure(GroundSet(4))),
-                     "trivial closure on 4 elements"),
-        _pg_instance("trivial5", Pregeometry(trivial_closure(GroundSet(5))),
-                     "trivial closure on 5 elements"),
-        Instance("gebert4", "closure",
-                 "initial-segment closure on 4 elements",
-                 op=gebert_closure(4)),
-        Instance("gebert8", "closure",
-                 "initial-segment closure on 8 elements",
-                 op=gebert_closure(8)),
-        _pg_instance("u23", uniform_pregeometry(2, 3),
-                     "uniform rank 2 on 3 elements"),
-        _pg_instance("u34", uniform_pregeometry(3, 4),
-                     "uniform rank 3 on 4 elements"),
-        _pg_instance("u36", uniform_pregeometry(3, 6),
-                     "uniform rank 3 on 6 elements"),
-        _pg_instance("gf2-3", linear_pregeometry(GF2_LINE, 2),
-                     "all nonzero vectors of GF(2)^2"),
-        _pg_instance("gf3-4", linear_pregeometry(GF3_LINE, 3),
-                     "one vector per line of GF(3)^2"),
-        _pg_instance("gf2-7", linear_pregeometry(GF2_PLANE, 2),
-                     "all nonzero vectors of GF(2)^3"),
-    ]
-    graphs = {
-        "path3": _path_graph(3),
-        "path4": _path_graph(4),
-        "triangle3": Graph.build(3, [(0, 1), (1, 2), (0, 2)]),
-        "star4": Graph.build(4, [(0, 1), (0, 2), (0, 3)]),
-        "empty4": Graph.build(4, []),
-    }
-    for name, g in graphs.items():
-        items.append(Instance(name, "graph", f"graph on {g.size} vertices "
-                              f"with {len(g.edges)} edges", graph=g))
-    for n in (4, 5, 6):
-        items.append(Instance(f"dlo{n}", "order",
-                              f"{n} rational points in increasing order",
-                              config=_dlo(n)))
-    return {inst.name: inst for inst in items}
+    return {name: build(name) for name, build in _BUILDERS.items()}
 
 
 class InstanceFormatError(ValueError):

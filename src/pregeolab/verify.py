@@ -30,9 +30,11 @@ from .axioms import AxiomId, Comparison, check_axiom, compare
 from .closure import ClosureOperator, Pregeometry, trivial_closure
 from .geometry import brute_dim_oracle, check_modular, dim, dim_table
 from .instances import (
+    CATALOG_NAMES,
     Graph,
     Instance,
     catalog,
+    catalog_instance,
     free_amalgam,
     isomorphic_over_base,
     rel_div,
@@ -143,8 +145,8 @@ STACK_SUITE_MAX = 5  # transformer-stack suites
 
 def _selected(kind_ok: Callable[[Instance], bool],
               names: Optional[Sequence[str]]) -> list[Instance]:
-    cat = catalog()
-    pool = list(cat.values()) if names is None else [cat[n] for n in names]
+    pool = (list(catalog().values()) if names is None
+            else [catalog_instance(n) for n in names])
     return [inst for inst in pool if kind_ok(inst)]
 
 
@@ -609,7 +611,7 @@ def run_suite(
     if suite_id not in _SUITE_BODIES:
         raise UnknownSuite(f"unknown suite: {suite_id}")
     if instances is not None:
-        missing = [n for n in instances if n not in catalog()]
+        missing = [n for n in instances if n not in CATALOG_NAMES]
         if missing:
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
     units = _SUITE_BODIES[suite_id](instances)

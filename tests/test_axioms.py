@@ -6,6 +6,7 @@ import pytest
 from pregeolab.axioms import (
     AXIOM_ORDER,
     AxiomId,
+    Comparison,
     Goal,
     MissingClosure,
     check_all,
@@ -16,7 +17,13 @@ from pregeolab.axioms import (
     search_counterexample,
 )
 from pregeolab.closure import trivial_closure
-from pregeolab.instances import catalog, gebert_closure, rel_st, uniform_pregeometry
+from pregeolab.instances import (
+    catalog,
+    catalog_instance,
+    gebert_closure,
+    rel_st,
+    uniform_pregeometry,
+)
 from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import (
     CapExceeded,
@@ -112,15 +119,20 @@ def _scalar_least_witness(r, ax, op=None):
     return None
 
 
+_STRONG = (AxiomId.TRA_STRONG, AxiomId.BMON_STRONG, AxiomId.FREE)
+
+
 def _dense_cases():
     """Mostly-true tables at n = 3 and 4 push the least witness past
     A = {}, so a scan must stop at the first row that violates.  At n = 4
-    the closure varies too, so CLO-L/R and SCLO see a non-identity cl."""
+    the closure varies too, so CLO-L/R and SCLO see a non-identity cl.
+    The last two n = 4 tables are false only where TRA-STRONG (|B| <= 1)
+    or BMON-STRONG (C = {}) cannot use a false cell, so each passes."""
     rng = np.random.default_rng(2023)
     ops4 = (trivial_closure(GroundSet(4)), gebert_closure(4),
             uniform_pregeometry(3, 4).op)
     cases = []
-    for size, densities in ((3, (0.9, 0.98)), (4, (0.98, 0.995))):
+    for size, densities in ((3, (0.9, 0.98)), (4, (0.98, 0.995, 0.999))):
         count = 1 << size
         for density in densities:
             for k in range(3):
@@ -128,6 +140,12 @@ def _dense_cases():
                 r = from_table(GroundSet(size), f"dense{density}", cells)
                 op = ops4[k] if size == 4 else trivial_closure(r.ground)
                 cases.append((r, op))
+    masks = np.arange(16)
+    small_b = np.array([bin(m).count("1") <= 1 for m in masks])
+    for name, where in (("tra", small_b[None, :, None]),
+                        ("bmon", (masks == 0)[None, None, :])):
+        cells = ~(where & (rng.random((16,) * 3) < 0.1))
+        cases.append((from_table(GroundSet(4), name, cells), ops4[0]))
     return cases
 
 
@@ -136,19 +154,24 @@ def _dense_cases():
 )
 def test_witness_minimality_against_scalar_rescan(axiom):
     g = GroundSet(2)
-    cases = [(random_relation(g, seed), trivial_closure(g)) for seed in range(8)]
+    # 32 random n = 2 tables: some least BMON-STRONG witnesses need D & C
+    cases = [(random_relation(g, seed), trivial_closure(g)) for seed in range(32)]
     cases += _dense_cases()
     rows_hit = set()
+    passed = 0
     for k, (r, op) in enumerate(cases):
         rep = check_axiom(r, axiom, op)
         expected = _scalar_least_witness(r, axiom, op)
         if expected is None:
             assert rep.status == "pass", (axiom, k)
+            passed += 1
         else:
             assert rep.status == "fail", (axiom, k)
             assert rep.witness == expected, (axiom, k)
             rows_hit.add(expected[0])
     assert max(rows_hit) > 0  # some least witness lies past the row A = {}
+    if axiom in _STRONG:
+        assert passed  # the pass path of the interval scans is covered
 
 
 def test_four_variable_axioms_at_size_seven():
@@ -156,13 +179,27 @@ def test_four_variable_axioms_at_size_seven():
     r = rel_intersection(GroundSet(7))
     assert check_axiom(r, AxiomId.MON_R).status == "pass"
     assert check_axiom(r, AxiomId.BMON_R).status == "pass"
-    pg = catalog()["gf2-7"].pg
+    pg = catalog_instance("gf2-7").pg
     assert check_axiom(rel_cl(pg), AxiomId.MON_R).status == "pass"
     rep = check_axiom(rel_cl(pg), AxiomId.FREE)
     assert rep.status == "fail"
     # (A, C, B, D) = ({0}, {1,2}, {0}, {})
     assert rep.witness == (1, 6, 1, 0)
     assert not evaluate_axiom_body(rel_cl(pg), AxiomId.FREE, rep.witness)
+
+
+def test_strong_axioms_at_sizes_seven_and_eight():
+    """Known answers at n = 7 and 8, each well under a second."""
+    cl7 = rel_cl(catalog_instance("gf2-7").pg)
+    assert check_axiom(cl7, AxiomId.TRA_STRONG).status == "pass"
+    assert check_axiom(cl7, AxiomId.BMON_STRONG).status == "pass"
+    assert check_axiom(rel_intersection(GroundSet(8)), AxiomId.FREE).status == "pass"
+    a8 = rel_a(gebert_closure(8))
+    rep = check_axiom(a8, AxiomId.FREE)
+    assert rep.result_line() == "RESULT a FREE fail witness={0};{1};{0};{}"
+    # a relation without a table: the scalar route
+    assert not evaluate_axiom_body(rel_a(gebert_closure(8)), AxiomId.FREE,
+                                   rep.witness)
 
 
 def test_derived_axiom_theorems_on_catalog():
@@ -212,6 +249,32 @@ def test_compare_incomparable():
     cmp = compare(random_relation(g, 1), random_relation(g, 2))
     assert cmp.verdict == "incomparable"
     assert cmp.witness is not None
+
+
+def test_compare_matches_scalar_scan():
+    """Verdict and least differing (A, B, C) against a loop over holds."""
+    rng = np.random.default_rng(5)
+    verdicts = set()
+    for size in (1, 2, 3):
+        g = GroundSet(size)
+        shape = (1 << size,) * 3
+        for k in range(12):
+            t1 = rng.random(shape) < 0.5
+            extra = rng.random(shape) < 0.05
+            t2 = (t1, t1 | extra, t1 & ~extra, rng.random(shape) < 0.5)[k % 4]
+            r1, r2 = from_table(g, "r1", t1), from_table(g, "r2", t2)
+            cells = list(product(range(1 << size), repeat=3))
+            more = [x for x in cells if r1.holds(*x) and not r2.holds(*x)]
+            less = [x for x in cells if r2.holds(*x) and not r1.holds(*x)]
+            if not more and not less:
+                expected = Comparison("equal", None)
+            else:
+                verdict = ("implies" if not more else
+                           "implied" if not less else "incomparable")
+                expected = Comparison(verdict, min(more + less))
+            assert compare(r1, r2) == expected, (size, k)
+            verdicts.add(expected.verdict)
+    assert verdicts == {"equal", "implies", "implied", "incomparable"}
 
 
 def test_search_finds_u34_for_bmon_r_failure():

@@ -7,12 +7,14 @@ from pregeolab.axioms import compare
 from pregeolab.cli import resolve_relation
 from pregeolab.geometry import dim, is_independent
 from pregeolab.instances import (
+    CATALOG_NAMES,
     GF2_PLANE,
     BaseMismatch,
     Graph,
     InstanceFormatError,
     OrderedConfig,
     catalog,
+    catalog_instance,
     free_amalgam,
     gebert_closure,
     isomorphic_over_base,
@@ -214,9 +216,13 @@ def test_catalog_contents():
     assert set(cat) >= {"trivial3", "gebert4", "gebert8", "u23", "u34", "u36",
                         "gf2-3", "gf3-4", "gf2-7", "path3", "triangle3",
                         "star4", "empty4", "dlo4", "dlo5", "dlo6"}
+    assert tuple(cat) == CATALOG_NAMES
     for name, inst in cat.items():
         assert inst.name == name
         assert inst.description
+        assert catalog_instance(name) == inst  # built alone, the same
+    with pytest.raises(KeyError):
+        catalog_instance("nope")
 
 
 def test_parse_instance_round_trips():
