@@ -105,16 +105,18 @@ def _validate(ground: GroundSet, table: Sequence[int]) -> tuple[int, ...]:
 def from_table(
     ground: GroundSet, table: Union[Sequence[int], Mapping[int, int]]
 ) -> ClosureOperator:
-    """Build an operator from a total mask -> mask table, validating the laws."""
+    """Build an operator from a total mask -> mask table, validating the laws.
+
+    Entries are stored as Python ints, so numpy integers are accepted."""
     if isinstance(table, Mapping):
         seq = [-1] * ground.subset_count
         for mask, closed in table.items():
-            seq[as_mask(mask)] = as_mask(closed)
+            seq[as_mask(mask)] = int(as_mask(closed))
         if any(v < 0 for v in seq):
             missing = next(m for m, v in enumerate(seq) if v < 0)
             raise LawViolation("Totality", (missing,))
     else:
-        seq = [as_mask(v) for v in table]
+        seq = [int(as_mask(v)) for v in table]
     return ClosureOperator(ground, _validate(ground, seq))
 
 

@@ -11,6 +11,8 @@ import functools
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask
 from .lattice import elements_of, format_mask, submasks
 
@@ -69,6 +71,35 @@ def dim_table(pg: Pregeometry) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def least_unreached(op: ClosureOperator) -> Optional[tuple[int, int, int]]:
+    """Least (A, B, {x}) with x in cl(A+B) but in no cl(i+j) with i, j
+    parts of at most one element of cl(A) and cl(B); None if none.
+
+    The empty part keeps the statement meaningful when cl(A) is empty.
+    reach(A, B), the OR of those cl(i+j), is two masked OR-reductions of
+    the (n+1)^2 matrix of pair closures, and x is the lowest bit of
+    cl(A+B) outside it.
+    """
+    count = op.ground.subset_count
+    cl = np.array(op.table, dtype=np.int64)
+    parts = np.array([0] + [1 << e for e in range(op.ground.size)])
+    pair = cl[parts[:, None] | parts[None, :]]  # (i, j): cl(i+j)
+    inside = cl[:, None] & parts == parts  # (X, i): part i lies in cl(X)
+    # (A, j): the OR of cl(i+j) over the parts i of cl(A)
+    left = np.bitwise_or.reduce(np.where(inside[:, :, None], pair, 0), axis=1)
+    reach = np.bitwise_or.reduce(
+        np.where(inside[None, :, :], left[:, None, :], 0), axis=2
+    )  # (A, B)
+    masks = np.arange(count)
+    unreached = cl[masks[:, None] | masks[None, :]] & ~reach
+    hits = np.flatnonzero(unreached)
+    if len(hits) == 0:
+        return None
+    a, b = divmod(int(hits[0]), count)
+    x = int(unreached[a, b])
+    return (a, b, x & -x)
+
+
 @dataclass(frozen=True)
 class ModularityVerdict:
     """Outcome of the five equivalent modularity conditions.
@@ -110,32 +141,15 @@ def check_modular(pg: Pregeometry) -> ModularityVerdict:
     """
     # Imported here: relcalc builds on geometry for the dimension relation.
     from . import relcalc
-    from .axioms import AxiomId, check_axiom
+    from .axioms import AxiomId, check_axiom, compare
 
     op = pg.op
     table = op.table
     count = pg.ground.subset_count
-    n = pg.ground.size
     conditions: dict[int, bool] = {}
     witnesses: dict[int, tuple[int, ...]] = {}
 
-    def cond1() -> Optional[tuple[int, ...]]:
-        # Interpolation by at-most-one-element parts: the empty part is
-        # allowed so the statement stays meaningful when cl(A) is empty.
-        for a_mask in range(count):
-            parts_a = [0] + [1 << i for i in elements_of(table[a_mask])]
-            for b_mask in range(count):
-                parts_b = [0] + [1 << j for j in elements_of(table[b_mask])]
-                joint = table[a_mask | b_mask]
-                for x in elements_of(joint):
-                    if any(
-                        table[i | j] >> x & 1 for i in parts_a for j in parts_b
-                    ):
-                        continue
-                    return (a_mask, b_mask, 1 << x)
-        return None
-
-    w1 = cond1()
+    w1 = least_unreached(op)
     conditions[1] = w1 is None
     if w1:
         witnesses[1] = w1
@@ -146,19 +160,10 @@ def check_modular(pg: Pregeometry) -> ModularityVerdict:
     if report.witness is not None:
         witnesses[2] = report.witness
 
-    rel_cl = relcalc.rel_cl(pg)
-    ta = relcalc.materialize(rel_a).table
-    tcl = relcalc.materialize(rel_cl).table
-    diff = ta != tcl
-    if diff.any():
-        import numpy as np
-
-        conditions[3] = False
-        witnesses[3] = tuple(
-            int(v) for v in np.unravel_index(int(np.argmax(diff)), diff.shape)
-        )
-    else:
-        conditions[3] = True
+    cmp = compare(rel_a, relcalc.rel_cl(pg))
+    conditions[3] = cmp.verdict == "equal"
+    if cmp.witness is not None:
+        witnesses[3] = cmp.witness
 
     dims = dim_table(pg)
     w4 = None

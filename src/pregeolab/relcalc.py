@@ -13,9 +13,12 @@ Builders fill the table one such A row at a time from (B, C) planes of
 closures, dimensions or maxima computed once, in the narrowest integer
 dtype that holds them; the axiom scans read it the same way.
 
-Transformer stacks materialize their base relation once: the inner
-for-all loop of a monotonisation over an unmaterialized base would be
-quadratic-exponential.
+Transformer stacks materialize their base relation once.  The
+monotonisations copy that table and AND it along the C axis in n
+in-place passes, one per element, each masked by the (B, C) plane of
+cl(B+C): a superset-AND zeta transform over the intervals
+[C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+Mobius: fast subset convolution", STOC 2007).
 """
 
 from __future__ import annotations
@@ -189,7 +192,10 @@ def _suffix(base: TernaryRelation, suffix: str) -> str:
 
 def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
     """Force right base monotonicity with respect to op:
-    (A, B, C) |-> r(A, B, X) for all X with C <= X <= cl(B+C)."""
+    (A, B, C) |-> r(A, B, X) for all X with C <= X <= cl(B+C).
+
+    The table builder relies on op being reflexive, monotone and
+    idempotent, as every operator that `closure.from_table` returns is."""
     if op.ground != r.ground:
         raise ValueError("relation and operator live on different ground sets")
     cl = op.table
@@ -205,23 +211,29 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
             sub = (sub - 1) & free
 
     def build() -> np.ndarray:
-        # Bases B that share cl(B+C) share the interval [C, cl(B+C)], so
-        # each group is one gather from a copy with A innermost.  Base C
-        # reads only slots X that contain C, none below C, so its result
-        # overwrites slot C, which the bases after it never read.
-        base = materialize(r).table
-        count = r.ground.subset_count
+        # Superset-AND along C, one in-place pass per element i: a cell
+        # (A, B, C) with i outside C and inside cl(B+C) ANDs in the cell
+        # (A, B, C+i).  Every X in [C, cl(B+C)] has cl(B+X) = cl(B+C), so
+        # after the passes for the elements below i + 1 a cell holds the
+        # AND over [C, C + (cl(B+C) & those elements)], and after all n
+        # the AND over [C, cl(B+C)].  A pass reads only cells with bit i
+        # and writes only cells without it.
+        t = materialize(r).table.copy()
+        count = len(t)
         masks = np.arange(count)
-        cl_arr = np.array(cl)
-        inside = (masks[:, None] & ~masks[None, :]) == 0  # [x, y]: x <= y
-        by_a = base.transpose(1, 2, 0).copy()  # [B, X, A], then [B, C, A]
-        for c in range(count):
-            tops = cl_arr[masks | c]
-            for top in set(tops.tolist()):
-                bs = np.flatnonzero(tops == top)
-                xs = np.flatnonzero(inside[c] & inside[:, top])
-                by_a[bs, c] = by_a[bs[:, None], xs].all(axis=1)
-        return np.ascontiguousarray(by_a.transpose(2, 0, 1))
+        tops = np.array(cl)[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
+        for i in range(count.bit_length() - 1):
+            run = 1 << i
+            shape = (count, count, count >> i + 1, 2, run)
+            cells = t.reshape(shape)
+            lo, hi = cells[..., 0, :], cells[..., 1, :]  # C without, with i
+            # (B, C) for the C without i: i is outside cl(B+C)
+            keep = (tops >> i & 1 == 0).reshape(shape[1:])[..., 0, :].copy()
+            if run in (2, 4, 8):  # a word per run; numpy is slow on short rows
+                word = np.dtype(f"u{run}")
+                lo, hi, keep = lo.view(word), hi.view(word), keep.view(word)
+            lo &= hi | keep
+        return t
 
     return TernaryRelation(r.ground, _suffix(r, "M"), fn, build)
 

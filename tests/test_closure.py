@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pregeolab.closure import (
@@ -11,6 +12,7 @@ from pregeolab.closure import (
     restrict,
     trivial_closure,
 )
+from pregeolab.geometry import check_modular
 from pregeolab.instances import gebert_closure, uniform_pregeometry
 from pregeolab.lattice import GroundSet
 
@@ -51,6 +53,16 @@ def test_from_table_mapping_totality():
     with pytest.raises(LawViolation) as exc:
         from_table(g, {0: 0, 1: 1, 3: 3})
     assert exc.value.law == "Totality"
+
+
+def test_from_table_converts_numpy_integers():
+    pg = uniform_pregeometry(3, 4)
+    table = np.array(pg.op.table)
+    for given in (table, dict(enumerate(table))):
+        op = from_table(pg.ground, given)
+        assert op == pg.op and all(type(v) is int for v in op.table)
+        # bit arithmetic on the entries needs Python ints
+        assert check_modular(Pregeometry(op)) == check_modular(pg)
 
 
 def test_from_spanner_fixed_point():

@@ -1,8 +1,7 @@
-from itertools import combinations
-
+import numpy as np
 import pytest
 
-from pregeolab.closure import Pregeometry, trivial_closure
+from pregeolab.closure import Pregeometry, from_table, trivial_closure
 from pregeolab.geometry import (
     basis_of,
     brute_dim_oracle,
@@ -10,9 +9,10 @@ from pregeolab.geometry import (
     dim,
     dim_table,
     is_independent,
+    least_unreached,
 )
 from pregeolab.instances import catalog, linear_pregeometry, uniform_pregeometry
-from pregeolab.lattice import GroundSet
+from pregeolab.lattice import GroundSet, elements_of
 
 
 @pytest.fixture(scope="module")
@@ -111,3 +111,50 @@ def test_trivial_dim_is_cardinality_outside_base():
     assert dim(pg, 0b10101) == 3
     assert dim(pg, 0b10101, over=0b00100) == 2
     assert brute_dim_oracle(pg, 0b10101, 0b00100) == 2
+
+
+def scalar_least_unreached(op):
+    """Modularity condition 1 by its definition: the least (A, B, {x})
+    with x in cl(A+B) and in no cl(i+j), i and j empty or a point of
+    cl(A) and cl(B)."""
+    table = op.table
+    count = op.ground.subset_count
+    for a_mask in range(count):
+        parts_a = [0] + [1 << i for i in elements_of(table[a_mask])]
+        for b_mask in range(count):
+            parts_b = [0] + [1 << j for j in elements_of(table[b_mask])]
+            for x in elements_of(table[a_mask | b_mask]):
+                if not any(
+                    table[i | j] >> x & 1 for i in parts_a for j in parts_b
+                ):
+                    return (a_mask, b_mask, 1 << x)
+    return None
+
+
+def random_closure(size, rng):
+    """The closure whose closed sets are the ground set and the
+    intersections of a random family; each subset joins the family with
+    a probability drawn once per family."""
+    count = 1 << size
+    p = rng.random()
+    family = [count - 1] + [m for m in range(count) if rng.random() < p]
+    table = []
+    for x in range(count):
+        closed = count - 1
+        for f in family:
+            if x & ~f == 0:
+                closed &= f
+        table.append(closed)
+    return from_table(GroundSet(size), table)
+
+
+def test_least_unreached_matches_scalar_definition():
+    ops = [inst.op for inst in catalog().values() if inst.op is not None]
+    rng = np.random.default_rng(11)
+    ops += [random_closure(size, rng) for size in [0, 1, 2, 3] * 15 + [4] * 240]
+    witnesses = [least_unreached(op) for op in ops]
+    for op, w in zip(ops, witnesses):
+        assert w == scalar_least_unreached(op), op
+    # both verdicts occur, and failures at several (A, B)
+    assert None in witnesses
+    assert len({w[:2] for w in witnesses if w is not None}) >= 3

@@ -7,7 +7,12 @@ from pregeolab.axioms import compare
 from pregeolab.cli import RELATION_IDS, UsageError, resolve_relation
 from pregeolab.closure import trivial_closure
 from pregeolab.geometry import dim
-from pregeolab.instances import catalog, gebert_closure, uniform_pregeometry
+from pregeolab.instances import (
+    catalog,
+    catalog_instance,
+    gebert_closure,
+    uniform_pregeometry,
+)
 from pregeolab.lattice import GroundSet, submasks
 from pregeolab.relcalc import (
     CapExceeded,
@@ -77,13 +82,51 @@ def test_builders_match_scalar_eval(u34):
             assert_table_matches_scalar(r, resolve_relation(inst, rid))
             checked.add((inst.name, rid))
     assert len(checked) == 160
-    # aM on u34 and gebert4 has bases C whose bases B reach several
-    # distinct cl(B+C), so its builder gathers several groups per C
+    # on u34 and gebert4 some pass of the aM builder has cells (B, C),
+    # C without i, both with i inside cl(B+C) (ANDed) and outside (kept)
     for name in ("u34", "gebert4"):
         op = catalog()[name].op
         count = op.ground.subset_count
-        tops = [{op.table[b | c] for b in range(count)} for c in range(count)]
-        assert max(map(len, tops)) >= 4 and (name, "aM") in checked
+        mixed = [
+            i
+            for i in range(op.ground.size)
+            if len({
+                op.table[b | c] >> i & 1
+                for b in range(count)
+                for c in range(count)
+                if not c >> i & 1
+            }) == 2
+        ]
+        assert mixed and (name, "aM") in checked
+
+
+def test_monotonise_passes_match_scalar_at_size_five():
+    """At n = 5 the passes run on runs of 1, 2, 4, 8 and 16 cells, so
+    every word view is used.  Dense bases keep some ANDs over large
+    intervals true."""
+    g = GroundSet(5)
+    ops = [
+        trivial_closure(g),
+        uniform_pregeometry(2, 5).op,
+        uniform_pregeometry(3, 5).op,
+        gebert_closure(5),
+    ]
+    rng = np.random.default_rng(6)
+    changed = 0
+    for density in (0.5, 0.9, 0.99):
+        base = rng.random((32,) * 3) < density
+        for op in ops:
+            r = monotonise_M(from_table(g, "rand", base), op)
+            assert_table_matches_scalar(r)
+            changed += bool(r.table.any() and (r.table != base).any())
+    assert changed == 3 * len(ops)
+
+
+def test_monotonise_M_known_answer_on_fano():
+    """aM = cl on the Fano plane (n = 7), which no suite reaches."""
+    pg = catalog_instance("gf2-7").pg
+    aM = monotonise_M(rel_a(pg.op), pg.op)
+    assert compare(aM, rel_cl(pg)).verdict == "equal"
 
 
 def test_materialize_cap():
