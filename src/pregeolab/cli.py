@@ -49,8 +49,10 @@ def load_instance(spec: str) -> Instance:
             f"--instance: {spec!r} is neither a catalog name nor a file"
         )
     try:
-        return instances.parse_instance(path.read_text(), name=path.stem)
-    except (instances.InstanceFormatError, closure.LawViolation) as exc:
+        return instances.parse_instance(path.read_text(encoding="utf-8"),
+                                        name=path.stem)
+    except (OSError, UnicodeDecodeError, instances.InstanceFormatError,
+            closure.LawViolation) as exc:
         raise UsageError(f"--instance: {spec}: {exc}") from exc
 
 
@@ -276,7 +278,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise UsageError(f"--suite: {exc}") from exc
     sys.stdout.write(verify.render_summary(results))
     if args.report:
-        Path(args.report).write_text(verify.render_report(results))
+        try:
+            Path(args.report).write_text(verify.render_report(results))
+        except OSError as exc:
+            raise UsageError(f"--report: {exc}") from exc
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -212,8 +212,9 @@ def isomorphic_over_base(g1: Graph, g2: Graph, base: Sequence[int]) -> bool:
     Brute force over permutations of the non-base vertices, looking each
     mapped edge of g1 up in the adjacency masks of g2.  The degree
     sequences agree first, so the edge counts are equal and a permutation
-    that maps every edge onto an edge is an isomorphism.  Intended for the
-    small amalgamation checks only (at most ~6 free vertices).
+    that maps every edge onto an edge is an isomorphism.  The scalar
+    definition that `canonical_codes` is tested against; small graphs
+    only (at most ~6 free vertices).
     """
     if g1.size != g2.size:
         return False
@@ -230,6 +231,118 @@ def isomorphic_over_base(g1: Graph, g2: Graph, base: Sequence[int]) -> bool:
         if all(adj2[mapping[u]] >> mapping[v] & 1 for u, v in edges1):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# Edge codes: a labeled graph on `size` vertices as one integer, bit k set
+# when the graph has the k-th vertex pair in `combinations` order.  Arrays
+# of codes let the graph checks run many graphs per numpy call.
+
+
+def graph_of_code(size: int, code: int) -> Graph:
+    """The labeled graph on `size` vertices with edge code `code`."""
+    slots = list(combinations(range(size), 2))
+    return Graph.build(size, [slots[k] for k in range(len(slots)) if code >> k & 1])
+
+
+def _relabel_tables(
+    size: int, maps: Sequence[Sequence[int]], target_size: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lookup tables moving codes on `size` vertices along vertex maps.
+
+    Row i relabels a code by the injective map `maps[i]` (vertex v goes
+    to `maps[i][v]`, below `target_size`) as
+    `lo[i, code & 255] | hi[i, code >> 8]`.  Splitting off the low byte
+    keeps the tables small: 256 + 128 entries per map at six vertices
+    instead of 2^15.
+    """
+    slots = list(combinations(range(size), 2))
+    us, vs = np.array(slots, dtype=np.int64).reshape(len(slots), 2).T
+    maps = np.asarray(maps, dtype=np.int64).reshape(len(maps), size)
+    lo = np.minimum(maps[:, us], maps[:, vs])
+    hi = np.maximum(maps[:, us], maps[:, vs])
+    # the slot of pair (lo, hi) in `combinations` order on target_size vertices
+    bits = np.int64(1) << (lo * target_size - lo * (lo + 1) // 2 + hi - lo - 1)
+    low = min(len(us), 8)
+
+    def table(part: np.ndarray) -> np.ndarray:
+        count = part.shape[1]
+        digits = np.arange(1 << count)[:, None] >> np.arange(count) & 1
+        return (digits @ part.T).T  # (maps, 2^count): OR of disjoint bits
+
+    return table(bits[:, :low]), table(bits[:, low:])
+
+
+def relabel_codes(
+    codes: np.ndarray, size: int, maps: Sequence[Sequence[int]],
+    target_size: Optional[int] = None,
+) -> np.ndarray:
+    """`codes` (graphs on `size` vertices) relabelled by each vertex map
+    in `maps`, as codes on `target_size` vertices (default `size`); the
+    result has shape (len(maps), *codes.shape)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    lo, hi = _relabel_tables(size, maps, target_size or size)
+    return lo[:, codes & 255] | hi[:, codes >> 8]
+
+
+def canonical_codes(codes: np.ndarray, size: int, fixed: int) -> np.ndarray:
+    """The least code each of `codes` takes under the permutations of the
+    vertices fixed..size-1 that fix vertices 0..fixed-1.
+
+    Two graphs on `size` vertices are isomorphic over the base 0..fixed-1
+    (`isomorphic_over_base`) exactly when their canonical codes are
+    equal.  Brute force over the (size - fixed)! permutations, one numpy
+    pass each; for the general technique see McKay and Piperno,
+    "Practical graph isomorphism II", 2014.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    head = tuple(range(fixed))
+    perms = [head + p for p in permutations(range(fixed, size))]
+    lo, hi = _relabel_tables(size, perms, size)
+    low, high = codes & 255, codes >> 8
+    least = codes.copy()
+    for lo_row, hi_row in zip(lo, hi):
+        np.minimum(least, lo_row[low] | hi_row[high], out=least)
+    return least
+
+
+def st_holds(codes: np.ndarray, size: int, a: int, b: int, c: int) -> np.ndarray:
+    """`rel_st(graph).holds(a, b, c)` for the graph of every code.
+
+    The triple is fixed, so `st` is one mask test: A and B must not meet
+    off C, and the code must miss every pair that joins a vertex of A
+    off C to a vertex of B off C.
+    """
+    codes = np.asarray(codes, dtype=np.int64)
+    if a & b & ~c:
+        return np.zeros(codes.shape, dtype=bool)
+    a_off = elements_of(a & ~c)
+    b_off = elements_of(b & ~c)
+    cross = sum(
+        1 << k
+        for k, (u, v) in enumerate(combinations(range(size), 2))
+        if (u in a_off and v in b_off) or (v in a_off and u in b_off)
+    )
+    return codes & cross == 0
+
+
+def free_amalgam_codes(
+    left: np.ndarray, right: np.ndarray, base_size: int, n1: int, n2: int
+) -> np.ndarray:
+    """The codes of `free_amalgam(g1, g2, range(base_size))` for every
+    left code g1 (on n1 vertices) against every right code g2 (on n2).
+
+    The last axes of `left` and `right` are crossed and the leading axes
+    broadcast, so the result has shape (..., left.shape[-1],
+    right.shape[-1]).  Left vertices keep their numbers, the free
+    vertices of the right part follow them, and both parts must induce
+    the same edges on the base (not checked).
+    """
+    size = n1 + n2 - base_size
+    lefts = relabel_codes(left, n1, [range(n1)], size)[0]
+    right_map = list(range(base_size)) + list(range(n1, size))
+    rights = relabel_codes(right, n2, [right_map], size)[0]
+    return lefts[..., :, None] | rights[..., None, :]
 
 
 # ---------------------------------------------------------------------------

@@ -219,3 +219,31 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_directory_instance_is_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--instance", str(tmp_path),
+                         "--relation", "st", "--axiom", "SYM")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --instance: {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
+def test_non_utf8_instance_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "bytes.txt"
+    path.write_bytes(b"\xff\xfe\x00")
+    code, out, err = run(capsys, "check", "--instance", str(path),
+                         "--relation", "st", "--axiom", "SYM")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: --instance: {path}: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_unwritable_report_is_usage_error(capsys, tmp_path):
+    report = tmp_path / "missing" / "report.txt"
+    code, out, err = run(capsys, "verify", "--suite", "dlo-div",
+                         "--report", str(report))
+    assert code == 2
+    assert out.startswith("dlo-div  pass")
+    assert err.startswith("error: --report: ") and err.count("\n") == 1
+    assert not report.exists()

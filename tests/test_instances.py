@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from pregeolab.axioms import compare
@@ -13,16 +14,21 @@ from pregeolab.instances import (
     Graph,
     InstanceFormatError,
     OrderedConfig,
+    canonical_codes,
     catalog,
     catalog_instance,
     free_amalgam,
+    free_amalgam_codes,
     gebert_closure,
+    graph_of_code,
     isomorphic_over_base,
     linear_pregeometry,
     parse_instance,
     rel_div,
     rel_st,
+    relabel_codes,
     render_instance,
+    st_holds,
     uniform_pregeometry,
 )
 from pregeolab.lattice import elements_of, mask_of
@@ -173,6 +179,89 @@ def test_isomorphic_over_base_matches_edge_reference():
                 assert found == _isomorphic_over_base_by_edges(g1, g2, base)
                 hits += found
         assert 0 < hits < 64 * 64
+
+
+def _code_of(graph):
+    """The edge code of `graph`: bit k for the k-th pair in
+    `combinations` order."""
+    slots = list(combinations(range(graph.size), 2))
+    return sum(1 << slots.index(tuple(sorted(e))) for e in graph.edges)
+
+
+def test_graph_of_code_round_trips():
+    for size in range(6):
+        for code in range(1 << size * (size - 1) // 2):
+            g = graph_of_code(size, code)
+            assert g.size == size and _code_of(g) == code
+    assert graph_of_code(4, 0b100001) == Graph.build(4, [(0, 1), (2, 3)])
+
+
+def test_relabel_codes_matches_relabelled_graphs():
+    """Every map of 3 or 6 vertices into 6 vertices, on every graph, at
+    both table halves (6 and 15 pairs)."""
+    for size in (3, 6):
+        maps = list(permutations(range(6), size))[::37]
+        codes = np.arange(1 << size * (size - 1) // 2)[::97]
+        out = relabel_codes(codes, size, maps, 6)
+        assert out.shape == (len(maps), len(codes))
+        for i, m in enumerate(maps):
+            for j, code in enumerate(codes.tolist()):
+                g = graph_of_code(size, code)
+                image = Graph.build(6, [(m[u], m[v]) for u, v in
+                                        (sorted(e) for e in g.edges)])
+                assert out[i, j] == _code_of(image)
+
+
+def test_canonical_codes_match_isomorphic_over_base():
+    """Equal canonical codes over the base 0..k-1 exactly when
+    `isomorphic_over_base` holds, on every pair of graphs with at most
+    four vertices and base sizes 0 to 2."""
+    for size in range(5):
+        codes = np.arange(1 << size * (size - 1) // 2)
+        graphs = [graph_of_code(size, c) for c in codes.tolist()]
+        for base_size in range(min(size, 2) + 1):
+            canon = canonical_codes(codes, size, base_size).tolist()
+            base = list(range(base_size))
+            for i, g1 in enumerate(graphs):
+                assert canon[i] <= i
+                for j, g2 in enumerate(graphs):
+                    assert ((canon[i] == canon[j])
+                            == isomorphic_over_base(g1, g2, base)), (i, j)
+
+
+def test_st_holds_matches_rel_st():
+    """The code-level `st` agrees with `rel_st(g).holds` (the scalar
+    definition: no table is built) on every graph and every triple with
+    at most four vertices."""
+    for size in range(5):
+        codes = np.arange(1 << size * (size - 1) // 2)
+        relations = [rel_st(graph_of_code(size, c)) for c in codes.tolist()]
+        count = 1 << size
+        for a in range(count):
+            for b in range(count):
+                for c in range(count):
+                    got = st_holds(codes, size, a, b, c).tolist()
+                    assert got == [r.holds(a, b, c) for r in relations]
+        assert all(r.table is None for r in relations)
+
+
+@pytest.mark.parametrize("base_size,n1,n2", [(0, 2, 3), (1, 3, 4), (2, 4, 4)])
+def test_free_amalgam_codes_match_free_amalgam(base_size, n1, n2):
+    base = list(range(base_size))
+
+    def parts(size):  # a two-vertex base is the edge 0-1 in both parts
+        return [c for c in range(1 << size * (size - 1) // 2)
+                if base_size < 2 or graph_of_code(size, c).has_edge(0, 1)]
+
+    lefts, rights = parts(n1), parts(n2)
+    got = free_amalgam_codes(np.array(lefts), np.array(rights),
+                             base_size, n1, n2)
+    assert got.shape == (len(lefts), len(rights))
+    for i, left in enumerate(lefts):
+        for j, right in enumerate(rights):
+            h = free_amalgam(graph_of_code(n1, left),
+                             graph_of_code(n2, right), base)
+            assert got[i, j] == _code_of(h)
 
 
 def test_ordered_config_requires_increasing_points():

@@ -1,12 +1,21 @@
 import re
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
 
 from pregeolab import verify
 from pregeolab.axioms import check_axiom
 from pregeolab.closure import trivial_closure
-from pregeolab.instances import Graph
+from pregeolab.instances import (
+    Graph,
+    free_amalgam,
+    free_amalgam_codes,
+    graph_of_code,
+    isomorphic_over_base,
+    rel_st,
+    relabel_codes,
+)
 from pregeolab.lattice import GroundSet, elements_of
 from pregeolab.relcalc import TernaryRelation
 from pregeolab.verify import (
@@ -59,6 +68,19 @@ def test_report_is_deterministic_across_workers():
     for workers in (4, 8):
         assert render_report(run_suites(suites, workers=workers)) == base
     assert render_report(run_suites(suites, workers=1)) == base
+
+
+def test_run_suites_builds_the_catalog_once(monkeypatch):
+    suites = ["aM-eq-cl", "aM-eq-am", "c-preserve", "dlo-div"]
+    alone = render_report([run_suite(s, workers=2) for s in suites])
+    built = []
+    real = verify.catalog
+    monkeypatch.setattr(verify, "catalog", lambda: built.append(1) or real())
+    for workers in (1, 2):
+        assert render_report(run_suites(suites, workers=workers)) == alone
+    assert len(built) == 2  # one per run_suites call
+    run_suites(["dlo-div"])
+    assert len(built) == 2  # a suite that draws no instance builds none
 
 
 def test_instance_restriction():
@@ -183,3 +205,140 @@ def test_rg_st_class_scan_matches_labeled_scan(monkeypatch, relation):
     assert len(built) == 11  # one table per isomorphism class
     assert any(" fail " in line for line in expected)
     assert any(" pass" in line for line in expected)
+
+
+# ---------------------------------------------------------------------------
+# The amalgam unit against its scalar route: Graph objects, `free_amalgam`,
+# `rel_st` and `isomorphic_over_base`, one pair at a time.
+
+AMALGAM_SCANS = [
+    (base_size, n1, n2)
+    for base_size in (1, 2, 3)
+    for n1 in range(base_size + 1, 5)
+    for n2 in range(n1, 5)
+    if n1 + n2 - base_size <= 6
+]
+
+
+def _graphs_fixing_base(size, base_graph):
+    slots = [
+        (u, v)
+        for u, v in combinations(range(size), 2)
+        if v >= base_graph.size
+    ]
+    fixed = [tuple(sorted(e)) for e in base_graph.edges]
+    out = []
+    for code in range(1 << len(slots)):
+        pairs = fixed + [slots[k] for k in range(len(slots)) if code >> k & 1]
+        out.append(Graph.build(size, pairs))
+    return out
+
+
+def _relabel_free(g, base_size, perm):
+    mapping = list(range(base_size)) + list(perm)
+    pairs = [
+        tuple(sorted((mapping[u], mapping[v])))
+        for u, v in (sorted(e) for e in g.edges)
+    ]
+    return Graph.build(g.size, pairs)
+
+
+def scalar_amalgam_scan(base_size, n1, n2, amalgam=free_amalgam):
+    """The amalgam scan on Graph objects, pair by pair: the definitional
+    route that `verify._amalgam_scan` must agree with."""
+    subject = f"amalgam:{base_size}/{n1}/{n2}"
+    base_vertices = list(range(base_size))
+    base_mask = (1 << base_size) - 1
+    part1 = (1 << n1) - 1 & ~base_mask
+    part2_mask = ((1 << (n1 + n2 - base_size)) - 1) & ~((1 << n1) - 1)
+    perms1 = list(permutations(range(base_size, n1)))
+    perms2 = list(permutations(range(base_size, n2)))
+    for base_code in range(1 << (base_size * (base_size - 1) // 2)):
+        base_graph = graph_of_code(base_size, base_code)
+        rights = _graphs_fixing_base(n2, base_graph)
+        for g1 in _graphs_fixing_base(n1, base_graph):
+            g1_relabelled = [_relabel_free(g1, base_size, p) for p in perms1]
+            for g2 in rights:
+                h = amalgam(g1, g2, base_vertices)
+                if not rel_st(h).holds(part1, part2_mask, base_mask):
+                    return verify.CheckResult(subject, "st-on-parts", "fail",
+                                              (part1, part2_mask, base_mask))
+                relabelled = (
+                    [amalgam(g1p, g2, base_vertices) for g1p in g1_relabelled]
+                    + [amalgam(g1, _relabel_free(g2, base_size, p),
+                               base_vertices)
+                       for p in perms2]
+                )
+                if not all(isomorphic_over_base(h, hp, base_vertices)
+                           for hp in relabelled):
+                    return verify.CheckResult(subject, "unique-over-base",
+                                              "fail", None)
+    return None
+
+
+def test_amalgam_scans_are_the_nine():
+    assert len(AMALGAM_SCANS) == 9
+
+
+@pytest.mark.parametrize("scan", AMALGAM_SCANS)
+def test_amalgam_scan_matches_scalar(scan):
+    assert verify._amalgam_scan(*scan) is None
+    assert scalar_amalgam_scan(*scan) is None
+
+
+def _patched_amalgams(scan, left, right, pair=None, swap=None):
+    """Both amalgam routes, each changing the amalgam of the left code
+    `left` and the right code `right` of one scan: adding the edge
+    `pair`, or exchanging the two vertices `swap`."""
+    base_size, n1, n2 = scan
+    size = n1 + n2 - base_size
+    g1, g2 = graph_of_code(n1, left), graph_of_code(n2, right)
+    vertex_map = list(range(size))
+    if swap is not None:
+        u, v = swap
+        vertex_map[u], vertex_map[v] = v, u
+
+    def vectorised(lefts, rights, *args):
+        out = free_amalgam_codes(lefts, rights, *args)
+        if args != scan:
+            return out
+        hit = ((np.asarray(lefts)[..., :, None] == left)
+               & (np.asarray(rights)[..., None, :] == right))
+        if pair is not None:
+            changed = out | 1 << list(combinations(range(size), 2)).index(pair)
+        else:
+            changed = relabel_codes(out, size, [vertex_map])[0]
+        return np.where(hit, changed, out)
+
+    def scalar(h1, h2, base):
+        h = free_amalgam(h1, h2, base)
+        if (h1, h2) != (g1, g2):
+            return h
+        pairs = [tuple(vertex_map[w] for w in e) for e in h.edges]
+        return Graph.build(size, pairs + ([pair] if pair else []))
+
+    return vectorised, scalar
+
+
+@pytest.mark.parametrize("scan,left,right,change,check", [
+    # a cross edge at a pair that is the least of its relabellings
+    ((1, 3, 4), 0b001, 0b000011, {"pair": (1, 3)}, "st-on-parts"),
+    # the same cross edge at a later relabelling: an earlier pair's
+    # relabelled amalgam carries it first
+    ((1, 3, 4), 0b010, 0b000101, {"pair": (2, 4)}, "unique-over-base"),
+    # an edge inside part 1 keeps st but not the isomorphism type
+    ((1, 3, 4), 0b001, 0b000011, {"pair": (1, 2)}, "unique-over-base"),
+    ((2, 3, 4), 0b011, 0b001011, {"pair": (1, 2)}, "unique-over-base"),
+    ((2, 4, 4), 0b000011, 0b001001, {"pair": (2, 4)}, "st-on-parts"),
+    # moving the base vertex keeps the isomorphism type, but not over
+    # the base
+    ((1, 3, 4), 0b001, 0, {"swap": (0, 2)}, "unique-over-base"),
+])
+def test_amalgam_failure_matches_scalar(monkeypatch, scan, left, right,
+                                        change, check):
+    vectorised, scalar = _patched_amalgams(scan, left, right, **change)
+    expected = scalar_amalgam_scan(*scan, amalgam=scalar)
+    assert expected is not None and expected.check == check
+    monkeypatch.setattr(verify, "free_amalgam_codes", vectorised)
+    assert verify._amalgam_scan(*scan) == expected
+    assert verify._amalgam_unit() == [expected]
