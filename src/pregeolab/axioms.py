@@ -5,7 +5,7 @@ Every axiom is checked by a full quantifier scan over subset tuples.
 Scan order is fixed: variables in statement order (A first, then the
 base C, then B, then D where present), each ascending by mask, so the
 reported witness is the lexicographically least violating tuple and is
-identical across runs, platforms and worker counts.
+identical across runs and platforms.
 
 Witness tuple layout per axiom:
     EX                  (A, C)
@@ -55,7 +55,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .closure import ClosureOperator
-from .lattice import GroundSet, format_mask
+from .lattice import GroundSet, format_witness
 from .relcalc import CapExceeded, TernaryRelation, from_table, materialize
 
 class MissingClosure(Exception):
@@ -117,9 +117,7 @@ class AxiomReport:
         """Machine-readable line: RESULT <relation> <axiom> <status> [witness=...]."""
         parts = [f"RESULT {self.relation} {self.axiom.value} {self.status}"]
         if self.witness is not None:
-            parts.append(
-                "witness=" + ";".join(format_mask(m) for m in self.witness)
-            )
+            parts.append("witness=" + format_witness(self.witness))
         return " ".join(parts)
 
 

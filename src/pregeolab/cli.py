@@ -1,7 +1,6 @@
 """Command-line interface.
 
-Every run is fully determined by its argument vector and input files;
-the worker count flag changes scheduling only, never output bytes.
+Every run is fully determined by its argument vector and input files.
 
 Exit codes: 0 success, 1 failure/counterexample where the subcommand
 defines one (always for `verify`, under --strict elsewhere), 2 usage or
@@ -11,6 +10,7 @@ input errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 from . import axioms, closure, geometry, instances, relcalc, verify
 from .axioms import AxiomId, Goal
 from .instances import Instance
-from .lattice import GroundSet, format_mask, parse_mask
+from .lattice import GroundSet, format_mask, format_witness, parse_mask
 
 #: relation id -> help text; opp(<id>) wraps any of them
 RELATION_IDS = {
@@ -143,7 +143,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     cmp = axioms.compare(r1, r2)
     line = f"COMPARE {ids[0]} {ids[1]} {cmp.verdict}"
     if cmp.witness is not None:
-        line += " witness=" + ";".join(format_mask(m) for m in cmp.witness)
+        line += " witness=" + format_witness(cmp.witness)
     print(line)
     return 1 if cmp.verdict != "equal" and args.strict else 0
 
@@ -231,10 +231,7 @@ def cmd_search(args: argparse.Namespace) -> int:
             found = closure.has_exchange(inst.op)
             if isinstance(found, closure.ExchangeFailure):
                 wit = (found.set_mask, 1 << found.a, 1 << found.b)
-                print(
-                    f"FOUND {inst.name} witness="
-                    + ";".join(format_mask(m) for m in wit)
-                )
+                print(f"FOUND {inst.name} witness={format_witness(wit)}")
                 return 1 if args.strict else 0
         print("EXHAUSTED")
         return 0
@@ -251,10 +248,7 @@ def cmd_search(args: argparse.Namespace) -> int:
     if hit is None:
         print("EXHAUSTED")
         return 0
-    print(
-        f"FOUND {hit.instance} witness="
-        + ";".join(format_mask(m) for m in hit.witness)
-    )
+    print(f"FOUND {hit.instance} witness={format_witness(hit.witness)}")
     return 1 if args.strict else 0
 
 
@@ -268,20 +262,22 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         suite_ids = [s.strip() for s in args.suite.split(",")]
     names = args.instances.split(",") if args.instances else None
-    if args.workers < 1:
-        raise UsageError(f"--workers: need at least 1, got {args.workers}")
+    # opened (and truncated, like a shell redirection) before any suite
+    # runs, so an unwritable path fails at once
     try:
-        results = verify.run_suites(suite_ids, names, workers=args.workers)
-    except verify.UnknownInstance as exc:
-        raise UsageError(f"--instances: {exc}") from exc
-    except verify.UnknownSuite as exc:
-        raise UsageError(f"--suite: {exc}") from exc
-    sys.stdout.write(verify.render_summary(results))
-    if args.report:
+        report = open(args.report, "w") if args.report else None
+    except OSError as exc:
+        raise UsageError(f"--report: {exc}") from exc
+    with report or contextlib.nullcontext():
         try:
-            Path(args.report).write_text(verify.render_report(results))
-        except OSError as exc:
-            raise UsageError(f"--report: {exc}") from exc
+            results = verify.run_suites(suite_ids, names)
+        except verify.UnknownInstance as exc:
+            raise UsageError(f"--instances: {exc}") from exc
+        except verify.UnknownSuite as exc:
+            raise UsageError(f"--suite: {exc}") from exc
+        sys.stdout.write(verify.render_summary(results))
+        if report is not None:
+            report.write(verify.render_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -364,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run verification suites")
     p.add_argument("--suite", default="all", help="comma list or 'all'")
     p.add_argument("--instances", help="comma list of catalog names")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--report", help="write RESULT lines to this file")
     p.add_argument("--list", action="store_true",
                    help="print the suite binding table and exit")

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask
-from .lattice import elements_of, format_mask, submasks
+from .lattice import elements_of, format_witness, submasks
 
 
 @dataclass(frozen=True)
@@ -125,7 +125,7 @@ class ModularityVerdict:
             if self.conditions[k]:
                 lines.append(f"condition-{k} pass")
             else:
-                w = ";".join(format_mask(m) for m in self.witnesses[k])
+                w = format_witness(self.witnesses[k])
                 lines.append(f"condition-{k} fail witness={w}")
         return "\n".join(lines)
 

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
-from .lattice import GroundSet, elements_of, mask_of, parse_mask
+from .lattice import GroundSet, elements_of, format_mask, mask_of, parse_mask
 from .relcalc import TernaryRelation
 
 
@@ -445,7 +445,8 @@ def _path_graph(n: int) -> Graph:
     return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _dlo(n: int) -> OrderedConfig:
+def dlo_config(n: int) -> OrderedConfig:
+    """The points 0, 1, ..., n-1 of the rationals, in increasing order."""
     return OrderedConfig(tuple(Fraction(i) for i in range(n)))
 
 
@@ -456,7 +457,7 @@ def _graph_instance(name: str, g: Graph) -> Instance:
 
 def _dlo_instance(name: str, n: int) -> Instance:
     return Instance(name, "order", f"{n} rational points in increasing order",
-                    config=_dlo(n))
+                    config=dlo_config(n))
 
 
 #: name -> builder of each built-in instance, in catalog order
@@ -646,7 +647,7 @@ def render_instance(inst: Instance) -> str:
         edges = " ".join(
             f"{u}-{v}" for u, v in sorted(tuple(sorted(e)) for e in inst.graph.edges)
         )
-        lines = [f"type = graph", f"size = {inst.graph.size}"]
+        lines = ["type = graph", f"size = {inst.graph.size}"]
         if edges:
             lines.append(f"edges = {edges}")
         return "\n".join(lines) + "\n"
@@ -655,9 +656,7 @@ def render_instance(inst: Instance) -> str:
         pts = " ".join(str(p) for p in inst.config.points)
         return f"type = order\npoints = {pts}\n"
     assert inst.op is not None
-    lines = [f"type = table", f"size = {inst.op.ground.size}"]
-    from .lattice import format_mask
-
+    lines = ["type = table", f"size = {inst.op.ground.size}"]
     for m, cm in enumerate(inst.op.table):
         lines.append(f"cl {format_mask(m)} = {format_mask(cm)}")
     return "\n".join(lines) + "\n"

@@ -119,6 +119,11 @@ def format_mask(mask: int) -> str:
     return "{%s}" % ",".join(str(e) for e in elements_of(mask))
 
 
+def format_witness(masks: Iterable[int]) -> str:
+    """Render a witness tuple as its masks joined by ';', e.g. {0};{};{1}."""
+    return ";".join(format_mask(m) for m in masks)
+
+
 def parse_mask(text: str, size: int) -> int:
     """Parse {0,2,5} (or bare 0,2,5); inverse of format_mask."""
     body = text.strip()

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask
+from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask, trivial_closure
 from .geometry import dim_table
 from .lattice import GroundSet
 
@@ -240,8 +240,6 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
 
 def monotonise_m(r: TernaryRelation) -> TernaryRelation:
     """Naive monotonisation: X ranges over C <= X <= B+C."""
-    from .closure import trivial_closure
-
     out = monotonise_M(r, trivial_closure(r.ground))
     out.name = _suffix(r, "m")
     return out

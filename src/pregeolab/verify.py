@@ -2,12 +2,10 @@
 across the built-in catalog and reports pass/fail per constituent check.
 
 Reports contain only RESULT lines (no timing), so a suite report is byte
-identical across runs and worker counts.  Workers only parallelise the
-evaluation of independent checks; results are always emitted in the
-deterministic construction order.  Workers are threads, and the checks
-are mostly Python under the interpreter lock, so more workers give no
-speedup.  All suites of one `run_suites` call draw their instances from
-one build of the catalog (`InstancePool`).
+identical across runs.  Suites run one after another on the calling
+thread, and each emits its checks in construction order.  All suites of
+one `run_suites` call draw their instances from one build of the catalog
+(`InstancePool`).
 
 The graph suite `rg-st` quantifies over all labeled graphs on five
 vertices but checks its axioms on one graph per isomorphism class, the
@@ -23,8 +21,7 @@ suite's time.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
@@ -39,6 +36,7 @@ from .instances import (
     canonical_codes,
     catalog,
     catalog_instance,
+    dlo_config,
     free_amalgam_codes,
     graph_of_code,
     relabel_codes,
@@ -46,7 +44,7 @@ from .instances import (
     rel_st,
     st_holds,
 )
-from .lattice import GroundSet, format_mask
+from .lattice import GroundSet, format_witness
 from .relcalc import (
     TernaryRelation,
     closure_extend_c,
@@ -81,7 +79,7 @@ class CheckResult:
     def result_line(self) -> str:
         parts = [f"RESULT {self.subject} {self.check} {self.status}"]
         if self.witness is not None:
-            parts.append("witness=" + ";".join(format_mask(m) for m in self.witness))
+            parts.append("witness=" + format_witness(self.witness))
         return " ".join(parts)
 
 
@@ -214,167 +212,131 @@ def _catalog_relations(
 
 
 # ---------------------------------------------------------------------------
-# Suite bodies.  Each returns its units: thunks producing lists of
-# CheckResult; thunks are independent and order-stable.
-
-Unit = Callable[[], list[CheckResult]]
+# Suite bodies.  Each returns its checks in construction order.
 
 
-def _suite_pregeom_axioms(pool: InstancePool) -> list[Unit]:
-    units = []
+def _suite_pregeom_axioms(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in _pregeometries(pool, TABLE_SUITE_MAX):
         pg = inst.pg
         assert pg is not None
-        units.append(
-            lambda inst=inst, pg=pg: _axiom_checks(
-                f"{inst.name}:cl", rel_cl(pg), pg.op, PREGEOM_AXIOMS
-            )
-        )
-    return units
+        out += _axiom_checks(f"{inst.name}:cl", rel_cl(pg), pg.op,
+                             PREGEOM_AXIOMS)
+    return out
 
 
-def _suite_am_eq_cl(pool: InstancePool) -> list[Unit]:
-    units = []
+def _suite_am_eq_cl(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in _pregeometries(pool, TABLE_SUITE_MAX):
         pg = inst.pg
         assert pg is not None
-
-        def unit(inst=inst, pg=pg) -> list[CheckResult]:
-            lhs = monotonise_M(rel_a(pg.op), pg.op)
-            return [_cmp_check(f"{inst.name}:aM", "eq:cl",
-                               compare(lhs, rel_cl(pg)), ("equal",))]
-
-        units.append(unit)
-    return units
+        lhs = monotonise_M(rel_a(pg.op), pg.op)
+        out.append(_cmp_check(f"{inst.name}:aM", "eq:cl",
+                              compare(lhs, rel_cl(pg)), ("equal",)))
+    return out
 
 
-def _suite_am_eq_am(pool: InstancePool) -> list[Unit]:
-    units = []
+def _suite_am_eq_am(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in _pregeometries(pool, TABLE_SUITE_MAX):
         pg = inst.pg
         assert pg is not None
-
-        def unit(inst=inst, pg=pg) -> list[CheckResult]:
-            lhs = monotonise_M(rel_a(pg.op), pg.op)
-            rhs = monotonise_m(rel_a(pg.op))
-            return [_cmp_check(f"{inst.name}:aM", "eq:am",
-                               compare(lhs, rhs), ("equal",))]
-
-        units.append(unit)
-    return units
+        lhs = monotonise_M(rel_a(pg.op), pg.op)
+        rhs = monotonise_m(rel_a(pg.op))
+        out.append(_cmp_check(f"{inst.name}:aM", "eq:am",
+                              compare(lhs, rhs), ("equal",)))
+    return out
 
 
 RANDOM_RELATION_COUNT = 100
 RANDOM_RELATION_SIZE = 4
 
 
-def _suite_mon_preserve(pool: InstancePool) -> list[Unit]:
-    units = []
+def _suite_mon_preserve(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for label, base, op in _catalog_relations(pool, STACK_SUITE_MAX):
-
-        def unit(label=label, base=base, op=op) -> list[CheckResult]:
-            out = []
-            for r in (monotonise_M(base, op), monotonise_m(base)):
-                rep = check_axiom(r, AxiomId.BMON_R)
-                out.append(CheckResult(f"{label}:{r.name}", "BMON-R",
-                                       rep.status, rep.witness))
-            return out
-
-        units.append(unit)
+        out += _bmon_r_checks(label, base, op)
     if pool.names is None:
         ground = GroundSet(RANDOM_RELATION_SIZE)
         ident = trivial_closure(ground)
         for seed in range(RANDOM_RELATION_COUNT):
-
-            def unit(seed=seed) -> list[CheckResult]:
-                base = random_relation(ground, seed)
-                out = []
-                for r in (monotonise_M(base, ident), monotonise_m(base)):
-                    rep = check_axiom(r, AxiomId.BMON_R)
-                    out.append(CheckResult(f"rand:{r.name}", "BMON-R",
-                                           rep.status, rep.witness))
-                return out
-
-            units.append(unit)
-    return units
+            out += _bmon_r_checks("rand", random_relation(ground, seed), ident)
+    return out
 
 
-def _suite_c_preserve(pool: InstancePool) -> list[Unit]:
-    units = []
+def _bmon_r_checks(label: str, base: TernaryRelation,
+                   op: ClosureOperator) -> list[CheckResult]:
+    out = []
+    for r in (monotonise_M(base, op), monotonise_m(base)):
+        rep = check_axiom(r, AxiomId.BMON_R)
+        out.append(CheckResult(f"{label}:{r.name}", "BMON-R",
+                               rep.status, rep.witness))
+    return out
+
+
+def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in pool.select(
         lambda i: i.op is not None and i.ground.size <= STACK_SUITE_MAX
     ):
         op = inst.op
         assert op is not None
-        bases = [rel_intersection(inst.ground), rel_a(op),
-                 random_relation(inst.ground, 0)]
-
-        def unit(inst=inst, op=op, bases=bases) -> list[CheckResult]:
-            out = []
-            for base in bases:
-                r = closure_extend_c(base, op)
-                for ax in (AxiomId.CLO_R, AxiomId.NOR_R):
-                    rep = check_axiom(r, ax, op)
-                    out.append(CheckResult(f"{inst.name}:{r.name}", ax.value,
-                                           rep.status, rep.witness))
-            return out
-
-        units.append(unit)
-    return units
+        for base in (rel_intersection(inst.ground), rel_a(op),
+                     random_relation(inst.ground, 0)):
+            r = closure_extend_c(base, op)
+            for ax in (AxiomId.CLO_R, AxiomId.NOR_R):
+                rep = check_axiom(r, ax, op)
+                out.append(CheckResult(f"{inst.name}:{r.name}", ax.value,
+                                       rep.status, rep.witness))
+    return out
 
 
-def _suite_mc_to_m(pool: InstancePool) -> list[Unit]:
-    units = []
-    for label, base, op in _catalog_relations(pool, STACK_SUITE_MAX):
-
-        def unit(label=label, base=base, op=op) -> list[CheckResult]:
-            subject = f"{label}:{base.name}"
-            nor = check_axiom(base, AxiomId.NOR_R).status == "pass"
-            mon = check_axiom(base, AxiomId.MON_R).status == "pass"
-            if not (nor and mon):
-                return [CheckResult(subject, "mc-to-M", "vacuous")]
-            lhs = closure_extend_c(monotonise_m(base), op)
-            rhs = monotonise_M(base, op)
-            clo = check_axiom(base, AxiomId.CLO_R, op).status == "pass"
-            accept = ("equal",) if clo else ("equal", "implies")
-            check = "mc-eq-M" if clo else "mc-to-M"
-            return [_cmp_check(subject, check, compare(lhs, rhs), accept)]
-
-        units.append(unit)
-    return units
+def _suite_mc_to_m(pool: InstancePool) -> list[CheckResult]:
+    return [_mc_to_m_check(label, base, op)
+            for label, base, op in _catalog_relations(pool, STACK_SUITE_MAX)]
 
 
-def _suite_modularity(pool: InstancePool) -> list[Unit]:
-    units = []
+def _mc_to_m_check(label: str, base: TernaryRelation,
+                   op: ClosureOperator) -> CheckResult:
+    subject = f"{label}:{base.name}"
+    nor = check_axiom(base, AxiomId.NOR_R).status == "pass"
+    mon = check_axiom(base, AxiomId.MON_R).status == "pass"
+    if not (nor and mon):
+        return CheckResult(subject, "mc-to-M", "vacuous")
+    lhs = closure_extend_c(monotonise_m(base), op)
+    rhs = monotonise_M(base, op)
+    clo = check_axiom(base, AxiomId.CLO_R, op).status == "pass"
+    accept = ("equal",) if clo else ("equal", "implies")
+    check = "mc-eq-M" if clo else "mc-to-M"
+    return _cmp_check(subject, check, compare(lhs, rhs), accept)
+
+
+def _suite_modularity(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in pool.select(lambda i: i.pg is not None):
         pg = inst.pg
         assert pg is not None
-
-        def unit(inst=inst, pg=pg) -> list[CheckResult]:
-            verdict = check_modular(pg)
-            out = [CheckResult(f"{inst.name}:modularity", "agree",
-                               "pass" if verdict.agree else "fail")]
-            expected = inst.name not in NONMODULAR
-            ok = verdict.modular == expected
-            out.append(CheckResult(
-                f"{inst.name}:modularity",
-                "modular" if expected else "nonmodular",
-                "pass" if ok else "fail",
-                None if ok else verdict.witnesses.get(5),
-            ))
-            return out
-
-        units.append(unit)
-    return units
+        verdict = check_modular(pg)
+        out.append(CheckResult(f"{inst.name}:modularity", "agree",
+                               "pass" if verdict.agree else "fail"))
+        expected = inst.name not in NONMODULAR
+        ok = verdict.modular == expected
+        out.append(CheckResult(
+            f"{inst.name}:modularity",
+            "modular" if expected else "nonmodular",
+            "pass" if ok else "fail",
+            None if ok else verdict.witnesses.get(5),
+        ))
+    return out
 
 
-def _suite_dim_laws(pool: InstancePool) -> list[Unit]:
-    units = []
+def _suite_dim_laws(pool: InstancePool) -> list[CheckResult]:
+    out = []
     for inst in _pregeometries(pool, TABLE_SUITE_MAX):
         pg = inst.pg
         assert pg is not None
-        units.append(lambda inst=inst, pg=pg: _dim_law_checks(inst.name, pg))
-    return units
+        out += _dim_law_checks(inst.name, pg)
+    return out
 
 
 def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
@@ -438,7 +400,7 @@ def _graph_class_representatives(size: int) -> list[int]:
     return np.flatnonzero(canonical_codes(codes, size, 0) == codes).tolist()
 
 
-def _suite_rg_st(pool: InstancePool) -> list[Unit]:
+def _suite_rg_st(pool: InstancePool) -> list[CheckResult]:
     """The `st` axioms on every labeled graph with GRAPH_SUITE_VERTICES
     vertices, then free amalgamation; `pool` is ignored, because the
     suite quantifies over all labeled graphs, not the catalog.
@@ -455,7 +417,7 @@ def _suite_rg_st(pool: InstancePool) -> list[Unit]:
     `graphs5#<code>` subject and, from its own table, the witness.
     """
     del pool
-    return [_st_axiom_unit, _amalgam_unit]
+    return _st_axiom_unit() + _amalgam_unit()
 
 
 def _st_axiom_unit() -> list[CheckResult]:
@@ -561,30 +523,22 @@ def _amalgam_scan(base_size: int, n1: int, n2: int) -> Optional[CheckResult]:
 DLO_SUITE_MAX = 6
 
 
-def _suite_dlo_div(pool: InstancePool) -> list[Unit]:
-    from fractions import Fraction
-
-    from .instances import OrderedConfig
-
-    units = []
+def _suite_dlo_div(pool: InstancePool) -> list[CheckResult]:
+    del pool
+    out = []
     for n in range(1, DLO_SUITE_MAX + 1):
-        config = OrderedConfig(tuple(Fraction(i) for i in range(n)))
-
-        def unit(n=n, config=config) -> list[CheckResult]:
-            ident = trivial_closure(config.ground)
-            out = _axiom_checks(f"dlo{n}:div", rel_div(config), ident, DIV_AXIOMS)
-            if n == 4:
-                rep = check_axiom(rel_div(config), AxiomId.TRA_R)
-                status = "pass" if rep.status == "fail" else "fail"
-                out.append(CheckResult(f"dlo{n}:div", "TRA-R-fails", status,
-                                       rep.witness))
-            return out
-
-        units.append(unit)
-    return units
+        config = dlo_config(n)
+        ident = trivial_closure(config.ground)
+        out += _axiom_checks(f"dlo{n}:div", rel_div(config), ident, DIV_AXIOMS)
+        if n == 4:
+            rep = check_axiom(rel_div(config), AxiomId.TRA_R)
+            status = "pass" if rep.status == "fail" else "fail"
+            out.append(CheckResult(f"dlo{n}:div", "TRA-R-fails", status,
+                                   rep.witness))
+    return out
 
 
-_SUITE_BODIES: dict[str, Callable[[InstancePool], list[Unit]]] = {
+_SUITE_BODIES: dict[str, Callable[[InstancePool], list[CheckResult]]] = {
     "pregeom-axioms": _suite_pregeom_axioms,
     "aM-eq-cl": _suite_am_eq_cl,
     "aM-eq-am": _suite_am_eq_am,
@@ -601,7 +555,6 @@ _SUITE_BODIES: dict[str, Callable[[InstancePool], list[Unit]]] = {
 def run_suite(
     suite_id: str,
     instances: Optional[Sequence[str]] = None,
-    workers: int = 1,
     pool: Optional[InstancePool] = None,
 ) -> SuiteResult:
     """Run one suite; `instances` restricts to named catalog entries.
@@ -617,13 +570,7 @@ def run_suite(
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
     if pool is None:
         pool = InstancePool(instances)
-    units = _SUITE_BODIES[suite_id](pool)
-    if workers > 1 and len(units) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            chunks = list(executor.map(lambda u: u(), units))
-    else:
-        chunks = [u() for u in units]
-    return SuiteResult(suite_id, [c for chunk in chunks for c in chunk])
+    return SuiteResult(suite_id, _SUITE_BODIES[suite_id](pool))
 
 
 def run_suites(
@@ -631,8 +578,15 @@ def run_suites(
     instances: Optional[Sequence[str]] = None,
     workers: int = 1,
 ) -> list[SuiteResult]:
+    """Run the suites in order on one shared `InstancePool`.
+
+    `workers` is ignored: suites run serially on the calling thread.  It
+    stays only because the benchmark harness (`perfbench/run.py`) still
+    passes it.
+    """
+    del workers
     pool = InstancePool(instances)
-    return [run_suite(s, instances, workers, pool) for s in suite_ids]
+    return [run_suite(s, instances, pool) for s in suite_ids]
 
 
 def render_report(results: Sequence[SuiteResult]) -> str:

@@ -1,5 +1,6 @@
 import pytest
 
+from pregeolab import verify
 from pregeolab.cli import main
 
 
@@ -156,14 +157,6 @@ def test_verify_unknown_instances_names_the_flag(capsys):
     assert err == "error: --instances: unknown instances: nope\n"
 
 
-@pytest.mark.parametrize("workers", ["0", "-3"])
-def test_verify_rejects_nonpositive_workers(capsys, workers):
-    code, _, err = run(capsys, "verify", "--suite", "dim-laws",
-                       "--workers", workers)
-    assert code == 2
-    assert err.startswith("error: --workers:") and err.count("\n") == 1
-
-
 def test_over_budget_instance_is_usage_error(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("type = trivial\nsize = 9\n")
@@ -244,6 +237,15 @@ def test_verify_unwritable_report_is_usage_error(capsys, tmp_path):
     code, out, err = run(capsys, "verify", "--suite", "dlo-div",
                          "--report", str(report))
     assert code == 2
-    assert out.startswith("dlo-div  pass")
+    assert out == ""  # the path is refused before any suite runs
     assert err.startswith("error: --report: ") and err.count("\n") == 1
     assert not report.exists()
+
+
+def test_verify_unwritable_report_runs_no_suite(capsys, monkeypatch, tmp_path):
+    ran = []
+    monkeypatch.setattr(verify, "run_suites", lambda *a, **k: ran.append(a))
+    code, out, err = run(capsys, "verify", "--suite", "all",
+                         "--report", str(tmp_path / "missing" / "report.txt"))
+    assert code == 2 and out == "" and ran == []
+    assert err.startswith("error: --report: ") and err.count("\n") == 1

@@ -7,6 +7,7 @@ from pregeolab.lattice import (
     elements_of,
     enumerate_subsets,
     format_mask,
+    format_witness,
     mask_of,
     parse_mask,
     submasks,
@@ -27,6 +28,8 @@ def test_mask_roundtrip():
     assert elements_of(0b100101) == [0, 2, 5]
     assert format_mask(0b100101) == "{0,2,5}"
     assert format_mask(0) == "{}"
+    assert format_witness((0b11, 0, 0b100)) == "{0,1};{};{2}"
+    assert format_witness(()) == ""
     assert parse_mask("{0,2,5}", 8) == 0b100101
     assert parse_mask("0,2,5", 8) == 0b100101
     assert parse_mask("{}", 8) == 0
