@@ -12,7 +12,7 @@ from .closure import (
 )
 from .geometry import basis_of, brute_dim_oracle, check_modular, dim
 from .instances import Graph, Instance, OrderedConfig, catalog, parse_instance
-from .lattice import GroundSet, SubsetCode, format_mask, parse_mask
+from .lattice import GroundSet, format_mask, parse_mask
 from .relcalc import (
     CapExceeded,
     TernaryRelation,
@@ -44,7 +44,6 @@ __all__ = [
     "OrderedConfig",
     "Pregeometry",
     "SUITES",
-    "SubsetCode",
     "SuiteResult",
     "TernaryRelation",
     "basis_of",

@@ -204,29 +204,41 @@ def _parse_goal(text: str) -> Goal:
     return Goal(tuple(premises), target)
 
 
+def _require_relation_id(rel_id: str) -> None:
+    """Reject an id that names no relation, whatever the instance."""
+    rid = rel_id.strip()
+    while rid.startswith("opp(") and rid.endswith(")"):
+        rid = rid[4:-1].strip()
+    if rid not in RELATION_IDS:
+        raise UsageError(f"--relation: unknown relation id {rid!r}")
+
+
+def _search_instances(kind: Optional[str], max_n: int) -> list[Instance]:
+    """The catalog instances a search visits, in catalog order."""
+    return [
+        inst for inst in instances.catalog().values()
+        if inst.ground.size <= max_n and (not kind or inst.kind == kind)
+    ]
+
+
 def _catalog_candidates(
     rel_id: str, kind: Optional[str], max_n: int
 ) -> list[axioms.Candidate]:
     out = []
-    for inst in instances.catalog().values():
-        if inst.ground.size > max_n:
-            continue
-        if kind and inst.kind != kind:
-            continue
+    for inst in _search_instances(kind, max_n):
         try:
             relation = resolve_relation(inst, rel_id)
-        except UsageError:
+        except UsageError:  # the id is known: not defined on this instance
             continue
         out.append((inst.name, relation, instance_operator(inst)))
     return out
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    _require_relation_id(args.relation)
     if args.goal == "exchange-fail":
-        for inst in instances.catalog().values():
-            if inst.op is None or inst.ground.size > args.max_n:
-                continue
-            if args.kind and inst.kind != args.kind:
+        for inst in _search_instances(args.kind, args.max_n):
+            if inst.op is None:
                 continue
             found = closure.has_exchange(inst.op)
             if isinstance(found, closure.ExchangeFailure):

@@ -1,5 +1,4 @@
-"""Finite closure operators: validated construction, exchange detection,
-relativisation and restriction.
+"""Finite closure operators: validated construction and exchange detection.
 
 A closure operator is a total map on subsets satisfying reflexivity,
 monotonicity and idempotence.  Finite character is automatic on a finite
@@ -11,15 +10,9 @@ as Pregeometry; all dimension machinery requires that wrapper.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
-from .lattice import GroundSet, SubsetCode, elements_of, format_mask
-
-MaskLike = Union[int, SubsetCode]
-
-
-def as_mask(value: MaskLike) -> int:
-    return value.bits if isinstance(value, SubsetCode) else value
+from .lattice import GroundSet, format_mask
 
 
 class LawViolation(Exception):
@@ -39,15 +32,8 @@ class ClosureOperator:
     ground: GroundSet
     table: tuple[int, ...]
 
-    def close(self, subset: MaskLike) -> int:
-        return self.table[as_mask(subset)]
-
-    def __call__(self, subset: MaskLike) -> int:
-        return self.table[as_mask(subset)]
-
-    def is_closed(self, subset: MaskLike) -> bool:
-        m = as_mask(subset)
-        return self.table[m] == m
+    def close(self, subset: int) -> int:
+        return self.table[subset]
 
     def closed_masks(self) -> list[int]:
         return [m for m in self.ground.masks() if self.table[m] == m]
@@ -62,9 +48,6 @@ class Pregeometry:
     @property
     def ground(self) -> GroundSet:
         return self.op.ground
-
-    def close(self, subset: MaskLike) -> int:
-        return self.op.table[as_mask(subset)]
 
 
 @dataclass(frozen=True)
@@ -111,36 +94,13 @@ def from_table(
     if isinstance(table, Mapping):
         seq = [-1] * ground.subset_count
         for mask, closed in table.items():
-            seq[as_mask(mask)] = int(as_mask(closed))
+            seq[mask] = int(closed)
         if any(v < 0 for v in seq):
             missing = next(m for m, v in enumerate(seq) if v < 0)
             raise LawViolation("Totality", (missing,))
     else:
-        seq = [int(as_mask(v)) for v in table]
+        seq = [int(v) for v in table]
     return ClosureOperator(ground, _validate(ground, seq))
-
-
-def from_spanner(
-    ground: GroundSet, span: Callable[[int], int]
-) -> ClosureOperator:
-    """Closure as the least fixed point of a one-step generator map.
-
-    span(A) must contain A; the fixed point is then reflexive and
-    idempotent by construction, and validation catches non-monotone
-    generators.
-    """
-    table = []
-    for mask in ground.masks():
-        cur = mask
-        while True:
-            nxt = span(cur)
-            if cur & ~nxt:
-                raise LawViolation("Reflexivity", (cur,))
-            if nxt == cur:
-                break
-            cur = nxt
-        table.append(cur)
-    return ClosureOperator(ground, _validate(ground, table))
 
 
 def trivial_closure(ground: GroundSet) -> ClosureOperator:
@@ -164,36 +124,3 @@ def has_exchange(op: ClosureOperator) -> Union[Pregeometry, ExchangeFailure]:
                 if table[mask | bit_b] & bit_a and not with_a & bit_b:
                     return ExchangeFailure(mask, a, b)
     return Pregeometry(op)
-
-
-def relativize(op: ClosureOperator, base: MaskLike) -> ClosureOperator:
-    """The operator A -> cl(A+B) on the same ground set."""
-    b = as_mask(base)
-    table = [op.table[mask | b] for mask in op.ground.masks()]
-    return ClosureOperator(op.ground, _validate(op.ground, table))
-
-
-def restrict(op: ClosureOperator, base: MaskLike) -> ClosureOperator:
-    """The operator A -> cl(A) & B, relabeled onto a ground set of size |B|.
-
-    Elements of B are renumbered in ascending order.
-    """
-    b = as_mask(base)
-    elems = elements_of(b)
-    small = GroundSet(len(elems))
-    position = {e: i for i, e in enumerate(elems)}
-
-    def down(mask: int) -> int:
-        out = 0
-        for e in elements_of(mask & b):
-            out |= 1 << position[e]
-        return out
-
-    table = [0] * small.subset_count
-    for sub_mask in small.masks():
-        big = 0
-        for i, e in enumerate(elems):
-            if sub_mask >> i & 1:
-                big |= 1 << e
-        table[sub_mask] = down(op.table[big])
-    return ClosureOperator(small, _validate(small, table))

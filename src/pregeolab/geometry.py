@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask
+from .closure import ClosureOperator, Pregeometry
 from .lattice import elements_of, format_witness, submasks
 
 
@@ -25,39 +25,33 @@ class DimResult:
     basis: int
 
 
-def is_independent(op: ClosureOperator, subset: MaskLike, over: MaskLike = 0) -> bool:
+def is_independent(op: ClosureOperator, subset: int, over: int = 0) -> bool:
     """True iff every a in A satisfies a not in cl(B + (A - a))."""
-    a_mask = as_mask(subset)
-    b_mask = as_mask(over)
-    for a in elements_of(a_mask):
-        if op.table[b_mask | (a_mask & ~(1 << a))] >> a & 1:
+    for a in elements_of(subset):
+        if op.table[over | (subset & ~(1 << a))] >> a & 1:
             return False
     return True
 
 
-def basis_of(pg: Pregeometry, subset: MaskLike, over: MaskLike = 0) -> DimResult:
+def basis_of(pg: Pregeometry, subset: int, over: int = 0) -> DimResult:
     """Greedy basis of A over B, scanning elements of A in ascending order."""
-    a_mask = as_mask(subset)
-    b_mask = as_mask(over)
     table = pg.op.table
     basis = 0
-    for a in elements_of(a_mask):
-        if not table[b_mask | basis] >> a & 1:
+    for a in elements_of(subset):
+        if not table[over | basis] >> a & 1:
             basis |= 1 << a
     return DimResult(basis.bit_count(), basis)
 
 
-def dim(pg: Pregeometry, subset: MaskLike, over: MaskLike = 0) -> int:
+def dim(pg: Pregeometry, subset: int, over: int = 0) -> int:
     return basis_of(pg, subset, over).value
 
 
-def brute_dim_oracle(pg: Pregeometry, subset: MaskLike, over: MaskLike = 0) -> int:
+def brute_dim_oracle(pg: Pregeometry, subset: int, over: int = 0) -> int:
     """Max cardinality over ALL independent X <= A; test oracle, no greedy."""
-    a_mask = as_mask(subset)
-    b_mask = as_mask(over)
     best = 0
-    for x in submasks(a_mask):
-        if x.bit_count() > best and is_independent(pg.op, x, b_mask):
+    for x in submasks(subset):
+        if x.bit_count() > best and is_independent(pg.op, x, over):
             best = x.bit_count()
     return best
 
@@ -143,6 +137,8 @@ def check_modular(pg: Pregeometry) -> ModularityVerdict:
     from . import relcalc
     from .axioms import AxiomId, check_axiom, compare
 
+    # conditions 2 and 3 build truth tables; refuse before any count^2 work
+    relcalc.check_table_budget(pg.ground)
     op = pg.op
     table = op.table
     count = pg.ground.subset_count

@@ -19,7 +19,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
-from .lattice import GroundSet, elements_of, format_mask, mask_of, parse_mask
+from .lattice import GroundSet, elements_of, parse_mask
 from .relcalc import TernaryRelation
 
 
@@ -106,6 +106,7 @@ class Graph:
 
     @classmethod
     def build(cls, size: int, pairs: Sequence[tuple[int, int]]) -> "Graph":
+        GroundSet(size)  # raises ValueError on a size out of range
         edges = set()
         for u, v in pairs:
             if u == v:
@@ -634,29 +635,10 @@ def _build_instance(
     if kind == "order":
         if "points" not in fields:
             raise InstanceFormatError("order instance needs 'points'")
-        pts = tuple(Fraction(p) for p in fields["points"].split())
+        try:
+            pts = tuple(Fraction(p) for p in fields["points"].split())
+        except ZeroDivisionError:
+            raise InstanceFormatError("points: zero denominator") from None
         return Instance(name, "order", f"{len(pts)} rational points",
                         config=OrderedConfig(pts))
     raise InstanceFormatError(f"unknown instance type {kind!r}")
-
-
-def render_instance(inst: Instance) -> str:
-    """Serialise an instance back to the file format (tables as cl lines)."""
-    if inst.kind == "graph":
-        assert inst.graph is not None
-        edges = " ".join(
-            f"{u}-{v}" for u, v in sorted(tuple(sorted(e)) for e in inst.graph.edges)
-        )
-        lines = ["type = graph", f"size = {inst.graph.size}"]
-        if edges:
-            lines.append(f"edges = {edges}")
-        return "\n".join(lines) + "\n"
-    if inst.kind == "order":
-        assert inst.config is not None
-        pts = " ".join(str(p) for p in inst.config.points)
-        return f"type = order\npoints = {pts}\n"
-    assert inst.op is not None
-    lines = ["type = table", f"size = {inst.op.ground.size}"]
-    for m, cm in enumerate(inst.op.table):
-        lines.append(f"cl {format_mask(m)} = {format_mask(cm)}")
-    return "\n".join(lines) + "\n"

@@ -1,10 +1,11 @@
 """Finite ground sets {0..n-1} and subsets coded as bit masks.
 
-All set algebra in the library happens on plain integer masks; SubsetCode
-is the typed wrapper used at API boundaries (CLI parsing, reports).
-Enumeration order is always ascending numeric mask order, and every
-"least witness" guarantee downstream refers to that order applied
-componentwise to tuples.
+A subset is a plain `int` everywhere in the library: bit i is set when
+element i belongs to it.  Text forms such as {0,2,5} exist only at the
+edges (CLI arguments, instance files, reports).  Enumeration order is
+always ascending numeric mask order, and every "least witness"
+guarantee downstream refers to that order applied componentwise to
+tuples.
 """
 
 from __future__ import annotations
@@ -38,62 +39,6 @@ class GroundSet:
     def masks(self) -> range:
         """All subset masks in ascending numeric order."""
         return range(1 << self.size)
-
-    def code(self, mask: int) -> "SubsetCode":
-        return SubsetCode(mask, self)
-
-    def subset(self, elems: Iterable[int] = ()) -> "SubsetCode":
-        return SubsetCode(mask_of(elems, self.size), self)
-
-    def parse(self, text: str) -> "SubsetCode":
-        return SubsetCode(parse_mask(text, self.size), self)
-
-
-@dataclass(frozen=True)
-class SubsetCode:
-    """A subset of a ground set, coded as a bit mask."""
-
-    bits: int
-    ground: GroundSet
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.bits <= self.ground.full_mask:
-            raise ValueError(f"mask {self.bits:#x} out of range for {self.ground}")
-
-    def _check(self, other: "SubsetCode") -> None:
-        if other.ground != self.ground:
-            raise ValueError("subset codes from different ground sets")
-
-    def __or__(self, other: "SubsetCode") -> "SubsetCode":
-        self._check(other)
-        return SubsetCode(self.bits | other.bits, self.ground)
-
-    def __and__(self, other: "SubsetCode") -> "SubsetCode":
-        self._check(other)
-        return SubsetCode(self.bits & other.bits, self.ground)
-
-    def __sub__(self, other: "SubsetCode") -> "SubsetCode":
-        self._check(other)
-        return SubsetCode(self.bits & ~other.bits, self.ground)
-
-    def complement(self) -> "SubsetCode":
-        return SubsetCode(self.ground.full_mask & ~self.bits, self.ground)
-
-    def __le__(self, other: "SubsetCode") -> bool:
-        self._check(other)
-        return self.bits & ~other.bits == 0
-
-    def __contains__(self, element: int) -> bool:
-        return bool(self.bits >> element & 1)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def elements(self) -> list[int]:
-        return elements_of(self.bits)
-
-    def __str__(self) -> str:
-        return format_mask(self.bits)
 
 
 def mask_of(elems: Iterable[int], size: int) -> int:
@@ -139,12 +84,6 @@ def parse_mask(text: str, size: int) -> int:
     except ValueError:
         raise ValueError(f"malformed subset literal: {text!r}") from None
     return mask_of(elems, size)
-
-
-def enumerate_subsets(ground: GroundSet) -> Iterator[SubsetCode]:
-    """Yield all 2^size subsets exactly once, ascending by mask."""
-    for mask in ground.masks():
-        yield SubsetCode(mask, ground)
 
 
 def submasks(mask: int) -> Iterator[int]:

@@ -1,11 +1,11 @@
 """Ternary relations over subset triples and the relation transformers.
 
 A relation carries two evaluation routes: a scalar predicate on masks
-(the definitional route) and an optional vectorized builder that fills
-the full 2^(3n) truth table with numpy.  The two routes are independent
-implementations and are cross-checked in the test suite; all heavy
-scanning (axiom checks, table comparisons) runs on the materialized
-table.
+(the definitional route, kept as the test oracle) and a vectorized
+builder, the only route to the full 2^(3n) truth table.  The two routes
+are independent implementations and are cross-checked in the test
+suite; all heavy scanning (axiom checks, table comparisons) runs on the
+materialized table.
 
 Table layout: every truth table is a C-contiguous `bool` array indexed
 [A, B, C], so the (B, C) plane of one A is one contiguous block.
@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closure import ClosureOperator, MaskLike, Pregeometry, as_mask, trivial_closure
+from .closure import ClosureOperator, Pregeometry, trivial_closure
 from .geometry import dim_table
 from .lattice import GroundSet
 
@@ -47,41 +47,32 @@ class TernaryRelation:
     ground: GroundSet
     name: str
     fn: Callable[[int, int, int], bool]
-    builder: Optional[Callable[[], np.ndarray]] = None
+    builder: Callable[[], np.ndarray]
     table: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def holds(self, a: MaskLike, b: MaskLike, c: MaskLike) -> bool:
-        am, bm, cm = as_mask(a), as_mask(b), as_mask(c)
+    def holds(self, a: int, b: int, c: int) -> bool:
         if self.table is not None:
-            return bool(self.table[am, bm, cm])
-        return bool(self.fn(am, bm, cm))
+            return bool(self.table[a, b, c])
+        return bool(self.fn(a, b, c))
 
-    __call__ = holds
+
+def check_table_budget(
+    ground: GroundSet, cap_bits: int = DEFAULT_TABLE_CAP_BITS
+) -> None:
+    """Raise CapExceeded when a truth table on `ground` exceeds the budget."""
+    cells = ground.subset_count ** 3
+    if cells > cap_bits:
+        raise CapExceeded(f"truth table needs {cells} cells, cap is {cap_bits}")
 
 
 def materialize(
     r: TernaryRelation, cap_bits: int = DEFAULT_TABLE_CAP_BITS
 ) -> TernaryRelation:
-    """Fill the truth table exhaustively, once: the table is kept on `r`,
-    which is returned, and evaluation becomes a lookup."""
-    if r.table is not None:
-        return r
-    count = r.ground.subset_count
-    if count**3 > cap_bits:
-        raise CapExceeded(
-            f"truth table needs {count ** 3} cells, cap is {cap_bits}"
-        )
-    if r.builder is not None:
-        table = r.builder()
-    else:
-        table = np.empty((count, count, count), dtype=bool)
-        fn = r.fn
-        for a in range(count):
-            for b in range(count):
-                row = table[a, b]
-                for c in range(count):
-                    row[c] = fn(a, b, c)
-    r.table = table
+    """Build the truth table once: the table is kept on `r`, which is
+    returned, and evaluation becomes a lookup."""
+    if r.table is None:
+        check_table_budget(r.ground, cap_bits)
+        r.table = r.builder()
     return r
 
 
@@ -91,7 +82,9 @@ def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelati
     if table.shape != (count, count, count):
         raise ValueError("table shape does not match the ground set")
     t = table.astype(bool, order="C")
-    return TernaryRelation(ground, name, lambda a, b, c: bool(t[a, b, c]), None, t)
+    return TernaryRelation(
+        ground, name, lambda a, b, c: bool(t[a, b, c]), lambda: t, t
+    )
 
 
 def random_relation(ground: GroundSet, seed: int) -> TernaryRelation:
@@ -161,6 +154,7 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     On a finite ground set the finite-subset quantifier in the definition
     collapses to A itself; the collapse is verified as a test property.
     """
+    check_table_budget(pg.ground)  # refuse before the count^2 dim_table
     dims = dim_table(pg)
 
     def fn(a: int, b: int, c: int) -> bool:

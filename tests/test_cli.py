@@ -1,7 +1,13 @@
-import pytest
+import contextlib
+import io
 
-from pregeolab import verify
-from pregeolab.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pregeolab import geometry, instances, relcalc, verify
+from pregeolab.axioms import AxiomId
+from pregeolab.cli import RELATION_IDS, main
+from pregeolab.instances import CATALOG_NAMES, catalog_instance
 
 
 def run(capsys, *argv):
@@ -130,6 +136,18 @@ def test_search_exhausted(capsys):
     assert out == "EXHAUSTED\n"
 
 
+def test_search_unknown_relation_is_usage_error(capsys, monkeypatch):
+    def no_catalog():
+        raise AssertionError("catalog built for an unknown relation id")
+
+    monkeypatch.setattr(instances, "catalog", no_catalog)
+    for rel_id in ("nope", "opp(nope)", "opp(opp(nope))"):
+        code, out, err = run(capsys, "search", "--goal", "!SYM",
+                             "--relation", rel_id)
+        assert code == 2 and out == ""
+        assert err == "error: --relation: unknown relation id 'nope'\n"
+
+
 def test_search_bad_goal(capsys):
     code, _, err = run(capsys, "search", "--goal", "WAT")
     assert code == 2 and "error:" in err
@@ -166,6 +184,24 @@ def test_over_budget_instance_is_usage_error(capsys, tmp_path):
     assert err.startswith("error: truth table needs") and err.count("\n") == 1
 
 
+def test_over_budget_is_refused_before_quadratic_work(
+        capsys, monkeypatch, tmp_path):
+    """`modular` and the `cl` relation refuse an n = 9 instance before
+    any work on all pairs of subsets."""
+    def quadratic(*args):
+        raise AssertionError("count^2 work before the budget check")
+
+    monkeypatch.setattr(geometry, "least_unreached", quadratic)
+    monkeypatch.setattr(relcalc, "dim_table", quadratic)
+    path = tmp_path / "nine.txt"
+    path.write_text("type = trivial\nsize = 9\n")
+    for argv in (["modular"], ["check", "--relation", "cl", "--axiom", "SYM"]):
+        code, out, err = run(capsys, *argv, "--instance", str(path))
+        assert code == 2 and out == ""
+        assert err == ("error: truth table needs 134217728 cells,"
+                       " cap is 16777216\n")
+
+
 def test_verify_list(capsys):
     code, out, _ = run(capsys, "verify", "--list")
     assert code == 0
@@ -194,6 +230,15 @@ def test_file_instance_parse_error(capsys, tmp_path):
     path.write_text("type = uniform\nsize = 4\n")  # missing rank
     code, _, err = run(capsys, "dim", "--instance", str(path), "--set", "0")
     assert code == 2 and "error:" in err
+
+
+def test_zero_denominator_point_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "order.txt"
+    path.write_text("type = order\npoints = 0 1/0\n")
+    code, out, err = run(capsys, "check", "--instance", str(path),
+                         "--relation", "div", "--axiom", "SYM")
+    assert code == 2 and out == ""
+    assert err == f"error: --instance: {path}: points: zero denominator\n"
 
 
 def test_unknown_instance(capsys):
@@ -249,3 +294,113 @@ def test_verify_unwritable_report_runs_no_suite(capsys, monkeypatch, tmp_path):
                          "--report", str(tmp_path / "missing" / "report.txt"))
     assert code == 2 and out == "" and ran == []
     assert err.startswith("error: --report: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# No argument vector ends in a traceback.
+
+GARBAGE = ("", "nope", "{", "0,x", "-1", "!", "opp(", "\u00e9", "--")
+SMALL_CATALOG = tuple(
+    name for name in CATALOG_NAMES if catalog_instance(name).ground.size <= 4
+)
+#: instance file key -> the values drawn for it: sizes in and out of
+#: range, and malformed values of every key
+FILE_VALUES = {
+    "size": ("0", "1", "3", "4", "9", "-1", "17", "x"),
+    "rank": ("2", "5", "-1"),
+    "field": ("gf2", "gf3", "gf7"),
+    "vectors": ("10 01 11", "1 2x", "100 01", ""),
+    "edges": ("0-1 1-2", "0-0", "0-9", "a-b"),
+    "points": ("0 1/2 3", "1/0", "0 1/0", "2 1", "x", ""),
+    "cl {}": ("{}", "{0}"),
+    "cl {0}": ("{0}", "{0,1}", "{9}", "{0"),
+    "colour": ("red",),
+}
+#: instance type -> the keys it needs
+FILE_TYPES = {
+    "trivial": ("size",), "gebert": ("size",), "uniform": ("size", "rank"),
+    "linear": ("field", "vectors"), "table": ("size", "cl {}", "cl {0}"),
+    "graph": ("size", "edges"), "order": ("points",), "mystery": (),
+}
+
+
+@st.composite
+def instance_files(draw) -> str:
+    kind = draw(st.sampled_from(tuple(FILE_TYPES)))
+    extra = draw(st.lists(st.sampled_from(tuple(FILE_VALUES)), max_size=2))
+    lines = [f"type = {kind}"] + [
+        f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}"
+        for key in (*FILE_TYPES[kind], *extra)
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def argument_vectors(draw, inst_file: str, tmp_dir: str) -> list[str]:
+    def one(*options: str) -> str:
+        return draw(st.sampled_from(options))
+
+    instance = draw(st.one_of(st.just(inst_file), st.sampled_from(
+        (*SMALL_CATALOG, tmp_dir, "no/such/file", *GARBAGE))))
+    relation = one(*RELATION_IDS, "opp(a)", "opp(opp(st))", "opp(nope)",
+                   *GARBAGE)
+    axiom = one(*(ax.value for ax in AxiomId), "bmon-r", *GARBAGE)
+    subset = one("{0,1}", "0,1,2", "{}", "0,9", *GARBAGE)
+    optional = {
+        "--over": one("{2}", "{}", "3", *GARBAGE),
+        "--relation": relation,
+        "--space": one("catalog", "enum1", *GARBAGE),
+        "--kind": one("pregeometry", "closure", "graph", "order", *GARBAGE),
+        # at most the default n <= 6: n = 7, 8 tables take seconds
+        "--max-n": one("0", "4", "6", *GARBAGE),
+        "--instances": one("u34", "u34,nope", *GARBAGE),
+        "--report": one(f"{tmp_dir}/report.txt",
+                        f"{tmp_dir}/missing/report.txt", tmp_dir),
+        "--all": None, "--strict": None, "--list": None, "-h": None,
+        "--bogus": None,
+    }
+    argv = one(
+        ("check", "--instance", instance, "--relation", relation,
+         "--axiom", axiom),
+        ("check", "--instance", instance, "--relation", relation, "--all"),
+        ("compare", "--instance", instance, "--relations",
+         one("cl,a", "a,opp(a)", "st,div", f"{relation},a", "int",
+             "a,b,c", *GARBAGE)),
+        ("dim", "--instance", instance, "--set", subset),
+        ("basis", "--instance", instance, "--set", subset),
+        ("modular", "--instance", instance),
+        ("search", "--goal", one("!SYM", "SYM,!MON-R", "!BMON-R",
+                                 "exchange-fail", "!SYM,!EX", "SYM",
+                                 *GARBAGE)),
+        # never a suite run: a --suite no suite has, or --list
+        ("verify", "--suite", one("bogus", "all,", "")),
+        ("verify", "--list"),
+        ("list",),
+        ("nope",),
+    )
+    extra = draw(st.lists(st.sampled_from(tuple(optional)), max_size=3))
+    for flag in extra:
+        argv += (flag,) if optional[flag] is None else (flag, optional[flag])
+    # a last flag may lack its value
+    return [*argv, *draw(st.sampled_from(((), (), ("--set",), ("--axiom",))))]
+
+
+def test_no_argument_vector_ends_in_a_traceback(tmp_path_factory):
+    tmp_dir = tmp_path_factory.mktemp("cli-fuzz")
+    inst_file = tmp_dir / "inst.txt"
+
+    @settings(deadline=None, max_examples=300)
+    @given(instance_files(), argument_vectors(str(inst_file), str(tmp_dir)))
+    def call(text, argv):
+        inst_file.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: usage error or --help
+                code = exc.code
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue()
+
+    call()

@@ -5,11 +5,8 @@ from pregeolab.closure import (
     ExchangeFailure,
     LawViolation,
     Pregeometry,
-    from_spanner,
     from_table,
     has_exchange,
-    relativize,
-    restrict,
     trivial_closure,
 )
 from pregeolab.geometry import check_modular
@@ -20,7 +17,6 @@ from pregeolab.lattice import GroundSet
 def test_trivial_closure():
     op = trivial_closure(GroundSet(3))
     assert all(op.close(m) == m for m in range(8))
-    assert op.is_closed(0b101)
     assert op.closed_masks() == list(range(8))
 
 
@@ -65,15 +61,6 @@ def test_from_table_converts_numpy_integers():
         assert check_modular(Pregeometry(op)) == check_modular(pg)
 
 
-def test_from_spanner_fixed_point():
-    g = GroundSet(4)
-    # one-step generator: adding any element pulls in element 0
-    op = from_spanner(g, lambda m: m | (1 if m else 0))
-    assert op.close(0) == 0
-    assert op.close(0b1000) == 0b1001
-    assert op.close(op.close(0b110)) == op.close(0b110)
-
-
 def test_uniform_exchange():
     pg = uniform_pregeometry(3, 4)
     assert isinstance(has_exchange(pg.op), Pregeometry)
@@ -92,20 +79,3 @@ def test_gebert_closure_values():
     assert op.close(0) == 0
     assert op.close(0b0100) == 0b0111
     assert op.close(0b1010) == 0b1111
-
-
-def test_relativize():
-    op = gebert_closure(4)
-    rel = relativize(op, 0b0100)
-    # cl_B(A) = cl(A u B)
-    assert rel.close(0) == op.close(0b0100)
-    assert rel.close(0b1000) == op.close(0b1100)
-
-
-def test_restrict_relabels():
-    op = gebert_closure(4)
-    res = restrict(op, 0b1010)  # elements {1,3} -> {0,1}
-    assert res.ground.size == 2
-    # cl({1}) inside {1,3} is {1}; cl({3}) n {1,3} = {1,3}
-    assert res.close(0b01) == 0b01
-    assert res.close(0b10) == 0b11

@@ -138,6 +138,12 @@ def test_materialize_cap():
         materialize(rel_intersection(GroundSet(4)), cap_bits=64)
 
 
+def test_relation_without_builder_is_refused():
+    # a table comes only from a builder; the scalar fn is the test oracle
+    with pytest.raises(TypeError):
+        TernaryRelation(GroundSet(1), "fn-only", lambda a, b, c: True)
+
+
 def test_materialize_is_idempotent(u34):
     r = materialize(rel_a(u34.op))
     assert materialize(r) is r
@@ -240,9 +246,10 @@ def test_opposite_involution_and_symmetry(u34):
 
 def test_opposite_of_one_sided_sup_relation():
     g = gebert_closure(2)
-    one = TernaryRelation(
-        g.ground, "supL", lambda a, b, c: a.bit_length() <= c.bit_length()
-    )
+    cells = product(g.ground.masks(), repeat=3)
+    table = np.fromiter((a.bit_length() <= c.bit_length() for a, _, c in cells),
+                        dtype=bool).reshape((4, 4, 4))
+    one = from_table(g.ground, "supL", table)
     cmp = compare(one, opposite(one))
     assert cmp.verdict == "incomparable"
     assert cmp.witness == (0, 1, 0)  # least differing triple ({},{0},{})

@@ -1,5 +1,5 @@
 import re
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -17,7 +17,7 @@ from pregeolab.instances import (
     relabel_codes,
 )
 from pregeolab.lattice import GroundSet, elements_of
-from pregeolab.relcalc import TernaryRelation
+from pregeolab.relcalc import from_table
 from pregeolab.verify import (
     SUITES,
     SuiteResult,
@@ -134,6 +134,14 @@ def test_graph_class_representatives():
     assert counts == [1, 1, 2, 4, 11, 34]  # OEIS A000088
 
 
+def _tabulate(ground, name, fn):
+    """The relation whose truth table is `fn` at every cell."""
+    count = ground.subset_count
+    cells = product(range(count), repeat=3)
+    table = np.fromiter((fn(a, b, c) for a, b, c in cells), dtype=bool)
+    return from_table(ground, name, table.reshape((count,) * 3))
+
+
 def _rel_apart(graph):
     """No shared element outside C and no edge at all between A and B:
     invariant under relabelling, but fails EX, NOR-L, NOR-R and SCLO."""
@@ -142,7 +150,7 @@ def _rel_apart(graph):
     def fn(a, b, c):
         return not a & b & ~c and not any(adj[u] & b for u in elements_of(a))
 
-    return TernaryRelation(graph.ground, "apart", fn)
+    return _tabulate(graph.ground, "apart", fn)
 
 
 def _rel_hub(graph):
@@ -157,7 +165,7 @@ def _rel_hub(graph):
             adj[u] & b & ~excused for u in elements_of(a & ~excused)
         )
 
-    return TernaryRelation(graph.ground, "hub", fn)
+    return _tabulate(graph.ground, "hub", fn)
 
 
 @pytest.mark.parametrize("relation", [_rel_apart, _rel_hub])
