@@ -10,7 +10,7 @@ from .closure import (
     has_exchange,
     trivial_closure,
 )
-from .geometry import basis_of, brute_dim_oracle, check_modular, dim
+from .geometry import basis_of, brute_dim_oracle, check_modular
 from .instances import Graph, Instance, OrderedConfig, catalog, parse_instance
 from .lattice import GroundSet, format_mask, parse_mask
 from .relcalc import (
@@ -54,7 +54,6 @@ __all__ = [
     "check_modular",
     "closure_extend_c",
     "compare",
-    "dim",
     "format_mask",
     "has_exchange",
     "materialize",

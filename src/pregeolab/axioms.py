@@ -55,7 +55,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .closure import ClosureOperator
-from .lattice import GroundSet, format_witness
+from .lattice import GroundSet, first_true, format_witness
 from .relcalc import CapExceeded, TernaryRelation, from_table, materialize
 
 class MissingClosure(Exception):
@@ -119,13 +119,6 @@ class AxiomReport:
         if self.witness is not None:
             parts.append("witness=" + format_witness(self.witness))
         return " ".join(parts)
-
-
-def _first_true(violations: np.ndarray) -> Optional[tuple[int, ...]]:
-    if not violations.any():
-        return None
-    flat = int(np.argmax(violations))
-    return tuple(int(v) for v in np.unravel_index(flat, violations.shape))
 
 
 def _least_acb(viol: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -296,7 +289,7 @@ def _scan_interval(t3: np.ndarray, ax: AxiomId):
             viol &= rows
             hit = _least_acb(viol)
         else:  # [A, C, B] already
-            hit = _first_true(viol)
+            hit = first_true(viol)
         if hit is not None:
             return (lo + hit[0],) + hit[1:]
         lo = hi
@@ -346,7 +339,7 @@ def _find_violation(
     masks = np.arange(count)
 
     if ax is AxiomId.EX:
-        return _first_true(~t3[:, masks, masks])
+        return first_true(~t3[:, masks, masks])
 
     # Planes are (B, C); t3[a] is the row of r(a, B, C).
     orm = masks[:, None] | masks[None, :]  # (B, C): B+C

@@ -32,12 +32,6 @@ class ClosureOperator:
     ground: GroundSet
     table: tuple[int, ...]
 
-    def close(self, subset: int) -> int:
-        return self.table[subset]
-
-    def closed_masks(self) -> list[int]:
-        return [m for m in self.ground.masks() if self.table[m] == m]
-
 
 @dataclass(frozen=True)
 class Pregeometry:

@@ -5,13 +5,16 @@ element i belongs to it.  Text forms such as {0,2,5} exist only at the
 edges (CLI arguments, instance files, reports).  Enumeration order is
 always ascending numeric mask order, and every "least witness"
 guarantee downstream refers to that order applied componentwise to
-tuples.
+tuples.  Every exhaustive scan builds a boolean violation array whose
+indices follow that order and takes its witness from `first_true`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
 
 MAX_GROUND_SIZE = 16
 
@@ -94,3 +97,11 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+def first_true(violations: np.ndarray) -> Optional[tuple[int, ...]]:
+    """The index of the first true cell in row-major order, or None."""
+    if not violations.any():
+        return None
+    flat = int(np.argmax(violations))
+    return tuple(int(v) for v in np.unravel_index(flat, violations.shape))

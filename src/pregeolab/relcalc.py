@@ -94,13 +94,6 @@ def random_relation(ground: GroundSet, seed: int) -> TernaryRelation:
     return from_table(ground, f"rand{seed}", table)
 
 
-def always_true(ground: GroundSet) -> TernaryRelation:
-    count = ground.subset_count
-    return from_table(
-        ground, "true", np.ones((count, count, count), dtype=bool)
-    )
-
-
 # ---------------------------------------------------------------------------
 # Built-in relations
 
@@ -155,19 +148,18 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     collapses to A itself; the collapse is verified as a test property.
     """
     check_table_budget(pg.ground)  # refuse before the count^2 dim_table
-    dims = dim_table(pg)
+    dims = dim_table(pg)  # (A, X): dim(A/X)
 
     def fn(a: int, b: int, c: int) -> bool:
-        return dims[a][b | c] == dims[a][c]
+        return dims[a, b | c] == dims[a, c]
 
     def build() -> np.ndarray:
         count = pg.ground.subset_count
-        masks = np.arange(count)
-        d = np.array(dims, dtype=np.int8)  # (A, X): dim(A/X)
+        masks = _masks(count)
         joined = masks[:, None] | masks[None, :]  # (B, C): B+C
         table = np.empty((count, count, count), dtype=bool)
         for a in range(count):
-            np.equal(d[a][joined], d[a], out=table[a])
+            np.equal(dims[a][joined], dims[a], out=table[a])
         return table
 
     return TernaryRelation(pg.ground, "cl", fn, build)
@@ -179,7 +171,7 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
 
 def _suffix(base: TernaryRelation, suffix: str) -> str:
     name = base.name
-    if name == "a" or name.startswith(("a", "int", "st", "div", "rand", "true")):
+    if name == "a" or name.startswith(("a", "int", "st", "div", "rand")):
         return name + suffix
     return f"({name}){suffix}"
 

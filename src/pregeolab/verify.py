@@ -29,7 +29,12 @@ import numpy as np
 
 from .axioms import AxiomId, Comparison, check_axiom, compare
 from .closure import ClosureOperator, Pregeometry, trivial_closure
-from .geometry import brute_dim_oracle, check_modular, dim, dim_table
+from .geometry import (
+    brute_dim_oracle,
+    check_modular,
+    closed_pair_excess,
+    dim_table,
+)
 from .instances import (
     CATALOG_NAMES,
     Instance,
@@ -44,7 +49,7 @@ from .instances import (
     rel_st,
     st_holds,
 )
-from .lattice import GroundSet, format_witness
+from .lattice import GroundSet, first_true, format_witness
 from .relcalc import (
     TernaryRelation,
     closure_extend_c,
@@ -340,53 +345,34 @@ def _suite_dim_laws(pool: InstancePool) -> list[CheckResult]:
 
 
 def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
+    """The oracle check (scalar, cell by cell) and, up to STACK_SUITE_MAX
+    elements, the three laws as violation arrays with least witnesses:
+    additivity over (A, B), base antitonicity over (A, B, D) with B <= D,
+    and submodularity over pairs (A, B) of closed sets."""
     count = pg.ground.subset_count
-    dims = dim_table(pg)
+    dims = dim_table(pg)  # (A, X): dim(A/X)
     subject = f"{name}:dim"
-    out = []
 
     oracle_bad = next(
         ((a, b) for a in range(count) for b in range(count)
-         if dims[a][b] != brute_dim_oracle(pg, a, b)),
+         if dims[a, b] != brute_dim_oracle(pg, a, b)),
         None,
     )
-    out.append(CheckResult(subject, "oracle",
-                           "pass" if oracle_bad is None else "fail", oracle_bad))
+    laws = [("oracle", oracle_bad)]
 
-    if pg.ground.size > STACK_SUITE_MAX:
-        return out
-
-    add_bad = next(
-        ((a, b) for a in range(count) for b in range(count)
-         if dims[a | b][0] != dims[a][b] + dims[b][0]),
-        None,
-    )
-    out.append(CheckResult(subject, "additivity",
-                           "pass" if add_bad is None else "fail", add_bad))
-
-    anti_bad = None
-    for a in range(count):
-        for b in range(count):
-            for d in range(count):
-                if b & ~d == 0 and dims[a][b] < dims[a][d]:
-                    anti_bad = (a, b, d)
-                    break
-            if anti_bad:
-                break
-        if anti_bad:
-            break
-    out.append(CheckResult(subject, "base-antitone",
-                           "pass" if anti_bad is None else "fail", anti_bad))
-
-    closed = pg.op.closed_masks()
-    sub_bad = next(
-        ((a, b) for a in closed for b in closed
-         if dims[a | b][0] + dims[a & b][0] > dims[a][0] + dims[b][0]),
-        None,
-    )
-    out.append(CheckResult(subject, "submodular-closed",
-                           "pass" if sub_bad is None else "fail", sub_bad))
-    return out
+    if pg.ground.size <= STACK_SUITE_MAX:
+        masks = np.arange(count)
+        rank = dims[:, 0]
+        below = masks[:, None] & ~masks == 0  # (B, D): B <= D
+        laws += [
+            ("additivity",
+             first_true(rank[masks[:, None] | masks] != dims + rank)),
+            ("base-antitone",
+             first_true(below & (dims[:, :, None] < dims[:, None, :]))),
+            ("submodular-closed", first_true(closed_pair_excess(pg) > 0)),
+        ]
+    return [CheckResult(subject, law, "pass" if bad is None else "fail", bad)
+            for law, bad in laws]
 
 
 GRAPH_SUITE_VERTICES = 5
@@ -552,6 +538,19 @@ _SUITE_BODIES: dict[str, Callable[[InstancePool], list[CheckResult]]] = {
 }
 
 
+def _check_request(
+    suite_ids: Sequence[str], instances: Optional[Sequence[str]]
+) -> None:
+    """Refuse an unknown suite id, then unknown instance names."""
+    for suite_id in suite_ids:
+        if suite_id not in _SUITE_BODIES:
+            raise UnknownSuite(f"unknown suite: {suite_id}")
+    if instances is not None:
+        missing = [n for n in instances if n not in CATALOG_NAMES]
+        if missing:
+            raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
+
+
 def run_suite(
     suite_id: str,
     instances: Optional[Sequence[str]] = None,
@@ -562,12 +561,7 @@ def run_suite(
     `pool` holds those entries when several suites share one build of
     them; by default the suite builds its own.
     """
-    if suite_id not in _SUITE_BODIES:
-        raise UnknownSuite(f"unknown suite: {suite_id}")
-    if instances is not None:
-        missing = [n for n in instances if n not in CATALOG_NAMES]
-        if missing:
-            raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
+    _check_request([suite_id], instances)
     if pool is None:
         pool = InstancePool(instances)
     return SuiteResult(suite_id, _SUITE_BODIES[suite_id](pool))
@@ -580,11 +574,13 @@ def run_suites(
 ) -> list[SuiteResult]:
     """Run the suites in order on one shared `InstancePool`.
 
-    `workers` is ignored: suites run serially on the calling thread.  It
-    stays only because the benchmark harness (`perfbench/run.py`) still
-    passes it.
+    Every suite id and instance name is checked before the first suite
+    runs.  `workers` is ignored: suites run serially on the calling
+    thread.  It stays only because the benchmark harness
+    (`perfbench/run.py`) still passes it.
     """
     del workers
+    _check_request(suite_ids, instances)
     pool = InstancePool(instances)
     return [run_suite(s, instances, pool) for s in suite_ids]
 

@@ -11,7 +11,7 @@ import pytest
 
 from pregeolab.axioms import AxiomId, check_axiom, compare, evaluate_axiom_body
 from pregeolab.closure import has_exchange, ExchangeFailure
-from pregeolab.geometry import check_modular, dim, is_independent
+from pregeolab.geometry import check_modular, dim_table, is_independent
 from pregeolab.instances import catalog, gebert_closure
 from pregeolab.relcalc import monotonise_M, rel_a, rel_sup
 from pregeolab.verify import (
@@ -60,8 +60,9 @@ def test_c3_modularity_five_conditions():
     verdict = check_modular(u34)
     a, b = verdict.witnesses[5]
     assert (a, b) == (0b0011, 0b1100)
-    assert (dim(u34, a | b), dim(u34, a & b)) == (3, 0)
-    assert (dim(u34, a), dim(u34, b)) == (2, 2)
+    rank = dim_table(u34)[:, 0]
+    assert (rank[a | b], rank[a & b]) == (3, 0)
+    assert (rank[a], rank[b]) == (2, 2)
 
 
 def test_c4_dimension_oracle_and_laws():
@@ -88,7 +89,7 @@ def test_c6_initial_segment_closure_pathology():
     found = has_exchange(gebert_closure(4))
     assert isinstance(found, ExchangeFailure)
     assert (found.set_mask, found.a, found.b) == (0, 0, 1)
-    assert op8.close(1 << 2) >> 1 & 1 and not op8.close(1 << 1) >> 2 & 1
+    assert op8.table[1 << 2] >> 1 & 1 and not op8.table[1 << 1] >> 2 & 1
 
     indep = [m for m in range(op8.ground.subset_count)
              if is_independent(op8, m)]

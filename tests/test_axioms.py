@@ -27,7 +27,6 @@ from pregeolab.instances import (
 from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import (
     CapExceeded,
-    always_true,
     from_table,
     random_relation,
     rel_a,
@@ -82,7 +81,8 @@ def test_missing_closure():
 
 def test_always_true_fails_aref():
     g = GroundSet(3)
-    rep = check_axiom(always_true(g), AxiomId.AREF, trivial_closure(g))
+    true = from_table(g, "true", np.ones((8, 8, 8), dtype=bool))
+    rep = check_axiom(true, AxiomId.AREF, trivial_closure(g))
     assert rep.status == "fail"
     assert rep.witness == (0b001, 0)  # a = 0 over the empty base
 

@@ -16,8 +16,7 @@ from pregeolab.lattice import GroundSet
 
 def test_trivial_closure():
     op = trivial_closure(GroundSet(3))
-    assert all(op.close(m) == m for m in range(8))
-    assert op.closed_masks() == list(range(8))
+    assert op.table == tuple(range(8))
 
 
 def test_from_table_validates_reflexivity():
@@ -76,6 +75,6 @@ def test_gebert_exchange_failure_witness():
 
 def test_gebert_closure_values():
     op = gebert_closure(4)
-    assert op.close(0) == 0
-    assert op.close(0b0100) == 0b0111
-    assert op.close(0b1010) == 0b1111
+    assert op.table[0] == 0
+    assert op.table[0b0100] == 0b0111
+    assert op.table[0b1010] == 0b1111

@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
 
-from pregeolab.closure import Pregeometry, from_table, trivial_closure
+from pregeolab import geometry, verify
+from pregeolab.closure import (
+    Pregeometry,
+    from_table,
+    has_exchange,
+    trivial_closure,
+)
 from pregeolab.geometry import (
     basis_of,
     brute_dim_oracle,
     check_modular,
-    dim,
     dim_table,
     is_independent,
     least_unreached,
@@ -33,7 +38,7 @@ def test_dim_and_basis(u34):
     res = basis_of(u34, 0b1111)
     assert res.value == 3
     assert res.basis == 0b0111  # greedy picks ascending elements
-    assert dim(u34, 0b1111, over=0b0011) == 1
+    assert basis_of(u34, 0b1111, over=0b0011).value == 1
     assert basis_of(u34, 0b1111, over=0b0011).basis == 0b0100
 
 
@@ -68,7 +73,7 @@ def test_dim_antitone_in_base(u34):
 
 def test_submodularity_on_closed_sets(u34):
     dims = dim_table(u34)
-    closed = u34.op.closed_masks()
+    closed = [m for m in range(16) if u34.op.table[m] == m]
     for a in closed:
         for b in closed:
             assert dims[a | b][0] + dims[a & b][0] <= dims[a][0] + dims[b][0]
@@ -108,8 +113,8 @@ def test_describe_mentions_every_condition(u34):
 
 def test_trivial_dim_is_cardinality_outside_base():
     pg = Pregeometry(trivial_closure(GroundSet(5)))
-    assert dim(pg, 0b10101) == 3
-    assert dim(pg, 0b10101, over=0b00100) == 2
+    assert basis_of(pg, 0b10101).value == 3
+    assert basis_of(pg, 0b10101, over=0b00100).value == 2
     assert brute_dim_oracle(pg, 0b10101, 0b00100) == 2
 
 
@@ -158,3 +163,145 @@ def test_least_unreached_matches_scalar_definition():
     # both verdicts occur, and failures at several (A, B)
     assert None in witnesses
     assert len({w[:2] for w in witnesses if w is not None}) >= 3
+
+
+# ---------------------------------------------------------------------------
+# The dimension table and the laws read from it, against scalar references:
+# the cell-by-cell loops that checked modularity conditions 4 and 5 and the
+# dim-laws before they became violation arrays.
+
+
+def closed_sets(pg):
+    return [m for m in pg.ground.masks() if pg.op.table[m] == m]
+
+
+def scalar_condition_4(pg, dims):
+    table = pg.op.table
+    for a in pg.ground.masks():
+        for b in pg.ground.masks():
+            base = table[a] & table[b]
+            if dims[a][b | base] != dims[a][base]:
+                return (a, b)
+    return None
+
+
+def scalar_condition_5(pg, dims):
+    for a in closed_sets(pg):
+        for b in closed_sets(pg):
+            if dims[a | b][0] + dims[a & b][0] != dims[a][0] + dims[b][0]:
+                return (a, b)
+    return None
+
+
+def scalar_dim_laws(pg, dims):
+    """law -> least witness (None when the law holds), as in `dim-laws`."""
+    masks = pg.ground.masks()
+    additivity = next(
+        ((a, b) for a in masks for b in masks
+         if dims[a | b][0] != dims[a][b] + dims[b][0]),
+        None,
+    )
+    antitone = next(
+        ((a, b, d) for a in masks for b in masks for d in masks
+         if b & ~d == 0 and dims[a][b] < dims[a][d]),
+        None,
+    )
+    closed = closed_sets(pg)
+    submodular = next(
+        ((a, b) for a in closed for b in closed
+         if dims[a | b][0] + dims[a & b][0] > dims[a][0] + dims[b][0]),
+        None,
+    )
+    return {"additivity": additivity, "base-antitone": antitone,
+            "submodular-closed": submodular}
+
+
+def verdicts(pg):
+    """Conditions 4 and 5 and the three dim-laws, from the library."""
+    modular = check_modular(pg)
+    out = {k: modular.witnesses.get(k) for k in (4, 5)}
+    assert all(modular.conditions[k] == (out[k] is None) for k in (4, 5))
+    for check in verify._dim_law_checks("x", pg)[1:]:
+        assert (check.status == "fail") == (check.witness is not None)
+        out[check.check] = check.witness
+    return out
+
+
+def scalar_verdicts(pg, dims):
+    return {4: scalar_condition_4(pg, dims), 5: scalar_condition_5(pg, dims),
+            **scalar_dim_laws(pg, dims)}
+
+
+def random_pregeometries(rng, count):
+    out = {}
+    while len(out) < count:
+        size = int(rng.integers(1, 6))
+        pg = has_exchange(random_closure(size, rng))
+        if isinstance(pg, Pregeometry):
+            out[pg.op.table] = pg
+    return list(out.values())
+
+
+@pytest.fixture(scope="module")
+def subjects():
+    """Catalog pregeometries with at most five points, two more uniform
+    ones and 40 random ones."""
+    pgs = [inst.pg for inst in catalog().values()
+           if inst.pg is not None and inst.ground.size <= 5]
+    pgs += [uniform_pregeometry(3, 5), uniform_pregeometry(2, 5)]
+    return pgs + random_pregeometries(np.random.default_rng(3), 40)
+
+
+def test_dim_table_is_a_read_only_int8_array_equal_to_basis_of(subjects):
+    pgs = subjects + [inst.pg for inst in catalog().values()
+                      if inst.pg is not None and inst.ground.size > 5]
+    assert max(pg.ground.size for pg in pgs) == 7
+    for pg in pgs:
+        dims = dim_table(pg)
+        count = pg.ground.subset_count
+        assert dims.dtype == np.int8 and dims.shape == (count, count)
+        assert dims.flags.c_contiguous and not dims.flags.writeable
+        expected = [[basis_of(pg, a, x).value for x in range(count)]
+                    for a in range(count)]
+        assert dims.tolist() == expected, pg
+    with pytest.raises(ValueError):
+        dims[0, 0] = 1
+
+
+def test_dimension_laws_match_scalar_references(subjects):
+    pgs = subjects + [catalog()["u36"].pg]  # condition 4 and 5 only at n = 6
+    for pg in pgs:
+        want = scalar_verdicts(pg, dim_table(pg))
+        got = verdicts(pg)
+        if pg.ground.size > 5:  # dim-laws checks only the oracle there
+            want = {k: want[k] for k in (4, 5)}
+        assert got == want, pg
+    assert verdicts(catalog()["u34"].pg)[5] == (0b0011, 0b1100)
+
+
+def test_corrupted_dimension_tables_match_scalar_references(monkeypatch,
+                                                            subjects):
+    """Raise or lower a few cells of true tables: every check then fails
+    somewhere, and the least witness must be the scalar loop's."""
+    rng = np.random.default_rng(7)
+    failures = {k: set() for k in (4, 5, "additivity", "base-antitone",
+                                   "submodular-closed")}
+    for pg in subjects:
+        if pg.ground.size < 2:
+            continue
+        for _ in range(4):
+            bad = dim_table(pg).copy()
+            count = len(bad)
+            cells = rng.integers(0, count, size=(int(rng.integers(1, 4)), 2))
+            for a, x in cells:
+                bad[a, x] += rng.choice([-1, 1])
+            bad.flags.writeable = False
+            monkeypatch.setattr(geometry, "dim_table", lambda _, t=bad: t)
+            monkeypatch.setattr(verify, "dim_table", lambda _, t=bad: t)
+            want = scalar_verdicts(pg, bad)
+            assert verdicts(pg) == want, (pg, cells)
+            for law, witness in want.items():
+                if witness is not None:
+                    failures[law].add(witness)
+    # every fail path ran, each at several distinct least witnesses
+    assert all(len(w) >= 5 for w in failures.values()), failures

@@ -6,7 +6,7 @@ import pytest
 
 from pregeolab.axioms import compare
 from pregeolab.cli import resolve_relation
-from pregeolab.geometry import dim, is_independent
+from pregeolab.geometry import basis_of, is_independent
 from pregeolab.instances import (
     CATALOG_NAMES,
     GF2_PLANE,
@@ -36,9 +36,9 @@ from pregeolab.relcalc import materialize, rel_intersection
 
 def test_gebert_closure_values():
     op = gebert_closure(4)
-    assert op.close(0) == 0
-    assert op.close(mask_of([2], 4)) == mask_of([0, 1, 2], 4)
-    assert op.close(mask_of([1, 3], 4)) == mask_of([0, 1, 2, 3], 4)
+    assert op.table[0] == 0
+    assert op.table[mask_of([2], 4)] == mask_of([0, 1, 2], 4)
+    assert op.table[mask_of([1, 3], 4)] == mask_of([0, 1, 2, 3], 4)
 
 
 def test_gebert_independent_sets_are_small():
@@ -50,8 +50,8 @@ def test_gebert_independent_sets_are_small():
 
 def test_uniform_closure_table():
     pg = uniform_pregeometry(2, 4)
-    assert pg.op.close(mask_of([3], 4)) == mask_of([3], 4)
-    assert pg.op.close(mask_of([0, 2], 4)) == 0b1111
+    assert pg.op.table[mask_of([3], 4)] == mask_of([3], 4)
+    assert pg.op.table[mask_of([0, 2], 4)] == 0b1111
     with pytest.raises(ValueError):
         uniform_pregeometry(5, 4)
 
@@ -83,7 +83,7 @@ def test_linear_closure_matches_span(modulus, vectors):
     for m in range(1 << n):
         span = _brute_span(vectors, modulus, list(elements_of(m)))
         expect = mask_of([j for j in range(n) if tuple(vectors[j]) in span], n)
-        assert pg.op.close(m) == expect
+        assert pg.op.table[m] == expect
 
 
 def test_graph_build_validation():
@@ -331,9 +331,9 @@ def test_parse_instance_matches_catalog():
 
 def test_parse_instance_kinds():
     inst = parse_instance("type = uniform\nsize = 4\nrank = 2\n")
-    assert inst.pg is not None and dim(inst.pg, 0b1111) == 2
+    assert inst.pg is not None and basis_of(inst.pg, 0b1111).value == 2
     inst = parse_instance("type = linear\nfield = gf2\nvectors = 10 01 11\n")
-    assert inst.pg is not None and dim(inst.pg, 0b111) == 2
+    assert inst.pg is not None and basis_of(inst.pg, 0b111).value == 2
     inst = parse_instance("type = order\npoints = 0 1/2 3\n")
     assert inst.config == OrderedConfig((Fraction(0), Fraction(1, 2),
                                          Fraction(3)))

@@ -6,7 +6,7 @@ import pytest
 from pregeolab.axioms import compare
 from pregeolab.cli import RELATION_IDS, UsageError, resolve_relation
 from pregeolab.closure import trivial_closure
-from pregeolab.geometry import dim
+from pregeolab.geometry import dim_table
 from pregeolab.instances import (
     catalog,
     catalog_instance,
@@ -17,7 +17,6 @@ from pregeolab.lattice import GroundSet, submasks
 from pregeolab.relcalc import (
     CapExceeded,
     TernaryRelation,
-    always_true,
     closure_extend_c,
     from_table,
     materialize,
@@ -182,13 +181,13 @@ def test_rel_cl_collapse_to_subsets():
     for name in ("u34", "gf2-3", "trivial4"):
         pg = catalog()[name].pg
         r = materialize(rel_cl(pg)).table
+        dims = dim_table(pg)
         count = pg.ground.subset_count
         for a in range(count):
             for b in range(count):
                 for c in range(count):
                     expected = all(
-                        dim(pg, a0, b | c) == dim(pg, a0, c)
-                        for a0 in submasks(a)
+                        dims[a0, b | c] == dims[a0, c] for a0 in submasks(a)
                     )
                     assert bool(r[a, b, c]) == expected, (name, a, b, c)
 
@@ -212,6 +211,11 @@ def test_monotonise_m_equals_M_with_trivial_closure():
     for seed in range(5):
         r = random_relation(g, seed)
         assert compare(monotonise_m(r), monotonise_M(r, ident)).verdict == "equal"
+
+
+def always_true(ground):
+    count = ground.subset_count
+    return from_table(ground, "true", np.ones((count,) * 3, dtype=bool))
 
 
 def test_monotonise_m_keeps_always_true():

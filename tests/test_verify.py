@@ -21,6 +21,7 @@ from pregeolab.relcalc import from_table
 from pregeolab.verify import (
     SUITES,
     SuiteResult,
+    UnknownInstance,
     UnknownSuite,
     render_report,
     render_summary,
@@ -52,6 +53,22 @@ def test_unknown_suite():
         run_suite("no-such-suite")
     with pytest.raises(UnknownSuite):
         run_suite("pregeom-axioms", instances=["no-such-instance"])
+
+
+@pytest.mark.parametrize("suites, names, error", [
+    (["rg-st", "nope"], None, UnknownSuite),
+    (["rg-st", "dim-laws"], ["u34", "nope"], UnknownInstance),
+])
+def test_run_suites_refuses_before_any_suite_runs(monkeypatch, suites, names,
+                                                  error):
+    ran = []
+    monkeypatch.setitem(verify._SUITE_BODIES, "rg-st",
+                        lambda pool: ran.append(pool) or [])
+    with pytest.raises(error):
+        run_suites(suites, names)
+    assert ran == []
+    # the recorder is what would have run
+    assert run_suites(["rg-st"]) == [SuiteResult("rg-st", [])] and ran
 
 
 def test_result_line_grammar(fast_results):
