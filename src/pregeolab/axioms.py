@@ -355,7 +355,7 @@ def _find_violation(
         return _scan_3var(count, lambda a: t3[a] & ~t3[a | masks, :, masks].T)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
-        cl = np.array(_require_op(ax, op).table)
+        cl = _require_op(ax, op).table
         if ax is AxiomId.CLO_R:
             return _scan_3var(count, lambda a: t3[a] & ~t3[a][cl])
         if ax is AxiomId.CLO_L:
@@ -366,13 +366,11 @@ def _find_violation(
             return _scan_3var(
                 count, lambda a: t3[a] ^ rows[cl[a | masks], cells]
             )
-        # AREF: scan singletons a, then bases C.
-        for a in range(r.ground.size):
-            bit = 1 << a
-            for c in range(count):
-                if t3[bit, bit, c] and not cl[c] >> a & 1:
-                    return (bit, c)
-        return None
+        # AREF: (a, C) with r({a}, {a}, C) and a outside cl(C)
+        elems = np.arange(r.ground.size)[:, None]
+        bits = 1 << elems
+        hit = first_true(t3[bits, bits, masks] & (cl >> elems & 1 == 0))
+        return None if hit is None else (1 << hit[0], hit[1])
 
     if ax in _CHAIN_AXIOMS:
         return _scan_chain(t3, *_CHAIN_AXIOMS[ax])
@@ -445,14 +443,15 @@ def evaluate_axiom_body(
         return not r.holds(i(0), i(0), i(1)) or bool(cl[i(1)] >> a & 1)
     if ax is AxiomId.CLO_R:
         cl = _require_op(ax, op).table
-        return not r.holds(i(0), i(2), i(1)) or r.holds(i(0), cl[i(2)], i(1))
+        return not r.holds(i(0), i(2), i(1)) or r.holds(i(0), int(cl[i(2)]), i(1))
     if ax is AxiomId.CLO_L:
         cl = _require_op(ax, op).table
-        return not r.holds(i(0), i(2), i(1)) or r.holds(cl[i(0)], i(2), i(1))
+        return not r.holds(i(0), i(2), i(1)) or r.holds(int(cl[i(0)]), i(2), i(1))
     if ax is AxiomId.SCLO:
         cl = _require_op(ax, op).table
         a, c, b = i(0), i(1), i(2)
-        return r.holds(a, b, c) == r.holds(cl[a | c], cl[b | c], cl[c])
+        return r.holds(a, b, c) == r.holds(
+            int(cl[a | c]), int(cl[b | c]), int(cl[c]))
     a, c, b, d = i(0), i(1), i(2), i(3)
     if ax is AxiomId.MON_R:
         return not r.holds(a, b | d, c) or r.holds(a, b, c)

@@ -5,6 +5,10 @@ monotonicity and idempotence.  Finite character is automatic on a finite
 ground set (it follows from monotonicity) and is reported as vacuous
 rather than checked.  Operators whose exchange scan passes are wrapped
 as Pregeometry; all dimension machinery requires that wrapper.
+
+The table is stored once, as a read-only `np.intp` array indexed by
+mask.  Each law, and exchange, is a boolean violation array whose least
+witness is its first true cell (`lattice.first_true`).
 """
 
 from __future__ import annotations
@@ -12,7 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .lattice import GroundSet, format_mask
+import numpy as np
+
+from .lattice import GroundSet, first_true, format_mask
 
 
 class LawViolation(Exception):
@@ -25,12 +31,13 @@ class LawViolation(Exception):
         super().__init__(f"{law} violated at {pretty}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClosureOperator:
-    """A validated closure operator; table[mask] is the closure of mask."""
+    """A validated closure operator; table[mask] is the closure of mask,
+    a read-only `np.intp` array.  Operators compare by identity."""
 
     ground: GroundSet
-    table: tuple[int, ...]
+    table: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -56,65 +63,57 @@ class ExchangeFailure:
         return f"(A={format_mask(self.set_mask)}, a={self.a}, b={self.b})"
 
 
-def _validate(ground: GroundSet, table: Sequence[int]) -> tuple[int, ...]:
-    n = ground.size
-    count = ground.subset_count
-    if len(table) != count:
+def _validate(ground: GroundSet, table: np.ndarray) -> np.ndarray:
+    if len(table) != ground.subset_count:
         raise LawViolation("Totality", (len(table),))
-    for mask in range(count):
-        closed = table[mask]
-        if not 0 <= closed <= ground.full_mask:
-            raise LawViolation("Range", (mask,))
-        if mask & ~closed:
-            raise LawViolation("Reflexivity", (mask,))
+    masks = np.arange(ground.subset_count)
+    out_of_range = (table < 0) | (table > ground.full_mask)
+    cl = np.where(out_of_range, 0, table).astype(np.intp)
+    bad = first_true(out_of_range | (masks & ~cl != 0))
+    if bad is not None:
+        raise LawViolation("Range" if out_of_range[bad] else "Reflexivity", bad)
     # Single-element monotonicity implies the general law by chaining.
-    for mask in range(count):
-        for e in range(n):
-            up = mask | 1 << e
-            if table[mask] & ~table[up]:
-                raise LawViolation("Monotonicity", (mask, up))
-    for mask in range(count):
-        if table[table[mask]] != table[mask]:
-            raise LawViolation("Idempotence", (mask,))
-    return tuple(table)
+    up = masks[:, None] | 1 << np.arange(ground.size)  # (X, e): X + e
+    bad = first_true(cl[:, None] & ~cl[up] != 0)
+    if bad is not None:
+        raise LawViolation("Monotonicity", (bad[0], int(up[bad])))
+    bad = first_true(cl[cl] != cl)
+    if bad is not None:
+        raise LawViolation("Idempotence", bad)
+    cl.flags.writeable = False
+    return cl
 
 
 def from_table(
     ground: GroundSet, table: Union[Sequence[int], Mapping[int, int]]
 ) -> ClosureOperator:
-    """Build an operator from a total mask -> mask table, validating the laws.
-
-    Entries are stored as Python ints, so numpy integers are accepted."""
+    """Build an operator from a total mask -> mask table, validating the
+    laws; any integer sequence, numpy arrays included, is accepted."""
     if isinstance(table, Mapping):
         seq = [-1] * ground.subset_count
         for mask, closed in table.items():
             seq[mask] = int(closed)
-        if any(v < 0 for v in seq):
-            missing = next(m for m, v in enumerate(seq) if v < 0)
-            raise LawViolation("Totality", (missing,))
-    else:
-        seq = [int(v) for v in table]
-    return ClosureOperator(ground, _validate(ground, seq))
+        missing = first_true(np.array(seq) < 0)
+        if missing is not None:
+            raise LawViolation("Totality", missing)
+        table = seq
+    return ClosureOperator(ground, _validate(ground, np.asarray(table)))
 
 
 def trivial_closure(ground: GroundSet) -> ClosureOperator:
     """The identity operator cl(A) = A."""
-    return ClosureOperator(ground, tuple(ground.masks()))
+    identity = np.arange(ground.subset_count)
+    return ClosureOperator(ground, _validate(ground, identity))
 
 
 def has_exchange(op: ClosureOperator) -> Union[Pregeometry, ExchangeFailure]:
     """Exchange scan; returns the least failing (A, a, b) as a value."""
-    n = op.ground.size
-    table = op.table
-    for mask in op.ground.masks():
-        closed = table[mask]
-        for a in range(n):
-            bit_a = 1 << a
-            if closed & bit_a:
-                continue
-            with_a = table[mask | bit_a]
-            for b in range(n):
-                bit_b = 1 << b
-                if table[mask | bit_b] & bit_a and not with_a & bit_b:
-                    return ExchangeFailure(mask, a, b)
-    return Pregeometry(op)
+    elems = np.arange(op.ground.size)
+    has = op.table[:, None] >> elems & 1 == 1  # (X, e): e in cl(X)
+    up = np.arange(len(has))[:, None] | 1 << elems  # (A, x): A + x
+    grown = has[up]  # (A, x, e): e in cl(A+x)
+    # (A, a, b): a outside cl(A), inside cl(A+b), and b outside cl(A+a)
+    bad = first_true(~has[:, :, None] & grown.transpose(0, 2, 1) & ~grown)
+    if bad is None:
+        return Pregeometry(op)
+    return ExchangeFailure(*bad)

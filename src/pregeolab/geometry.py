@@ -2,17 +2,17 @@
 
 Dimension is defined only on pregeometries: without exchange, maximal
 independent subsets need not all have the same size, so the greedy basis
-is meaningless.  is_independent works for any closure operator.
+is meaningless.  `independence_table` works for any closure operator.
 
-The dimension layer has one representation, `dim_table`: dim(A/X) for
-every pair of masks as one read-only int8 array [A, X], built by n
-masked greedy passes over the closure table.  The dimension relation,
-the dimension laws of the `dim-laws` suite and modularity conditions 4
-and 5 index it, and every law is a boolean violation array whose least
-witness is its first true cell (`lattice.first_true`).  `basis_of`
-stays scalar for the single `dim` and `basis` queries and as the
-reference the table is tested against, and `brute_dim_oracle` is the
-independent oracle.
+Like the closure table, the layer is arrays over pairs of masks, each
+built in n passes: `independence_table` [I, X], and `dim_table`, dim(A/X)
+as one read-only int8 array [A, X].  The dimension relation, the
+`dim-laws` suite and modularity conditions 4 and 5 index `dim_table`,
+and every law is a boolean violation array whose least witness is its
+first true cell (`lattice.first_true`).  `basis_of` stays scalar for the
+`dim` and `basis` queries and as a test reference, and
+`brute_dim_oracle`, a maximum over all independent subsets rather than
+the greedy, is the independent oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry
-from .lattice import elements_of, first_true, format_witness, submasks
+from .lattice import elements_of, first_true, format_witness
 
 
 @dataclass(frozen=True)
@@ -35,12 +35,18 @@ class DimResult:
     basis: int
 
 
-def is_independent(op: ClosureOperator, subset: int, over: int = 0) -> bool:
-    """True iff every a in A satisfies a not in cl(B + (A - a))."""
-    for a in elements_of(subset):
-        if op.table[over | (subset & ~(1 << a))] >> a & 1:
-            return False
-    return True
+def independence_table(op: ClosureOperator) -> np.ndarray:
+    """(I, X): no a in I lies in cl(X + (I - a)), as a bool array; the
+    pass for element i clears the (I, X) with i in I and cl(X + (I - i))."""
+    count = op.ground.subset_count
+    masks = np.arange(count)
+    independent = np.ones((count, count), dtype=bool)
+    for i in range(op.ground.size):
+        rows = (count >> i + 1, 2, 1 << i)  # [:, 1]: the I with i
+        rest = masks.reshape(rows)[:, 0, :, None]  # I - i
+        independent.reshape(rows + (count,))[:, 1] &= (
+            op.table[rest | masks] >> i & 1 == 0)
+    return independent
 
 
 def basis_of(pg: Pregeometry, subset: int, over: int = 0) -> DimResult:
@@ -53,12 +59,18 @@ def basis_of(pg: Pregeometry, subset: int, over: int = 0) -> DimResult:
     return DimResult(basis.bit_count(), basis)
 
 
-def brute_dim_oracle(pg: Pregeometry, subset: int, over: int = 0) -> int:
-    """Max cardinality over ALL independent X <= A; test oracle, no greedy."""
-    best = 0
-    for x in submasks(subset):
-        if x.bit_count() > best and is_independent(pg.op, x, over):
-            best = x.bit_count()
+def brute_dim_oracle(pg: Pregeometry) -> np.ndarray:
+    """dim(A/X) as the largest |I| over ALL independent I <= A over X,
+    an int8 array [A, X]; the test oracle for `dim_table`, no greedy.
+    |I| on the independent (I, X) is maximised over I <= A, one pass
+    per element i from each A - i to A."""
+    count = pg.ground.subset_count
+    sizes = np.arange(count)[:, None] >> np.arange(pg.ground.size) & 1
+    best = np.where(independence_table(pg.op), sizes.sum(1)[:, None], 0)
+    best = best.astype(np.int8)
+    for i in range(pg.ground.size):
+        rows = best.reshape(count >> i + 1, 2, 1 << i, count)
+        np.maximum(rows[:, 1], rows[:, 0], out=rows[:, 1])
     return best
 
 
@@ -74,13 +86,12 @@ def dim_table(pg: Pregeometry) -> np.ndarray:
     """
     count = pg.ground.subset_count
     masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
-    cl = np.array(pg.op.table, dtype=masks.dtype)
     span = np.tile(masks, (count, 1))  # (A, X): X + the basis so far
     dims = np.zeros((count, count), dtype=np.int8)
     for i in range(pg.ground.size):
         rows = (count >> i + 1, 2, 1 << i, count)  # [:, 1]: the A with i
         grow, dim_rows = span.reshape(rows)[:, 1], dims.reshape(rows)[:, 1]
-        take = cl[grow] >> i & 1 == 0
+        take = pg.op.table[grow] >> i & 1 == 0
         np.bitwise_or(grow, 1 << i, out=grow, where=take)
         np.add(dim_rows, 1, out=dim_rows, where=take)
     dims.flags.writeable = False
@@ -95,7 +106,7 @@ def closed_pair_excess(pg: Pregeometry) -> np.ndarray:
     masks = np.arange(len(rank))
     excess = (rank[masks[:, None] | masks] + rank[masks[:, None] & masks]
               - rank[:, None] - rank)
-    closed = np.array(pg.op.table) == masks
+    closed = pg.op.table == masks
     return np.where(closed[:, None] & closed, excess, 0)
 
 
@@ -109,7 +120,7 @@ def least_unreached(op: ClosureOperator) -> Optional[tuple[int, int, int]]:
     cl(A+B) outside it.
     """
     count = op.ground.subset_count
-    cl = np.array(op.table, dtype=np.int64)
+    cl = op.table
     parts = np.array([0] + [1 << e for e in range(op.ground.size)])
     pair = cl[parts[:, None] | parts[None, :]]  # (i, j): cl(i+j)
     inside = cl[:, None] & parts == parts  # (X, i): part i lies in cl(X)
@@ -175,7 +186,7 @@ def check_modular(pg: Pregeometry) -> ModularityVerdict:
     relcalc.check_table_budget(pg.ground)
     op = pg.op
     rel_a = relcalc.rel_a(op)
-    cl = np.array(op.table)
+    cl = op.table
     base = cl[:, None] & cl  # (A, B): cl(A) & cl(B), the base of (4)
     dims = dim_table(pg)
     masks = np.arange(len(cl))

@@ -12,7 +12,7 @@ indices follow that order and takes its witness from `first_true`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -87,16 +87,6 @@ def parse_mask(text: str, size: int) -> int:
     except ValueError:
         raise ValueError(f"malformed subset literal: {text!r}") from None
     return mask_of(elems, size)
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All submasks of mask, in descending order, ending with 0."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 def first_true(violations: np.ndarray) -> Optional[tuple[int, ...]]:

@@ -131,7 +131,7 @@ def rel_a(op: ClosureOperator) -> TernaryRelation:
     def build() -> np.ndarray:
         count = op.ground.subset_count
         masks = _masks(count)
-        cl_arr = np.array(cl, dtype=masks.dtype)
+        cl_arr = cl.astype(masks.dtype)
         joined = cl_arr[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
         table = np.empty((count, count, count), dtype=bool)
         for a in range(count):
@@ -187,7 +187,7 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
     cl = op.table
 
     def fn(a: int, b: int, c: int) -> bool:
-        free = cl[b | c] & ~c
+        free = int(cl[b | c]) & ~c
         sub = free
         while True:
             if not r.holds(a, b, c | sub):
@@ -207,7 +207,7 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
         t = materialize(r).table.copy()
         count = len(t)
         masks = np.arange(count)
-        tops = np.array(cl)[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
+        tops = cl[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
         for i in range(count.bit_length() - 1):
             run = 1 << i
             shape = (count, count, count >> i + 1, 2, run)
@@ -238,15 +238,14 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
     cl = op.table
 
     def fn(a: int, b: int, c: int) -> bool:
-        return r.holds(a, cl[b | c], c)
+        return r.holds(a, int(cl[b | c]), c)
 
     def build() -> np.ndarray:
         base = materialize(r).table
         count = r.ground.subset_count
         masks = np.arange(count)
-        cl_arr = np.array(cl)
         # (B, C): flat index of (cl(B+C), C) in one A row
-        cells = cl_arr[masks[:, None] | masks[None, :]] * count + masks
+        cells = cl[masks[:, None] | masks[None, :]] * count + masks
         table = np.empty((count, count, count), dtype=bool)
         for a in range(count):
             table[a] = base[a].ravel()[cells]

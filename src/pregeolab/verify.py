@@ -345,23 +345,17 @@ def _suite_dim_laws(pool: InstancePool) -> list[CheckResult]:
 
 
 def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
-    """The oracle check (scalar, cell by cell) and, up to STACK_SUITE_MAX
-    elements, the three laws as violation arrays with least witnesses:
+    """The oracle check over (A, X) and, up to STACK_SUITE_MAX elements,
+    the three laws, each as a violation array with its least witness:
     additivity over (A, B), base antitonicity over (A, B, D) with B <= D,
     and submodularity over pairs (A, B) of closed sets."""
-    count = pg.ground.subset_count
     dims = dim_table(pg)  # (A, X): dim(A/X)
     subject = f"{name}:dim"
 
-    oracle_bad = next(
-        ((a, b) for a in range(count) for b in range(count)
-         if dims[a, b] != brute_dim_oracle(pg, a, b)),
-        None,
-    )
-    laws = [("oracle", oracle_bad)]
+    laws = [("oracle", first_true(dims != brute_dim_oracle(pg)))]
 
     if pg.ground.size <= STACK_SUITE_MAX:
-        masks = np.arange(count)
+        masks = np.arange(pg.ground.subset_count)
         rank = dims[:, 0]
         below = masks[:, None] & ~masks == 0  # (B, D): B <= D
         laws += [

@@ -11,7 +11,7 @@ import pytest
 
 from pregeolab.axioms import AxiomId, check_axiom, compare, evaluate_axiom_body
 from pregeolab.closure import has_exchange, ExchangeFailure
-from pregeolab.geometry import check_modular, dim_table, is_independent
+from pregeolab.geometry import check_modular, dim_table, independence_table
 from pregeolab.instances import catalog, gebert_closure
 from pregeolab.relcalc import monotonise_M, rel_a, rel_sup
 from pregeolab.verify import (
@@ -91,8 +91,7 @@ def test_c6_initial_segment_closure_pathology():
     assert (found.set_mask, found.a, found.b) == (0, 0, 1)
     assert op8.table[1 << 2] >> 1 & 1 and not op8.table[1 << 1] >> 2 & 1
 
-    indep = [m for m in range(op8.ground.subset_count)
-             if is_independent(op8, m)]
+    indep = independence_table(op8)[:, 0].nonzero()[0].tolist()
     assert indep == [0] + [1 << i for i in range(8)]
 
     a8 = rel_a(op8)

@@ -16,6 +16,7 @@ from pregeolab.axioms import (
     evaluate_axiom_body,
     search_counterexample,
 )
+from pregeolab.cli import instance_operator, resolve_relation
 from pregeolab.closure import trivial_closure
 from pregeolab.instances import (
     catalog,
@@ -28,6 +29,7 @@ from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import (
     CapExceeded,
     from_table,
+    materialize,
     random_relation,
     rel_a,
     rel_cl,
@@ -324,3 +326,57 @@ def test_rel_st_free_axiom_spotcheck():
     g = Graph.build(4, [(0, 3)])
     rep = check_axiom(rel_st(g), AxiomId.FREE)
     assert rep.status == "pass"
+
+
+def scalar_aref(t3, op):
+    """AREF by its scan order: singletons {a} ascending, then bases C."""
+    for a in range(op.ground.size):
+        bit = 1 << a
+        for c in range(op.ground.subset_count):
+            if t3[bit, bit, c] and not op.table[c] >> a & 1:
+                return (bit, c)
+    return None
+
+
+def test_aref_matches_scalar_scan_on_random_relations():
+    """Random tables, from mostly false to mostly true, under every
+    small catalog operator."""
+    ops = [inst.op for inst in catalog().values()
+           if inst.op is not None and inst.ground.size <= 4]
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for op in ops:
+        count = op.ground.subset_count
+        for density in (0.02, 0.02, 0.05, 0.05, 0.2, 0.9):
+            r = from_table(op.ground, "rand",
+                           rng.random((count,) * 3) < density)
+            want = scalar_aref(r.table, op)
+            rep = check_axiom(r, AxiomId.AREF, op)
+            assert rep.witness == want, (op.ground, density)
+            assert rep.status == ("pass" if want is None else "fail")
+            outcomes.add(want if want is None else want[0])
+    assert {None, 1, 2, 4, 8} <= outcomes  # passes, and every singleton
+
+
+@pytest.mark.parametrize("name,rel_id", [
+    ("path4", "st"), ("star4", "st"), ("dlo4", "div"),
+    ("u34", "aM"), ("gebert4", "aM"), ("u34", "ac"), ("gebert4", "ac"),
+])
+def test_closure_axiom_bodies_need_no_table(name, rel_id):
+    """The closure axioms evaluated through the scalar predicates, with
+    closure entries read from the array table, agree with the table."""
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    scalar = resolve_relation(inst, rel_id)  # never materialized
+    table = materialize(resolve_relation(inst, rel_id))
+    count, size = inst.ground.subset_count, inst.ground.size
+    tuples = {
+        AxiomId.AREF: list(product([1 << a for a in range(size)],
+                                   range(count))),
+    }
+    for ax in (AxiomId.CLO_L, AxiomId.CLO_R, AxiomId.SCLO):
+        tuples[ax] = list(product(range(count), repeat=3))
+    for ax, cases in tuples.items():
+        got = [evaluate_axiom_body(scalar, ax, t, op) for t in cases]
+        assert got == [evaluate_axiom_body(table, ax, t, op) for t in cases]
+    assert scalar.table is None

@@ -13,7 +13,7 @@ from pregeolab.geometry import (
     brute_dim_oracle,
     check_modular,
     dim_table,
-    is_independent,
+    independence_table,
     least_unreached,
 )
 from pregeolab.instances import catalog, linear_pregeometry, uniform_pregeometry
@@ -26,12 +26,55 @@ def u34():
 
 
 def test_is_independent_uniform(u34):
-    assert is_independent(u34.op, 0b0111)
-    assert not is_independent(u34.op, 0b1111)
-    assert is_independent(u34.op, 0)  # vacuously
-    assert is_independent(u34.op, 0b0001, over=0b0010)
+    independent = independence_table(u34.op)  # (I, X)
+    assert independent[0b0111, 0]
+    assert not independent[0b1111, 0]
+    assert independent[0, 0]  # vacuously
+    assert independent[0b0001, 0b0010]
     # over a spanning base nothing is independent
-    assert not is_independent(u34.op, 0b1000, over=0b0111)
+    assert not independent[0b1000, 0b0111]
+
+
+def scalar_is_independent(op, subset, over):
+    """True iff every a in A satisfies a not in cl(B + (A - a))."""
+    for a in elements_of(subset):
+        if op.table[over | (subset & ~(1 << a))] >> a & 1:
+            return False
+    return True
+
+
+def scalar_submasks(mask):
+    """All submasks of mask, in descending order, ending with 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def scalar_dim_oracle(pg, subset, over):
+    """Max cardinality over ALL independent X <= A over B, cell by cell."""
+    best = 0
+    for x in scalar_submasks(subset):
+        if x.bit_count() > best and scalar_is_independent(pg.op, x, over):
+            best = x.bit_count()
+    return best
+
+
+def test_independence_table_matches_scalar_definition():
+    ops = [inst.op for inst in catalog().values()
+           if inst.op is not None and inst.ground.size <= 6]
+    rng = np.random.default_rng(5)
+    ops += [random_closure(size, rng) for size in [0, 1, 2, 3, 4, 5] * 5]
+    for op in ops:
+        independent = independence_table(op)
+        assert independent.dtype == bool
+        count = op.ground.subset_count
+        assert independent.tolist() == [
+            [scalar_is_independent(op, i, x) for x in range(count)]
+            for i in range(count)
+        ], op.ground
 
 
 def test_dim_and_basis(u34):
@@ -46,13 +89,8 @@ def test_dim_matches_brute_oracle_everywhere():
     for inst in catalog().values():
         if inst.pg is None or inst.ground.size > 6:
             continue
-        dims = dim_table(inst.pg)
-        count = inst.ground.subset_count
-        for a in range(count):
-            for b in range(count):
-                assert dims[a][b] == brute_dim_oracle(inst.pg, a, b), (
-                    inst.name, a, b,
-                )
+        assert np.array_equal(brute_dim_oracle(inst.pg), dim_table(inst.pg)), (
+            inst.name)
 
 
 def test_dim_additivity():
@@ -115,14 +153,14 @@ def test_trivial_dim_is_cardinality_outside_base():
     pg = Pregeometry(trivial_closure(GroundSet(5)))
     assert basis_of(pg, 0b10101).value == 3
     assert basis_of(pg, 0b10101, over=0b00100).value == 2
-    assert brute_dim_oracle(pg, 0b10101, 0b00100) == 2
+    assert brute_dim_oracle(pg)[0b10101, 0b00100] == 2
 
 
 def scalar_least_unreached(op):
     """Modularity condition 1 by its definition: the least (A, B, {x})
     with x in cl(A+B) and in no cl(i+j), i and j empty or a point of
     cl(A) and cl(B)."""
-    table = op.table
+    table = op.table.tolist()
     count = op.ground.subset_count
     for a_mask in range(count):
         parts_a = [0] + [1 << i for i in elements_of(table[a_mask])]
@@ -238,7 +276,7 @@ def random_pregeometries(rng, count):
         size = int(rng.integers(1, 6))
         pg = has_exchange(random_closure(size, rng))
         if isinstance(pg, Pregeometry):
-            out[pg.op.table] = pg
+            out[pg.op.table.tobytes()] = pg
     return list(out.values())
 
 
@@ -305,3 +343,19 @@ def test_corrupted_dimension_tables_match_scalar_references(monkeypatch,
                     failures[law].add(witness)
     # every fail path ran, each at several distinct least witnesses
     assert all(len(w) >= 5 for w in failures.values()), failures
+
+
+def test_brute_dim_oracle_matches_scalar_oracle(subjects):
+    """The oracle table against the cell-by-cell maximum over independent
+    subsets, on the catalog pregeometries with at most six points and the
+    random ones."""
+    pgs = subjects + [inst.pg for inst in catalog().values()
+                      if inst.pg is not None and inst.ground.size == 6]
+    for pg in pgs:
+        oracle = brute_dim_oracle(pg)
+        assert oracle.dtype == np.int8
+        count = pg.ground.subset_count
+        assert oracle.tolist() == [
+            [scalar_dim_oracle(pg, a, x) for x in range(count)]
+            for a in range(count)
+        ], pg

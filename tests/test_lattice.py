@@ -8,7 +8,6 @@ from pregeolab.lattice import (
     format_witness,
     mask_of,
     parse_mask,
-    submasks,
 )
 
 
@@ -41,12 +40,6 @@ def test_parse_mask_rejects_garbage():
         parse_mask("{0,x}", 8)
     with pytest.raises(ValueError):
         parse_mask("{9}", 3)
-
-
-def test_submasks_descending():
-    got = list(submasks(0b101))
-    assert got == [0b101, 0b100, 0b001, 0b000]
-    assert list(submasks(0)) == [0]
 
 
 subsets = st.integers(min_value=0, max_value=0xFF)
