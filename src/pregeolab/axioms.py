@@ -422,63 +422,67 @@ def evaluate_axiom_body(
     """Re-evaluate the quantifier-free body of an axiom on one tuple.
 
     Returns True when the tuple satisfies the implication (i.e. is NOT a
-    violation).  Used for witness soundness checks.
+    violation).  Reads only the scalar predicate `r.fn`, never a table.
+    Used for witness soundness checks.
     """
     i = lambda k: int(witness[k])  # noqa: E731
+
+    def holds(a: int, b: int, c: int) -> bool:
+        return bool(r.fn(a, b, c))
 
     def sub(x: int, y: int) -> bool:
         return x & ~y == 0
 
     if ax is AxiomId.EX:
-        return r.holds(i(0), i(1), i(1))
+        return holds(i(0), i(1), i(1))
     if ax is AxiomId.SYM:
-        return not r.holds(i(0), i(2), i(1)) or r.holds(i(2), i(0), i(1))
+        return not holds(i(0), i(2), i(1)) or holds(i(2), i(0), i(1))
     if ax is AxiomId.NOR_R:
-        return not r.holds(i(0), i(2), i(1)) or r.holds(i(0), i(2) | i(1), i(1))
+        return not holds(i(0), i(2), i(1)) or holds(i(0), i(2) | i(1), i(1))
     if ax is AxiomId.NOR_L:
-        return not r.holds(i(0), i(2), i(1)) or r.holds(i(0) | i(1), i(2), i(1))
+        return not holds(i(0), i(2), i(1)) or holds(i(0) | i(1), i(2), i(1))
     if ax is AxiomId.AREF:
         cl = _require_op(ax, op).table
         a = i(0).bit_length() - 1
-        return not r.holds(i(0), i(0), i(1)) or bool(cl[i(1)] >> a & 1)
+        return not holds(i(0), i(0), i(1)) or bool(cl[i(1)] >> a & 1)
     if ax is AxiomId.CLO_R:
         cl = _require_op(ax, op).table
-        return not r.holds(i(0), i(2), i(1)) or r.holds(i(0), int(cl[i(2)]), i(1))
+        return not holds(i(0), i(2), i(1)) or holds(i(0), int(cl[i(2)]), i(1))
     if ax is AxiomId.CLO_L:
         cl = _require_op(ax, op).table
-        return not r.holds(i(0), i(2), i(1)) or r.holds(int(cl[i(0)]), i(2), i(1))
+        return not holds(i(0), i(2), i(1)) or holds(int(cl[i(0)]), i(2), i(1))
     if ax is AxiomId.SCLO:
         cl = _require_op(ax, op).table
         a, c, b = i(0), i(1), i(2)
-        return r.holds(a, b, c) == r.holds(
+        return holds(a, b, c) == holds(
             int(cl[a | c]), int(cl[b | c]), int(cl[c]))
     a, c, b, d = i(0), i(1), i(2), i(3)
     if ax is AxiomId.MON_R:
-        return not r.holds(a, b | d, c) or r.holds(a, b, c)
+        return not holds(a, b | d, c) or holds(a, b, c)
     if ax is AxiomId.MON_L:
-        return not r.holds(a | d, b, c) or r.holds(a, b, c)
+        return not holds(a | d, b, c) or holds(a, b, c)
     if ax is AxiomId.BMON_R:
         in_chain = sub(c, b) and sub(b, d)
-        return not (in_chain and r.holds(a, d, c)) or r.holds(a, d, b)
+        return not (in_chain and holds(a, d, c)) or holds(a, d, b)
     if ax is AxiomId.BMON_L:
         in_chain = sub(c, b) and sub(b, d)
-        return not (in_chain and r.holds(d, a, c)) or r.holds(d, a, b)
+        return not (in_chain and holds(d, a, c)) or holds(d, a, b)
     if ax is AxiomId.TRA_R:
         in_chain = sub(c, b) and sub(b, d)
-        prem = in_chain and r.holds(a, b, c) and r.holds(a, d, b)
-        return not prem or r.holds(a, d, c)
+        prem = in_chain and holds(a, b, c) and holds(a, d, b)
+        return not prem or holds(a, d, c)
     if ax is AxiomId.TRA_L:
         in_chain = sub(c, b) and sub(b, d)
-        prem = in_chain and r.holds(b, a, c) and r.holds(d, a, b)
-        return not prem or r.holds(d, a, c)
+        prem = in_chain and holds(b, a, c) and holds(d, a, b)
+        return not prem or holds(d, a, c)
     if ax is AxiomId.TRA_STRONG:
-        prem = r.holds(a, b, c) and r.holds(a, d, b | c)
-        return not prem or r.holds(a, b | d, c)
+        prem = holds(a, b, c) and holds(a, d, b | c)
+        return not prem or holds(a, b | d, c)
     if ax is AxiomId.BMON_STRONG:
-        return not r.holds(a, b | d, c) or r.holds(a, b, c | d)
+        return not holds(a, b | d, c) or holds(a, b, c | d)
     if ax is AxiomId.FREE:
-        prem = r.holds(a, b, c) and sub(c & (a | b), d) and sub(d, c)
-        return not prem or r.holds(a, b, d)
+        prem = holds(a, b, c) and sub(c & (a | b), d) and sub(d, c)
+        return not prem or holds(a, b, d)
     raise ValueError(f"axiom {ax} has no body")  # pragma: no cover
 
 

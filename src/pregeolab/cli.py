@@ -298,7 +298,7 @@ def cmd_list(args: argparse.Namespace) -> int:
     print("instances:")
     for inst in instances.catalog().values():
         print(f"  {inst.name:<10} {inst.kind:<12} n={inst.ground.size:<3}"
-              f" {inst.description}")
+              f" {instances.CATALOG[inst.name][0]}")
     print("relations:")
     for rid, desc in RELATION_IDS.items():
         print(f"  {rid:<10} {desc}")

@@ -14,13 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
 from .lattice import GroundSet, elements_of, parse_mask
-from .relcalc import TernaryRelation
+from .relcalc import DEFAULT_TABLE_CAP_BITS, TernaryRelation
 
 
 # ---------------------------------------------------------------------------
@@ -63,11 +63,15 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
 
     Spans grow subset by subset: the span of A is the span of A without
     its top element t, or, when t is not yet in it, its `modulus` disjoint
-    cosets by multiples of vectors[t].
+    cosets by multiples of vectors[t].  Every span is kept, which is
+    about (modulus + 1)^k vectors for k independent vectors, so a
+    ValueError refuses the input once the spans would store more than
+    `DEFAULT_TABLE_CAP_BITS` coordinates, one byte each.
     """
     if modulus not in (2, 3):
         raise ValueError("only GF(2) and GF(3) are supported")
-    cols = np.array([list(v) for v in vectors], dtype=np.int64).T % modulus
+    cols = (np.array([list(v) for v in vectors], dtype=np.int64).T
+            % modulus).astype(np.int8)  # sums below stay at most 6
     if cols.ndim != 2 or cols.shape[1] == 0:
         raise ValueError("need at least one vector")
     dim, n = cols.shape
@@ -77,8 +81,9 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
     owners: dict[int, int] = {}  # code -> mask of the vectors with that code
     for j, code in enumerate((vecs @ weights).tolist()):
         owners[code] = owners.get(code, 0) | 1 << j
-    multiples = np.arange(modulus)[:, None, None]
-    spans = [np.zeros((1, dim), dtype=np.int64)]
+    multiples = np.arange(modulus, dtype=np.int8)[:, None, None]
+    spans = [np.zeros((1, dim), dtype=np.int8)]
+    stored = dim  # coordinates held by the distinct span arrays
     table = []
     for m in range(ground.subset_count):
         if m:
@@ -86,6 +91,11 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
             rest = m ^ 1 << top
             span = spans[rest]
             if not table[rest] >> top & 1:
+                stored += span.size * modulus
+                if stored > DEFAULT_TABLE_CAP_BITS:
+                    raise ValueError(
+                        f"the spans of {n} vectors need more than"
+                        f" {DEFAULT_TABLE_CAP_BITS} coordinates")
                 span = ((span + multiples * vecs[top]) % modulus).reshape(-1, dim)
             spans.append(span)
         # span members are distinct, so their owner masks are disjoint
@@ -308,7 +318,7 @@ def canonical_codes(codes: np.ndarray, size: int, fixed: int) -> np.ndarray:
 
 
 def st_holds(codes: np.ndarray, size: int, a: int, b: int, c: int) -> np.ndarray:
-    """`rel_st(graph).holds(a, b, c)` for the graph of every code.
+    """`rel_st(graph).fn(a, b, c)` for the graph of every code.
 
     The triple is fixed, so `st` is one mask test: A and B must not meet
     off C, and the code must miss every pair that joins a vertex of A
@@ -408,26 +418,22 @@ def rel_div(config: OrderedConfig, include_degenerate: bool = True) -> TernaryRe
 # Catalogue and file format
 
 
-GF2_LINE = ((1, 0), (0, 1), (1, 1))
-GF3_LINE = ((1, 0), (0, 1), (1, 1), (1, 2))
-GF2_PLANE = tuple(
-    (x, y, z)
-    for x in (0, 1)
-    for y in (0, 1)
-    for z in (0, 1)
-    if (x, y, z) != (0, 0, 0)
-)
-
-
 @dataclass(frozen=True)
 class Instance:
     name: str
-    kind: str  # closure | pregeometry | graph | order
-    description: str
     op: Optional[ClosureOperator] = None
     pg: Optional[Pregeometry] = field(default=None, compare=False)
     graph: Optional[Graph] = None
     config: Optional[OrderedConfig] = None
+
+    @property
+    def kind(self) -> str:
+        """pregeometry, closure, graph or order."""
+        if self.pg is not None:
+            return "pregeometry"
+        if self.op is not None:
+            return "closure"
+        return "graph" if self.graph is not None else "order"
 
     @property
     def ground(self) -> GroundSet:
@@ -438,83 +444,61 @@ class Instance:
         return self.pg.ground
 
 
-def _pg_instance(name: str, pg: Pregeometry, desc: str) -> Instance:
-    return Instance(name, "pregeometry", desc, op=pg.op, pg=pg)
-
-
-def _path_graph(n: int) -> Graph:
-    return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
-
-
 def dlo_config(n: int) -> OrderedConfig:
     """The points 0, 1, ..., n-1 of the rationals, in increasing order."""
     return OrderedConfig(tuple(Fraction(i) for i in range(n)))
 
 
-def _graph_instance(name: str, g: Graph) -> Instance:
-    return Instance(name, "graph", f"graph on {g.size} vertices "
-                    f"with {len(g.edges)} edges", graph=g)
-
-
-def _dlo_instance(name: str, n: int) -> Instance:
-    return Instance(name, "order", f"{n} rational points in increasing order",
-                    config=dlo_config(n))
-
-
-#: name -> builder of each built-in instance, in catalog order
-_BUILDERS: dict[str, Callable[[str], Instance]] = {
-    "trivial3": lambda name: _pg_instance(
-        name, Pregeometry(trivial_closure(GroundSet(3))),
-        "trivial closure on 3 elements"),
-    "trivial4": lambda name: _pg_instance(
-        name, Pregeometry(trivial_closure(GroundSet(4))),
-        "trivial closure on 4 elements"),
-    "trivial5": lambda name: _pg_instance(
-        name, Pregeometry(trivial_closure(GroundSet(5))),
-        "trivial closure on 5 elements"),
-    "gebert4": lambda name: Instance(
-        name, "closure", "initial-segment closure on 4 elements",
-        op=gebert_closure(4)),
-    "gebert8": lambda name: Instance(
-        name, "closure", "initial-segment closure on 8 elements",
-        op=gebert_closure(8)),
-    "u23": lambda name: _pg_instance(
-        name, uniform_pregeometry(2, 3), "uniform rank 2 on 3 elements"),
-    "u34": lambda name: _pg_instance(
-        name, uniform_pregeometry(3, 4), "uniform rank 3 on 4 elements"),
-    "u36": lambda name: _pg_instance(
-        name, uniform_pregeometry(3, 6), "uniform rank 3 on 6 elements"),
-    "gf2-3": lambda name: _pg_instance(
-        name, linear_pregeometry(GF2_LINE, 2), "all nonzero vectors of GF(2)^2"),
-    "gf3-4": lambda name: _pg_instance(
-        name, linear_pregeometry(GF3_LINE, 3), "one vector per line of GF(3)^2"),
-    "gf2-7": lambda name: _pg_instance(
-        name, linear_pregeometry(GF2_PLANE, 2), "all nonzero vectors of GF(2)^3"),
-    "path3": lambda name: _graph_instance(name, _path_graph(3)),
-    "path4": lambda name: _graph_instance(name, _path_graph(4)),
-    "triangle3": lambda name: _graph_instance(
-        name, Graph.build(3, [(0, 1), (1, 2), (0, 2)])),
-    "star4": lambda name: _graph_instance(
-        name, Graph.build(4, [(0, 1), (0, 2), (0, 3)])),
-    "empty4": lambda name: _graph_instance(name, Graph.build(4, [])),
-    "dlo4": lambda name: _dlo_instance(name, 4),
-    "dlo5": lambda name: _dlo_instance(name, 5),
-    "dlo6": lambda name: _dlo_instance(name, 6),
+#: name -> (description, instance file text) of each built-in instance,
+#: in catalog order
+CATALOG: dict[str, tuple[str, str]] = {
+    "trivial3": ("trivial closure on 3 elements", "type = trivial\nsize = 3"),
+    "trivial4": ("trivial closure on 4 elements", "type = trivial\nsize = 4"),
+    "trivial5": ("trivial closure on 5 elements", "type = trivial\nsize = 5"),
+    "gebert4": ("initial-segment closure on 4 elements",
+                "type = gebert\nsize = 4"),
+    "gebert8": ("initial-segment closure on 8 elements",
+                "type = gebert\nsize = 8"),
+    "u23": ("uniform rank 2 on 3 elements", "type = uniform\nsize = 3\nrank = 2"),
+    "u34": ("uniform rank 3 on 4 elements", "type = uniform\nsize = 4\nrank = 3"),
+    "u36": ("uniform rank 3 on 6 elements", "type = uniform\nsize = 6\nrank = 3"),
+    "gf2-3": ("all nonzero vectors of GF(2)^2",
+              "type = linear\nfield = gf2\nvectors = 10 01 11"),
+    "gf3-4": ("one vector per line of GF(3)^2",
+              "type = linear\nfield = gf3\nvectors = 10 01 11 12"),
+    "gf2-7": ("all nonzero vectors of GF(2)^3",
+              "type = linear\nfield = gf2\nvectors = 001 010 011 100 101 110 111"),
+    "path3": ("graph on 3 vertices with 2 edges",
+              "type = graph\nsize = 3\nedges = 0-1 1-2"),
+    "path4": ("graph on 4 vertices with 3 edges",
+              "type = graph\nsize = 4\nedges = 0-1 1-2 2-3"),
+    "triangle3": ("graph on 3 vertices with 3 edges",
+                  "type = graph\nsize = 3\nedges = 0-1 1-2 0-2"),
+    "star4": ("graph on 4 vertices with 3 edges",
+              "type = graph\nsize = 4\nedges = 0-1 0-2 0-3"),
+    "empty4": ("graph on 4 vertices with 0 edges", "type = graph\nsize = 4"),
+    "dlo4": ("4 rational points in increasing order",
+             "type = order\npoints = 0 1 2 3"),
+    "dlo5": ("5 rational points in increasing order",
+             "type = order\npoints = 0 1 2 3 4"),
+    "dlo6": ("6 rational points in increasing order",
+             "type = order\npoints = 0 1 2 3 4 5"),
 }
 
 #: the names of the built-in instances, in catalog order
-CATALOG_NAMES: tuple[str, ...] = tuple(_BUILDERS)
+CATALOG_NAMES: tuple[str, ...] = tuple(CATALOG)
 
 
 def catalog_instance(name: str) -> Instance:
     """One built-in instance, built without the others; KeyError when no
     instance has that name."""
-    return _BUILDERS[name](name)
+    return parse_instance(CATALOG[name][1], name)
 
 
 def catalog() -> dict[str, Instance]:
     """The built-in instance library, keyed by short name."""
-    return {name: build(name) for name, build in _BUILDERS.items()}
+    return {name: parse_instance(text, name)
+            for name, (_, text) in CATALOG.items()}
 
 
 class InstanceFormatError(ValueError):
@@ -525,10 +509,23 @@ _KNOWN_KEYS = {"type", "size", "rank", "field", "vectors", "edges", "points"}
 
 
 def parse_instance(text: str, name: str = "file") -> Instance:
-    """Parse the line-oriented instance format.
+    """Parse the line-oriented instance format; the only way an
+    `Instance` is built (the catalog is a table of such files, see
+    `CATALOG`).
 
-    Lines are `key = value`; `#` starts a comment.  The `type` key picks
-    the constructor; `cl {..} = {..}` lines define explicit tables.
+    Lines are `key = value`; `#` starts a comment; each key appears at
+    most once.  The `type` key picks the construction and its keys:
+
+      * `trivial`, `size`: every set is closed (a pregeometry)
+      * `gebert`, `size`: the initial-segment closure
+      * `uniform`, `size`, `rank`: the uniform pregeometry
+      * `linear`, `field` (gf2, the default, or gf3), `vectors`: the span
+        pregeometry of space-separated digit strings such as `10 01 11`
+      * `table`, `size`, and one `cl {..} = {..}` line per subset: an
+        explicit closure operator, validated
+      * `graph`, `size`, `edges` (pairs `u-v`, space or comma separated,
+        default none)
+      * `order`, `points`: strictly increasing rationals such as `0 1/2 3`
     """
     fields: dict[str, str] = {}
     cl_lines: list[tuple[int, str, str]] = []
@@ -575,34 +572,8 @@ def _build_instance(
     kind: str, fields: dict[str, str], cl_lines: list[tuple[int, str, str]],
     name: str
 ) -> Instance:
-    if kind == "trivial":
-        size = _int_field(fields, "size")
-        pg = Pregeometry(trivial_closure(GroundSet(size)))
-        return _pg_instance(name, pg, f"trivial closure on {size} elements")
     if kind == "gebert":
-        size = _int_field(fields, "size")
-        return Instance(name, "closure",
-                        f"initial-segment closure on {size} elements",
-                        op=gebert_closure(size))
-    if kind == "uniform":
-        size = _int_field(fields, "size")
-        rank = _int_field(fields, "rank")
-        return _pg_instance(name, uniform_pregeometry(rank, size),
-                            f"uniform rank {rank} on {size} elements")
-    if kind == "linear":
-        fld = fields.get("field", "gf2")
-        if fld not in ("gf2", "gf3"):
-            raise InstanceFormatError(f"unknown field {fld!r}")
-        modulus = 2 if fld == "gf2" else 3
-        if "vectors" not in fields:
-            raise InstanceFormatError("linear instance needs 'vectors'")
-        vectors = []
-        for chunk in fields["vectors"].split():
-            vectors.append(tuple(int(ch) for ch in chunk))
-        if len({len(v) for v in vectors}) > 1:
-            raise InstanceFormatError("vectors must share a dimension")
-        return _pg_instance(name, linear_pregeometry(vectors, modulus),
-                            f"{len(vectors)} vectors over {fld}")
+        return Instance(name, op=gebert_closure(_int_field(fields, "size")))
     if kind == "table":
         size = _int_field(fields, "size")
         ground = GroundSet(size)
@@ -616,9 +587,7 @@ def _build_instance(
             if arg in mapping:
                 raise InstanceFormatError(f"line {lineno}: duplicate cl line")
             mapping[arg] = val
-        op = operator_from_table(ground, mapping)
-        return Instance(name, "closure", f"explicit table on {size} elements",
-                        op=op)
+        return Instance(name, op=operator_from_table(ground, mapping))
     if kind == "graph":
         size = _int_field(fields, "size")
         pairs = []
@@ -628,10 +597,7 @@ def _build_instance(
                 pairs.append((int(u), int(v)))
             except ValueError:
                 raise InstanceFormatError(f"bad edge {chunk!r}") from None
-        g = Graph.build(size, pairs)
-        return Instance(name, "graph",
-                        f"graph on {size} vertices with {len(g.edges)} edges",
-                        graph=g)
+        return Instance(name, graph=Graph.build(size, pairs))
     if kind == "order":
         if "points" not in fields:
             raise InstanceFormatError("order instance needs 'points'")
@@ -639,6 +605,23 @@ def _build_instance(
             pts = tuple(Fraction(p) for p in fields["points"].split())
         except ZeroDivisionError:
             raise InstanceFormatError("points: zero denominator") from None
-        return Instance(name, "order", f"{len(pts)} rational points",
-                        config=OrderedConfig(pts))
-    raise InstanceFormatError(f"unknown instance type {kind!r}")
+        return Instance(name, config=OrderedConfig(pts))
+    if kind == "trivial":
+        pg = Pregeometry(trivial_closure(GroundSet(_int_field(fields, "size"))))
+    elif kind == "uniform":
+        size = _int_field(fields, "size")
+        pg = uniform_pregeometry(_int_field(fields, "rank"), size)
+    elif kind == "linear":
+        fld = fields.get("field", "gf2")
+        if fld not in ("gf2", "gf3"):
+            raise InstanceFormatError(f"unknown field {fld!r}")
+        if "vectors" not in fields:
+            raise InstanceFormatError("linear instance needs 'vectors'")
+        vectors = [tuple(int(ch) for ch in chunk)
+                   for chunk in fields["vectors"].split()]
+        if len({len(v) for v in vectors}) > 1:
+            raise InstanceFormatError("vectors must share a dimension")
+        pg = linear_pregeometry(vectors, 2 if fld == "gf2" else 3)
+    else:
+        raise InstanceFormatError(f"unknown instance type {kind!r}")
+    return Instance(name, op=pg.op, pg=pg)

@@ -5,7 +5,8 @@ A relation carries two evaluation routes: a scalar predicate on masks
 builder, the only route to the full 2^(3n) truth table.  The two routes
 are independent implementations and are cross-checked in the test
 suite; all heavy scanning (axiom checks, table comparisons) runs on the
-materialized table.
+materialized table.  A transformer's predicate calls its base's
+predicate, so the scalar route never reads a table, built or not.
 
 Table layout: every truth table is a C-contiguous `bool` array indexed
 [A, B, C], so the (B, C) plane of one A is one contiguous block.
@@ -49,11 +50,6 @@ class TernaryRelation:
     fn: Callable[[int, int, int], bool]
     builder: Callable[[], np.ndarray]
     table: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def holds(self, a: int, b: int, c: int) -> bool:
-        if self.table is not None:
-            return bool(self.table[a, b, c])
-        return bool(self.fn(a, b, c))
 
 
 def check_table_budget(
@@ -190,7 +186,7 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
         free = int(cl[b | c]) & ~c
         sub = free
         while True:
-            if not r.holds(a, b, c | sub):
+            if not r.fn(a, b, c | sub):
                 return False
             if sub == 0:
                 return True
@@ -238,7 +234,7 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
     cl = op.table
 
     def fn(a: int, b: int, c: int) -> bool:
-        return r.holds(a, int(cl[b | c]), c)
+        return r.fn(a, int(cl[b | c]), c)
 
     def build() -> np.ndarray:
         base = materialize(r).table
@@ -258,7 +254,7 @@ def opposite(r: TernaryRelation) -> TernaryRelation:
     """Swap the two sides: (A, B, C) |-> r(B, A, C)."""
 
     def fn(a: int, b: int, c: int) -> bool:
-        return r.holds(b, a, c)
+        return r.fn(b, a, c)
 
     def build() -> np.ndarray:
         return materialize(r).table.transpose(1, 0, 2).copy()

@@ -67,7 +67,8 @@ class UnknownSuite(ValueError):
 
 
 class UnknownInstance(UnknownSuite):
-    """A suite was restricted to names that are not in the catalog."""
+    """A suite was restricted to names that are not in the catalog, or
+    to one name twice."""
 
 
 @dataclass(frozen=True)
@@ -535,7 +536,8 @@ _SUITE_BODIES: dict[str, Callable[[InstancePool], list[CheckResult]]] = {
 def _check_request(
     suite_ids: Sequence[str], instances: Optional[Sequence[str]]
 ) -> None:
-    """Refuse an unknown suite id, then unknown instance names."""
+    """Refuse an unknown suite id, then unknown instance names, then a
+    repeated instance name."""
     for suite_id in suite_ids:
         if suite_id not in _SUITE_BODIES:
             raise UnknownSuite(f"unknown suite: {suite_id}")
@@ -543,6 +545,10 @@ def _check_request(
         missing = [n for n in instances if n not in CATALOG_NAMES]
         if missing:
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
+        repeated = dict.fromkeys(n for n in instances if instances.count(n) > 1)
+        if repeated:
+            raise UnknownInstance(
+                f"repeated instances: {', '.join(repeated)}")
 
 
 def run_suite(

@@ -254,7 +254,8 @@ def test_compare_incomparable():
 
 
 def test_compare_matches_scalar_scan():
-    """Verdict and least differing (A, B, C) against a loop over holds."""
+    """Verdict and least differing (A, B, C) against a loop over the
+    scalar predicates."""
     rng = np.random.default_rng(5)
     verdicts = set()
     for size in (1, 2, 3):
@@ -266,8 +267,8 @@ def test_compare_matches_scalar_scan():
             t2 = (t1, t1 | extra, t1 & ~extra, rng.random(shape) < 0.5)[k % 4]
             r1, r2 = from_table(g, "r1", t1), from_table(g, "r2", t2)
             cells = list(product(range(1 << size), repeat=3))
-            more = [x for x in cells if r1.holds(*x) and not r2.holds(*x)]
-            less = [x for x in cells if r2.holds(*x) and not r1.holds(*x)]
+            more = [x for x in cells if r1.fn(*x) and not r2.fn(*x)]
+            less = [x for x in cells if r2.fn(*x) and not r1.fn(*x)]
             if not more and not less:
                 expected = Comparison("equal", None)
             else:
@@ -368,7 +369,8 @@ def test_closure_axiom_bodies_need_no_table(name, rel_id):
     inst = catalog_instance(name)
     op = instance_operator(inst)
     scalar = resolve_relation(inst, rel_id)  # never materialized
-    table = materialize(resolve_relation(inst, rel_id))
+    table = from_table(inst.ground, rel_id,
+                       materialize(resolve_relation(inst, rel_id)).table)
     count, size = inst.ground.subset_count, inst.ground.size
     tuples = {
         AxiomId.AREF: list(product([1 << a for a in range(size)],

@@ -175,6 +175,15 @@ def test_verify_unknown_instances_names_the_flag(capsys):
     assert err == "error: --instances: unknown instances: nope\n"
 
 
+def test_verify_repeated_instance_is_usage_error(capsys):
+    """A name given twice would run its checks twice; it is refused
+    before any suite runs."""
+    code, out, err = run(capsys, "verify", "--suite", "dim-laws",
+                         "--instances", "u34,u23,u34")
+    assert code == 2 and out == ""
+    assert err == "error: --instances: repeated instances: u34\n"
+
+
 def test_over_budget_instance_is_usage_error(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("type = trivial\nsize = 9\n")
@@ -239,6 +248,19 @@ def test_zero_denominator_point_is_usage_error(capsys, tmp_path):
                          "--relation", "div", "--axiom", "SYM")
     assert code == 2 and out == ""
     assert err == f"error: --instance: {path}: points: zero denominator\n"
+
+
+def test_linear_instance_over_the_span_budget_is_usage_error(capsys, tmp_path):
+    """Twelve independent GF(3) vectors would keep 4^12 span vectors of
+    twelve coordinates; the file is refused once the spans pass the
+    budget, as one error line."""
+    units = " ".join(f"{1 << k:012b}" for k in range(12))
+    path = tmp_path / "gf3-12.txt"
+    path.write_text(f"type = linear\nfield = gf3\nvectors = {units}\n")
+    code, out, err = run(capsys, "modular", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: --instance: {path}: the spans of 12 vectors need"
+                   f" more than {relcalc.DEFAULT_TABLE_CAP_BITS} coordinates\n")
 
 
 def test_unknown_instance(capsys):

@@ -1,11 +1,13 @@
 """The recorded command output in tests/data/golden.txt must not change.
 
 The file holds the `verify --suite all` report, `check --all` for five
-relations on gebert4, u34 and u36, and `modular` on every catalog
-pregeometry with at most six elements.  Each command's section starts
-with a `$ pregeolab ...` line and holds what the command writes, stdout
-then stderr; the verify section holds the report file instead.  The CI
-workflow builds the same file through the installed console script.
+relations on gebert4, u34 and u36, `modular` on every catalog
+pregeometry with at most six elements, and `list`, which pins the
+catalog's names, kinds, sizes and descriptions.  Each command's section
+starts with a `$ pregeolab ...` line and holds what the command writes,
+stdout then stderr; the verify section holds the report file instead.
+The CI workflow builds the same file through the installed console
+script.
 
 Re-record only for an intended change of output:
 
@@ -47,6 +49,7 @@ def golden_text() -> str:
               for inst in CHECK_INSTANCES for rel in CHECK_RELATIONS]
     parts += [_command("modular", "--instance", inst)
               for inst in MODULAR_INSTANCES]
+    parts.append(_command("list"))
     return "".join(parts)
 
 

@@ -6,10 +6,11 @@ import pytest
 
 from pregeolab.axioms import compare
 from pregeolab.cli import resolve_relation
+from pregeolab.closure import ClosureOperator, Pregeometry, trivial_closure
 from pregeolab.geometry import basis_of, independence_table
 from pregeolab.instances import (
+    CATALOG,
     CATALOG_NAMES,
-    GF2_PLANE,
     BaseMismatch,
     Graph,
     InstanceFormatError,
@@ -17,6 +18,7 @@ from pregeolab.instances import (
     canonical_codes,
     catalog,
     catalog_instance,
+    dlo_config,
     free_amalgam,
     free_amalgam_codes,
     gebert_closure,
@@ -30,8 +32,18 @@ from pregeolab.instances import (
     st_holds,
     uniform_pregeometry,
 )
-from pregeolab.lattice import elements_of, mask_of
+from pregeolab.lattice import GroundSet, elements_of, mask_of
 from pregeolab.relcalc import materialize, rel_intersection
+
+GF2_LINE = ((1, 0), (0, 1), (1, 1))
+GF3_LINE = ((1, 0), (0, 1), (1, 1), (1, 2))
+GF2_PLANE = tuple(
+    (x, y, z)
+    for x in (0, 1)
+    for y in (0, 1)
+    for z in (0, 1)
+    if (x, y, z) != (0, 0, 0)
+)
 
 
 def test_gebert_closure_values():
@@ -73,8 +85,8 @@ def _brute_span(vectors, modulus, members):
 
 
 @pytest.mark.parametrize("modulus,vectors", [
-    (2, ((1, 0), (0, 1), (1, 1))),
-    (3, ((1, 0), (0, 1), (1, 1), (1, 2))),
+    (2, GF2_LINE),
+    (3, GF3_LINE),
     (2, GF2_PLANE),
 ])
 def test_linear_closure_matches_span(modulus, vectors):
@@ -229,7 +241,7 @@ def test_canonical_codes_match_isomorphic_over_base():
 
 
 def test_st_holds_matches_rel_st():
-    """The code-level `st` agrees with `rel_st(g).holds` (the scalar
+    """The code-level `st` agrees with `rel_st(g).fn` (the scalar
     definition: no table is built) on every graph and every triple with
     at most four vertices."""
     for size in range(5):
@@ -240,7 +252,7 @@ def test_st_holds_matches_rel_st():
             for b in range(count):
                 for c in range(count):
                     got = st_holds(codes, size, a, b, c).tolist()
-                    assert got == [r.holds(a, b, c) for r in relations]
+                    assert got == [r.fn(a, b, c) for r in relations]
         assert all(r.table is None for r in relations)
 
 
@@ -315,10 +327,9 @@ def test_catalog_contents():
     assert tuple(cat) == CATALOG_NAMES
     for name, inst in cat.items():
         assert inst.name == name
-        assert inst.description
+        assert CATALOG[name][0]  # a description for `pregeolab list`
         alone = catalog_instance(name)  # built alone, the same
-        assert (alone.name, alone.kind, alone.description) == (
-            inst.name, inst.kind, inst.description)
+        assert (alone.name, alone.kind) == (inst.name, inst.kind)
         assert (alone.graph, alone.config) == (inst.graph, inst.config)
         assert same_operator(alone.op, inst.op)
         assert same_operator(alone.pg and alone.pg.op, inst.pg and inst.pg.op)
@@ -326,24 +337,57 @@ def test_catalog_contents():
         catalog_instance("nope")
 
 
+def _path(n):
+    return Graph.build(n, [(i, i + 1) for i in range(n - 1)])
+
+
+#: name -> the direct constructor call each catalog entry's file stands for
+REFERENCE = {
+    "trivial3": lambda: Pregeometry(trivial_closure(GroundSet(3))),
+    "trivial4": lambda: Pregeometry(trivial_closure(GroundSet(4))),
+    "trivial5": lambda: Pregeometry(trivial_closure(GroundSet(5))),
+    "gebert4": lambda: gebert_closure(4),
+    "gebert8": lambda: gebert_closure(8),
+    "u23": lambda: uniform_pregeometry(2, 3),
+    "u34": lambda: uniform_pregeometry(3, 4),
+    "u36": lambda: uniform_pregeometry(3, 6),
+    "gf2-3": lambda: linear_pregeometry(GF2_LINE, 2),
+    "gf3-4": lambda: linear_pregeometry(GF3_LINE, 3),
+    "gf2-7": lambda: linear_pregeometry(GF2_PLANE, 2),
+    "path3": lambda: _path(3),
+    "path4": lambda: _path(4),
+    "triangle3": lambda: Graph.build(3, [(0, 1), (1, 2), (0, 2)]),
+    "star4": lambda: Graph.build(4, [(0, 1), (0, 2), (0, 3)]),
+    "empty4": lambda: Graph.build(4, []),
+    "dlo4": lambda: dlo_config(4),
+    "dlo5": lambda: dlo_config(5),
+    "dlo6": lambda: dlo_config(6),
+}
+
+
 def test_parse_instance_matches_catalog():
-    # trivial and gebert files are parsed by no other test
-    files = {
-        "trivial3": "type = trivial\nsize = 3\n",
-        "gebert4": "type = gebert\nsize = 4\n",
-        "u34": "type = uniform\nsize = 4\nrank = 3\n",
-        "path4": "type = graph\nsize = 4\nedges = 0-1 1-2 2-3\n",
-        "dlo4": "type = order\npoints = 0 1 2 3\n",
-    }
-    for name, text in files.items():
-        got, want = parse_instance(text, name), catalog_instance(name)
-        assert got.kind == want.kind
-        assert (got.graph, got.config) == (want.graph, want.config)
-        assert same_operator(got.op, want.op)
+    """Each catalog entry, parsed from its file text, builds the same
+    closure table, pregeometry-or-not, graph and order as the direct
+    constructor call."""
+    assert tuple(REFERENCE) == CATALOG_NAMES
+    kinds = set()
+    for name, inst in catalog().items():
+        want = REFERENCE[name]()
+        pg = want if isinstance(want, Pregeometry) else None
+        op = pg.op if pg else want if isinstance(want, ClosureOperator) else None
+        assert (inst.pg is None) == (pg is None), name
+        assert same_operator(inst.op, op), name
+        assert same_operator(inst.pg and inst.pg.op, pg and op), name
+        assert inst.graph == (want if isinstance(want, Graph) else None), name
+        assert inst.config == (
+            want if isinstance(want, OrderedConfig) else None), name
+        kinds.add(inst.kind)
+    assert kinds == {"pregeometry", "closure", "graph", "order"}
 
 
 def test_parse_instance_kinds():
     inst = parse_instance("type = uniform\nsize = 4\nrank = 2\n")
+    assert inst.kind == "pregeometry"
     assert inst.pg is not None and basis_of(inst.pg, 0b1111).value == 2
     inst = parse_instance("type = linear\nfield = gf2\nvectors = 10 01 11\n")
     assert inst.pg is not None and basis_of(inst.pg, 0b111).value == 2
@@ -382,5 +426,6 @@ def test_parse_instance_table_with_comments():
     cl {0,1} = {0,1}
     """
     inst = parse_instance(text)
-    assert inst.op is not None
+    assert inst.kind == "closure"  # an explicit table is never promoted
+    assert inst.op is not None and inst.pg is None
     assert inst.op.table.tolist() == [0, 1, 2, 3]

@@ -36,15 +36,15 @@ def u34():
     return uniform_pregeometry(3, 4)
 
 
-def assert_table_matches_scalar(r, scalar=None):
+def assert_table_matches_scalar(r):
     """The vectorised table and the scalar evaluator are independent
     routes to the same relation.  The table is a C-contiguous bool array."""
     t = materialize(r).table
     assert t.dtype == bool and t.flags.c_contiguous, r.name
-    fn = r.fn if scalar is None else scalar.fn
     count = r.ground.subset_count
     expected = np.array(
-        [fn(a, b, c) for a, b, c in product(range(count), repeat=3)], dtype=bool
+        [r.fn(a, b, c) for a, b, c in product(range(count), repeat=3)],
+        dtype=bool,
     ).reshape(t.shape)
     mismatch = np.argwhere(t != expected)
     assert len(mismatch) == 0, (r.name, tuple(mismatch[0]))
@@ -65,9 +65,7 @@ def test_builders_match_scalar_eval(u34):
         assert_table_matches_scalar(monotonise_M(random_relation(g.ground, seed), g))
         assert_table_matches_scalar(monotonise_m(random_relation(u34.ground, seed)))
     # Every relation id and its opposite on every catalog instance with
-    # n <= 4 that resolves.  The scalar route runs on a second, fresh
-    # relation, so a transformer's base is evaluated by its own scalar
-    # predicate and never through a built table.
+    # n <= 4 that resolves.
     ids = list(RELATION_IDS) + [f"opp({rid})" for rid in RELATION_IDS]
     checked = set()
     for inst in catalog().values():
@@ -78,7 +76,7 @@ def test_builders_match_scalar_eval(u34):
                 r = resolve_relation(inst, rid)
             except UsageError:
                 continue
-            assert_table_matches_scalar(r, resolve_relation(inst, rid))
+            assert_table_matches_scalar(r)
             checked.add((inst.name, rid))
     assert len(checked) == 160
     # on u34 and gebert4 some pass of the aM builder has cells (B, C),
@@ -105,8 +103,21 @@ def test_builders_match_scalar_eval(u34):
         for op in (gebert_closure(4), u34.op):
             for transform in (monotonise_M, closure_extend_c):
                 assert_table_matches_scalar(
-                    transform(resolve_relation(inst, rid), op),
                     transform(resolve_relation(inst, rid), op))
+
+
+def test_transformer_predicates_read_no_table(u34):
+    """A transformer's scalar predicate calls its base's predicate, not
+    the base's table: after the stack is built, a corrupted base table
+    leaves the predicate unchanged."""
+    op = u34.op
+    stacks = (lambda base: monotonise_M(base, op),
+              lambda base: closure_extend_c(base, op), opposite)
+    for stack in stacks:
+        base = rel_a(op)
+        r = materialize(stack(base))  # builds the base table too
+        base.table = ~base.table
+        assert_table_matches_scalar(r)
 
 
 def test_monotonise_passes_match_scalar_at_size_five():
@@ -165,25 +176,25 @@ def test_materialize_keeps_the_table_on_its_argument(u34):
 
 def test_rel_intersection_examples():
     r = rel_intersection(GroundSet(2))
-    assert not r.holds(0b01, 0b01, 0)
-    assert r.holds(0b01, 0b01, 0b01)
-    assert r.holds(0b01, 0b10, 0)
+    assert not r.fn(0b01, 0b01, 0)
+    assert r.fn(0b01, 0b01, 0b01)
+    assert r.fn(0b01, 0b10, 0)
 
 
 def test_rel_a_examples(u34):
     r = rel_a(u34.op)
-    assert r.holds(0b0011, 0b1100, 0)
-    assert not r.holds(0b0011, 0b1100, 0b0100)
+    assert r.fn(0b0011, 0b1100, 0)
+    assert not r.fn(0b0011, 0b1100, 0b0100)
 
 
 def test_rel_cl_examples(u34):
     r = rel_cl(u34)
-    assert not r.holds(0b0011, 0b1100, 0)
+    assert not r.fn(0b0011, 0b1100, 0)
     # A inside the base: trivially independent
     for b in range(16):
-        assert r.holds(0b0010, b, 0b0011)
+        assert r.fn(0b0010, b, 0b0011)
     gf2 = catalog()["gf2-3"].pg
-    assert rel_cl(gf2).holds(0b001, 0b010, 0)
+    assert rel_cl(gf2).fn(0b001, 0b010, 0)
 
 
 def test_rel_cl_collapse_to_subsets():
@@ -212,8 +223,8 @@ def test_monotonise_fixed_point_on_trivial():
 def test_monotonise_M_example(u34):
     aM = monotonise_M(rel_a(u34.op), u34.op)
     # fails at the intermediate base X = {2}
-    assert rel_a(u34.op).holds(0b0011, 0b1100, 0)
-    assert not aM.holds(0b0011, 0b1100, 0)
+    assert rel_a(u34.op).fn(0b0011, 0b1100, 0)
+    assert not aM.fn(0b0011, 0b1100, 0)
 
 
 def test_monotonise_m_equals_M_with_trivial_closure():
@@ -237,7 +248,7 @@ def test_monotonise_m_keeps_always_true():
 def test_closure_extend_examples(u34):
     ac = closure_extend_c(rel_a(u34.op), u34.op)
     # cl({1,2}) is {1,2} itself in rank 3, so the value is plain rel_a
-    assert ac.holds(0b0001, 0b0110, 0)
+    assert ac.fn(0b0001, 0b0110, 0)
     assert compare(
         closure_extend_c(always_true(u34.ground), u34.op),
         always_true(u34.ground),
@@ -249,7 +260,7 @@ def test_closure_extend_examples(u34):
     for a in range(8):
         for b in range(8):
             for c in range(8):
-                assert rc.holds(a, b, c) == r.holds(a, b | c, c)
+                assert rc.fn(a, b, c) == r.fn(a, b | c, c)
 
 
 def test_opposite_involution_and_symmetry(u34):

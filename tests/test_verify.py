@@ -277,7 +277,7 @@ def scalar_amalgam_scan(base_size, n1, n2, amalgam=free_amalgam):
             g1_relabelled = [_relabel_free(g1, base_size, p) for p in perms1]
             for g2 in rights:
                 h = amalgam(g1, g2, base_vertices)
-                if not rel_st(h).holds(part1, part2_mask, base_mask):
+                if not rel_st(h).fn(part1, part2_mask, base_mask):
                     return verify.CheckResult(subject, "st-on-parts", "fail",
                                               (part1, part2_mask, base_mask))
                 relabelled = (
