@@ -13,17 +13,25 @@ Witness tuple layout per axiom:
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
 
-The three-variable axioms scan the table one contiguous A row at a time:
-each row gives the (B, C) violation plane of that A, the first row with
-a violation holds the least witness, and the least (C, B) within it is
-the first true entry of the transposed plane.  The four-variable axioms
-never build the 2^(4n) array; one of three scans runs at every
-ground-set size, chosen by axiom family:
+SYM, CLO-* and SCLO scan the table one contiguous A row at a time: each
+row gives the (B, C) violation plane of that A, the first row with a
+violation holds the least witness, and the least (C, B) within it is the
+first true entry of the transposed plane.  The NOR and chain scans
+instead pack one axis of the table into bits (`_pack`: 2^n bits per row,
+32 bytes at n = 8), so that one gather of a packed row serves every
+value of that axis at once and no scan loops over the 2^n A rows.
+NOR-R packs A, over rows (B, C): the least bit of the OR over all rows
+is the least A, and the least (C, B) whose row has that bit completes
+it.  NOR-L packs B, over rows (A, C): the first nonzero row is the least
+(A, C), and its least bit is B.  The four-variable axioms never build
+the 2^(4n) array; one of three scans runs at every ground-set size,
+chosen by axiom family:
 
-- chain scan (BMON-*, TRA-*): the 4^n chains C <= B <= D are listed in
-  (C, B, D) order.  A runs ascending and each A gets one violation
-  vector over all chains, so the first A with a violation and the first
-  true entry of its vector are the least (A, C, B, D).
+- chain scan (BMON-*, TRA-*): A is packed, and the violation rows of
+  the 4^n chains C <= B <= D are two or three gathers of packed rows
+  (`_scan_chain`).  The least bit of their OR is the least A, and the
+  least (C, B, D) among the chains with that bit completes the least
+  (A, C, B, D).
 - zeta scan (MON-*): some D violates the body at (A, C, B) exactly when
   r fails at (A, B, C) and holds with a superset of B (of A for MON-L)
   in its place.  A superset-OR transform along that axis marks these
@@ -144,40 +152,119 @@ def _scan_3var(count: int, plane) -> Optional[tuple[int, int, int]]:
 
 
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The chains C <= B <= D sorted by (C, B, D); base-4 digit i of the
-    code places element i outside D, in D only, in B only, or in C.
-
-    Not cached: arrays kept alive above a freed 2^24-cell table stop the
-    heap from shrinking, which raised peak RSS by 20 MB at n = 8.
-    """
-    code = np.arange(4**size)
-    key = np.zeros_like(code)  # C, B, D side by side: sorts as (C, B, D)
+    """The 4^n chains C <= B <= D as three arrays, in no particular order:
+    each element in turn is outside D, in D only, in B only, or in C."""
+    c = b = d = np.zeros(1, dtype=np.intp)
     for i in range(size):
-        place = code >> 2 * i & 3
-        bits = (place == 3) << 2 * size | (place >= 2) << size | (place >= 1)
-        key |= bits << i
-    key.sort()
-    full = (1 << size) - 1
-    return key >> 2 * size, key >> size & full, key & full
+        bit = 1 << i
+        c = np.concatenate((c, c, c, c | bit))
+        b = np.concatenate((b, b, b | bit, b | bit))
+        d = np.concatenate((d, d | bit, d | bit, d | bit))
+    return c, b, d
+
+
+def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
+    """The table's `axis` (0 or 1) packed into bits: rows indexed by the
+    other two axes in row-major order, each row the bits of `axis` packed
+    little-endian, as np.packbits(..., bitorder="little") lays them out.
+
+    From n = 3 on, 8 shift-ORs over uint64 views of the bool cells pack 8
+    cells per word in byte lanes at once, and a transpose makes the rows;
+    packbits along the axis is about 30 times slower at n = 8."""
+    count = len(t3)
+    if count < 8:
+        bits = np.packbits(t3, axis, bitorder="little")
+        return np.moveaxis(bits, axis, -1).reshape(count * count, 1)
+    cells = t3.reshape(count**axis, count >> 3, 8, -1).view(np.uint8)
+    words = cells[:, :, 0].view(np.uint64).copy()
+    lane = np.empty_like(words)
+    for k in range(1, 8):
+        words |= np.left_shift(cells[:, :, k].view(np.uint64), k, out=lane)
+    del lane
+    rows = np.ascontiguousarray(words.view(np.uint8).transpose(0, 2, 1))
+    return rows.reshape(count * count, count >> 3)
+
+
+def _least_bit(row: np.ndarray) -> int:
+    """Index of the least set bit of a packed row that has one."""
+    j = int(np.argmax(row != 0))
+    byte = int(row[j])
+    return 8 * j + (byte & -byte).bit_length() - 1
+
+
+def _least_a(
+    viol: np.ndarray, count: int
+) -> Optional[tuple[int, np.ndarray]]:
+    """The least bit A set in any of the count^2 packed rows of viol, and
+    bit A of every row; None when no row has a bit.  The OR runs over
+    blocks of count rows first, so no reduction has a short inner loop."""
+    found = np.bitwise_or.reduce(viol.reshape(count, -1), axis=0)
+    found = np.bitwise_or.reduce(found.reshape(count, -1), axis=0)
+    if not found.any():
+        return None
+    a = _least_bit(found)
+    return a, viol[:, a >> 3] >> (a & 7) & 1
 
 
 def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
-    t[D, B] and not t[D, C]."""
-    count = t3.shape[0]
-    c, b, d = _chains(count.bit_length() - 1)
-    dc, db, bc = d * count + c, d * count + b, b * count + c
-    for a in range(count):
-        t = (t3[:, a] if left else t3[a]).ravel()
-        if transitive:
-            viol = t[bc] & t[db] & ~t[dc]
-        else:
-            viol = t[dc] & ~t[db]
-        if viol.any():
-            i = int(np.argmax(viol))
-            return (a, int(c[i]), int(b[i]), int(d[i]))
-    return None
+    t[D, B] and not t[D, C].  The rows of t are packed over A, so one
+    gather of a row answers every A at once."""
+    count = len(t3)
+    size = count.bit_length() - 1
+    c, b, d = _chains(size)
+    p = _pack(t3, 1 if left else 0)
+
+    def at(x, y):
+        return p.take(x * count + y, axis=0)
+
+    # each word has a positive factor, so the zero padding bits of a row
+    # (n < 3) never mark a violation
+    if transitive:
+        viol = at(b, c)
+        viol &= at(d, b)
+        off = at(d, c)
+    else:
+        viol, off = at(d, c), at(d, b)
+    viol &= np.invert(off, out=off)
+    del off
+    hit = _least_a(viol, count)
+    if hit is None:
+        return None
+    a, has = hit
+    chains = np.flatnonzero(has)
+    key = (c[chains] << 2 * size) | (b[chains] << size) | d[chains]
+    i = chains[np.argmin(key)]
+    return (a, int(c[i]), int(b[i]), int(d[i]))
+
+
+def _scan_nor(t3: np.ndarray, left: bool) -> Optional[tuple[int, int, int]]:
+    """NOR-R: r(A, B, C) and not r(A, B+C, C), on rows (B, C) packed over
+    A, so the least A comes first and then the least (C, B) with its bit.
+    NOR-L: r(A, B, C) and not r(A+C, B, C), on rows (A, C) packed over B,
+    so the first nonzero row is the least (A, C) and its least bit is B."""
+    count = len(t3)
+    masks = np.arange(count)
+    p = _pack(t3, 1 if left else 0)
+    source = (masks[:, None] | masks[None, :]) * count + masks  # (X+C, C)
+    viol = p.take(source.ravel(), axis=0)
+    np.invert(viol, out=viol)
+    viol &= p
+    if left:
+        by_a = viol.reshape(count, -1).any(axis=1)
+        if not by_a.any():
+            return None
+        a = int(np.argmax(by_a))
+        rows = viol[a * count:(a + 1) * count]
+        c = int(np.argmax(rows.any(axis=1)))
+        return (a, c, _least_bit(rows[c]))
+    hit = _least_a(viol, count)
+    if hit is None:
+        return None
+    a, has = hit
+    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
+    return (a, c, b)
 
 
 def _zeta_or(t: np.ndarray, var: int, up: bool, clear: tuple[int, ...] = ()):
@@ -347,12 +434,8 @@ def _find_violation(
     if ax is AxiomId.SYM:
         return _scan_3var(count, lambda a: t3[a] & ~t3[:, a])
 
-    if ax is AxiomId.NOR_R:
-        cells = orm * count + masks  # flat index of (B+C, C) in a row
-        return _scan_3var(count, lambda a: t3[a] & ~t3[a].ravel()[cells])
-
-    if ax is AxiomId.NOR_L:
-        return _scan_3var(count, lambda a: t3[a] & ~t3[a | masks, :, masks].T)
+    if ax in (AxiomId.NOR_R, AxiomId.NOR_L):
+        return _scan_nor(t3, left=ax is AxiomId.NOR_L)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
         cl = _require_op(ax, op).table

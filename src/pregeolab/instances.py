@@ -76,10 +76,9 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
         raise ValueError("need at least one vector")
     dim, n = cols.shape
     ground = GroundSet(n)
-    vecs = cols.T
-    weights = modulus ** np.arange(dim)  # a vector's code: its base-p digits
-    owners: dict[int, int] = {}  # code -> mask of the vectors with that code
-    for j, code in enumerate((vecs @ weights).tolist()):
+    vecs = np.ascontiguousarray(cols.T)
+    owners: dict[bytes, int] = {}  # code -> mask of the vectors with that code
+    for j, code in enumerate(_row_codes(vecs)):
         owners[code] = owners.get(code, 0) | 1 << j
     multiples = np.arange(modulus, dtype=np.int8)[:, None, None]
     spans = [np.zeros((1, dim), dtype=np.int8)]
@@ -99,8 +98,14 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
                 span = ((span + multiples * vecs[top]) % modulus).reshape(-1, dim)
             spans.append(span)
         # span members are distinct, so their owner masks are disjoint
-        table.append(sum(owners.get(c, 0) for c in (spans[m] @ weights).tolist()))
+        table.append(sum(owners.get(c, 0) for c in _row_codes(spans[m])))
     return Pregeometry(operator_from_table(ground, table))
+
+
+def _row_codes(rows: np.ndarray) -> list[bytes]:
+    """Each row of a C-contiguous int8 array as its bytes: a code with no
+    arithmetic, so no dimension makes two vectors share one."""
+    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,7 @@ from .relcalc import (
 
 
 class UnknownSuite(ValueError):
-    pass
+    """A suite id is not known, or is given twice."""
 
 
 class UnknownInstance(UnknownSuite):
@@ -536,19 +536,24 @@ _SUITE_BODIES: dict[str, Callable[[InstancePool], list[CheckResult]]] = {
 def _check_request(
     suite_ids: Sequence[str], instances: Optional[Sequence[str]]
 ) -> None:
-    """Refuse an unknown suite id, then unknown instance names, then a
-    repeated instance name."""
+    """Refuse an unknown suite id, then a repeated suite id, then unknown
+    instance names, then a repeated instance name."""
     for suite_id in suite_ids:
         if suite_id not in _SUITE_BODIES:
             raise UnknownSuite(f"unknown suite: {suite_id}")
+    if repeated := _repeated(suite_ids):
+        raise UnknownSuite(f"repeated suites: {repeated}")
     if instances is not None:
         missing = [n for n in instances if n not in CATALOG_NAMES]
         if missing:
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
-        repeated = dict.fromkeys(n for n in instances if instances.count(n) > 1)
-        if repeated:
-            raise UnknownInstance(
-                f"repeated instances: {', '.join(repeated)}")
+        if repeated := _repeated(instances):
+            raise UnknownInstance(f"repeated instances: {repeated}")
+
+
+def _repeated(names: Sequence[str]) -> str:
+    """The names given more than once, in order of first appearance."""
+    return ", ".join(dict.fromkeys(n for n in names if names.count(n) > 1))
 
 
 def run_suite(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pregeolab.axioms import (
+    _pack,
     AXIOM_ORDER,
     AxiomId,
     Comparison,
@@ -174,6 +175,111 @@ def test_witness_minimality_against_scalar_rescan(axiom):
     assert max(rows_hit) > 0  # some least witness lies past the row A = {}
     if axiom in _STRONG:
         assert passed  # the pass path of the interval scans is covered
+
+
+def sorted_chains(size):
+    """The chains C <= B <= D listed in (C, B, D) order."""
+    code = np.arange(4**size)
+    key = np.zeros_like(code)  # C, B, D side by side: sorts as (C, B, D)
+    for i in range(size):
+        place = code >> 2 * i & 3
+        bits = (place == 3) << 2 * size | (place >= 2) << size | (place >= 1)
+        key |= bits << i
+    key.sort()
+    full = (1 << size) - 1
+    return key >> 2 * size, key >> size & full, key & full
+
+
+def scalar_chain_scan(t3, left, transitive):
+    """BMON and TRA one A row at a time: the first row with a violating
+    chain holds the least (A, C, B, D)."""
+    count = len(t3)
+    c, b, d = sorted_chains(count.bit_length() - 1)
+    dc, db, bc = d * count + c, d * count + b, b * count + c
+    for a in range(count):
+        t = (t3[:, a] if left else t3[a]).ravel()
+        if transitive:
+            viol = t[bc] & t[db] & ~t[dc]
+        else:
+            viol = t[dc] & ~t[db]
+        if viol.any():
+            i = int(np.argmax(viol))
+            return (a, int(c[i]), int(b[i]), int(d[i]))
+    return None
+
+
+def scalar_nor_scan(t3, left):
+    """NOR one A row at a time, on the (B, C) plane of each A."""
+    count = len(t3)
+    masks = np.arange(count)
+    cells = (masks[:, None] | masks[None, :]) * count + masks  # (B+C, C)
+    for a in range(count):
+        if left:
+            viol = t3[a] & ~t3[a | masks, :, masks].T
+        else:
+            viol = t3[a] & ~t3[a].ravel()[cells]
+        if viol.any():
+            c, b = divmod(int(np.argmax(viol.T)), count)
+            return (a, c, b)
+    return None
+
+
+_ROW_SCANS = {  # axiom -> its scan one A row at a time
+    AxiomId.BMON_R: lambda t3: scalar_chain_scan(t3, False, False),
+    AxiomId.BMON_L: lambda t3: scalar_chain_scan(t3, True, False),
+    AxiomId.TRA_R: lambda t3: scalar_chain_scan(t3, False, True),
+    AxiomId.TRA_L: lambda t3: scalar_chain_scan(t3, True, True),
+    AxiomId.NOR_R: lambda t3: scalar_nor_scan(t3, False),
+    AxiomId.NOR_L: lambda t3: scalar_nor_scan(t3, True),
+}
+
+
+def test_packed_scans_match_row_scans_on_random_tables():
+    """The packed chain and NOR scans report the same least witness as the
+    row scans at n = 0..6.  Dense tables put some witnesses past A = {},
+    and sparse ones put the least chain far from the first."""
+    rng = np.random.default_rng(13)
+    late = fails = 0
+    for size in range(7):
+        count = 1 << size
+        for density in (0.01, 0.5, 0.99, 0.9999):
+            for _ in range(2 if size == 6 else 4):
+                r = from_table(GroundSet(size), "rand",
+                               rng.random((count,) * 3) < density)
+                for ax, row_scan in _ROW_SCANS.items():
+                    want = row_scan(r.table)
+                    assert check_axiom(r, ax).witness == want, (size, ax)
+                    fails += want is not None
+                    late += want is not None and want[0] > 0
+    assert fails > 200 and late > 20
+
+
+@pytest.mark.parametrize("name,rel_id,axioms", [
+    ("gf2-7", "cl", tuple(_ROW_SCANS)),
+    ("gf2-7", "aM", tuple(_ROW_SCANS)),
+    ("u36", "cl", tuple(_ROW_SCANS)),
+    ("u36", "aM", tuple(_ROW_SCANS)),
+    ("dlo6", "div", tuple(_ROW_SCANS)),
+    ("gebert8", "a", (AxiomId.TRA_L,)),
+])
+def test_packed_scans_match_row_scans_on_catalog(name, rel_id, axioms):
+    r = resolve_relation(catalog_instance(name), rel_id)
+    t3 = materialize(r).table
+    for ax in axioms:
+        assert check_axiom(r, ax).witness == _ROW_SCANS[ax](t3), ax
+    if name == "dlo6":
+        assert check_axiom(r, AxiomId.TRA_R).witness == (2, 0, 1, 5)
+
+
+@pytest.mark.parametrize("size", range(9))
+def test_pack_matches_packbits(size):
+    count = 1 << size
+    rng = np.random.default_rng(size)
+    t3 = rng.integers(0, 2, (count,) * 3, dtype=np.uint8).view(bool)
+    for axis in (0, 1):
+        bits = np.packbits(t3, axis, bitorder="little")
+        want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
+        np.testing.assert_array_equal(_pack(t3, axis), want)
 
 
 def test_four_variable_axioms_at_size_seven():

@@ -184,6 +184,15 @@ def test_verify_repeated_instance_is_usage_error(capsys):
     assert err == "error: --instances: repeated instances: u34\n"
 
 
+def test_verify_repeated_suite_is_usage_error(capsys):
+    """A suite id given twice would print its report twice; it is refused
+    before any suite runs."""
+    code, out, err = run(capsys, "verify", "--suite", "dim-laws,dim-laws",
+                         "--instances", "u34")
+    assert code == 2 and out == ""
+    assert err == "error: --suite: repeated suites: dim-laws\n"
+
+
 def test_over_budget_instance_is_usage_error(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("type = trivial\nsize = 9\n")
@@ -261,6 +270,20 @@ def test_linear_instance_over_the_span_budget_is_usage_error(capsys, tmp_path):
     assert code == 2 and out == ""
     assert err == (f"error: --instance: {path}: the spans of 12 vectors need"
                    f" more than {relcalc.DEFAULT_TABLE_CAP_BITS} coordinates\n")
+
+
+def test_linear_vectors_past_64_coordinates_stay_distinct(capsys, tmp_path):
+    """Two independent GF(2) vectors of 65 coordinates, one in the first
+    and one in the last: neither lies in the span of the empty set, so
+    each has dimension 1 over it and together they are a basis."""
+    zeros = "0" * 64
+    path = tmp_path / "gf2-65.txt"
+    path.write_text(f"type = linear\nvectors = 1{zeros} {zeros}1\n")
+    code, out, _ = run(capsys, "dim", "--instance", str(path), "--set", "{1}")
+    assert code == 0 and out == "dim=1 basis={1}\n"
+    code, out, _ = run(capsys, "basis", "--instance", str(path),
+                       "--set", "{0,1}")
+    assert code == 0 and out == "basis={0,1}\n"
 
 
 def test_unknown_instance(capsys):

@@ -1,7 +1,9 @@
 """The recorded command output in tests/data/golden.txt must not change.
 
 The file holds the `verify --suite all` report, `check --all` for five
-relations on gebert4, u34 and u36, `modular` on every catalog
+relations on gebert4, u34 and u36, `check --all` for dlo6 `div` (a
+failing TRA-R chain witness) and gf2-7 `cl` (the verdicts at n = 7),
+`modular` on every catalog
 pregeometry with at most six elements, and `list`, which pins the
 catalog's names, kinds, sizes and descriptions.  Each command's section
 starts with a `$ pregeolab ...` line and holds what the command writes,
@@ -26,6 +28,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden.txt"
 
 CHECK_INSTANCES = ("gebert4", "u34", "u36")
 CHECK_RELATIONS = ("a", "aM", "ac", "amc", "cl")
+LARGE_CHECKS = (("dlo6", "div"), ("gf2-7", "cl"))
 MODULAR_INSTANCES = (
     "trivial3", "trivial4", "trivial5", "u23", "u34", "u36", "gf2-3", "gf3-4",
 )
@@ -47,6 +50,8 @@ def golden_text() -> str:
                  + report.read_text(encoding="utf-8")]
     parts += [_command("check", "--instance", inst, "--relation", rel, "--all")
               for inst in CHECK_INSTANCES for rel in CHECK_RELATIONS]
+    parts += [_command("check", "--instance", inst, "--relation", rel, "--all")
+              for inst, rel in LARGE_CHECKS]
     parts += [_command("modular", "--instance", inst)
               for inst in MODULAR_INSTANCES]
     parts.append(_command("list"))
