@@ -13,17 +13,21 @@ Witness tuple layout per axiom:
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
 
-SYM, CLO-* and SCLO scan the table one contiguous A row at a time: each
-row gives the (B, C) violation plane of that A, the first row with a
+SYM and CLO-* scan the table one contiguous A row at a time: each row
+gives the (B, C) violation plane of that A, the first row with a
 violation holds the least witness, and the least (C, B) within it is the
-first true entry of the transposed plane.  The NOR and chain scans
+first true entry of the transposed plane.  The NOR, SCLO and chain scans
 instead pack one axis of the table into bits (`_pack`: 2^n bits per row,
 32 bytes at n = 8), so that one gather of a packed row serves every
-value of that axis at once and no scan loops over the 2^n A rows.
-NOR-R packs A, over rows (B, C): the least bit of the OR over all rows
-is the least A, and the least (C, B) whose row has that bit completes
-it.  NOR-L packs B, over rows (A, C): the first nonzero row is the least
-(A, C), and its least bit is B.  The four-variable axioms never build
+value of that axis at once and no scan loops over the 2^n A rows;
+`check_all` packs each axis once for all its scans.  NOR-R packs A, over
+rows (B, C): the least bit of the OR over all rows is the least A, and
+the least (C, B) whose row has that bit completes it.  NOR-L packs B,
+over rows (A, C): the first nonzero row is the least (A, C), and its
+least bit is B.  SCLO XORs the same rows with its right-hand side
+r(cl(A+C), cl(B+C), cl(C)), which depends on (A, C) only through the
+pair cl(C) <= cl(A+C) of closed sets: one packed row over B per pair,
+taken by (A, C) (`_scan_sclo`).  The four-variable axioms never build
 the 2^(4n) array; one of three scans runs at every ground-set size,
 chosen by axiom family:
 
@@ -167,22 +171,32 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     """The table's `axis` (0 or 1) packed into bits: rows indexed by the
     other two axes in row-major order, each row the bits of `axis` packed
     little-endian, as np.packbits(..., bitorder="little") lays them out.
+    For axis 1, t3 may be a block of A rows of the table.
 
     From n = 3 on, 8 shift-ORs over uint64 views of the bool cells pack 8
     cells per word in byte lanes at once, and a transpose makes the rows;
     packbits along the axis is about 30 times slower at n = 8."""
-    count = len(t3)
+    count = t3.shape[1]
     if count < 8:
         bits = np.packbits(t3, axis, bitorder="little")
-        return np.moveaxis(bits, axis, -1).reshape(count * count, 1)
-    cells = t3.reshape(count**axis, count >> 3, 8, -1).view(np.uint8)
+        return np.moveaxis(bits, axis, -1).reshape(-1, 1)
+    lead = len(t3) if axis else 1
+    cells = t3.reshape(lead, count >> 3, 8, -1).view(np.uint8)
     words = cells[:, :, 0].view(np.uint64).copy()
     lane = np.empty_like(words)
     for k in range(1, 8):
         words |= np.left_shift(cells[:, :, k].view(np.uint64), k, out=lane)
     del lane
     rows = np.ascontiguousarray(words.view(np.uint8).transpose(0, 2, 1))
-    return rows.reshape(count * count, count >> 3)
+    return rows.reshape(-1, count >> 3)
+
+
+def _packed(t3: np.ndarray, axis: int, packed: dict) -> np.ndarray:
+    """`_pack(t3, axis)`, stored in `packed` for the later scans of the
+    same table."""
+    if axis not in packed:
+        packed[axis] = _pack(t3, axis)
+    return packed[axis]
 
 
 def _least_bit(row: np.ndarray) -> int:
@@ -206,7 +220,7 @@ def _least_a(
     return a, viol[:, a >> 3] >> (a & 7) & 1
 
 
-def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
+def _scan_chain(t3: np.ndarray, left: bool, transitive: bool, packed: dict):
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
     t[D, B] and not t[D, C].  The rows of t are packed over A, so one
@@ -214,7 +228,7 @@ def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
     count = len(t3)
     size = count.bit_length() - 1
     c, b, d = _chains(size)
-    p = _pack(t3, 1 if left else 0)
+    p = _packed(t3, 1 if left else 0, packed)
 
     def at(x, y):
         return p.take(x * count + y, axis=0)
@@ -239,14 +253,16 @@ def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
     return (a, int(c[i]), int(b[i]), int(d[i]))
 
 
-def _scan_nor(t3: np.ndarray, left: bool) -> Optional[tuple[int, int, int]]:
+def _scan_nor(
+    t3: np.ndarray, left: bool, packed: dict
+) -> Optional[tuple[int, int, int]]:
     """NOR-R: r(A, B, C) and not r(A, B+C, C), on rows (B, C) packed over
     A, so the least A comes first and then the least (C, B) with its bit.
     NOR-L: r(A, B, C) and not r(A+C, B, C), on rows (A, C) packed over B,
     so the first nonzero row is the least (A, C) and its least bit is B."""
     count = len(t3)
     masks = np.arange(count)
-    p = _pack(t3, 1 if left else 0)
+    p = _packed(t3, 1 if left else 0, packed)
     source = (masks[:, None] | masks[None, :]) * count + masks  # (X+C, C)
     viol = p.take(source.ravel(), axis=0)
     np.invert(viol, out=viol)
@@ -265,6 +281,58 @@ def _scan_nor(t3: np.ndarray, left: bool) -> Optional[tuple[int, int, int]]:
     a, has = hit
     c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
     return (a, c, b)
+
+
+#: cells of the table in the first block of A rows of the SCLO scan, so
+#: n <= 6 is one block; blocks double up to 8 times this
+_SCLO_BLOCK_CELLS = 1 << 18
+
+
+def _scan_sclo(
+    t3: np.ndarray, cl: np.ndarray, packed: dict
+) -> Optional[tuple[int, int, int]]:
+    """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
+    closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
+    with Z = cl(C) and X = cl(A+Z), a pair Z <= X of closed sets: one
+    row over B per pair, packed, and taken by (A, C) gives the right side
+    as rows (A, C) with bits over B, the layout of the table packed over
+    B.  The first nonzero row of their XOR is the least (A, C), and its
+    least bit is B.  The scan runs in blocks of A rows that double, so an
+    early A stays cheap."""
+    count = len(t3)
+    masks = np.arange(count)
+    closed = np.flatnonzero(cl == masks)
+    rank = np.empty(count, dtype=np.intp)
+    rank[closed] = np.arange(len(closed))
+    zs, xs = np.nonzero(closed[:, None] & ~closed == 0)  # the pairs Z <= X
+    pair = np.zeros((len(closed),) * 2, dtype=np.intp)  # [Z, X] -> its row
+    pair[zs, xs] = np.arange(len(zs))
+    up = cl[closed[:, None] | masks]  # [Z, B]: cl(B+Z)
+    chunk = max(1, _SCLO_BLOCK_CELLS // count)  # pairs per gather
+    right = np.concatenate([  # [pair, B]: r(X, cl(B+Z), Z) packed over B
+        np.packbits(t3[closed[x, None], up[z], closed[z, None]], axis=-1,
+                    bitorder="little")
+        for z, x in zip(np.split(zs, range(chunk, len(zs), chunk)),
+                        np.split(xs, range(chunk, len(xs), chunk)))
+    ])
+    reach = pair[np.arange(len(closed)), rank[up.T]]  # [A, Z]: (Z, cl(A+Z))
+    base = rank[cl]  # C -> the rank of cl(C)
+    step = max(1, _SCLO_BLOCK_CELLS // count**2)
+    lo = 0
+    while lo < count:
+        hi = min(count, lo + min(8 * step, max(step, lo)))
+        rows = right.take(reach[lo:hi, base].ravel(), axis=0)
+        if 1 in packed:
+            rows ^= packed[1][lo * count:hi * count]
+        else:
+            rows ^= _pack(t3[lo:hi], 1)
+        hit = rows.any(axis=1)
+        if hit.any():
+            i = int(np.argmax(hit))
+            a, c = divmod(i, count)
+            return (lo + a, c, _least_bit(rows[i]))
+        lo = hi
+    return None
 
 
 def _zeta_or(t: np.ndarray, var: int, up: bool, clear: tuple[int, ...] = ()):
@@ -411,6 +479,10 @@ _CHAIN_AXIOMS = {  # axiom -> (left form, transitive form)
     AxiomId.TRA_L: (True, True),
 }
 
+#: the scans that read the table packed by `_pack`
+_PACKED_SCANS = frozenset({AxiomId.NOR_L, AxiomId.NOR_R, AxiomId.SCLO,
+                           *_CHAIN_AXIOMS})
+
 
 def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     if op is None:
@@ -419,8 +491,13 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
 
 
 def _find_violation(
-    r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator]
+    r: TernaryRelation,
+    ax: AxiomId,
+    op: Optional[ClosureOperator],
+    packed: dict,
 ) -> Optional[tuple[int, ...]]:
+    """The least violating tuple of `ax`, or None.  `packed` holds the
+    table packed by axis (`_packed`), shared by the scans of one table."""
     t3 = materialize(r).table
     count = r.ground.subset_count
     masks = np.arange(count)
@@ -429,13 +506,11 @@ def _find_violation(
         return first_true(~t3[:, masks, masks])
 
     # Planes are (B, C); t3[a] is the row of r(a, B, C).
-    orm = masks[:, None] | masks[None, :]  # (B, C): B+C
-
     if ax is AxiomId.SYM:
         return _scan_3var(count, lambda a: t3[a] & ~t3[:, a])
 
     if ax in (AxiomId.NOR_R, AxiomId.NOR_L):
-        return _scan_nor(t3, left=ax is AxiomId.NOR_L)
+        return _scan_nor(t3, ax is AxiomId.NOR_L, packed)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
         cl = _require_op(ax, op).table
@@ -444,11 +519,7 @@ def _find_violation(
         if ax is AxiomId.CLO_L:
             return _scan_3var(count, lambda a: t3[a] & ~t3[cl[a]])
         if ax is AxiomId.SCLO:
-            rows = t3.reshape(count, -1)
-            cells = cl[orm] * count + cl  # (cl(B+C), cl(C)) in a row
-            return _scan_3var(
-                count, lambda a: t3[a] ^ rows[cl[a | masks], cells]
-            )
+            return _scan_sclo(t3, cl, packed)
         # AREF: (a, C) with r({a}, {a}, C) and a outside cl(C)
         elems = np.arange(r.ground.size)[:, None]
         bits = 1 << elems
@@ -456,7 +527,7 @@ def _find_violation(
         return None if hit is None else (1 << hit[0], hit[1])
 
     if ax in _CHAIN_AXIOMS:
-        return _scan_chain(t3, *_CHAIN_AXIOMS[ax])
+        return _scan_chain(t3, *_CHAIN_AXIOMS[ax], packed)
 
     if ax in (AxiomId.MON_R, AxiomId.MON_L):
         return _scan_mon(t3, left=ax is AxiomId.MON_L)
@@ -472,11 +543,20 @@ def check_axiom(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator] = None
 ) -> AxiomReport:
     """Exhaustively check one axiom; first violation in scan order is reported."""
+    return _report(r, ax, op, {})
+
+
+def _report(
+    r: TernaryRelation,
+    ax: AxiomId,
+    op: Optional[ClosureOperator],
+    packed: dict,
+) -> AxiomReport:
     if ax in (AxiomId.FIN, AxiomId.LOC):
         return AxiomReport(ax, r.name, "vacuous", None, _VACUOUS_NOTES[ax])
     if ax.needs_closure:
         _require_op(ax, op)
-    witness = _find_violation(r, ax, op)
+    witness = _find_violation(r, ax, op, packed)
     status = "pass" if witness is None else "fail"
     return AxiomReport(ax, r.name, status, witness)
 
@@ -486,14 +566,20 @@ def check_all(
     op: Optional[ClosureOperator] = None,
     axiom_ids: Optional[Sequence[AxiomId]] = None,
 ) -> list[AxiomReport]:
-    """One report per applicable axiom, in stable catalogue order."""
-    selected = list(axiom_ids) if axiom_ids is not None else list(AXIOM_ORDER)
-    reports = []
-    for ax in selected:
-        if ax.needs_closure and op is None:
-            continue
-        reports.append(check_axiom(r, ax, op))
-    return reports
+    """One report per applicable axiom, in stable catalogue order.  The
+    scans on packed tables run first and share them, so each axis is
+    packed once and no packed table is held through the other scans."""
+    if axiom_ids is None:
+        axiom_ids = AXIOM_ORDER
+    selected = [ax for ax in axiom_ids
+                if op is not None or not ax.needs_closure]
+    packed: dict = {}
+    reports = {}
+    for ax in sorted(selected, key=lambda ax: ax not in _PACKED_SCANS):
+        if ax not in _PACKED_SCANS:
+            packed.clear()
+        reports[ax] = _report(r, ax, op, packed)
+    return [reports[ax] for ax in selected]
 
 
 def evaluate_axiom_body(

@@ -17,9 +17,9 @@ the greedy, is the independent oracle.
 
 from __future__ import annotations
 
-import functools
+import weakref
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -74,7 +74,17 @@ def brute_dim_oracle(pg: Pregeometry) -> np.ndarray:
     return best
 
 
-@functools.lru_cache(maxsize=64)
+class CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+
+
+#: dim_table per closure operator, dropped with the operator
+_DIMS: "weakref.WeakKeyDictionary[ClosureOperator, np.ndarray]" = (
+    weakref.WeakKeyDictionary())
+_dim_calls = {"hits": 0, "misses": 0}
+
+
 def dim_table(pg: Pregeometry) -> np.ndarray:
     """dim(A/X) for every pair of masks: a read-only, C-contiguous int8
     array indexed [A, X].
@@ -82,8 +92,23 @@ def dim_table(pg: Pregeometry) -> np.ndarray:
     The greedy of `basis_of` runs on every cell at once, one pass per
     element i in ascending order: a cell (A, X) with i in A takes i into
     its basis when i is outside cl(X + the basis so far).  So every cell
-    is basis_of(pg, A, X).value.
+    is basis_of(pg, A, X).value.  The table is cached for as long as the
+    closure operator of `pg` lives; `dim_table.cache_info()` counts the
+    calls it answered and the tables it built.
     """
+    dims = _DIMS.get(pg.op)
+    if dims is None:
+        _dim_calls["misses"] += 1
+        dims = _DIMS[pg.op] = _build_dim_table(pg)
+    else:
+        _dim_calls["hits"] += 1
+    return dims
+
+
+dim_table.cache_info = lambda: CacheInfo(**_dim_calls)  # type: ignore[attr-defined]
+
+
+def _build_dim_table(pg: Pregeometry) -> np.ndarray:
     count = pg.ground.subset_count
     masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
     span = np.tile(masks, (count, 1))  # (A, X): X + the basis so far

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pregeolab import axioms
 from pregeolab.axioms import (
     _pack,
     AXIOM_ORDER,
@@ -97,6 +98,33 @@ def test_check_all_order_and_skip():
     assert all(not rep.axiom.needs_closure for rep in no_op)
     with_op = check_all(r, trivial_closure(g))
     assert [rep.axiom for rep in with_op] == list(AXIOM_ORDER)
+
+
+def test_check_all_packs_each_axis_once(monkeypatch):
+    """check_all shares the packed tables between its scans, holds none
+    through the scans that do not read them, and reports what check_axiom
+    reports for each axiom."""
+    inst = catalog_instance("u36")
+    op = instance_operator(inst)
+    r = resolve_relation(inst, "aM")
+    axes, held = [], {}
+    find_violation = axioms._find_violation
+
+    def counting_pack(t3, axis):
+        axes.append(axis)
+        return _pack(t3, axis)
+
+    def recording_find_violation(r, ax, op, packed):
+        held[ax] = sorted(packed)
+        return find_violation(r, ax, op, packed)
+
+    monkeypatch.setattr(axioms, "_pack", counting_pack)
+    monkeypatch.setattr(axioms, "_find_violation", recording_find_violation)
+    reports = check_all(r, op)
+    assert sorted(axes) == [0, 1]
+    assert held[AxiomId.SCLO] == [0, 1]
+    assert all(not held[ax] for ax in (AxiomId.EX, AxiomId.MON_L, AxiomId.FREE))
+    assert reports == [check_axiom(r, rep.axiom, op) for rep in reports]
 
 
 def _scalar_least_witness(r, ax, op=None):
@@ -280,6 +308,83 @@ def test_pack_matches_packbits(size):
         bits = np.packbits(t3, axis, bitorder="little")
         want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
         np.testing.assert_array_equal(_pack(t3, axis), want)
+    # a block of A rows packs to the rows (A, C) of that block
+    for lo, hi in ((0, 1), (count // 2, count), (count // 4, count // 2 + 1)):
+        np.testing.assert_array_equal(_pack(t3[lo:hi], 1),
+                                      want[lo * count:hi * count])
+
+
+def scalar_sclo_scan(t3, cl):
+    """SCLO one A row at a time: the (B, C) plane of each A against the
+    gather of r(cl(A+C), cl(B+C), cl(C)) from the whole table."""
+    count = len(t3)
+    masks = np.arange(count)
+    rows = t3.reshape(count, -1)
+    cells = cl[masks[:, None] | masks] * count + cl  # (cl(B+C), cl(C)) in a row
+    for a in range(count):
+        viol = t3[a] ^ rows[cl[a | masks], cells]
+        if viol.any():
+            c, b = divmod(int(np.argmax(viol.T)), count)
+            return (a, c, b)
+    return None
+
+
+def test_sclo_matches_row_scan_on_random_tables():
+    """Random tables at n = 0..6 under the trivial closure, and tables
+    that satisfy SCLO by construction with a few cells (A, B, C) flipped,
+    A not inside C: every tuple that reaches such a cell has A > 0."""
+    rng = np.random.default_rng(14)
+    late = fails = 0
+    for size in range(7):
+        g = GroundSet(size)
+        count, op = 1 << size, trivial_closure(g)
+        masks = np.arange(count)
+        # r(A+C, B+C, C) for a random r: SCLO holds under the trivial closure
+        base = rng.random((count,) * 3) < 0.5
+        a, b, c = np.ix_(masks, masks, masks)
+        invariant = base[a | c, b | c, c]
+        tables = [rng.random((count,) * 3) < density
+                  for density in (0.01, 0.5, 0.99, 0.9999)]
+        for flips in (0, 1, 1, 2, 2, 3, 3, 5, 5, 8):
+            t3 = invariant.copy()
+            a, b, c = rng.integers(0, count, (3, flips))
+            keep = a & ~c != 0
+            t3[a[keep], b[keep], c[keep]] ^= True
+            tables.append(t3)
+        for t3 in tables:
+            want = scalar_sclo_scan(t3, op.table)
+            r = from_table(g, "rand", t3)
+            assert check_axiom(r, AxiomId.SCLO, op).witness == want, size
+            fails += want is not None
+            late += want is not None and want[0] > 0
+    assert fails > 45 and late > 30
+
+
+@pytest.mark.parametrize("name", ["u34", "u36", "gebert4", "gf2-3", "gf2-7"])
+def test_sclo_matches_row_scan_on_corrupted_catalog_tables(name):
+    """The catalog's `a` (SCLO holds) with cells (A, B, C) flipped, A
+    neither {} nor C: only tuples with A > 0 reach such a cell.
+    Under check_all, SCLO reads the table NOR-L packed."""
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    good = materialize(resolve_relation(inst, "a")).table
+    count = len(good)
+    rng = np.random.default_rng(count)
+    late = fails = 0
+    for k in range(12):
+        t3 = good.copy()
+        a, b, c = rng.integers(1, count, (3, 1 + k % 3))
+        keep = a != c
+        t3[a[keep], b[keep], c[keep]] ^= True
+        want = scalar_sclo_scan(t3, op.table)
+        r = from_table(inst.ground, "a", t3)
+        assert check_axiom(r, AxiomId.SCLO, op).witness == want, (name, k)
+        shared = check_all(r, op, (AxiomId.NOR_L, AxiomId.SCLO))[-1]
+        assert shared.witness == want, (name, k)
+        fails += want is not None
+        late += want is not None and want[0] > 0
+    assert scalar_sclo_scan(good, op.table) is None
+    assert fails >= 10 and late >= 10
 
 
 def test_four_variable_axioms_at_size_seven():

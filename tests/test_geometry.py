@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,19 @@ def subjects():
            if inst.pg is not None and inst.ground.size <= 5]
     pgs += [uniform_pregeometry(3, 5), uniform_pregeometry(2, 5)]
     return pgs + random_pregeometries(np.random.default_rng(3), 40)
+
+
+def test_dim_table_cache_lives_as_long_as_its_operator():
+    pg = uniform_pregeometry(2, 4)
+    before = dim_table.cache_info()
+    dims = dim_table(pg)
+    assert dim_table(Pregeometry(pg.op)) is dims  # same operator: a hit
+    after = dim_table.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 1)
+    cached = len(geometry._DIMS)
+    del pg
+    gc.collect()
+    assert len(geometry._DIMS) == cached - 1
 
 
 def test_dim_table_is_a_read_only_int8_array_equal_to_basis_of(subjects):

@@ -3,7 +3,8 @@
 The file holds the `verify --suite all` report, `check --all` for five
 relations on gebert4, u34 and u36, `check --all` for dlo6 `div` (a
 failing TRA-R chain witness) and gf2-7 `cl` (the verdicts at n = 7),
-`modular` on every catalog
+SCLO alone for gebert8 `a` (a pass at n = 8) and gf2-7 `sup` (a failing
+witness at n = 7), `modular` on every catalog
 pregeometry with at most six elements, and `list`, which pins the
 catalog's names, kinds, sizes and descriptions.  Each command's section
 starts with a `$ pregeolab ...` line and holds what the command writes,
@@ -29,6 +30,7 @@ GOLDEN = Path(__file__).parent / "data" / "golden.txt"
 CHECK_INSTANCES = ("gebert4", "u34", "u36")
 CHECK_RELATIONS = ("a", "aM", "ac", "amc", "cl")
 LARGE_CHECKS = (("dlo6", "div"), ("gf2-7", "cl"))
+SCLO_CHECKS = (("gebert8", "a"), ("gf2-7", "sup"))
 MODULAR_INSTANCES = (
     "trivial3", "trivial4", "trivial5", "u23", "u34", "u36", "gf2-3", "gf3-4",
 )
@@ -52,6 +54,9 @@ def golden_text() -> str:
               for inst in CHECK_INSTANCES for rel in CHECK_RELATIONS]
     parts += [_command("check", "--instance", inst, "--relation", rel, "--all")
               for inst, rel in LARGE_CHECKS]
+    parts += [_command("check", "--instance", inst, "--relation", rel,
+                       "--axiom", "SCLO")
+              for inst, rel in SCLO_CHECKS]
     parts += [_command("modular", "--instance", inst)
               for inst in MODULAR_INSTANCES]
     parts.append(_command("list"))
