@@ -19,17 +19,16 @@ violation holds the least witness, and the least (C, B) within it is the
 first true entry of the transposed plane.  The NOR, SCLO and chain scans
 instead pack one axis of the table into bits (`_pack`: 2^n bits per row,
 32 bytes at n = 8), so that one gather of a packed row serves every
-value of that axis at once and no scan loops over the 2^n A rows;
-`check_all` packs each axis once for all its scans.  NOR-R packs A, over
-rows (B, C): the least bit of the OR over all rows is the least A, and
-the least (C, B) whose row has that bit completes it.  NOR-L packs B,
-over rows (A, C): the first nonzero row is the least (A, C), and its
-least bit is B.  SCLO XORs the same rows with its right-hand side
-r(cl(A+C), cl(B+C), cl(C)), which depends on (A, C) only through the
-pair cl(C) <= cl(A+C) of closed sets: one packed row over B per pair,
-taken by (A, C) (`_scan_sclo`).  The four-variable axioms never build
-the 2^(4n) array; one of three scans runs at every ground-set size,
-chosen by axiom family:
+value of that axis at once and no scan loops over the 2^n A rows.
+NOR-R packs A, over rows (B, C): the least bit of the OR over all rows
+is the least A, and the least (C, B) whose row has that bit completes
+it.  NOR-L packs B, over rows (A, C): the first nonzero row is the least
+(A, C), and its least bit is B.  SCLO XORs the same rows with its
+right-hand side r(cl(A+C), cl(B+C), cl(C)), which depends on (A, C)
+only through the pair cl(C) <= cl(A+C) of closed sets: one packed row
+over B per pair, taken by (A, C) (`_scan_sclo`).  The four-variable
+axioms never build the 2^(4n) array; one of three scans runs at every
+ground-set size, chosen by axiom family:
 
 - chain scan (BMON-*, TRA-*): A is packed, and the violation rows of
   the 4^n chains C <= B <= D are two or three gathers of packed rows
@@ -191,14 +190,6 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     return rows.reshape(-1, count >> 3)
 
 
-def _packed(t3: np.ndarray, axis: int, packed: dict) -> np.ndarray:
-    """`_pack(t3, axis)`, stored in `packed` for the later scans of the
-    same table."""
-    if axis not in packed:
-        packed[axis] = _pack(t3, axis)
-    return packed[axis]
-
-
 def _least_bit(row: np.ndarray) -> int:
     """Index of the least set bit of a packed row that has one."""
     j = int(np.argmax(row != 0))
@@ -220,7 +211,7 @@ def _least_a(
     return a, viol[:, a >> 3] >> (a & 7) & 1
 
 
-def _scan_chain(t3: np.ndarray, left: bool, transitive: bool, packed: dict):
+def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
     t[D, B] and not t[D, C].  The rows of t are packed over A, so one
@@ -228,7 +219,7 @@ def _scan_chain(t3: np.ndarray, left: bool, transitive: bool, packed: dict):
     count = len(t3)
     size = count.bit_length() - 1
     c, b, d = _chains(size)
-    p = _packed(t3, 1 if left else 0, packed)
+    p = _pack(t3, 1 if left else 0)
 
     def at(x, y):
         return p.take(x * count + y, axis=0)
@@ -253,16 +244,14 @@ def _scan_chain(t3: np.ndarray, left: bool, transitive: bool, packed: dict):
     return (a, int(c[i]), int(b[i]), int(d[i]))
 
 
-def _scan_nor(
-    t3: np.ndarray, left: bool, packed: dict
-) -> Optional[tuple[int, int, int]]:
+def _scan_nor(t3: np.ndarray, left: bool) -> Optional[tuple[int, int, int]]:
     """NOR-R: r(A, B, C) and not r(A, B+C, C), on rows (B, C) packed over
     A, so the least A comes first and then the least (C, B) with its bit.
     NOR-L: r(A, B, C) and not r(A+C, B, C), on rows (A, C) packed over B,
     so the first nonzero row is the least (A, C) and its least bit is B."""
     count = len(t3)
     masks = np.arange(count)
-    p = _packed(t3, 1 if left else 0, packed)
+    p = _pack(t3, 1 if left else 0)
     source = (masks[:, None] | masks[None, :]) * count + masks  # (X+C, C)
     viol = p.take(source.ravel(), axis=0)
     np.invert(viol, out=viol)
@@ -288,17 +277,16 @@ def _scan_nor(
 _SCLO_BLOCK_CELLS = 1 << 18
 
 
-def _scan_sclo(
-    t3: np.ndarray, cl: np.ndarray, packed: dict
-) -> Optional[tuple[int, int, int]]:
+def _scan_sclo(t3: np.ndarray, cl: np.ndarray) -> Optional[tuple[int, int, int]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
     closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
     with Z = cl(C) and X = cl(A+Z), a pair Z <= X of closed sets: one
     row over B per pair, packed, and taken by (A, C) gives the right side
     as rows (A, C) with bits over B, the layout of the table packed over
     B.  The first nonzero row of their XOR is the least (A, C), and its
-    least bit is B.  The scan runs in blocks of A rows that double, so an
-    early A stays cheap."""
+    least bit is B.  The scan runs in blocks of A rows that double, and a
+    block gathers only the pair rows it reaches that no earlier block
+    gathered, so an early A stays cheap."""
     count = len(t3)
     masks = np.arange(count)
     closed = np.flatnonzero(cl == masks)
@@ -308,24 +296,26 @@ def _scan_sclo(
     pair = np.zeros((len(closed),) * 2, dtype=np.intp)  # [Z, X] -> its row
     pair[zs, xs] = np.arange(len(zs))
     up = cl[closed[:, None] | masks]  # [Z, B]: cl(B+Z)
-    chunk = max(1, _SCLO_BLOCK_CELLS // count)  # pairs per gather
-    right = np.concatenate([  # [pair, B]: r(X, cl(B+Z), Z) packed over B
-        np.packbits(t3[closed[x, None], up[z], closed[z, None]], axis=-1,
-                    bitorder="little")
-        for z, x in zip(np.split(zs, range(chunk, len(zs), chunk)),
-                        np.split(xs, range(chunk, len(xs), chunk)))
-    ])
     reach = pair[np.arange(len(closed)), rank[up.T]]  # [A, Z]: (Z, cl(A+Z))
     base = rank[cl]  # C -> the rank of cl(C)
+    right_cells = up * count + closed[:, None]  # [Z, B]: (cl(B+Z), Z)
+    # [pair, B]: r(X, cl(B+Z), Z), packed over B
+    right = np.empty((len(zs), count + 7 >> 3), dtype=np.uint8)
+    done = np.zeros(len(zs), dtype=bool)  # the rows of right gathered so far
     step = max(1, _SCLO_BLOCK_CELLS // count**2)
     lo = 0
     while lo < count:
         hi = min(count, lo + min(8 * step, max(step, lo)))
-        rows = right.take(reach[lo:hi, base].ravel(), axis=0)
-        if 1 in packed:
-            rows ^= packed[1][lo * count:hi * count]
-        else:
-            rows ^= _pack(t3[lo:hi], 1)
+        at = reach[lo:hi, base].ravel()
+        want = np.zeros_like(done)
+        want[at] = True
+        new = np.flatnonzero(want > done)
+        done[new] = True
+        cells = right_cells[zs[new]]
+        cells += closed[xs[new], None] * count**2
+        right[new] = np.packbits(t3.take(cells), axis=-1, bitorder="little")
+        rows = right.take(at, axis=0)
+        rows ^= _pack(t3[lo:hi], 1)
         hit = rows.any(axis=1)
         if hit.any():
             i = int(np.argmax(hit))
@@ -479,10 +469,6 @@ _CHAIN_AXIOMS = {  # axiom -> (left form, transitive form)
     AxiomId.TRA_L: (True, True),
 }
 
-#: the scans that read the table packed by `_pack`
-_PACKED_SCANS = frozenset({AxiomId.NOR_L, AxiomId.NOR_R, AxiomId.SCLO,
-                           *_CHAIN_AXIOMS})
-
 
 def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     if op is None:
@@ -491,13 +477,8 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
 
 
 def _find_violation(
-    r: TernaryRelation,
-    ax: AxiomId,
-    op: Optional[ClosureOperator],
-    packed: dict,
+    r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator]
 ) -> Optional[tuple[int, ...]]:
-    """The least violating tuple of `ax`, or None.  `packed` holds the
-    table packed by axis (`_packed`), shared by the scans of one table."""
     t3 = materialize(r).table
     count = r.ground.subset_count
     masks = np.arange(count)
@@ -510,7 +491,7 @@ def _find_violation(
         return _scan_3var(count, lambda a: t3[a] & ~t3[:, a])
 
     if ax in (AxiomId.NOR_R, AxiomId.NOR_L):
-        return _scan_nor(t3, ax is AxiomId.NOR_L, packed)
+        return _scan_nor(t3, left=ax is AxiomId.NOR_L)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
         cl = _require_op(ax, op).table
@@ -519,7 +500,7 @@ def _find_violation(
         if ax is AxiomId.CLO_L:
             return _scan_3var(count, lambda a: t3[a] & ~t3[cl[a]])
         if ax is AxiomId.SCLO:
-            return _scan_sclo(t3, cl, packed)
+            return _scan_sclo(t3, cl)
         # AREF: (a, C) with r({a}, {a}, C) and a outside cl(C)
         elems = np.arange(r.ground.size)[:, None]
         bits = 1 << elems
@@ -527,7 +508,7 @@ def _find_violation(
         return None if hit is None else (1 << hit[0], hit[1])
 
     if ax in _CHAIN_AXIOMS:
-        return _scan_chain(t3, *_CHAIN_AXIOMS[ax], packed)
+        return _scan_chain(t3, *_CHAIN_AXIOMS[ax])
 
     if ax in (AxiomId.MON_R, AxiomId.MON_L):
         return _scan_mon(t3, left=ax is AxiomId.MON_L)
@@ -543,20 +524,11 @@ def check_axiom(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator] = None
 ) -> AxiomReport:
     """Exhaustively check one axiom; first violation in scan order is reported."""
-    return _report(r, ax, op, {})
-
-
-def _report(
-    r: TernaryRelation,
-    ax: AxiomId,
-    op: Optional[ClosureOperator],
-    packed: dict,
-) -> AxiomReport:
     if ax in (AxiomId.FIN, AxiomId.LOC):
         return AxiomReport(ax, r.name, "vacuous", None, _VACUOUS_NOTES[ax])
     if ax.needs_closure:
         _require_op(ax, op)
-    witness = _find_violation(r, ax, op, packed)
+    witness = _find_violation(r, ax, op)
     status = "pass" if witness is None else "fail"
     return AxiomReport(ax, r.name, status, witness)
 
@@ -566,20 +538,14 @@ def check_all(
     op: Optional[ClosureOperator] = None,
     axiom_ids: Optional[Sequence[AxiomId]] = None,
 ) -> list[AxiomReport]:
-    """One report per applicable axiom, in stable catalogue order.  The
-    scans on packed tables run first and share them, so each axis is
-    packed once and no packed table is held through the other scans."""
-    if axiom_ids is None:
-        axiom_ids = AXIOM_ORDER
-    selected = [ax for ax in axiom_ids
-                if op is not None or not ax.needs_closure]
-    packed: dict = {}
-    reports = {}
-    for ax in sorted(selected, key=lambda ax: ax not in _PACKED_SCANS):
-        if ax not in _PACKED_SCANS:
-            packed.clear()
-        reports[ax] = _report(r, ax, op, packed)
-    return [reports[ax] for ax in selected]
+    """One report per applicable axiom, in stable catalogue order."""
+    selected = list(axiom_ids) if axiom_ids is not None else list(AXIOM_ORDER)
+    reports = []
+    for ax in selected:
+        if ax.needs_closure and op is None:
+            continue
+        reports.append(check_axiom(r, ax, op))
+    return reports
 
 
 def evaluate_axiom_body(

@@ -100,33 +100,6 @@ def test_check_all_order_and_skip():
     assert [rep.axiom for rep in with_op] == list(AXIOM_ORDER)
 
 
-def test_check_all_packs_each_axis_once(monkeypatch):
-    """check_all shares the packed tables between its scans, holds none
-    through the scans that do not read them, and reports what check_axiom
-    reports for each axiom."""
-    inst = catalog_instance("u36")
-    op = instance_operator(inst)
-    r = resolve_relation(inst, "aM")
-    axes, held = [], {}
-    find_violation = axioms._find_violation
-
-    def counting_pack(t3, axis):
-        axes.append(axis)
-        return _pack(t3, axis)
-
-    def recording_find_violation(r, ax, op, packed):
-        held[ax] = sorted(packed)
-        return find_violation(r, ax, op, packed)
-
-    monkeypatch.setattr(axioms, "_pack", counting_pack)
-    monkeypatch.setattr(axioms, "_find_violation", recording_find_violation)
-    reports = check_all(r, op)
-    assert sorted(axes) == [0, 1]
-    assert held[AxiomId.SCLO] == [0, 1]
-    assert all(not held[ax] for ax in (AxiomId.EX, AxiomId.MON_L, AxiomId.FREE))
-    assert reports == [check_axiom(r, rep.axiom, op) for rep in reports]
-
-
 def _scalar_least_witness(r, ax, op=None):
     """Brute quantifier scan via the scalar axiom body only."""
     count = r.ground.subset_count
@@ -363,8 +336,7 @@ def test_sclo_matches_row_scan_on_random_tables():
 @pytest.mark.parametrize("name", ["u34", "u36", "gebert4", "gf2-3", "gf2-7"])
 def test_sclo_matches_row_scan_on_corrupted_catalog_tables(name):
     """The catalog's `a` (SCLO holds) with cells (A, B, C) flipped, A
-    neither {} nor C: only tuples with A > 0 reach such a cell.
-    Under check_all, SCLO reads the table NOR-L packed."""
+    neither {} nor C: only tuples with A > 0 reach such a cell."""
     inst = catalog_instance(name)
     op = instance_operator(inst)
     good = materialize(resolve_relation(inst, "a")).table
@@ -379,12 +351,35 @@ def test_sclo_matches_row_scan_on_corrupted_catalog_tables(name):
         want = scalar_sclo_scan(t3, op.table)
         r = from_table(inst.ground, "a", t3)
         assert check_axiom(r, AxiomId.SCLO, op).witness == want, (name, k)
-        shared = check_all(r, op, (AxiomId.NOR_L, AxiomId.SCLO))[-1]
-        assert shared.witness == want, (name, k)
         fails += want is not None
         late += want is not None and want[0] > 0
     assert scalar_sclo_scan(good, op.table) is None
     assert fails >= 10 and late >= 10
+
+
+@pytest.mark.parametrize("name", ["trivial5", "u36", "gebert4"])
+def test_sclo_in_small_blocks_matches_row_scan(name, monkeypatch):
+    """With blocks of 64 table cells every A row from n = 3 on is in a
+    block of at most 8 rows, and each block gathers only the pair rows
+    that no earlier block gathered."""
+    monkeypatch.setattr(axioms, "_SCLO_BLOCK_CELLS", 1 << 6)
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    good = materialize(resolve_relation(inst, "a")).table
+    count = len(good)
+    rng = np.random.default_rng(count + 1)
+    late = 0
+    for k in range(12):
+        t3 = good.copy()
+        a, b, c = rng.integers(0, count, (3, 1 + k % 3))
+        a |= count >> 1 + k % 3  # A in the second half, quarter or eighth
+        keep = a != c
+        t3[a[keep], b[keep], c[keep]] ^= True
+        want = scalar_sclo_scan(t3, op.table)
+        r = from_table(inst.ground, "a", t3)
+        assert check_axiom(r, AxiomId.SCLO, op).witness == want, (name, k)
+        late += want is not None and want[0] >= 8
+    assert late >= 6
 
 
 def test_four_variable_axioms_at_size_seven():
