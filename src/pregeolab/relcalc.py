@@ -10,16 +10,23 @@ predicate, so the scalar route never reads a table, built or not.
 
 Table layout: every truth table is a C-contiguous `bool` array indexed
 [A, B, C], so the (B, C) plane of one A is one contiguous block.
-Builders fill the table one such A row at a time from (B, C) planes of
-closures, dimensions or maxima computed once, in the narrowest integer
-dtype that holds them; the axiom scans read it the same way.
+Builders fill the table one such A row, or one block of A rows, at a
+time from (B, C) planes of closures, dimensions or maxima computed once;
+the axiom scans read it the same way.
 
 Transformer stacks materialize their base relation once.  The
 monotonisations copy that table and AND it along the C axis in n
-in-place passes, one per element, each masked by the (B, C) plane of
-cl(B+C): a superset-AND zeta transform over the intervals
-[C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
-Mobius: fast subset convolution", STOC 2007).
+passes, one per element, each masked by the (B, C) plane of the
+elements of cl(B+C) outside C: a superset-AND zeta transform over the
+intervals [C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto,
+"Fourier meets Mobius: fast subset convolution", STOC 2007).  The
+passes run on blocks of A rows that fit in cache, all n on one block
+before the next; a pass shifts the block by 2^i cells into one buffer,
+ORs in the mask and ANDs the buffer into the block, on machine words of
+up to 8 cells.  The dimension relation `cl` runs on the same blocks:
+one `np.take` of a single (B, C) index plane of B+C gathers dim(A/B+C)
+for every A row of a block into the table's own bytes, which the
+comparison with dim(A/C) then overwrites in place.
 """
 
 from __future__ import annotations
@@ -35,6 +42,10 @@ from .lattice import GroundSet
 
 # Default budget: 2^24 truth-table cells, i.e. ground size up to 8.
 DEFAULT_TABLE_CAP_BITS = 1 << 24
+
+#: cells in one block of A rows of the `cl` and monotonisation builders
+#: (256 KB of bool cells), so n <= 6 is one block
+_BUILD_BLOCK_CELLS = 1 << 18
 
 
 class CapExceeded(Exception):
@@ -94,6 +105,11 @@ def random_relation(ground: GroundSet, seed: int) -> TernaryRelation:
 # Built-in relations
 
 
+def _block_rows(count: int) -> int:
+    """A rows per block of `_BUILD_BLOCK_CELLS` cells (at least one)."""
+    return min(count, max(1, _BUILD_BLOCK_CELLS // count**2))
+
+
 def _masks(count: int) -> np.ndarray:
     """All subset masks, ascending, in the narrowest unsigned dtype."""
     return np.arange(count, dtype=np.min_scalar_type(count - 1))
@@ -151,11 +167,22 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
 
     def build() -> np.ndarray:
         count = pg.ground.subset_count
-        masks = _masks(count)
+        masks = np.arange(count)
         joined = masks[:, None] | masks[None, :]  # (B, C): B+C
+        rows = _block_rows(count)
         table = np.empty((count, count, count), dtype=bool)
-        for a in range(count):
-            np.equal(dims[a][joined], dims[a], out=table[a])
+        # dim(A/B+C) for a block of A rows goes into the table's own
+        # bytes (dims is int8), and the comparison with dim(A/C)
+        # overwrites them as 0/1 bytes; with the same array as input and
+        # output numpy needs no temporary, so no block buffer is held.
+        # "clip" spares `take` a buffered bounds check: every index is in
+        # range.
+        cells = table.view(dims.dtype)
+        for a in range(0, count, rows):
+            block = cells[a:a + rows]
+            np.take(dims[a:a + rows], joined, axis=1, out=block, mode="clip")
+            np.equal(block, dims[a:a + rows, None, :], out=block,
+                     casting="unsafe")
         return table
 
     return TernaryRelation(pg.ground, "cl", fn, build)
@@ -193,28 +220,40 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
             sub = (sub - 1) & free
 
     def build() -> np.ndarray:
-        # Superset-AND along C, one in-place pass per element i: a cell
-        # (A, B, C) with i outside C and inside cl(B+C) ANDs in the cell
-        # (A, B, C+i).  Every X in [C, cl(B+C)] has cl(B+X) = cl(B+C), so
-        # after the passes for the elements below i + 1 a cell holds the
-        # AND over [C, C + (cl(B+C) & those elements)], and after all n
-        # the AND over [C, cl(B+C)].  A pass reads only cells with bit i
-        # and writes only cells without it.
-        t = materialize(r).table.copy()
+        # Superset-AND along C, one pass per element i: a cell (A, B, C)
+        # with i in cl(B+C) \ C ANDs in the cell (A, B, C+i).  Every X in
+        # [C, cl(B+C)] has cl(B+X) = cl(B+C), so after the passes for the
+        # elements below i + 1 a cell holds the AND over [C, C + (cl(B+C)
+        # & those elements)], and after all n the AND over [C, cl(B+C)].
+        # A pass reads only cells with bit i and writes only cells without
+        # it, so each (A, B) row is its own problem: a block of A rows is
+        # copied from the base and runs all n passes while it is in
+        # cache.  Pass i copies the block 2^i cells down into `up`, so
+        # that cell C + 2^i lies under C, ORs in keep_i and ANDs `up`
+        # into the block, on words of up to 8 cells.  keep_i is 1
+        # wherever C has bit i, so what lies under those cells (the next
+        # row, or stale bytes at the block's end) never reaches a 0/1 cell.
+        base = materialize(r).table
+        t = np.empty(base.shape, dtype=bool)
         count = len(t)
-        masks = np.arange(count)
-        tops = cl[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
-        for i in range(count.bit_length() - 1):
-            run = 1 << i
-            shape = (count, count, count >> i + 1, 2, run)
-            cells = t.reshape(shape)
-            lo, hi = cells[..., 0, :], cells[..., 1, :]  # C without, with i
-            # (B, C) for the C without i: i is outside cl(B+C)
-            keep = (tops >> i & 1 == 0).reshape(shape[1:])[..., 0, :].copy()
-            if run in (2, 4, 8):  # a word per run; numpy is slow on short rows
-                word = np.dtype(f"u{run}")
-                lo, hi, keep = lo.view(word), hi.view(word), keep.view(word)
-            lo &= hi | keep
+        masks = _masks(count)
+        free = cl.astype(masks.dtype)[masks[:, None] | masks[None, :]] & ~masks
+        word = np.dtype(f"u{min(count, 8)}")
+        keeps = [  # (B, C): 1 where i is not in free = cl(B+C) \ C
+            (free >> i & 1 == 0).ravel().view(word)
+            for i in range(count.bit_length() - 1)
+        ]
+        rows = _block_rows(count)
+        up = np.ones(rows * count * count, dtype=bool)
+        up_words = up.view(word).reshape(rows, -1)
+        for a in range(0, count, rows):
+            t[a:a + rows] = base[a:a + rows]
+            block = t[a:a + rows].reshape(-1)
+            words = block.view(word).reshape(rows, -1)
+            for i, keep in enumerate(keeps):
+                up[:-(1 << i)] = block[1 << i:]
+                up_words |= keep
+                words &= up_words
         return t
 
     return TernaryRelation(r.ground, _suffix(r, "M"), fn, build)
@@ -244,7 +283,7 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
         cells = cl[masks[:, None] | masks[None, :]] * count + masks
         table = np.empty((count, count, count), dtype=bool)
         for a in range(count):
-            table[a] = base[a].ravel()[cells]
+            np.take(base[a], cells, out=table[a], mode="clip")  # in range
         return table
 
     return TernaryRelation(r.ground, _suffix(r, "c"), fn, build)

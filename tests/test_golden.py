@@ -2,9 +2,10 @@
 
 The file holds the `verify --suite all` report, `check --all` for five
 relations on gebert4, u34 and u36, `check --all` for dlo6 `div` (a
-failing TRA-R chain witness) and gf2-7 `cl` (the verdicts at n = 7),
-SCLO alone for gebert8 `a` (a pass at n = 8) and gf2-7 `sup` (a failing
-witness at n = 7), `modular` on every catalog
+failing TRA-R chain witness), gf2-7 `cl` (the verdicts at n = 7) and
+gf2-7 `aM` and `am` (the monotonisations at n = 7, each with a failing
+FREE witness), SCLO alone for gebert8 `a` (a pass at n = 8) and gf2-7
+`sup` (a failing witness at n = 7), `modular` on every catalog
 pregeometry with at most six elements, and `list`, which pins the
 catalog's names, kinds, sizes and descriptions.  Each command's section
 starts with a `$ pregeolab ...` line and holds what the command writes,
@@ -29,7 +30,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden.txt"
 
 CHECK_INSTANCES = ("gebert4", "u34", "u36")
 CHECK_RELATIONS = ("a", "aM", "ac", "amc", "cl")
-LARGE_CHECKS = (("dlo6", "div"), ("gf2-7", "cl"))
+LARGE_CHECKS = (
+    ("dlo6", "div"), ("gf2-7", "cl"), ("gf2-7", "aM"), ("gf2-7", "am"),
+)
 SCLO_CHECKS = (("gebert8", "a"), ("gf2-7", "sup"))
 MODULAR_INSTANCES = (
     "trivial3", "trivial4", "trivial5", "u23", "u34", "u36", "gf2-3", "gf3-4",

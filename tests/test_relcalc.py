@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from pregeolab import relcalc
 from pregeolab.axioms import compare
 from pregeolab.cli import RELATION_IDS, UsageError, resolve_relation
 from pregeolab.closure import trivial_closure
@@ -39,15 +40,21 @@ def u34():
 def assert_table_matches_scalar(r):
     """The vectorised table and the scalar evaluator are independent
     routes to the same relation.  The table is a C-contiguous bool array."""
-    t = materialize(r).table
-    assert t.dtype == bool and t.flags.c_contiguous, r.name
     count = r.ground.subset_count
     expected = np.array(
         [r.fn(a, b, c) for a, b, c in product(range(count), repeat=3)],
         dtype=bool,
-    ).reshape(t.shape)
-    mismatch = np.argwhere(t != expected)
-    assert len(mismatch) == 0, (r.name, tuple(mismatch[0]))
+    ).reshape((count,) * 3)
+    assert_same_table(r, expected)
+
+
+def assert_same_table(r, expected):
+    """r's table is a C-contiguous bool array equal to `expected`; a
+    failure names the least differing (A, B, C)."""
+    t = materialize(r).table
+    assert t.dtype == bool and t.flags.c_contiguous, r.name
+    assert np.array_equal(t, expected), (
+        r.name, tuple(np.argwhere(t != expected)[0]))
 
 
 def test_builders_match_scalar_eval(u34):
@@ -121,8 +128,9 @@ def test_transformer_predicates_read_no_table(u34):
 
 
 def test_monotonise_passes_match_scalar_at_size_five():
-    """At n = 5 the passes run on runs of 1, 2, 4, 8 and 16 cells, so
-    every word view is used.  Dense bases keep some ANDs over large
+    """At n = 5 the passes shift by 1, 2, 4, 8 and 16 cells on words of
+    8 cells, so the first three shifts stay inside a word and the last
+    two move whole words.  Dense bases keep some ANDs over large
     intervals true."""
     g = GroundSet(5)
     ops = [
@@ -140,6 +148,87 @@ def test_monotonise_passes_match_scalar_at_size_five():
             assert_table_matches_scalar(r)
             changed += bool(r.table.any() and (r.table != base).any())
     assert changed == 3 * len(ops)
+
+
+def reference_monotonise_M(base, cl):
+    """The superset-AND of `monotonise_M` as n whole-table passes on
+    single cells, with no blocks and no word views: pass i ANDs the cell
+    (A, B, C+i) into each cell (A, B, C) with i in cl(B+C) outside C."""
+    t = base.copy()
+    count = len(t)
+    masks = np.arange(count)
+    tops = cl[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
+    for i in range(count.bit_length() - 1):
+        run = 1 << i
+        shape = (count, count, count >> i + 1, 2, run)
+        cells = t.reshape(shape)
+        lo, hi = cells[..., 0, :], cells[..., 1, :]  # C without, with i
+        # (B, C) for the C without i: i is outside cl(B+C)
+        lo &= hi | (tops >> i & 1 == 0).reshape(shape[1:])[..., 0, :]
+    return t
+
+
+def reference_cl(dims):
+    """The `cl` table one A row at a time: dim(A/B+C) == dim(A/C)."""
+    count = len(dims)
+    masks = np.arange(count)
+    joined = masks[:, None] | masks[None, :]  # (B, C): B+C
+    table = np.empty((count, count, count), dtype=bool)
+    for a in range(count):
+        np.equal(dims[a][joined], dims[a], out=table[a])
+    return table
+
+
+# The default block is one block up to n = 6, 16 at n = 7 and 64 at
+# n = 8; 2^10 cells are 4 A rows at n = 4 and one row from n = 5 on, and
+# 1 puts every A row in a block of its own.
+DEFAULT_BLOCK = relcalc._BUILD_BLOCK_CELLS
+BLOCKS = (DEFAULT_BLOCK, 1 << 10, 1)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_builders_match_reference_on_catalog(block, monkeypatch):
+    """aM, am and cl on every catalog closure and pregeometry equal the
+    reference builders cell for cell; gebert8 (0.7 s) with the default
+    blocks only."""
+    monkeypatch.setattr(relcalc, "_BUILD_BLOCK_CELLS", block)
+    checked = []
+    for inst in catalog().values():
+        if inst.op is None or block != DEFAULT_BLOCK and inst.ground.size > 7:
+            continue
+        op = inst.op
+        base = materialize(rel_a(op))
+        assert_same_table(monotonise_M(base, op),
+                          reference_monotonise_M(base.table, op.table))
+        trivial = trivial_closure(op.ground).table
+        assert_same_table(monotonise_m(base),
+                          reference_monotonise_M(base.table, trivial))
+        if inst.pg is not None:
+            assert_same_table(rel_cl(inst.pg), reference_cl(dim_table(inst.pg)))
+        checked.append(inst.name)
+    assert len(checked) == 11 - (block != DEFAULT_BLOCK)
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+def test_monotonise_matches_reference_on_random_bases(block, monkeypatch):
+    """Random bases of density 0.5, 0.9 and 0.99 at n = 0..6, under the
+    trivial, uniform and initial-segment closures: the passes run on
+    words of 1, 2, 4 and 8 cells (n = 0, 1, 2 and from 3 on)."""
+    monkeypatch.setattr(relcalc, "_BUILD_BLOCK_CELLS", block)
+    rng = np.random.default_rng(15)
+    for n in range(7):
+        g = GroundSet(n)
+        ops = [trivial_closure(g), uniform_pregeometry(n // 2, n).op]
+        if n:
+            ops.append(gebert_closure(n))
+        for density in (0.5, 0.9, 0.99):
+            base = from_table(g, "rand", rng.random((1 << n,) * 3) < density)
+            for op in ops:
+                assert_same_table(monotonise_M(base, op),
+                                  reference_monotonise_M(base.table, op.table))
+            trivial = trivial_closure(g).table
+            assert_same_table(monotonise_m(base),
+                              reference_monotonise_M(base.table, trivial))
 
 
 def test_monotonise_M_known_answer_on_fano():
