@@ -13,44 +13,44 @@ Witness tuple layout per axiom:
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
 
-SYM and CLO-* scan the table one contiguous A row at a time: each row
-gives the (B, C) violation plane of that A, the first row with a
-violation holds the least witness, and the least (C, B) within it is the
-first true entry of the transposed plane.  The NOR, SCLO and chain scans
-instead pack one axis of the table into bits (`_pack`: 2^n bits per row,
-32 bytes at n = 8), so that one gather of a packed row serves every
-value of that axis at once and no scan loops over the 2^n A rows.
-NOR-R packs A, over rows (B, C): the least bit of the OR over all rows
-is the least A, and the least (C, B) whose row has that bit completes
-it.  NOR-L packs B, over rows (A, C): the first nonzero row is the least
-(A, C), and its least bit is B.  SCLO XORs the same rows with its
-right-hand side r(cl(A+C), cl(B+C), cl(C)), which depends on (A, C)
-only through the pair cl(C) <= cl(A+C) of closed sets: one packed row
-over B per pair, taken by (A, C) (`_scan_sclo`).  The four-variable
-axioms never build the 2^(4n) array; one of three scans runs at every
-ground-set size, chosen by axiom family:
+Every scan except EX and AREF runs on the table packed into bits along
+one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
+word operation on a row serves every value of that axis at once and no
+scan loops over the 2^n A rows.  There are two layouts, and each has
+one extractor of the least (A, C, B) from a packed violation array:
 
-- chain scan (BMON-*, TRA-*): A is packed, and the violation rows of
-  the 4^n chains C <= B <= D are two or three gathers of packed rows
-  (`_scan_chain`).  The least bit of their OR is the least A, and the
-  least (C, B, D) among the chains with that bit completes the least
-  (A, C, B, D).
-- zeta scan (MON-*): some D violates the body at (A, C, B) exactly when
-  r fails at (A, B, C) and holds with a superset of B (of A for MON-L)
-  in its place.  A superset-OR transform along that axis marks these
-  triples; the least one in (A, C, B) order fixes the prefix, and the
-  first D that makes r hold with B+D (A+D) completes it.
-- interval scan (TRA-STRONG, BMON-STRONG, FREE): the D that could
-  violate the body at (A, C, B) fall into intervals of the subset
-  lattice, and one OR pass per element over such an interval marks the
-  violating triples: for FREE the interval C & (A+B) <= D <= C, for
-  TRA-STRONG the D with the same part W outside B, the interval
-  [W, W+B], and for BMON-STRONG the interval [E, E+C] of the D with the
-  same part E outside C, coded in base 3 (see `_interval_table`).  The
-  least marked (A, C, B) fixes the prefix and a scan of the 2^n sets D
-  completes it, so the witness is still the least (A, C, B, D).  The
-  base-3 codes make TRA-STRONG and BMON-STRONG about 12^n work, done in
-  blocks of A rows; FREE is about n 8^n.
+- right: A packed, rows (B, C).  `_least_right` takes the least bit of
+  the OR of all rows as A, then the least (C, B) whose row has that bit.
+  SYM, NOR-R, CLO-R, MON-R and FREE use it.
+- left: B packed, rows (A, C).  `_least_left` takes the first nonzero
+  row as (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO
+  use it.
+
+SYM ANDs the table packed over A with the negated table packed over B,
+whose row (B, C) is r(B, A, C).  NOR and CLO AND it with the negated
+gather of the rows (X+C, C) or (cl(X), C), X the row's other variable
+(`_scan_gather`).  SCLO XORs the table packed over B with the rows of
+its right side, one packed row per pair of closed sets (`_scan_sclo`).
+The four-variable axioms never build the 2^(4n) array:
+
+- zeta scan (MON-*, FREE): one whole-row OR per element marks the
+  (A, C, B) that some D violates (`_scan_mon`, `_scan_free`), and the
+  least D completes the least marked (A, C, B).
+- chain scan (BMON-*, TRA-*): on the right layout, or the left one for
+  the left forms, whose A is the table's second variable, the violation
+  rows of the 4^n chains C <= B <= D are two or three gathers of packed
+  rows (`_scan_chain`).  The least bit of their OR is the least A, and
+  the least (C, B, D) among the chains with that bit completes the
+  least (A, C, B, D).
+- interval scan (TRA-STRONG, BMON-STRONG): the D that could violate the
+  body at (A, C, B) fall into intervals of the subset lattice, and one
+  OR pass per element over such an interval marks the violating
+  triples: for TRA-STRONG the D with the same part W outside B, the
+  interval [W, W+B], and for BMON-STRONG the interval [E, E+C] of the D
+  with the same part E outside C, coded in base 3 (see
+  `_interval_table`).  The least marked (A, C, B) fixes the prefix and
+  a scan of the 2^n sets D completes it.  The base-3 codes make these
+  about 12^n work, done in blocks of A rows on bool cells.
 
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
@@ -143,17 +143,6 @@ def _least_acb(viol: np.ndarray) -> Optional[tuple[int, int, int]]:
     return a, c, b
 
 
-def _scan_3var(count: int, plane) -> Optional[tuple[int, int, int]]:
-    """Row scan in (A, C, B) order; plane(a) returns the (B, C) violation
-    plane of row A = a."""
-    for a in range(count):
-        viol = plane(a)
-        if viol.any():
-            c, b = divmod(int(np.argmax(viol.T)), count)
-            return (a, c, b)
-    return None
-
-
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 4^n chains C <= B <= D as three arrays, in no particular order:
     each element in turn is outside D, in D only, in B only, or in C."""
@@ -172,8 +161,8 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     little-endian, as np.packbits(..., bitorder="little") lays them out.
     For axis 1, t3 may be a block of A rows of the table.
 
-    From n = 3 on, 8 shift-ORs over uint64 views of the bool cells pack 8
-    cells per word in byte lanes at once, and a transpose makes the rows;
+    From n = 3 on, one einsum weights the k-th of each 8 cells along the
+    axis by 2^k: cells are 0 or 1, so the uint8 sum is the packed byte.
     packbits along the axis is about 30 times slower at n = 8."""
     count = t3.shape[1]
     if count < 8:
@@ -181,20 +170,9 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
         return np.moveaxis(bits, axis, -1).reshape(-1, 1)
     lead = len(t3) if axis else 1
     cells = t3.reshape(lead, count >> 3, 8, -1).view(np.uint8)
-    words = cells[:, :, 0].view(np.uint64).copy()
-    lane = np.empty_like(words)
-    for k in range(1, 8):
-        words |= np.left_shift(cells[:, :, k].view(np.uint64), k, out=lane)
-    del lane
-    rows = np.ascontiguousarray(words.view(np.uint8).transpose(0, 2, 1))
-    return rows.reshape(-1, count >> 3)
-
-
-def _least_bit(row: np.ndarray) -> int:
-    """Index of the least set bit of a packed row that has one."""
-    j = int(np.argmax(row != 0))
-    byte = int(row[j])
-    return 8 * j + (byte & -byte).bit_length() - 1
+    weights = np.left_shift(1, np.arange(8, dtype=np.uint8))
+    rows = np.einsum("agkx,k->axg", cells, weights)
+    return np.ascontiguousarray(rows).reshape(-1, count >> 3)
 
 
 def _least_a(
@@ -207,8 +185,33 @@ def _least_a(
     found = np.bitwise_or.reduce(found.reshape(count, -1), axis=0)
     if not found.any():
         return None
-    a = _least_bit(found)
+    a = int(np.argmax(np.unpackbits(found, bitorder="little")))
     return a, viol[:, a >> 3] >> (a & 7) & 1
+
+
+def _least_right(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
+    """Least (A, C, B) of violation rows (B, C) packed over A: the least A
+    set in any row, then the least (C, B) whose row has it."""
+    hit = _least_a(viol, count)
+    if hit is None:
+        return None
+    a, has = hit
+    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
+    return (a, c, b)
+
+
+def _least_left(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
+    """Least (A, C, B) of violation rows (A, C) packed over B: the least A
+    with a nonzero row, then the first set bit of its rows, which lies in
+    the least C and is its least B.  Padding bits of the rows must be 0."""
+    width = viol.shape[1]
+    a = int(np.argmax(viol.reshape(-1, count * width).max(axis=1) != 0))
+    bits = np.unpackbits(viol[a * count:(a + 1) * count], bitorder="little")
+    k = int(np.argmax(bits))
+    if not bits[k]:
+        return None
+    c, b = divmod(k, 8 * width)
+    return (a, c, b)
 
 
 def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
@@ -244,32 +247,19 @@ def _scan_chain(t3: np.ndarray, left: bool, transitive: bool):
     return (a, int(c[i]), int(b[i]), int(d[i]))
 
 
-def _scan_nor(t3: np.ndarray, left: bool) -> Optional[tuple[int, int, int]]:
-    """NOR-R: r(A, B, C) and not r(A, B+C, C), on rows (B, C) packed over
-    A, so the least A comes first and then the least (C, B) with its bit.
-    NOR-L: r(A, B, C) and not r(A+C, B, C), on rows (A, C) packed over B,
-    so the first nonzero row is the least (A, C) and its least bit is B."""
+def _scan_gather(
+    t3: np.ndarray, left: bool, x: np.ndarray
+) -> Optional[tuple[int, int, int]]:
+    """Least (A, C, B) where r(A, B, C) holds and r fails with X replaced
+    by x[X, C], X being B, or A for the left forms.  On the table packed
+    over A (over B), rows (X, C), the second cell is row (x[X, C], C), so
+    one gather of rows gives every such cell."""
     count = len(t3)
-    masks = np.arange(count)
     p = _pack(t3, 1 if left else 0)
-    source = (masks[:, None] | masks[None, :]) * count + masks  # (X+C, C)
-    viol = p.take(source.ravel(), axis=0)
+    viol = p.take((x * count + np.arange(count)).ravel(), axis=0)
     np.invert(viol, out=viol)
     viol &= p
-    if left:
-        by_a = viol.reshape(count, -1).any(axis=1)
-        if not by_a.any():
-            return None
-        a = int(np.argmax(by_a))
-        rows = viol[a * count:(a + 1) * count]
-        c = int(np.argmax(rows.any(axis=1)))
-        return (a, c, _least_bit(rows[c]))
-    hit = _least_a(viol, count)
-    if hit is None:
-        return None
-    a, has = hit
-    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
-    return (a, c, b)
+    return (_least_left if left else _least_right)(viol, count)
 
 
 #: cells of the table in the first block of A rows of the SCLO scan, so
@@ -316,37 +306,28 @@ def _scan_sclo(t3: np.ndarray, cl: np.ndarray) -> Optional[tuple[int, int, int]]
         right[new] = np.packbits(t3.take(cells), axis=-1, bitorder="little")
         rows = right.take(at, axis=0)
         rows ^= _pack(t3[lo:hi], 1)
-        hit = rows.any(axis=1)
-        if hit.any():
-            i = int(np.argmax(hit))
-            a, c = divmod(i, count)
-            return (lo + a, c, _least_bit(rows[i]))
+        hit = _least_left(rows, count)
+        if hit is not None:
+            return (lo + hit[0],) + hit[1:]
         lo = hi
     return None
 
 
-def _zeta_or(t: np.ndarray, var: int, up: bool, clear: tuple[int, ...] = ()):
-    """OR each cell of an [A, B, C] table, in place, over the supersets
-    (up) or subsets of its `var` index, one pass per bit i; the pass for
-    bit i skips the cells where a variable in `clear` has bit i."""
-    size = len(t).bit_length() - 1
-    cube = t.reshape((2,) * (3 * size))
-    for i in range(size):
-        at = [slice(None)] * (3 * size)
-        for v in clear:
-            at[v * size + size - 1 - i] = 0
-        src, dst = list(at), at
-        src[var * size + size - 1 - i] = 1 if up else 0
-        dst[var * size + size - 1 - i] = 0 if up else 1
-        cube[tuple(dst)] |= cube[tuple(src)]
-    return t
-
-
 def _scan_mon(t3: np.ndarray, left: bool):
-    masks = np.arange(t3.shape[0])
-    bad = _zeta_or(t3.copy(), 0 if left else 1, up=True)
-    np.greater(bad, t3, out=bad)
-    hit = _least_acb(bad)
+    """MON-R (MON-L): r(A, B, C) fails and holds with a superset of B (of
+    A) in its place.  On the table packed over A (over B), rows (B, C)
+    ((A, C)), a superset-OR along the leading row index is one whole-row
+    OR per element."""
+    count = len(t3)
+    masks = np.arange(count)
+    p = _pack(t3, 1 if left else 0)
+    bad = p.copy()
+    for i in range(count.bit_length() - 1):
+        cube = bad.reshape(count >> i + 1, 2, -1)
+        cube[:, 0] |= cube[:, 1]
+    bad &= np.invert(p, out=p)
+    del p
+    hit = (_least_left if left else _least_right)(bad, count)
     if hit is None:
         return None
     a, c, b = hit
@@ -443,11 +424,25 @@ def _scan_interval(t3: np.ndarray, ax: AxiomId):
 
 def _scan_free(t3: np.ndarray) -> Optional[tuple[int, int, int]]:
     """Least (A, C, B) where r(A, B, C) holds and r(A, B, D) fails for some
-    D in [C & (A+B), C]: a subset-OR of not r along C over the bits outside
-    A+B."""
-    bad = _zeta_or(~t3, 2, up=False, clear=(0, 1))
-    bad &= t3
-    return _least_acb(bad)
+    D in [C & (A+B), C].  On the table packed over A, rows (B, C), this is
+    a subset-OR of not r along C, for each element i over the rows whose B
+    lacks i and in each word over the A that lack i."""
+    count = len(t3)
+    size = count.bit_length() - 1
+    p = _pack(t3, 0)
+    bad = np.invert(p)
+    bits = np.arange(8 * p.shape[1]) >> np.arange(size)[:, None] & 1
+    lack = np.packbits(bits == 0, axis=-1, bitorder="little")  # A lacks i
+    words = np.empty(bad.size >> 2, dtype=np.uint8)
+    for i in range(size):
+        half = count >> i + 1
+        rows = bad.reshape(half, 2, 1 << i, half, 2, 1 << i, -1)[:, 0]
+        src = rows[:, :, :, 0]  # [B, C]: B and C without i
+        rows[:, :, :, 1] |= np.bitwise_and(src, lack[i],
+                                           out=words.reshape(src.shape))
+    del words
+    bad &= p
+    return _least_right(bad, count)
 
 
 def _least_d(t3: np.ndarray, ax: AxiomId, a: int, c: int, b: int):
@@ -486,19 +481,19 @@ def _find_violation(
     if ax is AxiomId.EX:
         return first_true(~t3[:, masks, masks])
 
-    # Planes are (B, C); t3[a] is the row of r(a, B, C).
-    if ax is AxiomId.SYM:
-        return _scan_3var(count, lambda a: t3[a] & ~t3[:, a])
+    if ax is AxiomId.SYM:  # bit A of row (B, C), packed over B: r(B, A, C)
+        viol = _pack(t3, 1)
+        np.invert(viol, out=viol)
+        viol &= _pack(t3, 0)
+        return _least_right(viol, count)
 
-    if ax in (AxiomId.NOR_R, AxiomId.NOR_L):
-        return _scan_nor(t3, left=ax is AxiomId.NOR_L)
+    if ax in (AxiomId.NOR_R, AxiomId.NOR_L):  # X replaced by X+C
+        return _scan_gather(t3, ax is AxiomId.NOR_L, masks[:, None] | masks)
 
     if ax in (AxiomId.CLO_R, AxiomId.CLO_L, AxiomId.SCLO, AxiomId.AREF):
         cl = _require_op(ax, op).table
-        if ax is AxiomId.CLO_R:
-            return _scan_3var(count, lambda a: t3[a] & ~t3[a][cl])
-        if ax is AxiomId.CLO_L:
-            return _scan_3var(count, lambda a: t3[a] & ~t3[cl[a]])
+        if ax in (AxiomId.CLO_R, AxiomId.CLO_L):  # X replaced by cl(X)
+            return _scan_gather(t3, ax is AxiomId.CLO_L, cl[:, None])
         if ax is AxiomId.SCLO:
             return _scan_sclo(t3, cl)
         # AREF: (a, C) with r({a}, {a}, C) and a outside cl(C)

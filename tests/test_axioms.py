@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from pregeolab import axioms
+from pregeolab import axioms, closure
 from pregeolab.axioms import (
     _pack,
     AXIOM_ORDER,
@@ -27,7 +27,7 @@ from pregeolab.instances import (
     rel_st,
     uniform_pregeometry,
 )
-from pregeolab.lattice import GroundSet
+from pregeolab.lattice import GroundSet, first_true
 from pregeolab.relcalc import (
     CapExceeded,
     from_table,
@@ -225,34 +225,120 @@ def scalar_nor_scan(t3, left):
     return None
 
 
-_ROW_SCANS = {  # axiom -> its scan one A row at a time
-    AxiomId.BMON_R: lambda t3: scalar_chain_scan(t3, False, False),
-    AxiomId.BMON_L: lambda t3: scalar_chain_scan(t3, True, False),
-    AxiomId.TRA_R: lambda t3: scalar_chain_scan(t3, False, True),
-    AxiomId.TRA_L: lambda t3: scalar_chain_scan(t3, True, True),
-    AxiomId.NOR_R: lambda t3: scalar_nor_scan(t3, False),
-    AxiomId.NOR_L: lambda t3: scalar_nor_scan(t3, True),
+def row_scan(t3, plane):
+    """Scan in (A, C, B) order one A row at a time; plane(a) is the (B, C)
+    violation plane of row A = a."""
+    count = len(t3)
+    for a in range(count):
+        viol = plane(a)
+        if viol.any():
+            c, b = divmod(int(np.argmax(viol.T)), count)
+            return (a, c, b)
+    return None
+
+
+def zeta_or(t, var, up, clear=()):
+    """OR each cell of a bool [A, B, C] table, in place, over the supersets
+    (up) or subsets of its `var` index, one pass per bit i on the table
+    viewed as a 3n-dimensional cube; the pass for bit i skips the cells
+    where a variable in `clear` has bit i."""
+    size = len(t).bit_length() - 1
+    cube = t.reshape((2,) * (3 * size))
+    for i in range(size):
+        at = [slice(None)] * (3 * size)
+        for v in clear:
+            at[v * size + size - 1 - i] = 0
+        src, dst = list(at), at
+        src[var * size + size - 1 - i] = 1 if up else 0
+        dst[var * size + size - 1 - i] = 0 if up else 1
+        cube[tuple(dst)] |= cube[tuple(src)]
+    return t
+
+
+def scalar_mon_scan(t3, left):
+    """MON by a superset-OR of the bool cells along B (A for MON-L): the
+    least (A, C, B) where r fails and holds with a superset in its place,
+    then the least D that makes it hold."""
+    masks = np.arange(len(t3))
+    bad = zeta_or(t3.copy(), 0 if left else 1, up=True)
+    np.greater(bad, t3, out=bad)
+    hit = first_true(bad.transpose(0, 2, 1))
+    if hit is None:
+        return None
+    a, c, b = hit
+    grown = t3[a | masks, b, c] if left else t3[a, b | masks, c]
+    return (a, c, b, int(np.argmax(grown)))
+
+
+def scalar_free_scan(t3):
+    """FREE by a subset-OR of the bool cells of not r along C over the
+    bits outside A+B, then the least D of the interval where r fails."""
+    bad = zeta_or(~t3, 2, up=False, clear=(0, 1))
+    bad &= t3
+    hit = first_true(bad.transpose(0, 2, 1))
+    if hit is None:
+        return None
+    a, c, b = hit
+    d = np.arange(len(t3))
+    ok = (c & (a | b) & ~d == 0) & (d & ~c == 0) & ~t3[a, b]
+    return (a, c, b, int(np.argmax(ok)))
+
+
+_ROW_SCANS = {  # axiom -> its scan of bool cells, given the closure table
+    AxiomId.BMON_R: lambda t3, cl: scalar_chain_scan(t3, False, False),
+    AxiomId.BMON_L: lambda t3, cl: scalar_chain_scan(t3, True, False),
+    AxiomId.TRA_R: lambda t3, cl: scalar_chain_scan(t3, False, True),
+    AxiomId.TRA_L: lambda t3, cl: scalar_chain_scan(t3, True, True),
+    AxiomId.NOR_R: lambda t3, cl: scalar_nor_scan(t3, False),
+    AxiomId.NOR_L: lambda t3, cl: scalar_nor_scan(t3, True),
+    AxiomId.SYM: lambda t3, cl: row_scan(t3, lambda a: t3[a] & ~t3[:, a]),
+    AxiomId.CLO_R: lambda t3, cl: row_scan(t3, lambda a: t3[a] & ~t3[a][cl]),
+    AxiomId.CLO_L: lambda t3, cl: row_scan(t3, lambda a: t3[a] & ~t3[cl[a]]),
+    AxiomId.MON_R: lambda t3, cl: scalar_mon_scan(t3, False),
+    AxiomId.MON_L: lambda t3, cl: scalar_mon_scan(t3, True),
+    AxiomId.FREE: lambda t3, cl: scalar_free_scan(t3),
 }
 
 
+def random_closure(ground, rng):
+    """The closure of the Moore family of a few random sets and the ground
+    set: cl(X) is the intersection of the family's sets that contain X."""
+    count = ground.subset_count
+    masks = np.arange(count)
+    table = np.full(count, count - 1)
+    for s in rng.integers(0, count, 3):
+        table = np.where(masks & ~s == 0, table & s, table)
+    return closure.from_table(ground, table)
+
+
 def test_packed_scans_match_row_scans_on_random_tables():
-    """The packed chain and NOR scans report the same least witness as the
-    row scans at n = 0..6.  Dense tables put some witnesses past A = {},
-    and sparse ones put the least chain far from the first."""
+    """The packed scans report the same least witness as the scans of
+    bool cells at n = 0..6, where a packed row of n <= 2 has padding
+    bits.  Dense tables put some witnesses past A = {}, sparse ones put
+    the least chain far from the first, and CLO-L/R run under a random
+    closure that is not the identity."""
     rng = np.random.default_rng(13)
-    late = fails = 0
+    fails = 0
+    late = set()  # the axioms with some least witness past A = {}
+    clo_sizes = set()  # the sizes with a CLO-L or CLO-R fail
     for size in range(7):
         count = 1 << size
+        op = random_closure(GroundSet(size), rng)
+        assert size == 0 or (op.table != np.arange(count)).any()
         for density in (0.01, 0.5, 0.99, 0.9999):
             for _ in range(2 if size == 6 else 4):
                 r = from_table(GroundSet(size), "rand",
                                rng.random((count,) * 3) < density)
-                for ax, row_scan in _ROW_SCANS.items():
-                    want = row_scan(r.table)
-                    assert check_axiom(r, ax).witness == want, (size, ax)
+                for ax, scan in _ROW_SCANS.items():
+                    want = scan(r.table, op.table)
+                    assert check_axiom(r, ax, op).witness == want, (size, ax)
                     fails += want is not None
-                    late += want is not None and want[0] > 0
-    assert fails > 200 and late > 20
+                    if want is not None and want[0] > 0:
+                        late.add(ax)
+                    if ax in (AxiomId.CLO_L, AxiomId.CLO_R) and want:
+                        clo_sizes.add(size)
+    assert fails > 500 and late == set(_ROW_SCANS)
+    assert clo_sizes >= {1, 2, 6}
 
 
 @pytest.mark.parametrize("name,rel_id,axioms", [
@@ -264,10 +350,12 @@ def test_packed_scans_match_row_scans_on_random_tables():
     ("gebert8", "a", (AxiomId.TRA_L,)),
 ])
 def test_packed_scans_match_row_scans_on_catalog(name, rel_id, axioms):
-    r = resolve_relation(catalog_instance(name), rel_id)
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    r = resolve_relation(inst, rel_id)
     t3 = materialize(r).table
     for ax in axioms:
-        assert check_axiom(r, ax).witness == _ROW_SCANS[ax](t3), ax
+        assert check_axiom(r, ax, op).witness == _ROW_SCANS[ax](t3, op.table), ax
     if name == "dlo6":
         assert check_axiom(r, AxiomId.TRA_R).witness == (2, 0, 1, 5)
 
@@ -355,6 +443,35 @@ def test_sclo_matches_row_scan_on_corrupted_catalog_tables(name):
         late += want is not None and want[0] > 0
     assert scalar_sclo_scan(good, op.table) is None
     assert fails >= 10 and late >= 10
+
+
+_LAYOUT_AXIOMS = (AxiomId.SYM, AxiomId.NOR_L, AxiomId.NOR_R, AxiomId.CLO_L,
+                  AxiomId.CLO_R, AxiomId.MON_L, AxiomId.MON_R, AxiomId.FREE)
+
+
+@pytest.mark.parametrize("name,rel_id", [("gebert8", "a"), ("gf2-7", "cl")])
+def test_packed_scans_match_row_scans_on_corrupted_catalog_tables(
+        name, rel_id):
+    """Fail paths at n = 7 and 8, where no catalog relation fails SYM or
+    MON: the table with a few cells (A, B, C) flipped, A > 0."""
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    good = materialize(resolve_relation(inst, rel_id)).table
+    count = len(good)
+    rng = np.random.default_rng(count)
+    late = set()  # the axioms with some least witness past A = {}
+    for k in range(3):
+        t3 = good.copy()
+        a, b, c = rng.integers(1, count, (3, 1 + k))
+        t3[a, b, c] ^= True
+        r = from_table(inst.ground, rel_id, t3)
+        for ax in _LAYOUT_AXIOMS:
+            want = _ROW_SCANS[ax](t3, op.table)
+            assert check_axiom(r, ax, op).witness == want, (name, k, ax)
+            if want is not None and want[0] > 0:
+                late.add(ax)
+    assert late >= {AxiomId.SYM, AxiomId.CLO_L, AxiomId.CLO_R, AxiomId.MON_L,
+                    AxiomId.MON_R}
 
 
 @pytest.mark.parametrize("name", ["trivial5", "u36", "gebert4"])
