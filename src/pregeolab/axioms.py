@@ -21,7 +21,7 @@ one extractor of the least (A, C, B) from a packed violation array:
 
 - right: A packed, rows (B, C).  `_least_right` takes the least bit of
   the OR of all rows as A, then the least (C, B) whose row has that bit.
-  SYM, NOR-R, CLO-R, MON-R and FREE use it.
+  SYM, NOR-R, CLO-R, MON-R, FREE, TRA-STRONG and BMON-STRONG use it.
 - left: B packed, rows (A, C).  `_least_left` takes the first nonzero
   row as (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO
   use it.
@@ -42,15 +42,14 @@ The four-variable axioms never build the 2^(4n) array:
   rows (`_scan_chain`).  The least bit of their OR is the least A, and
   the least (C, B, D) among the chains with that bit completes the
   least (A, C, B, D).
-- interval scan (TRA-STRONG, BMON-STRONG): the D that could violate the
-  body at (A, C, B) fall into intervals of the subset lattice, and one
-  OR pass per element over such an interval marks the violating
-  triples: for TRA-STRONG the D with the same part W outside B, the
-  interval [W, W+B], and for BMON-STRONG the interval [E, E+C] of the D
-  with the same part E outside C, coded in base 3 (see
-  `_interval_table`).  The least marked (A, C, B) fixes the prefix and
-  a scan of the 2^n sets D completes it.  The base-3 codes make these
-  about 12^n work, done in blocks of A rows on bool cells.
+- strong scan (TRA-STRONG, BMON-STRONG): on the right layout, a loop
+  over E, the part of D outside the base (B for TRA-STRONG, B+C for
+  BMON-STRONG), ORs into row (B, C) the rows that some D with that part
+  violates (`_scan_tra_strong`, `_scan_bmon_strong`).  The rest of D
+  ranges over the subsets of the base, so whole-row OR passes along B or
+  C absorb it.  BMON-STRONG gathers 5^n rows in all, and TRA-STRONG 6^n
+  rows and about n 6^n row ORs.  The least D completes the least
+  marked (A, C, B), as for FREE.
 
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
@@ -130,17 +129,6 @@ class AxiomReport:
         if self.witness is not None:
             parts.append("witness=" + format_witness(self.witness))
         return " ".join(parts)
-
-
-def _least_acb(viol: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """Least (A, C, B) of an [A, B, C] violation array, without the
-    (A, C, B)-ordered copy that argmax on a transposed view would make."""
-    rows = viol.reshape(len(viol), -1).any(axis=1)
-    if not rows.any():
-        return None
-    a = int(np.argmax(rows))
-    c, b = divmod(int(np.argmax(viol[a].T)), viol.shape[1])
-    return a, c, b
 
 
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,91 +323,62 @@ def _scan_mon(t3: np.ndarray, left: bool):
     return (a, c, b, int(np.argmax(grown)))
 
 
-#: cells of the base-3 table of one block of A rows; with its temporaries a
-#: block then takes about 10 MB
-_BLOCK_CELLS = 1 << 21
-
-
-def _halves(v: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    """Views of the cells of v whose last index lacks, and has, bit i."""
-    v = v.reshape(v.shape[:-1] + (v.shape[-1] >> i + 1, 2, 1 << i))
-    return v[..., 0, :], v[..., 1, :]
-
-
-def _interval_table(rows: np.ndarray, ax: AxiomId) -> np.ndarray:
-    """Rows [A, X, Y] of r recoded to [A, code, Y], where the code puts a
-    pair of disjoint sets in base 3: digit i is 0 when element i is in
-    neither set, 1 when it is in the first, 2 when it is in the second.
-
-    TRA-STRONG: X = B, the pair is (W, B) and the cell is T[A, (W, B), C],
-    the OR of r(A, W+V, B+C) over V <= B.  BMON-STRONG: X = C, Y = B, the
-    pair is (E, C) and the cell is U[A, (E, C), B], the OR of r(A, B+E+S,
-    C) over S <= C.  Both ORs are intervals of the subset lattice, so one
-    pass per element i builds them: it turns each 2 x 2 block of bit i of
-    (X, Y) into a 3 x 2 block of (digit i, bit i of Y)."""
-    count = rows.shape[1]
-    size = count.bit_length() - 1
-    x = rows
-    for i in range(size):  # digits below i are done, bits i and up are not
-        x = x.reshape(-1, 2, 3**i, count)
-        out = np.empty((len(x), 3, 3**i, count), dtype=bool)
-        out[:, 0] = x[:, 0]
-        if ax is AxiomId.TRA_STRONG:
-            out[:, 1] = x[:, 1]  # i in W
-            np.logical_or(x[:, 0], x[:, 1], out=out[:, 2])  # i in V or not
-            lack, has = _halves(out[:, 2], i)
-            lack[...] = has  # i in B, so in B+C
-        else:
-            out[:, 1] = x[:, 0]
-            lack, has = _halves(out[:, 1], i)
-            lack[...] = has  # i in E, so in B+E+S
-            out[:, 2] = x[:, 1]
-            lack, has = _halves(out[:, 2], i)
-            lack |= has  # i in C, and in S or not
-        x = out
-    return x.reshape(len(rows), 3**size, count)
-
-
-def _scan_interval(t3: np.ndarray, ax: AxiomId):
-    """Least violating (A, C, B) of TRA-STRONG or BMON-STRONG, in blocks of
-    A rows that start at one row and double, so an early A stays cheap.
-
-    Some D violates TRA-STRONG at (A, C, B) exactly when r(A, B, C) holds
-    and some W outside B has T[A, (W, B), C] and not r(A, B+W, C); some D
-    violates BMON-STRONG exactly when some E outside C has U[A, (E, C), B]
-    and not r(A, B, C+E).  So a block marks the codes whose cell holds
-    while r fails at the union of the pair, then ORs each digit's values
-    0 and 1 into bit value 0, leaving B (C) as the second set."""
+def _scan_bmon_strong(t3: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """BMON-STRONG: r(A, B+D, C) holds and r(A, B, C+D) fails.  With E the
+    part of D outside B+C, the body is r(A, B+E+P, C) and not r(A, B,
+    C+E+Q), P and Q any subsets of C and of B.  On the table packed over A,
+    rows (B, C), f ORs r over the supersets of B by elements of C, g ORs
+    not r over the supersets of C by elements of B, one whole-row OR per
+    element each, and each E ORs f[B+E, C] & g[B, C+E] into row (B, C)."""
     count = len(t3)
-    size = count.bit_length() - 1
-    code = np.arange(3**size)
-    union = np.zeros_like(code)  # W+B (E+C): the elements of nonzero digit
-    for i in range(size):
-        union |= (code // 3**i % 3 != 0).astype(union.dtype) << i
-    cap = max(1, _BLOCK_CELLS // (3**size * count))
-    lo = 0
-    while lo < count:
-        hi = min(count, lo + min(cap, max(lo, 1)))
-        rows = t3[lo:hi]
-        if ax is AxiomId.BMON_STRONG:
-            rows = np.ascontiguousarray(rows.transpose(0, 2, 1))
-        marked = np.greater(_interval_table(rows, ax), rows[:, union])
-        for i in range(size):  # digit i from the top: 0 and 1 OR into bit 0
-            marked = marked.reshape(len(rows) << i, 3, -1)
-            merged = np.empty((len(marked), 2, marked.shape[2]), dtype=bool)
-            np.logical_or(marked[:, 0], marked[:, 1], out=merged[:, 0])
-            merged[:, 1] = marked[:, 2]
-            marked = merged
-        viol = marked.reshape(rows.shape)
-        if ax is AxiomId.TRA_STRONG:
-            viol &= rows
-            hit = _least_acb(viol)
-        else:  # [A, C, B] already
-            hit = first_true(viol)
-        if hit is not None:
-            return (lo + hit[0],) + hit[1:]
-        lo = hi
-    return None
+    masks = np.arange(count)
+    f = _pack(t3, 0)
+    g = np.invert(f)
+    for i in range(count.bit_length() - 1):
+        half = count >> i + 1
+        shape = (half, 2, 1 << i, half, 2, 1 << i, -1)
+        fv, gv = f.reshape(shape), g.reshape(shape)
+        fv[:, 0, :, :, 1] |= fv[:, 1, :, :, 1]  # C has i: B takes B+i
+        gv[:, 1, :, :, 0] |= gv[:, 1, :, :, 1]  # B has i: C takes C+i
+    viol = f & g  # E = {}
+    for e in range(1, count):
+        rest = masks[masks & e == 0]  # B and C outside E
+        rows = (rest[:, None] * count + rest).ravel()
+        hit = f.take(rows + e * count, axis=0)
+        hit &= g.take(rows + e, axis=0)
+        viol[rows] |= hit
+    return _least_right(viol, count)
+
+
+def _scan_tra_strong(t3: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """TRA-STRONG: r(A, B, C) and r(A, D, B+C) hold and r(A, B+D, C) fails.
+    With E the part of D outside B and V the part inside, that is r(A, B,
+    C), not r(A, B+E, C), and r(A, E+V, B+C) for some V <= B.  On the table
+    packed over A, rows (B, C), each E gathers the rows (B+E, Z) of the B
+    outside E, ORs them over the subsets of B, one whole-row OR per element
+    outside E, and takes row (B, B+C) of the result."""
+    count = len(t3)
+    masks = np.arange(count)
+    p = _pack(t3, 0)
+    width = p.shape[1]
+    table = p.reshape(count, count, width)
+    viol = np.zeros_like(table)
+    for e in range(count):
+        rest = masks[masks & e == 0]  # B outside E
+        below = table[rest | e]  # [B, Z]: r(A, B+E, Z), then ORed over B's subsets
+        for j in range(len(rest).bit_length() - 1):  # no view keeps below alive
+            pairs = (len(rest) >> j + 1, 2, -1)
+            below.reshape(pairs)[:, 1] |= below.reshape(pairs)[:, 0]
+        at = rest[:, None] | masks  # [B, C]: row (B, B+C) of below
+        at += np.arange(0, at.size, count)[:, None]
+        hit = below.reshape(-1, width).take(at, axis=0)
+        del below
+        off = table[rest | e]
+        hit &= np.invert(off, out=off)
+        del off
+        viol[rest] |= hit
+    viol &= table
+    return _least_right(viol.reshape(p.shape), count)
 
 
 def _scan_free(t3: np.ndarray) -> Optional[tuple[int, int, int]]:
@@ -462,6 +421,13 @@ _CHAIN_AXIOMS = {  # axiom -> (left form, transitive form)
     AxiomId.BMON_L: (True, False),
     AxiomId.TRA_R: (False, True),
     AxiomId.TRA_L: (True, True),
+}
+
+
+_D_SCANS = {  # axiom -> its scan of the least (A, C, B) that some D violates
+    AxiomId.TRA_STRONG: _scan_tra_strong,
+    AxiomId.BMON_STRONG: _scan_bmon_strong,
+    AxiomId.FREE: _scan_free,
 }
 
 
@@ -508,8 +474,8 @@ def _find_violation(
     if ax in (AxiomId.MON_R, AxiomId.MON_L):
         return _scan_mon(t3, left=ax is AxiomId.MON_L)
 
-    if ax in (AxiomId.TRA_STRONG, AxiomId.BMON_STRONG, AxiomId.FREE):
-        hit = _scan_free(t3) if ax is AxiomId.FREE else _scan_interval(t3, ax)
+    if ax in _D_SCANS:
+        hit = _D_SCANS[ax](t3)
         return None if hit is None else _least_d(t3, ax, *hit)
 
     raise ValueError(f"axiom {ax} has no scan")  # pragma: no cover

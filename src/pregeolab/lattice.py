@@ -5,8 +5,12 @@ element i belongs to it.  Text forms such as {0,2,5} exist only at the
 edges (CLI arguments, instance files, reports).  Enumeration order is
 always ascending numeric mask order, and every "least witness"
 guarantee downstream refers to that order applied componentwise to
-tuples.  Every exhaustive scan builds a boolean violation array whose
-indices follow that order and takes its witness from `first_true`.
+tuples.  The scans of closure tables and dimension laws, and the EX and
+AREF axiom scans, build a boolean violation array whose indices follow
+that order and take their witness from `first_true`.  The other axiom
+scans pack the violation array into bits and read the least witness
+from the packed words (`axioms._least_a` and the two extractors built
+on it).
 """
 
 from __future__ import annotations

@@ -175,7 +175,7 @@ def test_witness_minimality_against_scalar_rescan(axiom):
             rows_hit.add(expected[0])
     assert max(rows_hit) > 0  # some least witness lies past the row A = {}
     if axiom in _STRONG:
-        assert passed  # the pass path of the interval scans is covered
+        assert passed  # the pass path of these scans is covered
 
 
 def sorted_chains(size):
@@ -284,6 +284,76 @@ def scalar_free_scan(t3):
     return (a, c, b, int(np.argmax(ok)))
 
 
+def _halves(v, i):
+    """Views of the cells of v whose last index lacks, and has, bit i."""
+    v = v.reshape(v.shape[:-1] + (v.shape[-1] >> i + 1, 2, 1 << i))
+    return v[..., 0, :], v[..., 1, :]
+
+
+def _interval_table(rows, tra):
+    """Rows [A, X, Y] of r recoded to [A, code, Y], where the code puts a
+    pair of disjoint sets in base 3: digit i is 0 when element i is in
+    neither set, 1 when it is in the first, 2 when it is in the second.
+
+    TRA-STRONG (tra): X = B, the pair is (W, B) and the cell is T[A, (W,
+    B), C], the OR of r(A, W+V, B+C) over V <= B.  BMON-STRONG: X = C, Y =
+    B, the pair is (E, C) and the cell is U[A, (E, C), B], the OR of r(A,
+    B+E+S, C) over S <= C.  Both ORs are intervals of the subset lattice,
+    so one pass per element i builds them: it turns each 2 x 2 block of
+    bit i of (X, Y) into a 3 x 2 block of (digit i, bit i of Y)."""
+    count = rows.shape[1]
+    size = count.bit_length() - 1
+    x = rows
+    for i in range(size):  # digits below i are done, bits i and up are not
+        x = x.reshape(-1, 2, 3**i, count)
+        out = np.empty((len(x), 3, 3**i, count), dtype=bool)
+        out[:, 0] = x[:, 0]
+        if tra:
+            out[:, 1] = x[:, 1]  # i in W
+            np.logical_or(x[:, 0], x[:, 1], out=out[:, 2])  # i in V or not
+            lack, has = _halves(out[:, 2], i)
+            lack[...] = has  # i in B, so in B+C
+        else:
+            out[:, 1] = x[:, 0]
+            lack, has = _halves(out[:, 1], i)
+            lack[...] = has  # i in E, so in B+E+S
+            out[:, 2] = x[:, 1]
+            lack, has = _halves(out[:, 2], i)
+            lack |= has  # i in C, and in S or not
+        x = out
+    return x.reshape(len(rows), 3**size, count)
+
+
+def interval_scan(t3, ax):
+    """TRA-STRONG or BMON-STRONG on bool cells coded in base 3, one A row at
+    a time.  Some D violates TRA-STRONG at (A, C, B) exactly when r(A, B,
+    C) holds and some W outside B has T[A, (W, B), C] and not r(A, B+W,
+    C); some D violates BMON-STRONG exactly when some E outside C has U[A,
+    (E, C), B] and not r(A, B, C+E).  So a row marks the codes whose cell
+    holds while r fails at the union of the pair, then ORs each digit's
+    values 0 and 1 into bit value 0, leaving B (C) as the second set; the
+    least D completes the least marked (A, C, B)."""
+    tra = ax is AxiomId.TRA_STRONG
+    count = len(t3)
+    size = count.bit_length() - 1
+    code = np.arange(3**size)
+    union = np.zeros_like(code)  # W+B (E+C): the elements of nonzero digit
+    for i in range(size):
+        union |= (code // 3**i % 3 != 0).astype(union.dtype) << i
+
+    def plane(a):  # the (B, C) plane of row A = a
+        rows = t3[a:a + 1] if tra else t3[a:a + 1].transpose(0, 2, 1)
+        marked = np.greater(_interval_table(rows, tra), rows[:, union])
+        for i in range(size):  # digit i from the top: 0 and 1 OR into bit 0
+            marked = marked.reshape(1 << i, 3, -1)
+            marked = np.stack((marked[:, 0] | marked[:, 1], marked[:, 2]), 1)
+        viol = marked.reshape(count, count)
+        return viol & t3[a] if tra else viol.T
+
+    hit = row_scan(t3, plane)
+    return None if hit is None else axioms._least_d(t3, ax, *hit)
+
+
 _ROW_SCANS = {  # axiom -> its scan of bool cells, given the closure table
     AxiomId.BMON_R: lambda t3, cl: scalar_chain_scan(t3, False, False),
     AxiomId.BMON_L: lambda t3, cl: scalar_chain_scan(t3, True, False),
@@ -297,6 +367,8 @@ _ROW_SCANS = {  # axiom -> its scan of bool cells, given the closure table
     AxiomId.MON_R: lambda t3, cl: scalar_mon_scan(t3, False),
     AxiomId.MON_L: lambda t3, cl: scalar_mon_scan(t3, True),
     AxiomId.FREE: lambda t3, cl: scalar_free_scan(t3),
+    AxiomId.TRA_STRONG: lambda t3, cl: interval_scan(t3, AxiomId.TRA_STRONG),
+    AxiomId.BMON_STRONG: lambda t3, cl: interval_scan(t3, AxiomId.BMON_STRONG),
 }
 
 
@@ -316,28 +388,38 @@ def test_packed_scans_match_row_scans_on_random_tables():
     bool cells at n = 0..6, where a packed row of n <= 2 has padding
     bits.  Dense tables put some witnesses past A = {}, sparse ones put
     the least chain far from the first, and CLO-L/R run under a random
-    closure that is not the identity."""
+    closure that is not the identity.  In a copy of the first table of
+    each density the first k rows of A are all true, where neither
+    TRA-STRONG nor BMON-STRONG can fail, so their witnesses lie past
+    A = {}."""
     rng = np.random.default_rng(13)
     fails = 0
     late = set()  # the axioms with some least witness past A = {}
+    strong_late = 0  # TRA-STRONG and BMON-STRONG witnesses past A = {}
     clo_sizes = set()  # the sizes with a CLO-L or CLO-R fail
     for size in range(7):
         count = 1 << size
         op = random_closure(GroundSet(size), rng)
         assert size == 0 or (op.table != np.arange(count)).any()
+        tables = []
         for density in (0.01, 0.5, 0.99, 0.9999):
-            for _ in range(2 if size == 6 else 4):
-                r = from_table(GroundSet(size), "rand",
-                               rng.random((count,) * 3) < density)
-                for ax, scan in _ROW_SCANS.items():
-                    want = scan(r.table, op.table)
-                    assert check_axiom(r, ax, op).witness == want, (size, ax)
-                    fails += want is not None
-                    if want is not None and want[0] > 0:
-                        late.add(ax)
-                    if ax in (AxiomId.CLO_L, AxiomId.CLO_R) and want:
-                        clo_sizes.add(size)
-    assert fails > 500 and late == set(_ROW_SCANS)
+            for rep in range(2 if size == 6 else 4):
+                tables.append(rng.random((count,) * 3) < density)
+                if rep == 0 and size:
+                    tables.append(tables[-1].copy())
+                    tables[-1][:rng.integers(1, count)] = True
+        for t3 in tables:
+            r = from_table(GroundSet(size), "rand", t3)
+            for ax, scan in _ROW_SCANS.items():
+                want = scan(t3, op.table)
+                assert check_axiom(r, ax, op).witness == want, (size, ax)
+                fails += want is not None
+                if want is not None and want[0] > 0:
+                    late.add(ax)
+                    strong_late += ax in (AxiomId.TRA_STRONG, AxiomId.BMON_STRONG)
+                if ax in (AxiomId.CLO_L, AxiomId.CLO_R) and want:
+                    clo_sizes.add(size)
+    assert fails > 500 and late == set(_ROW_SCANS) and strong_late > 40
     assert clo_sizes >= {1, 2, 6}
 
 
@@ -446,14 +528,16 @@ def test_sclo_matches_row_scan_on_corrupted_catalog_tables(name):
 
 
 _LAYOUT_AXIOMS = (AxiomId.SYM, AxiomId.NOR_L, AxiomId.NOR_R, AxiomId.CLO_L,
-                  AxiomId.CLO_R, AxiomId.MON_L, AxiomId.MON_R, AxiomId.FREE)
+                  AxiomId.CLO_R, AxiomId.MON_L, AxiomId.MON_R, AxiomId.FREE,
+                  AxiomId.TRA_STRONG, AxiomId.BMON_STRONG)
 
 
 @pytest.mark.parametrize("name,rel_id", [("gebert8", "a"), ("gf2-7", "cl")])
 def test_packed_scans_match_row_scans_on_corrupted_catalog_tables(
         name, rel_id):
-    """Fail paths at n = 7 and 8, where no catalog relation fails SYM or
-    MON: the table with a few cells (A, B, C) flipped, A > 0."""
+    """Fail paths at n = 7 and 8, where no catalog relation fails SYM,
+    MON, TRA-STRONG or BMON-STRONG: the table with a few cells (A, B, C)
+    flipped, A > 0."""
     inst = catalog_instance(name)
     op = instance_operator(inst)
     good = materialize(resolve_relation(inst, rel_id)).table
@@ -471,7 +555,7 @@ def test_packed_scans_match_row_scans_on_corrupted_catalog_tables(
             if want is not None and want[0] > 0:
                 late.add(ax)
     assert late >= {AxiomId.SYM, AxiomId.CLO_L, AxiomId.CLO_R, AxiomId.MON_L,
-                    AxiomId.MON_R}
+                    AxiomId.MON_R, AxiomId.TRA_STRONG, AxiomId.BMON_STRONG}
 
 
 @pytest.mark.parametrize("name", ["trivial5", "u36", "gebert4"])
@@ -520,6 +604,8 @@ def test_strong_axioms_at_sizes_seven_and_eight():
     assert check_axiom(cl7, AxiomId.BMON_STRONG).status == "pass"
     assert check_axiom(rel_intersection(GroundSet(8)), AxiomId.FREE).status == "pass"
     a8 = rel_a(gebert_closure(8))
+    assert check_axiom(a8, AxiomId.TRA_STRONG).status == "pass"
+    assert check_axiom(a8, AxiomId.BMON_STRONG).status == "pass"
     rep = check_axiom(a8, AxiomId.FREE)
     assert rep.result_line() == "RESULT a FREE fail witness={0};{1};{0};{}"
     # a relation without a table: the scalar route
