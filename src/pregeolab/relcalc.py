@@ -61,6 +61,8 @@ class TernaryRelation:
     fn: Callable[[int, int, int], bool]
     builder: Callable[[], np.ndarray]
     table: Optional[np.ndarray] = field(default=None, repr=False)
+    #: the table packed over A and over B, each with its source (axioms._packed)
+    packed: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def check_table_budget(

@@ -274,9 +274,7 @@ def _bmon_r_checks(label: str, base: TernaryRelation,
                    op: ClosureOperator) -> list[CheckResult]:
     out = []
     for r in (monotonise_M(base, op), monotonise_m(base)):
-        rep = check_axiom(r, AxiomId.BMON_R)
-        out.append(CheckResult(f"{label}:{r.name}", "BMON-R",
-                               rep.status, rep.witness))
+        out += _axiom_checks(f"{label}:{r.name}", r, op, (AxiomId.BMON_R,))
     return out
 
 
@@ -290,10 +288,8 @@ def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
         for base in (rel_intersection(inst.ground), rel_a(op),
                      random_relation(inst.ground, 0)):
             r = closure_extend_c(base, op)
-            for ax in (AxiomId.CLO_R, AxiomId.NOR_R):
-                rep = check_axiom(r, ax, op)
-                out.append(CheckResult(f"{inst.name}:{r.name}", ax.value,
-                                       rep.status, rep.witness))
+            out += _axiom_checks(f"{inst.name}:{r.name}", r, op,
+                                 (AxiomId.CLO_R, AxiomId.NOR_R))
     return out
 
 

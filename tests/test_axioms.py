@@ -228,11 +228,10 @@ def scalar_nor_scan(t3, left):
 def row_scan(t3, plane):
     """Scan in (A, C, B) order one A row at a time; plane(a) is the (B, C)
     violation plane of row A = a."""
-    count = len(t3)
-    for a in range(count):
+    for a in range(len(t3)):
         viol = plane(a)
         if viol.any():
-            c, b = divmod(int(np.argmax(viol.T)), count)
+            c, b = divmod(int(np.argmax(viol.T)), len(viol))
             return (a, c, b)
     return None
 
@@ -294,6 +293,7 @@ def _interval_table(rows, tra):
     """Rows [A, X, Y] of r recoded to [A, code, Y], where the code puts a
     pair of disjoint sets in base 3: digit i is 0 when element i is in
     neither set, 1 when it is in the first, 2 when it is in the second.
+    A cell is a bool, or a byte whose bits are the cells of 8 A rows.
 
     TRA-STRONG (tra): X = B, the pair is (W, B) and the cell is T[A, (W,
     B), C], the OR of r(A, W+V, B+C) over V <= B.  BMON-STRONG: X = C, Y =
@@ -306,11 +306,11 @@ def _interval_table(rows, tra):
     x = rows
     for i in range(size):  # digits below i are done, bits i and up are not
         x = x.reshape(-1, 2, 3**i, count)
-        out = np.empty((len(x), 3, 3**i, count), dtype=bool)
+        out = np.empty((len(x), 3, 3**i, count), dtype=rows.dtype)
         out[:, 0] = x[:, 0]
         if tra:
             out[:, 1] = x[:, 1]  # i in W
-            np.logical_or(x[:, 0], x[:, 1], out=out[:, 2])  # i in V or not
+            np.bitwise_or(x[:, 0], x[:, 1], out=out[:, 2])  # i in V or not
             lack, has = _halves(out[:, 2], i)
             lack[...] = has  # i in B, so in B+C
         else:
@@ -325,14 +325,15 @@ def _interval_table(rows, tra):
 
 
 def interval_scan(t3, ax):
-    """TRA-STRONG or BMON-STRONG on bool cells coded in base 3, one A row at
-    a time.  Some D violates TRA-STRONG at (A, C, B) exactly when r(A, B,
-    C) holds and some W outside B has T[A, (W, B), C] and not r(A, B+W,
-    C); some D violates BMON-STRONG exactly when some E outside C has U[A,
-    (E, C), B] and not r(A, B, C+E).  So a row marks the codes whose cell
-    holds while r fails at the union of the pair, then ORs each digit's
-    values 0 and 1 into bit value 0, leaving B (C) as the second set; the
-    least D completes the least marked (A, C, B)."""
+    """TRA-STRONG or BMON-STRONG on cells coded in base 3, on blocks of 8
+    A rows whose cells are the bits of one byte.  Some D violates
+    TRA-STRONG at (A, C, B) exactly when r(A, B, C) holds and some W
+    outside B has T[A, (W, B), C] and not r(A, B+W, C); some D violates
+    BMON-STRONG exactly when some E outside C has U[A, (E, C), B] and not
+    r(A, B, C+E).  So a block marks the codes whose cell holds while r
+    fails at the union of the pair, then ORs each digit's values 0 and 1
+    into bit value 0, leaving B (C) as the second set; the least D
+    completes the least marked (A, C, B)."""
     tra = ax is AxiomId.TRA_STRONG
     count = len(t3)
     size = count.bit_length() - 1
@@ -340,18 +341,22 @@ def interval_scan(t3, ax):
     union = np.zeros_like(code)  # W+B (E+C): the elements of nonzero digit
     for i in range(size):
         union |= (code // 3**i % 3 != 0).astype(union.dtype) << i
-
-    def plane(a):  # the (B, C) plane of row A = a
-        rows = t3[a:a + 1] if tra else t3[a:a + 1].transpose(0, 2, 1)
-        marked = np.greater(_interval_table(rows, tra), rows[:, union])
+    for lo in range(0, count, 8):
+        rows = np.packbits(t3[lo:lo + 8], axis=0, bitorder="little")
+        rows = rows if tra else rows.transpose(0, 2, 1)
+        marked = _interval_table(rows, tra) & ~rows[:, union]
         for i in range(size):  # digit i from the top: 0 and 1 OR into bit 0
             marked = marked.reshape(1 << i, 3, -1)
             marked = np.stack((marked[:, 0] | marked[:, 1], marked[:, 2]), 1)
         viol = marked.reshape(count, count)
-        return viol & t3[a] if tra else viol.T
-
-    hit = row_scan(t3, plane)
-    return None if hit is None else axioms._least_d(t3, ax, *hit)
+        viol = viol & rows[0] if tra else viol.T
+        # [k, B, C]: the (B, C) plane of row A = lo + k
+        planes = np.unpackbits(viol[None], axis=0, count=min(8, count - lo),
+                               bitorder="little")
+        hit = row_scan(planes, lambda k: planes[k])
+        if hit is not None:
+            return axioms._least_d(t3, ax, lo + hit[0], *hit[1:])
+    return None
 
 
 _ROW_SCANS = {  # axiom -> its scan of bool cells, given the closure table
@@ -451,10 +456,41 @@ def test_pack_matches_packbits(size):
         bits = np.packbits(t3, axis, bitorder="little")
         want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
         np.testing.assert_array_equal(_pack(t3, axis), want)
-    # a block of A rows packs to the rows (A, C) of that block
-    for lo, hi in ((0, 1), (count // 2, count), (count // 4, count // 2 + 1)):
-        np.testing.assert_array_equal(_pack(t3[lo:hi], 1),
-                                      want[lo * count:hi * count])
+
+
+@pytest.mark.parametrize("name,rel_id", [("u36", "cl"), ("gebert8", "a")])
+def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
+    """Every scan of one table reads the same two packed layouts, each
+    read-only and packed at most once."""
+    axes = []
+
+    def counted(t3, axis):
+        axes.append(axis)
+        return _pack(t3, axis)
+
+    monkeypatch.setattr(axioms, "_pack", counted)
+    inst = catalog_instance(name)
+    r = resolve_relation(inst, rel_id)
+    check_all(r, instance_operator(inst))
+    assert sorted(axes) == [0, 1]
+    for axis in (0, 1):
+        source, view = r.packed[axis]
+        assert source is r.table and not view.flags.writeable
+        with pytest.raises(ValueError):
+            view[0] = 0
+
+
+def test_replaced_table_is_packed_again():
+    """A table that replaces the one a scan packed is packed anew, so the
+    next check reads the new table, not the old layout."""
+    r = from_table(GroundSet(3), "rand", np.ones((8, 8, 8), dtype=bool))
+    assert check_axiom(r, AxiomId.SYM).status == "pass"
+    table = r.table.copy()
+    table[1, 2, 4] = False  # r(1, 2, 4) fails while r(2, 1, 4) holds
+    r.table = table
+    rep = check_axiom(r, AxiomId.SYM)
+    assert rep.status == "fail" and rep.witness == (2, 4, 1)
+    assert r.packed[0][0] is table
 
 
 def scalar_sclo_scan(t3, cl):

@@ -4,10 +4,12 @@ The file holds the `verify --suite all` report, `check --all` for five
 relations on gebert4, u34 and u36, `check --all` for dlo6 `div` (a
 failing TRA-R chain witness), gf2-7 `cl` (the verdicts at n = 7),
 gf2-7 `aM` and `am` (the monotonisations at n = 7, each with a failing
-FREE witness) and gf2-7 `sup` (failing CLO-L and CLO-R witnesses past
+FREE witness), gf2-7 `sup` (failing CLO-L and CLO-R witnesses past
 A = {}, with failing AREF, SCLO and FREE), gebert8 `a` (every axiom at
-n = 8, with a failing FREE witness), SCLO alone for gebert8 `a` (a pass
-at n = 8) and gf2-7 `sup` (a failing witness at n = 7), `modular` on every catalog
+n = 8, with a failing FREE witness) and gebert8 `int` (failing CLO-L,
+CLO-R and SCLO witnesses at n = 8, read after the earlier scans of the
+same table), SCLO alone for gebert8 `a` (a pass at n = 8) and gf2-7
+`sup` (a failing witness at n = 7), `modular` on every catalog
 pregeometry with at most six elements, and `list`, which pins the
 catalog's names, kinds, sizes and descriptions.  Each command's section
 starts with a `$ pregeolab ...` line and holds what the command writes,
@@ -34,7 +36,7 @@ CHECK_INSTANCES = ("gebert4", "u34", "u36")
 CHECK_RELATIONS = ("a", "aM", "ac", "amc", "cl")
 LARGE_CHECKS = (
     ("dlo6", "div"), ("gf2-7", "cl"), ("gf2-7", "aM"), ("gf2-7", "am"),
-    ("gf2-7", "sup"), ("gebert8", "a"),
+    ("gf2-7", "sup"), ("gebert8", "a"), ("gebert8", "int"),
 )
 SCLO_CHECKS = (("gebert8", "a"), ("gf2-7", "sup"))
 MODULAR_INSTANCES = (
