@@ -68,7 +68,7 @@ import numpy as np
 
 from .closure import ClosureOperator
 from .lattice import GroundSet, first_true, format_witness
-from .relcalc import CapExceeded, TernaryRelation, from_table, materialize
+from .relcalc import TernaryRelation, from_table, materialize
 
 class MissingClosure(Exception):
     """The axiom needs an ambient closure operator and none was given."""
@@ -111,11 +111,6 @@ class AxiomId(enum.Enum):
 #: Stable order used by check_all and suite reports.
 AXIOM_ORDER: tuple[AxiomId, ...] = tuple(AxiomId)
 
-_VACUOUS_NOTES = {
-    AxiomId.FIN: "every subset of a finite ground set is finite",
-    AxiomId.LOC: "holds with cardinal bound n+1 on a finite ground set",
-}
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -123,7 +118,6 @@ class AxiomReport:
     relation: str
     status: str  # pass | fail | vacuous
     witness: Optional[tuple[int, ...]]
-    note: str = ""
 
     def result_line(self) -> str:
         """Machine-readable line: RESULT <relation> <axiom> <status> [witness=...]."""
@@ -150,23 +144,21 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     other two axes in row-major order, each row the bits of `axis` packed
     little-endian, as np.packbits(..., bitorder="little") lays them out.
 
-    From n = 3 on, an einsum weights the k-th of each 8 cells along the
-    axis by 2^k: cells are 0 or 1, so the uint8 sum is the packed byte.
-    It runs on blocks of 64 rows (one up to n = 6), which at n = 8 halves
-    its time and holds a quarter of the rows besides them; packbits along
-    the axis is about 30 times slower."""
+    An einsum weights the j-th of each k = min(2^n, 8) cells along the
+    axis by 2^j: cells are 0 or 1, so the uint8 sum is the packed byte,
+    and below n = 3 the one byte per row has zero padding bits.  It runs
+    on blocks of 64 rows of the other axis (one block up to n = 6)."""
     count = len(t3)
-    if count < 8:
-        bits = np.packbits(t3, axis, bitorder="little")
-        return np.moveaxis(bits, axis, -1).reshape(-1, 1)
-    # [X, g, k, C]: cell 8g + k along the axis, X the other one of A and B
+    k = min(count, 8)  # cells per byte
+    # [X, g, k, C]: the k cells of byte g along the axis, X the other one
+    # of A and B
     cells = np.moveaxis(t3, 1 - axis, 0).view(np.uint8)
-    cells = cells.reshape(count, count >> 3, 8, count)
-    weights = np.left_shift(1, np.arange(8, dtype=np.uint8))
-    rows = np.empty((count, count, count >> 3), dtype=np.uint8)
+    cells = cells.reshape(count, count // k, k, count)
+    weights = np.left_shift(1, np.arange(k, dtype=np.uint8))
+    rows = np.empty((count, count, count // k), dtype=np.uint8)
     for lo in range(0, count, 64):
         rows[lo:lo + 64] = np.einsum("xgkc,k->xcg", cells[lo:lo + 64], weights)
-    return rows.reshape(-1, count >> 3)
+    return rows.reshape(-1, count // k)
 
 
 def _packed(r: TernaryRelation, t3: np.ndarray, axis: int) -> np.ndarray:
@@ -488,26 +480,22 @@ def check_axiom(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator] = None
 ) -> AxiomReport:
     """Exhaustively check one axiom; first violation in scan order is reported."""
+    # on a finite ground set every subset is finite (FIN), and LOC holds
+    # with cardinal bound n + 1
     if ax in (AxiomId.FIN, AxiomId.LOC):
-        return AxiomReport(ax, r.name, "vacuous", None, _VACUOUS_NOTES[ax])
+        return AxiomReport(ax, r.name, "vacuous", None)
     witness = _find_violation(r, ax, op)
     status = "pass" if witness is None else "fail"
     return AxiomReport(ax, r.name, status, witness)
 
 
 def check_all(
-    r: TernaryRelation,
-    op: Optional[ClosureOperator] = None,
-    axiom_ids: Optional[Sequence[AxiomId]] = None,
+    r: TernaryRelation, op: Optional[ClosureOperator] = None
 ) -> list[AxiomReport]:
-    """One report per applicable axiom, in stable catalogue order."""
-    selected = list(axiom_ids) if axiom_ids is not None else list(AXIOM_ORDER)
-    reports = []
-    for ax in selected:
-        if ax.needs_closure and op is None:
-            continue
-        reports.append(check_axiom(r, ax, op))
-    return reports
+    """One report per axiom in `AXIOM_ORDER`, skipping the axioms that
+    need a closure operator when `op` is None."""
+    return [check_axiom(r, ax, op) for ax in AXIOM_ORDER
+            if op is not None or not ax.needs_closure]
 
 
 def evaluate_axiom_body(
@@ -656,19 +644,11 @@ def search_counterexample(
     return None
 
 
-def enumerate_all_relations(ground: GroundSet) -> Iterable[TernaryRelation]:
-    """All relations on the ground set, by ascending truth-table code.
-
-    Only feasible for ground size 1 (256 relations); larger sizes are
-    rejected.
-    """
-    count = ground.subset_count
-    cells = count**3
-    if cells > 8:
-        raise CapExceeded(
-            f"relation enumeration needs 2^{cells} tables; only size <= 1 supported"
-        )
-    for code in range(1 << cells):
-        bits = [(code >> k) & 1 for k in range(cells)]
-        table = np.array(bits, dtype=bool).reshape((count, count, count))
+def enumerate_all_relations() -> Iterable[TernaryRelation]:
+    """All 256 relations on a one-element ground set, by ascending
+    truth-table code (the only size whose relations can be listed)."""
+    ground = GroundSet(1)
+    for code in range(256):
+        bits = [(code >> k) & 1 for k in range(8)]
+        table = np.array(bits, dtype=bool).reshape((2, 2, 2))
         yield from_table(ground, f"rel{code}", table)

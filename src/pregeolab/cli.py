@@ -17,23 +17,8 @@ from typing import Optional, Sequence
 
 from . import axioms, closure, geometry, instances, relcalc, verify
 from .axioms import AxiomId, Goal
-from .instances import Instance
+from .instances import Instance, instance_operator
 from .lattice import GroundSet, format_mask, format_witness, parse_mask
-
-#: relation id -> help text; opp(<id>) wraps any of them
-RELATION_IDS = {
-    "int": "sets intersect inside the base",
-    "a": "closures over the base meet exactly in the closed base",
-    "cl": "relative dimension does not drop against the base",
-    "aM": "monotonisation of `a` over closure-bounded extensions",
-    "am": "naive monotonisation of `a` over plain extensions",
-    "ac": "closure extension of `a`",
-    "amc": "closure extension of the naive monotonisation of `a`",
-    "sup": "one side's maximum stays below the base's maximum",
-    "st": "graph independence: no meeting and no cross edges off the base",
-    "div": "order independence: intervals meeting one side meet the base",
-    "div-strict": "like div, but degenerate one-point intervals ignored",
-}
 
 
 class UsageError(Exception):
@@ -56,50 +41,12 @@ def load_instance(spec: str) -> Instance:
         raise UsageError(f"--instance: {spec}: {exc}") from exc
 
 
-def instance_operator(inst: Instance) -> closure.ClosureOperator:
-    """The operator used for closure-dependent axioms; identity when the
-    instance has no closure structure of its own."""
-    if inst.op is not None:
-        return inst.op
-    return closure.trivial_closure(inst.ground)
-
-
 def resolve_relation(inst: Instance, rel_id: str) -> relcalc.TernaryRelation:
-    rid = rel_id.strip()
-    if rid.startswith("opp(") and rid.endswith(")"):
-        return relcalc.opposite(resolve_relation(inst, rid[4:-1]))
-    if rid == "int":
-        return relcalc.rel_intersection(inst.ground)
-    if rid == "a":
-        return relcalc.rel_a(instance_operator(inst))
-    if rid == "cl":
-        if inst.pg is None:
-            raise UsageError(f"--relation: cl needs a pregeometry, got {inst.kind}")
-        return relcalc.rel_cl(inst.pg)
-    if rid in ("aM", "am", "ac", "amc"):
-        if inst.op is None:
-            raise UsageError(
-                f"--relation: {rid} needs a closure instance, got {inst.kind}"
-            )
-        base = relcalc.rel_a(inst.op)
-        if rid == "aM":
-            return relcalc.monotonise_M(base, inst.op)
-        if rid == "am":
-            return relcalc.monotonise_m(base)
-        if rid == "ac":
-            return relcalc.closure_extend_c(base, inst.op)
-        return relcalc.closure_extend_c(relcalc.monotonise_m(base), inst.op)
-    if rid == "sup":
-        return relcalc.rel_sup(inst.ground)
-    if rid in ("div", "div-strict"):
-        if inst.config is None:
-            raise UsageError(f"--relation: {rid} needs an order instance")
-        return instances.rel_div(inst.config, include_degenerate=rid == "div")
-    if rid == "st":
-        if inst.graph is None:
-            raise UsageError("--relation: st needs a graph instance")
-        return instances.rel_st(inst.graph)
-    raise UsageError(f"--relation: unknown relation id {rid!r}")
+    """`instances.relation`, with its errors as usage errors."""
+    try:
+        return instances.relation(inst, rel_id)
+    except instances.RelationError as exc:
+        raise UsageError(f"--relation: {exc}") from exc
 
 
 def _parse_set(inst: Instance, flag: str, text: str) -> int:
@@ -204,15 +151,6 @@ def _parse_goal(text: str) -> Goal:
     return Goal(tuple(premises), target)
 
 
-def _require_relation_id(rel_id: str) -> None:
-    """Reject an id that names no relation, whatever the instance."""
-    rid = rel_id.strip()
-    while rid.startswith("opp(") and rid.endswith(")"):
-        rid = rid[4:-1].strip()
-    if rid not in RELATION_IDS:
-        raise UsageError(f"--relation: unknown relation id {rid!r}")
-
-
 def _search_instances(kind: Optional[str], max_n: int) -> list[Instance]:
     """The catalog instances a search visits, in catalog order."""
     return [
@@ -221,21 +159,11 @@ def _search_instances(kind: Optional[str], max_n: int) -> list[Instance]:
     ]
 
 
-def _catalog_candidates(
-    rel_id: str, kind: Optional[str], max_n: int
-) -> list[axioms.Candidate]:
-    out = []
-    for inst in _search_instances(kind, max_n):
-        try:
-            relation = resolve_relation(inst, rel_id)
-        except UsageError:  # the id is known: not defined on this instance
-            continue
-        out.append((inst.name, relation, instance_operator(inst)))
-    return out
-
-
 def cmd_search(args: argparse.Namespace) -> int:
-    _require_relation_id(args.relation)
+    try:
+        rid = instances.relation_id(args.relation)[0]
+    except instances.RelationError as exc:
+        raise UsageError(f"--relation: {exc}") from exc
     if args.goal == "exchange-fail":
         for inst in _search_instances(args.kind, args.max_n):
             if inst.op is None:
@@ -249,12 +177,16 @@ def cmd_search(args: argparse.Namespace) -> int:
         return 0
     goal = _parse_goal(args.goal)
     if args.space == "catalog":
-        candidates = _catalog_candidates(args.relation, args.kind, args.max_n)
-    else:  # all relations on a 1-element ground set
-        ground = GroundSet(1)
-        ident = closure.trivial_closure(ground)
         candidates = [
-            (r.name, r, ident) for r in axioms.enumerate_all_relations(ground)
+            (inst.name, resolve_relation(inst, args.relation),
+             instance_operator(inst))
+            for inst in _search_instances(args.kind, args.max_n)
+            if instances.defines(inst, rid)
+        ]
+    else:  # all relations on a 1-element ground set
+        ident = closure.trivial_closure(GroundSet(1))
+        candidates = [
+            (r.name, r, ident) for r in axioms.enumerate_all_relations()
         ]
     hit = axioms.search_counterexample(goal, candidates)
     if hit is None:
@@ -273,7 +205,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         suite_ids = list(verify.SUITES)
     else:
         suite_ids = [s.strip() for s in args.suite.split(",")]
-    names = args.instances.split(",") if args.instances else None
+    if args.instances == "":
+        raise UsageError("--instances: no catalog names given")
+    names = None if args.instances is None else args.instances.split(",")
     # opened (and truncated, like a shell redirection) before any suite
     # runs, so an unwritable path fails at once
     try:
@@ -300,7 +234,7 @@ def cmd_list(args: argparse.Namespace) -> int:
         print(f"  {inst.name:<10} {inst.kind:<12} n={inst.ground.size:<3}"
               f" {instances.CATALOG[inst.name][0]}")
     print("relations:")
-    for rid, desc in RELATION_IDS.items():
+    for rid, (desc, _, _) in instances.RELATIONS.items():
         print(f"  {rid:<10} {desc}")
     print("  opp(<id>)  the same relation with the two sides swapped")
     print("axioms:")
@@ -388,10 +322,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (closure.LawViolation, instances.InstanceFormatError,
+    except (UsageError, closure.LawViolation, instances.InstanceFormatError,
             relcalc.CapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -59,9 +59,6 @@ class ExchangeFailure:
     a: int
     b: int
 
-    def __str__(self) -> str:
-        return f"(A={format_mask(self.set_mask)}, a={self.a}, b={self.b})"
-
 
 def _validate(ground: GroundSet, table: np.ndarray) -> np.ndarray:
     if len(table) != ground.subset_count:

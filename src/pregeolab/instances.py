@@ -14,13 +14,24 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
 from .lattice import GroundSet, elements_of, parse_mask
-from .relcalc import DEFAULT_TABLE_CAP_BITS, TernaryRelation
+from .relcalc import (
+    DEFAULT_TABLE_CAP_BITS,
+    TernaryRelation,
+    closure_extend_c,
+    monotonise_M,
+    monotonise_m,
+    opposite,
+    rel_a,
+    rel_cl,
+    rel_intersection,
+    rel_sup,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +416,17 @@ def rel_div(config: OrderedConfig, include_degenerate: bool = True) -> TernaryRe
         return True
 
     def builder() -> np.ndarray:
+        # A must miss forbidden[B, C], the union of the spans with both
+        # ends in B that miss C.
         count = ground.subset_count
-        masks = np.arange(count)
-        table = np.ones((count, count, count), dtype=bool)
+        masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
+        forbidden = np.zeros((count, count), dtype=masks.dtype)
         for i, j, span in spans:
-            b_has = ((masks >> i & 1) & (masks >> j & 1)).astype(bool)
-            a_meets = (masks & span) != 0
-            c_misses = (masks & span) == 0
-            table &= ~(a_meets[:, None, None] & b_has[None, :, None]
-                       & c_misses[None, None, :])
+            b_has = masks >> i & masks >> j & 1 == 1
+            forbidden[np.ix_(b_has, masks & span == 0)] |= span
+        table = np.empty((count, count, count), dtype=bool)
+        for a in range(count):
+            np.equal(forbidden & a, 0, out=table[a])
         return table
 
     return TernaryRelation(ground, name, fn, builder=builder)
@@ -504,6 +517,91 @@ def catalog() -> dict[str, Instance]:
     """The built-in instance library, keyed by short name."""
     return {name: parse_instance(text, name)
             for name, (_, text) in CATALOG.items()}
+
+
+# ---------------------------------------------------------------------------
+# Relation ids
+
+
+class RelationError(ValueError):
+    """A relation id is unknown, or names a relation the instance lacks."""
+
+
+def instance_operator(inst: Instance) -> ClosureOperator:
+    """The operator of the closure-dependent axioms and the transformers:
+    the instance's own, or the identity closure for graphs and orders."""
+    if inst.op is not None:
+        return inst.op
+    return trivial_closure(inst.ground)
+
+
+#: what an `Instance` field holds, as a relation's error message says it
+_NEEDS = {"pg": "a pregeometry", "op": "a closure instance",
+          "graph": "a graph instance", "config": "an order instance"}
+
+#: relation id -> (help text, the `Instance` field it needs or None,
+#: builder), in `list` order; opp(<id>) wraps any of them.  A builder
+#: looks its relation function up by name when it is called, so a module
+#: attribute rebound after import (perfbench/tracer.py does) sees the call.
+RELATIONS: dict[
+    str, tuple[str, Optional[str], Callable[[Instance], TernaryRelation]]
+] = {
+    "int": ("sets intersect inside the base", None,
+            lambda i: rel_intersection(i.ground)),
+    "a": ("closures over the base meet exactly in the closed base", None,
+          lambda i: rel_a(instance_operator(i))),
+    "cl": ("relative dimension does not drop against the base", "pg",
+           lambda i: rel_cl(i.pg)),
+    "aM": ("monotonisation of `a` over closure-bounded extensions", "op",
+           lambda i: monotonise_M(rel_a(i.op), i.op)),
+    "am": ("naive monotonisation of `a` over plain extensions", "op",
+           lambda i: monotonise_m(rel_a(i.op))),
+    "ac": ("closure extension of `a`", "op",
+           lambda i: closure_extend_c(rel_a(i.op), i.op)),
+    "amc": ("closure extension of the naive monotonisation of `a`", "op",
+            lambda i: closure_extend_c(monotonise_m(rel_a(i.op)), i.op)),
+    "sup": ("one side's maximum stays below the base's maximum", None,
+            lambda i: rel_sup(i.ground)),
+    "st": ("graph independence: no meeting and no cross edges off the base",
+           "graph", lambda i: rel_st(i.graph)),
+    "div": ("order independence: intervals meeting one side meet the base",
+            "config", lambda i: rel_div(i.config)),
+    "div-strict": ("like div, but degenerate one-point intervals ignored",
+                   "config",
+                   lambda i: rel_div(i.config, include_degenerate=False)),
+}
+
+
+def relation_id(text: str) -> tuple[str, int]:
+    """The id of `RELATIONS` that `text` names, and how many opp(...)
+    wrap it; RelationError when it names none.  The only parser of
+    opp(...)."""
+    rid, opps = text.strip(), 0
+    while rid.startswith("opp(") and rid.endswith(")"):
+        rid, opps = rid[4:-1].strip(), opps + 1
+    if rid not in RELATIONS:
+        raise RelationError(f"unknown relation id {rid!r}")
+    return rid, opps
+
+
+def defines(inst: Instance, rid: str) -> bool:
+    """Whether `inst` has what the relation `rid` of `RELATIONS` needs."""
+    needs = RELATIONS[rid][1]
+    return needs is None or getattr(inst, needs) is not None
+
+
+def relation(inst: Instance, text: str) -> TernaryRelation:
+    """The relation that `text`, an id of `RELATIONS` or opp(<id>), names
+    on `inst`, with no table yet; RelationError when the id is unknown or
+    `inst` lacks what it needs."""
+    rid, opps = relation_id(text)
+    if not defines(inst, rid):
+        needs = _NEEDS[RELATIONS[rid][1]]
+        raise RelationError(f"{rid} needs {needs}, got {inst.kind}")
+    r = RELATIONS[rid][2](inst)
+    for _ in range(opps):
+        r = opposite(r)
+    return r
 
 
 class InstanceFormatError(ValueError):

@@ -65,22 +65,21 @@ class TernaryRelation:
     packed: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def check_table_budget(
-    ground: GroundSet, cap_bits: int = DEFAULT_TABLE_CAP_BITS
-) -> None:
-    """Raise CapExceeded when a truth table on `ground` exceeds the budget."""
+def check_table_budget(ground: GroundSet) -> None:
+    """Raise CapExceeded when a truth table on `ground` would have more
+    than DEFAULT_TABLE_CAP_BITS cells (ground size above 8)."""
     cells = ground.subset_count ** 3
-    if cells > cap_bits:
-        raise CapExceeded(f"truth table needs {cells} cells, cap is {cap_bits}")
+    if cells > DEFAULT_TABLE_CAP_BITS:
+        raise CapExceeded(
+            f"truth table needs {cells} cells, cap is {DEFAULT_TABLE_CAP_BITS}")
 
 
-def materialize(
-    r: TernaryRelation, cap_bits: int = DEFAULT_TABLE_CAP_BITS
-) -> TernaryRelation:
-    """Build the truth table once: the table is kept on `r`, which is
-    returned, and evaluation becomes a lookup."""
+def materialize(r: TernaryRelation) -> TernaryRelation:
+    """Build the truth table once, after `check_table_budget`: the table
+    is kept on `r`, which is returned, and every later call returns `r`
+    as it is."""
     if r.table is None:
-        check_table_budget(r.ground, cap_bits)
+        check_table_budget(r.ground)
         r.table = r.builder()
     return r
 

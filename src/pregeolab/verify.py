@@ -14,14 +14,18 @@ with relabelling, so every verdict is constant on a class, and the first
 failing representative in ascending code order is the first failing
 labeled graph.  Each representative's truth table is built once and
 serves every axiom.  Its free-amalgamation unit works on integer edge
-codes (`instances.free_amalgam_codes`, `canonical_codes`, `st_holds`)
-in about 13 ms, so the axiom unit (about 0.13 s) takes most of the
-suite's time.
+codes (`instances.free_amalgam_codes`, `canonical_codes`, `st_holds`),
+so the axiom unit takes most of the suite's time.
+
+The catalog suites trim a whole-catalog run to instances of at most
+`TABLE_SUITE_MAX` or `STACK_SUITE_MAX` elements; an instance named in
+`instances` runs every check its kind allows, whatever its size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations, permutations
 from typing import Callable, Optional, Sequence
 
@@ -44,9 +48,11 @@ from .instances import (
     dlo_config,
     free_amalgam_codes,
     graph_of_code,
+    instance_operator,
     relabel_codes,
     rel_div,
     rel_st,
+    relation,
     st_holds,
 )
 from .lattice import GroundSet, first_true, format_witness
@@ -56,9 +62,6 @@ from .relcalc import (
     monotonise_M,
     monotonise_m,
     random_relation,
-    rel_a,
-    rel_cl,
-    rel_intersection,
 )
 
 
@@ -162,15 +165,24 @@ class InstancePool:
         self.names = names
         self._built: Optional[list[Instance]] = None
 
-    def select(self, kind_ok: Callable[[Instance], bool]) -> list[Instance]:
+    def cap(self, max_size: int) -> Optional[int]:
+        """A suite's size bound in this run: `max_size` on the whole
+        catalog, none when the run names its instances."""
+        return max_size if self.names is None else None
+
+    def select(
+        self, kind_ok: Callable[[Instance], bool],
+        max_size: Optional[int] = None,
+    ) -> list[Instance]:
         if self._built is None:
             self._built = (list(catalog().values()) if self.names is None
                            else [catalog_instance(n) for n in self.names])
-        return [inst for inst in self._built if kind_ok(inst)]
+        return [inst for inst in self._built if kind_ok(inst) and (
+            max_size is None or inst.ground.size <= max_size)]
 
 
-def _pregeometries(pool: InstancePool, max_size: int) -> list[Instance]:
-    return pool.select(lambda i: i.pg is not None and i.ground.size <= max_size)
+def _pregeometries(pool: InstancePool) -> list[Instance]:
+    return pool.select(lambda i: i.pg is not None, pool.cap(TABLE_SUITE_MAX))
 
 
 def _axiom_checks(
@@ -193,28 +205,24 @@ def _cmp_check(subject: str, check: str, cmp: Comparison,
                        cmp.witness if status == "fail" else None)
 
 
-def _catalog_relations(
-    pool: InstancePool, max_size: int
-) -> list[tuple[str, TernaryRelation, ClosureOperator]]:
-    """Every built-in relation of the selected instances, paired with the
-    operator used by transformers.
+#: instance kind -> the relation ids the transformer-stack suites take
+#: as bases
+CATALOG_RELATION_IDS: dict[str, tuple[str, ...]] = {
+    "pregeometry": ("int", "a", "cl"),
+    "closure": ("int", "a"),
+    "graph": ("st",),
+    "order": ("div",),
+}
 
-    Graph and order instances carry the identity operator.
-    """
-    out = []
-    for inst in pool.select(lambda i: i.ground.size <= max_size):
-        if inst.op is not None:
-            out.append((inst.name, rel_intersection(inst.ground), inst.op))
-            out.append((inst.name, rel_a(inst.op), inst.op))
-            if inst.pg is not None:
-                out.append((inst.name, rel_cl(inst.pg), inst.op))
-        elif inst.graph is not None:
-            ident = trivial_closure(inst.ground)
-            out.append((inst.name, rel_st(inst.graph), ident))
-        elif inst.config is not None:
-            ident = trivial_closure(inst.ground)
-            out.append((inst.name, rel_div(inst.config), ident))
-    return out
+
+def _catalog_relations(
+    pool: InstancePool,
+) -> list[tuple[str, TernaryRelation, ClosureOperator]]:
+    """The `CATALOG_RELATION_IDS` relations of the selected instances,
+    each paired with the instance's operator (`instance_operator`)."""
+    return [(inst.name, relation(inst, rid), instance_operator(inst))
+            for inst in pool.select(lambda i: True, pool.cap(STACK_SUITE_MAX))
+            for rid in CATALOG_RELATION_IDS[inst.kind]]
 
 
 # ---------------------------------------------------------------------------
@@ -223,35 +231,18 @@ def _catalog_relations(
 
 def _suite_pregeom_axioms(pool: InstancePool) -> list[CheckResult]:
     out = []
-    for inst in _pregeometries(pool, TABLE_SUITE_MAX):
-        pg = inst.pg
-        assert pg is not None
-        out += _axiom_checks(f"{inst.name}:cl", rel_cl(pg), pg.op,
+    for inst in _pregeometries(pool):
+        out += _axiom_checks(f"{inst.name}:cl", relation(inst, "cl"), inst.op,
                              PREGEOM_AXIOMS)
     return out
 
 
-def _suite_am_eq_cl(pool: InstancePool) -> list[CheckResult]:
-    out = []
-    for inst in _pregeometries(pool, TABLE_SUITE_MAX):
-        pg = inst.pg
-        assert pg is not None
-        lhs = monotonise_M(rel_a(pg.op), pg.op)
-        out.append(_cmp_check(f"{inst.name}:aM", "eq:cl",
-                              compare(lhs, rel_cl(pg)), ("equal",)))
-    return out
-
-
-def _suite_am_eq_am(pool: InstancePool) -> list[CheckResult]:
-    out = []
-    for inst in _pregeometries(pool, TABLE_SUITE_MAX):
-        pg = inst.pg
-        assert pg is not None
-        lhs = monotonise_M(rel_a(pg.op), pg.op)
-        rhs = monotonise_m(rel_a(pg.op))
-        out.append(_cmp_check(f"{inst.name}:aM", "eq:am",
-                              compare(lhs, rhs), ("equal",)))
-    return out
+def _suite_am_eq(pool: InstancePool, rid: str) -> list[CheckResult]:
+    """`aM` equals the relation `rid` on every selected pregeometry."""
+    return [_cmp_check(f"{inst.name}:aM", f"eq:{rid}",
+                       compare(relation(inst, "aM"), relation(inst, rid)),
+                       ("equal",))
+            for inst in _pregeometries(pool)]
 
 
 RANDOM_RELATION_COUNT = 100
@@ -260,7 +251,7 @@ RANDOM_RELATION_SIZE = 4
 
 def _suite_mon_preserve(pool: InstancePool) -> list[CheckResult]:
     out = []
-    for label, base, op in _catalog_relations(pool, STACK_SUITE_MAX):
+    for label, base, op in _catalog_relations(pool):
         out += _bmon_r_checks(label, base, op)
     if pool.names is None:
         ground = GroundSet(RANDOM_RELATION_SIZE)
@@ -280,12 +271,10 @@ def _bmon_r_checks(label: str, base: TernaryRelation,
 
 def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
     out = []
-    for inst in pool.select(
-        lambda i: i.op is not None and i.ground.size <= STACK_SUITE_MAX
-    ):
-        op = inst.op
-        assert op is not None
-        for base in (rel_intersection(inst.ground), rel_a(op),
+    for inst in pool.select(lambda i: i.op is not None,
+                            pool.cap(STACK_SUITE_MAX)):
+        op = instance_operator(inst)
+        for base in (relation(inst, "int"), relation(inst, "a"),
                      random_relation(inst.ground, 0)):
             r = closure_extend_c(base, op)
             out += _axiom_checks(f"{inst.name}:{r.name}", r, op,
@@ -295,7 +284,7 @@ def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
 
 def _suite_mc_to_m(pool: InstancePool) -> list[CheckResult]:
     return [_mc_to_m_check(label, base, op)
-            for label, base, op in _catalog_relations(pool, STACK_SUITE_MAX)]
+            for label, base, op in _catalog_relations(pool)]
 
 
 def _mc_to_m_check(label: str, base: TernaryRelation,
@@ -334,24 +323,26 @@ def _suite_modularity(pool: InstancePool) -> list[CheckResult]:
 
 def _suite_dim_laws(pool: InstancePool) -> list[CheckResult]:
     out = []
-    for inst in _pregeometries(pool, TABLE_SUITE_MAX):
+    for inst in _pregeometries(pool):
         pg = inst.pg
         assert pg is not None
-        out += _dim_law_checks(inst.name, pg)
+        out += _dim_law_checks(inst.name, pg, pool.cap(STACK_SUITE_MAX))
     return out
 
 
-def _dim_law_checks(name: str, pg: Pregeometry) -> list[CheckResult]:
-    """The oracle check over (A, X) and, up to STACK_SUITE_MAX elements,
-    the three laws, each as a violation array with its least witness:
-    additivity over (A, B), base antitonicity over (A, B, D) with B <= D,
-    and submodularity over pairs (A, B) of closed sets."""
+def _dim_law_checks(
+    name: str, pg: Pregeometry, max_size: Optional[int] = STACK_SUITE_MAX
+) -> list[CheckResult]:
+    """The oracle check over (A, X) and, up to `max_size` elements (None:
+    any), the three laws, each as a violation array with its least
+    witness: additivity over (A, B), base antitonicity over (A, B, D)
+    with B <= D, and submodularity over pairs (A, B) of closed sets."""
     dims = dim_table(pg)  # (A, X): dim(A/X)
     subject = f"{name}:dim"
 
     laws = [("oracle", first_true(dims != brute_dim_oracle(pg)))]
 
-    if pg.ground.size <= STACK_SUITE_MAX:
+    if max_size is None or pg.ground.size <= max_size:
         masks = np.arange(pg.ground.subset_count)
         rank = dims[:, 0]
         below = masks[:, None] & ~masks == 0  # (B, D): B <= D
@@ -430,8 +421,8 @@ def _amalgam_unit() -> list[CheckResult]:
 
     The nine (base, n1, n2) scans cover 3,572 pairs and 15,352 amalgams
     of relabelled parts.  They run on arrays of edge codes (see
-    `_amalgam_scan`) in about 13 ms on a 2-vCPU machine, where a `Graph`
-    per amalgam and one isomorphism test per relabelling took 0.55 s.
+    `_amalgam_scan`) rather than on a `Graph` per amalgam with one
+    isomorphism test per relabelling.
     """
     for base_size in (1, 2, 3):
         for n1 in range(base_size + 1, 5):
@@ -505,10 +496,11 @@ def _suite_dlo_div(pool: InstancePool) -> list[CheckResult]:
     out = []
     for n in range(1, DLO_SUITE_MAX + 1):
         config = dlo_config(n)
+        div = rel_div(config)
         ident = trivial_closure(config.ground)
-        out += _axiom_checks(f"dlo{n}:div", rel_div(config), ident, DIV_AXIOMS)
+        out += _axiom_checks(f"dlo{n}:div", div, ident, DIV_AXIOMS)
         if n == 4:
-            rep = check_axiom(rel_div(config), AxiomId.TRA_R)
+            rep = check_axiom(div, AxiomId.TRA_R)
             status = "pass" if rep.status == "fail" else "fail"
             out.append(CheckResult(f"dlo{n}:div", "TRA-R-fails", status,
                                    rep.witness))
@@ -517,8 +509,8 @@ def _suite_dlo_div(pool: InstancePool) -> list[CheckResult]:
 
 _SUITE_BODIES: dict[str, Callable[[InstancePool], list[CheckResult]]] = {
     "pregeom-axioms": _suite_pregeom_axioms,
-    "aM-eq-cl": _suite_am_eq_cl,
-    "aM-eq-am": _suite_am_eq_am,
+    "aM-eq-cl": partial(_suite_am_eq, rid="cl"),
+    "aM-eq-am": partial(_suite_am_eq, rid="am"),
     "mon-preserve": _suite_mon_preserve,
     "c-preserve": _suite_c_preserve,
     "mc-to-M": _suite_mc_to_m,

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from pregeolab import geometry, instances, relcalc, verify
 from pregeolab.axioms import AxiomId
-from pregeolab.cli import RELATION_IDS, main
-from pregeolab.instances import CATALOG_NAMES, catalog_instance
+from pregeolab.cli import main
+from pregeolab.instances import CATALOG_NAMES, RELATIONS, catalog_instance
 
 
 def run(capsys, *argv):
@@ -387,7 +387,7 @@ def argument_vectors(draw, inst_file: str, tmp_dir: str) -> list[str]:
 
     instance = draw(st.one_of(st.just(inst_file), st.sampled_from(
         (*SMALL_CATALOG, tmp_dir, "no/such/file", *GARBAGE))))
-    relation = one(*RELATION_IDS, "opp(a)", "opp(opp(st))", "opp(nope)",
+    relation = one(*RELATIONS, "opp(a)", "opp(opp(st))", "opp(nope)",
                    *GARBAGE)
     axiom = one(*(ax.value for ax in AxiomId), "bmon-r", *GARBAGE)
     subset = one("{0,1}", "0,1,2", "{}", "0,9", *GARBAGE)

@@ -1,21 +1,13 @@
 """The recorded command output in tests/data/golden.txt must not change.
 
-The file holds the `verify --suite all` report, `check --all` for five
-relations on gebert4, u34 and u36, `check --all` for dlo6 `div` (a
-failing TRA-R chain witness), gf2-7 `cl` (the verdicts at n = 7),
-gf2-7 `aM` and `am` (the monotonisations at n = 7, each with a failing
-FREE witness), gf2-7 `sup` (failing CLO-L and CLO-R witnesses past
-A = {}, with failing AREF, SCLO and FREE), gebert8 `a` (every axiom at
-n = 8, with a failing FREE witness) and gebert8 `int` (failing CLO-L,
-CLO-R and SCLO witnesses at n = 8, read after the earlier scans of the
-same table), SCLO alone for gebert8 `a` (a pass at n = 8) and gf2-7
-`sup` (a failing witness at n = 7), `modular` on every catalog
-pregeometry with at most six elements, and `list`, which pins the
-catalog's names, kinds, sizes and descriptions.  Each command's section
-starts with a `$ pregeolab ...` line and holds what the command writes,
-stdout then stderr; the verify section holds the report file instead.
-The CI workflow builds the same file through the installed console
-script.
+The file holds the `verify --suite all` report, then the output of each
+command listed in tests/data/golden_commands.txt, in order (`check`
+reports on the catalog up to n = 8, `modular` verdicts and `list`; the
+list says what each one pins).  Each command's section starts with a
+`$ pregeolab ...` line and holds what the command writes, stdout then
+stderr; the verify section holds the report file instead.  The CI
+workflow builds the same file from the same command list through the
+installed console script.
 
 Re-record only for an intended change of output:
 
@@ -30,18 +22,15 @@ from pathlib import Path
 
 from pregeolab.cli import main
 
-GOLDEN = Path(__file__).parent / "data" / "golden.txt"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden.txt"
+COMMANDS = DATA / "golden_commands.txt"
 
-CHECK_INSTANCES = ("gebert4", "u34", "u36")
-CHECK_RELATIONS = ("a", "aM", "ac", "amc", "cl")
-LARGE_CHECKS = (
-    ("dlo6", "div"), ("gf2-7", "cl"), ("gf2-7", "aM"), ("gf2-7", "am"),
-    ("gf2-7", "sup"), ("gebert8", "a"), ("gebert8", "int"),
-)
-SCLO_CHECKS = (("gebert8", "a"), ("gf2-7", "sup"))
-MODULAR_INSTANCES = (
-    "trivial3", "trivial4", "trivial5", "u23", "u34", "u36", "gf2-3", "gf3-4",
-)
+
+def commands() -> list[list[str]]:
+    """The argument vectors of golden_commands.txt, in file order."""
+    lines = COMMANDS.read_text(encoding="utf-8").splitlines()
+    return [line.split() for line in lines if line and not line.startswith("#")]
 
 
 def _command(*argv: str) -> str:
@@ -58,16 +47,7 @@ def golden_text() -> str:
             main(["verify", "--suite", "all", "--report", str(report)])
         parts = ["$ pregeolab verify --suite all --report REPORT\n"
                  + report.read_text(encoding="utf-8")]
-    parts += [_command("check", "--instance", inst, "--relation", rel, "--all")
-              for inst in CHECK_INSTANCES for rel in CHECK_RELATIONS]
-    parts += [_command("check", "--instance", inst, "--relation", rel, "--all")
-              for inst, rel in LARGE_CHECKS]
-    parts += [_command("check", "--instance", inst, "--relation", rel,
-                       "--axiom", "SCLO")
-              for inst, rel in SCLO_CHECKS]
-    parts += [_command("modular", "--instance", inst)
-              for inst in MODULAR_INSTANCES]
-    parts.append(_command("list"))
+    parts += [_command(*argv) for argv in commands()]
     return "".join(parts)
 
 

@@ -14,10 +14,13 @@ from pregeolab.instances import (
     BaseMismatch,
     Graph,
     InstanceFormatError,
+    RELATIONS,
     OrderedConfig,
+    RelationError,
     canonical_codes,
     catalog,
     catalog_instance,
+    defines,
     dlo_config,
     free_amalgam,
     free_amalgam_codes,
@@ -29,6 +32,7 @@ from pregeolab.instances import (
     rel_div,
     rel_st,
     relabel_codes,
+    relation,
     st_holds,
     uniform_pregeometry,
 )
@@ -127,6 +131,29 @@ def test_graph_a_is_plain_intersection():
     r = resolve_relation(path4, "a")
     assert r.name == "a"
     assert compare(r, rel_intersection(path4.ground)).verdict == "equal"
+
+
+def test_relation_ids_resolve_by_instance_kind():
+    for inst in catalog().values():
+        for rid in RELATIONS:
+            if defines(inst, rid):
+                assert relation(inst, rid).name == rid
+            else:
+                with pytest.raises(RelationError):
+                    relation(inst, rid)
+    refused = {
+        ("gebert4", "cl"): "cl needs a pregeometry, got closure",
+        ("path4", "aM"): "aM needs a closure instance, got graph",
+        ("u34", "st"): "st needs a graph instance, got pregeometry",
+        ("path4", "div-strict"): "div-strict needs an order instance, got graph",
+        ("u34", "opp(opp(nope))"): "unknown relation id 'nope'",
+    }
+    for (name, text), message in refused.items():
+        with pytest.raises(RelationError) as err:
+            relation(catalog_instance(name), text)
+        assert str(err.value) == message
+    r = relation(catalog_instance("dlo4"), " opp( opp(div) ) ")
+    assert r.name == "opp(opp(div))" and r.table is None
 
 
 def test_free_amalgam_of_two_edges_is_a_path():
@@ -309,6 +336,32 @@ def test_rel_div_builder_matches_fn():
     count = cfg.ground.subset_count
     for a, b, c in combinations(range(count), 3):
         assert table[a, b, c] == r.fn(a, b, c)
+
+
+def div_reference_table(size, include_degenerate):
+    """The whole-table formula that the row builder of `rel_div` replaced:
+    for each span of points i..j, both ends in B, clear every cell whose
+    A meets the span and whose C misses it."""
+    count = 1 << size
+    masks = np.arange(count)
+    table = np.ones((count, count, count), dtype=bool)
+    for i in range(size):
+        for j in range(i if include_degenerate else i + 1, size):
+            span = ((1 << (j + 1)) - 1) & ~((1 << i) - 1)
+            b_has = ((masks >> i & 1) & (masks >> j & 1)).astype(bool)
+            a_meets = (masks & span) != 0
+            c_misses = (masks & span) == 0
+            table &= ~(a_meets[:, None, None] & b_has[None, :, None]
+                       & c_misses[None, None, :])
+    return table
+
+
+@pytest.mark.parametrize("include_degenerate", [True, False])
+def test_rel_div_rows_match_whole_table_formula(include_degenerate):
+    for n in range(9):
+        r = materialize(rel_div(dlo_config(n), include_degenerate))
+        assert np.array_equal(
+            r.table, div_reference_table(n, include_degenerate)), n
 
 
 def same_operator(op1, op2):

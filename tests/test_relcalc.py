@@ -5,10 +5,11 @@ import pytest
 
 from pregeolab import relcalc
 from pregeolab.axioms import compare
-from pregeolab.cli import RELATION_IDS, UsageError, resolve_relation
+from pregeolab.cli import UsageError, resolve_relation
 from pregeolab.closure import trivial_closure
 from pregeolab.geometry import dim_table
 from pregeolab.instances import (
+    RELATIONS,
     catalog,
     catalog_instance,
     gebert_closure,
@@ -73,7 +74,7 @@ def test_builders_match_scalar_eval(u34):
         assert_table_matches_scalar(monotonise_m(random_relation(u34.ground, seed)))
     # Every relation id and its opposite on every catalog instance with
     # n <= 4 that resolves.
-    ids = list(RELATION_IDS) + [f"opp({rid})" for rid in RELATION_IDS]
+    ids = list(RELATIONS) + [f"opp({rid})" for rid in RELATIONS]
     checked = set()
     for inst in catalog().values():
         if inst.ground.size > 4:
@@ -242,9 +243,11 @@ def test_materialize_cap():
     huge = rel_intersection(GroundSet(16))
     with pytest.raises(CapExceeded):
         materialize(huge)
-    # a tiny cap bites early
+    # n = 9 is the least size over the budget; refused before any build
+    r = rel_intersection(GroundSet(9))
     with pytest.raises(CapExceeded):
-        materialize(rel_intersection(GroundSet(4)), cap_bits=64)
+        materialize(r)
+    assert r.table is None
 
 
 def test_relation_without_builder_is_refused():

@@ -6,6 +6,7 @@ import pytest
 
 from pregeolab import verify
 from pregeolab.axioms import check_axiom
+from pregeolab.cli import main
 from pregeolab.closure import trivial_closure
 from pregeolab.instances import (
     Graph,
@@ -92,12 +93,25 @@ def test_run_suites_builds_the_catalog_once(monkeypatch):
     assert len(built) == 2  # a suite that draws no instance builds none
 
 
-def test_instance_restriction():
+def test_instance_restriction(capsys):
     full = run_suite("pregeom-axioms")
     only = run_suite("pregeom-axioms", instances=["u34"])
     assert only.passed
     assert 0 < len(only.checks) < len(full.checks)
     assert all(c.subject.startswith("u34") for c in only.checks)
+    # the size bounds trim the whole-catalog run only: a named instance
+    # runs every check its kind allows, the dim-laws laws included
+    named = run_suites(["pregeom-axioms", "dim-laws", "aM-eq-cl",
+                        "mon-preserve"], instances=["gf2-7", "gebert8"])
+    assert [len(r.checks) for r in named] == [16, 4, 1, 10]
+    assert all(r.passed for r in named)
+    assert {c.subject.split(":")[0] for c in named[3].checks} == {
+        "gf2-7", "gebert8"}
+    # an empty --instances names nothing: a usage error, not the catalog
+    assert main(["verify", "--suite", "dim-laws", "--instances", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --instances: no catalog names given\n"
 
 
 def test_render_summary(fast_results):
