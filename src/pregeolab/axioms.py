@@ -13,6 +13,14 @@ Witness tuple layout per axiom:
     AREF                ({a}, C)
     MON-*, BMON-*, TRA-*, TRA-STRONG, BMON-STRONG, FREE    (A, C, B, D)
 
+Each axiom's quantifier-free body is stated once, in `_BODIES`, over a
+predicate holds(A, B, C) and the closure table.  The one statement runs
+three ways: on scalar masks through the relation's predicate
+(`evaluate_axiom_body`, the definitional route), on the vector of every
+D to complete a four-variable witness (`_least_d`), and, in the tests,
+on broadcast index grids over the table as the reference every scan
+below is checked against.
+
 Every scan except EX and AREF runs on the table packed into bits along
 one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
 word operation on a row serves every value of that axis at once and no
@@ -125,6 +133,52 @@ class AxiomReport:
         if self.witness is not None:
             parts.append("witness=" + format_witness(self.witness))
         return " ".join(parts)
+
+
+def _chain(c, b, d):
+    """C <= B <= D."""
+    return (c & ~b == 0) & (b & ~d == 0)
+
+
+#: axiom -> its quantifier-free body, true where the witness (A, C[, B[,
+#: D]]), in the layout above, is no violation.  holds(A, B, C) reads r
+#: and cl is the closure table.  A body uses only &, |, ~, == and !=, so
+#: the one statement runs on scalar masks with np.bool_ cells
+#: (`evaluate_axiom_body`), on the vector of every D (`_least_d`) and on
+#: broadcast index grids over a table.
+_BODIES = {
+    AxiomId.EX: lambda h, cl, a, c: h(a, c, c),
+    AxiomId.SYM: lambda h, cl, a, c, b: ~h(a, b, c) | h(b, a, c),
+    AxiomId.NOR_L: lambda h, cl, a, c, b: ~h(a, b, c) | h(a | c, b, c),
+    AxiomId.NOR_R: lambda h, cl, a, c, b: ~h(a, b, c) | h(a, b | c, c),
+    AxiomId.MON_L: lambda h, cl, a, c, b, d: ~h(a | d, b, c) | h(a, b, c),
+    AxiomId.MON_R: lambda h, cl, a, c, b, d: ~h(a, b | d, c) | h(a, b, c),
+    AxiomId.BMON_L: lambda h, cl, a, c, b, d:
+        ~(_chain(c, b, d) & h(d, a, c)) | h(d, a, b),
+    AxiomId.BMON_R: lambda h, cl, a, c, b, d:
+        ~(_chain(c, b, d) & h(a, d, c)) | h(a, d, b),
+    AxiomId.TRA_L: lambda h, cl, a, c, b, d:
+        ~(_chain(c, b, d) & h(b, a, c) & h(d, a, b)) | h(d, a, c),
+    AxiomId.TRA_R: lambda h, cl, a, c, b, d:
+        ~(_chain(c, b, d) & h(a, b, c) & h(a, d, b)) | h(a, d, c),
+    AxiomId.TRA_STRONG: lambda h, cl, a, c, b, d:
+        ~(h(a, b, c) & h(a, d, b | c)) | h(a, b | d, c),
+    AxiomId.BMON_STRONG: lambda h, cl, a, c, b, d:
+        ~h(a, b | d, c) | h(a, b, c | d),
+    AxiomId.AREF: lambda h, cl, a, c: ~h(a, a, c) | (cl[c] & a != 0),
+    AxiomId.CLO_L: lambda h, cl, a, c, b: ~h(a, b, c) | h(cl[a], b, c),
+    AxiomId.CLO_R: lambda h, cl, a, c, b: ~h(a, b, c) | h(a, cl[b], c),
+    AxiomId.SCLO: lambda h, cl, a, c, b:
+        h(a, b, c) == h(cl[a | c], cl[b | c], cl[c]),
+    AxiomId.FREE: lambda h, cl, a, c, b, d:
+        ~(h(a, b, c) & (c & (a | b) & ~d == 0) & (d & ~c == 0)) | h(a, b, d),
+}
+
+
+def _arity(ax: AxiomId) -> int:
+    """The number of masks in a witness of ax: its body's arguments after
+    holds and cl."""
+    return _BODIES[ax].__code__.co_argcount - 2
 
 
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,19 +455,9 @@ def _scan_free(p: np.ndarray, count: int) -> np.ndarray:
 
 
 def _least_d(t3: np.ndarray, ax: AxiomId, a: int, c: int, b: int):
-    """Complete a violating (A, C, B) with its least D."""
-    d = np.arange(len(t3))
-    if ax is AxiomId.MON_R:
-        ok = t3[a, b | d, c]
-    elif ax is AxiomId.MON_L:
-        ok = t3[a | d, b, c]
-    elif ax is AxiomId.TRA_STRONG:
-        ok = t3[a, d, b | c] & ~t3[a, b | d, c]
-    elif ax is AxiomId.BMON_STRONG:
-        ok = t3[a, b | d, c] & ~t3[a, b, c | d]
-    else:  # FREE
-        ok = (c & (a | b) & ~d == 0) & (d & ~c == 0) & ~t3[a, b]
-    return (a, c, b, int(np.argmax(ok)))
+    """Complete a violating (A, C, B) with the least D its body fails at."""
+    ok = _BODIES[ax](lambda *abc: t3[abc], None, a, c, b, np.arange(len(t3)))
+    return (a, c, b, int(np.argmax(~ok)))
 
 
 #: the axioms scanned on the table packed over B, rows (A, C); the others
@@ -498,77 +542,22 @@ def check_all(
             if op is not None or not ax.needs_closure]
 
 
-def evaluate_axiom_body(
-    r: TernaryRelation,
-    ax: AxiomId,
-    witness: Sequence[int],
-    op: Optional[ClosureOperator] = None,
-) -> bool:
-    """Re-evaluate the quantifier-free body of an axiom on one tuple.
+def evaluate_axiom_body(r: TernaryRelation, ax: AxiomId,
+                        witness: Sequence[int],
+                        op: Optional[ClosureOperator] = None) -> bool:
+    """Evaluate the axiom's body in `_BODIES` on one witness tuple.
 
-    Returns True when the tuple satisfies the implication (i.e. is NOT a
-    violation).  Reads only the scalar predicate `r.fn`, never a table.
-    Used for witness soundness checks.
+    Returns True when the tuple satisfies the body (i.e. is NOT a
+    violation).  Reads only the scalar predicate `r.fn`, never a table,
+    and passes it Python ints.  Used for witness soundness checks.
+    Raises ValueError for FIN and LOC, which have no body, and for a
+    witness of the wrong length.
     """
-    i = lambda k: int(witness[k])  # noqa: E731
-
-    def holds(a: int, b: int, c: int) -> bool:
-        return bool(r.fn(a, b, c))
-
-    def sub(x: int, y: int) -> bool:
-        return x & ~y == 0
-
-    if ax is AxiomId.EX:
-        return holds(i(0), i(1), i(1))
-    if ax is AxiomId.SYM:
-        return not holds(i(0), i(2), i(1)) or holds(i(2), i(0), i(1))
-    if ax is AxiomId.NOR_R:
-        return not holds(i(0), i(2), i(1)) or holds(i(0), i(2) | i(1), i(1))
-    if ax is AxiomId.NOR_L:
-        return not holds(i(0), i(2), i(1)) or holds(i(0) | i(1), i(2), i(1))
-    if ax is AxiomId.AREF:
-        cl = _require_op(ax, op).table
-        a = i(0).bit_length() - 1
-        return not holds(i(0), i(0), i(1)) or bool(cl[i(1)] >> a & 1)
-    if ax is AxiomId.CLO_R:
-        cl = _require_op(ax, op).table
-        return not holds(i(0), i(2), i(1)) or holds(i(0), int(cl[i(2)]), i(1))
-    if ax is AxiomId.CLO_L:
-        cl = _require_op(ax, op).table
-        return not holds(i(0), i(2), i(1)) or holds(int(cl[i(0)]), i(2), i(1))
-    if ax is AxiomId.SCLO:
-        cl = _require_op(ax, op).table
-        a, c, b = i(0), i(1), i(2)
-        return holds(a, b, c) == holds(
-            int(cl[a | c]), int(cl[b | c]), int(cl[c]))
-    a, c, b, d = i(0), i(1), i(2), i(3)
-    if ax is AxiomId.MON_R:
-        return not holds(a, b | d, c) or holds(a, b, c)
-    if ax is AxiomId.MON_L:
-        return not holds(a | d, b, c) or holds(a, b, c)
-    if ax is AxiomId.BMON_R:
-        in_chain = sub(c, b) and sub(b, d)
-        return not (in_chain and holds(a, d, c)) or holds(a, d, b)
-    if ax is AxiomId.BMON_L:
-        in_chain = sub(c, b) and sub(b, d)
-        return not (in_chain and holds(d, a, c)) or holds(d, a, b)
-    if ax is AxiomId.TRA_R:
-        in_chain = sub(c, b) and sub(b, d)
-        prem = in_chain and holds(a, b, c) and holds(a, d, b)
-        return not prem or holds(a, d, c)
-    if ax is AxiomId.TRA_L:
-        in_chain = sub(c, b) and sub(b, d)
-        prem = in_chain and holds(b, a, c) and holds(d, a, b)
-        return not prem or holds(d, a, c)
-    if ax is AxiomId.TRA_STRONG:
-        prem = holds(a, b, c) and holds(a, d, b | c)
-        return not prem or holds(a, b | d, c)
-    if ax is AxiomId.BMON_STRONG:
-        return not holds(a, b | d, c) or holds(a, b, c | d)
-    if ax is AxiomId.FREE:
-        prem = holds(a, b, c) and sub(c & (a | b), d) and sub(d, c)
-        return not prem or holds(a, b, d)
-    raise ValueError(f"axiom {ax} has no body")  # pragma: no cover
+    if ax not in _BODIES or len(witness) != _arity(ax):
+        raise ValueError(f"{ax.value} has no body on {len(witness)} masks")
+    cl = _require_op(ax, op).table if ax.needs_closure else None
+    holds = lambda *abc: np.bool_(r.fn(*map(int, abc)))  # noqa: E731
+    return bool(_BODIES[ax](holds, cl, *map(int, witness)))
 
 
 # ---------------------------------------------------------------------------

@@ -160,12 +160,19 @@ def _search_instances(kind: Optional[str], max_n: int) -> list[Instance]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
+    flags = {"--relation": args.relation, "--kind": args.kind,
+             "--max-n": args.max_n}
+    given = [flag for flag, value in flags.items() if value is not None]
+    if args.space == "enum1" and given:  # they choose catalog instances
+        raise UsageError(f"--space enum1: not with {', '.join(given)}")
+    relation = "a" if args.relation is None else args.relation
+    max_n = 6 if args.max_n is None else args.max_n
     try:
-        rid = instances.relation_id(args.relation)[0]
+        rid = instances.relation_id(relation)[0]
     except instances.RelationError as exc:
         raise UsageError(f"--relation: {exc}") from exc
     if args.goal == "exchange-fail":
-        for inst in _search_instances(args.kind, args.max_n):
+        for inst in _search_instances(args.kind, max_n):
             if inst.op is None:
                 continue
             found = closure.has_exchange(inst.op)
@@ -178,9 +185,9 @@ def cmd_search(args: argparse.Namespace) -> int:
     goal = _parse_goal(args.goal)
     if args.space == "catalog":
         candidates = [
-            (inst.name, resolve_relation(inst, args.relation),
+            (inst.name, resolve_relation(inst, relation),
              instance_operator(inst))
-            for inst in _search_instances(args.kind, args.max_n)
+            for inst in _search_instances(args.kind, max_n)
             if instances.defines(inst, rid)
         ]
     else:  # all relations on a 1-element ground set
@@ -295,11 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--goal", required=True,
                    help="axiom list with one negated target, e.g."
                    " 'SYM,!MON-R', or 'exchange-fail'")
-    p.add_argument("--relation", default="a",
-                   help="relation id evaluated on each candidate instance")
+    p.add_argument("--relation", help="relation id evaluated on each catalog"
+                   " instance (default a)")
     p.add_argument("--space", choices=("catalog", "enum1"), default="catalog")
     p.add_argument("--kind", choices=("pregeometry", "closure", "graph", "order"))
-    p.add_argument("--max-n", type=int, default=6, dest="max_n")
+    p.add_argument("--max-n", type=int, dest="max_n", help="default 6")
     p.add_argument("--strict", action="store_true")
     p.set_defaults(fn=cmd_search)
 

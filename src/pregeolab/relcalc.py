@@ -1,10 +1,11 @@
 """Ternary relations over subset triples and the relation transformers.
 
 A relation carries two evaluation routes: a scalar predicate on masks
-(the definitional route, kept as the test oracle) and a vectorized
-builder, the only route to the full 2^(3n) truth table.  The two routes
-are independent implementations and are cross-checked in the test
-suite; all heavy scanning (axiom checks, table comparisons) runs on the
+(the definitional route, which `axioms.evaluate_axiom_body` reads) and
+a vectorized builder, the only route to the full 2^(3n) truth table.
+The two routes are independent implementations and are cross-checked
+in the test suite, among other ways through one axiom body evaluated on
+each; all heavy scanning (axiom checks, table comparisons) runs on the
 materialized table.  A transformer's predicate calls its base's
 predicate, so the scalar route never reads a table, built or not.
 

@@ -528,11 +528,11 @@ def _check_request(
     instance names, then a repeated instance name."""
     for suite_id in suite_ids:
         if suite_id not in _SUITE_BODIES:
-            raise UnknownSuite(f"unknown suite: {suite_id}")
+            raise UnknownSuite(f"unknown suite: {suite_id!r}")
     if repeated := _repeated(suite_ids):
         raise UnknownSuite(f"repeated suites: {repeated}")
     if instances is not None:
-        missing = [n for n in instances if n not in CATALOG_NAMES]
+        missing = [repr(n) for n in instances if n not in CATALOG_NAMES]
         if missing:
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
         if repeated := _repeated(instances):

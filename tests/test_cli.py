@@ -130,6 +130,23 @@ def test_search_enum_space(capsys):
     assert out.startswith("FOUND rel20 ")
 
 
+def test_search_enum_space_refuses_catalog_flags(capsys):
+    """--relation, --kind and --max-n choose catalog instances, so enum1,
+    which lists the relations on one element, refuses them."""
+    code, out, err = run(capsys, "search", "--goal", "SYM,!MON-R",
+                         "--space", "enum1", "--relation", "st",
+                         "--kind", "graph", "--max-n", "0")
+    assert code == 2 and out == ""
+    assert err == ("error: --space enum1: not with --relation, --kind,"
+                   " --max-n\n")
+    for flag, value in (("--relation", "a"), ("--kind", "graph"),
+                        ("--max-n", "6")):
+        code, out, err = run(capsys, "search", "--goal", "SYM,!MON-R",
+                             "--space", "enum1", flag, value)
+        assert code == 2 and out == ""
+        assert err == f"error: --space enum1: not with {flag}\n"
+
+
 def test_search_exhausted(capsys):
     code, out, _ = run(capsys, "search", "--goal", "!SYM", "--relation", "int")
     assert code == 0
@@ -172,7 +189,18 @@ def test_verify_unknown_suite(capsys):
 def test_verify_unknown_instances_names_the_flag(capsys):
     code, _, err = run(capsys, "verify", "--instances", "nope")
     assert code == 2
-    assert err == "error: --instances: unknown instances: nope\n"
+    assert err == "error: --instances: unknown instances: 'nope'\n"
+
+
+def test_verify_empty_names_are_quoted(capsys):
+    """A trailing comma gives an empty name, which the message shows."""
+    code, out, err = run(capsys, "verify", "--suite", "dim-laws",
+                         "--instances", "u34,")
+    assert code == 2 and out == ""
+    assert err == "error: --instances: unknown instances: ''\n"
+    code, out, err = run(capsys, "verify", "--suite", "dim-laws,")
+    assert code == 2 and out == ""
+    assert err == "error: --suite: unknown suite: ''\n"
 
 
 def test_verify_repeated_instance_is_usage_error(capsys):
