@@ -15,11 +15,12 @@ Witness tuple layout per axiom:
 
 Each axiom's quantifier-free body is stated once, in `_BODIES`, over a
 predicate holds(A, B, C) and the closure table.  The one statement runs
-three ways: on scalar masks through the relation's predicate
-(`evaluate_axiom_body`, the definitional route), on the vector of every
-D to complete a four-variable witness (`_least_d`), and, in the tests,
-on broadcast index grids over the table as the reference every scan
-below is checked against.
+on scalar masks through the relation's predicate (`evaluate_axiom_body`,
+the definitional route), on the vector of every D to complete a
+four-variable witness (`_least_d`), on the (A, C) grid over the table as
+the whole scan of EX and AREF, and, in the tests, on broadcast index
+grids over the table as the reference every scan below is checked
+against.
 
 Every scan except EX and AREF runs on the table packed into bits along
 one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
@@ -120,6 +121,14 @@ class AxiomId(enum.Enum):
 AXIOM_ORDER: tuple[AxiomId, ...] = tuple(AxiomId)
 
 
+def result_line(subject: str, check: str, status: str,
+                witness: Optional[Sequence[int]]) -> str:
+    """The machine-readable report line RESULT <subject> <check> <status>
+    [witness=...]; every RESULT line of `check` and `verify` is built here."""
+    line = f"RESULT {subject} {check} {status}"
+    return line if witness is None else f"{line} witness={format_witness(witness)}"
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     axiom: AxiomId
@@ -128,11 +137,8 @@ class AxiomReport:
     witness: Optional[tuple[int, ...]]
 
     def result_line(self) -> str:
-        """Machine-readable line: RESULT <relation> <axiom> <status> [witness=...]."""
-        parts = [f"RESULT {self.relation} {self.axiom.value} {self.status}"]
-        if self.witness is not None:
-            parts.append("witness=" + format_witness(self.witness))
-        return " ".join(parts)
+        return result_line(self.relation, self.axiom.value, self.status,
+                           self.witness)
 
 
 def _chain(c, b, d):
@@ -491,13 +497,12 @@ def _find_violation(
     count = r.ground.subset_count
     masks = np.arange(count)
 
-    if ax is AxiomId.EX:
-        return first_true(~t3[:, masks, masks])
-    if ax is AxiomId.AREF:  # (a, C) with r({a}, {a}, C) and a outside cl(C)
-        elems = np.arange(r.ground.size)[:, None]
-        bits = 1 << elems
-        hit = first_true(t3[bits, bits, masks] & (cl >> elems & 1 == 0))
-        return None if hit is None else (1 << hit[0], hit[1])
+    if ax in (AxiomId.EX, AxiomId.AREF):  # the body on the (A, C) grid;
+        # AREF's A runs over the singletons {a}
+        firsts = 1 << np.arange(r.ground.size) if ax is AxiomId.AREF else masks
+        ok = _BODIES[ax](lambda *abc: t3[abc], cl, firsts[:, None], masks)
+        hit = first_true(~ok)
+        return None if hit is None else (int(firsts[hit[0]]), hit[1])
 
     left = ax in _LEFT_FORMS
     p = _packed(r, t3, int(left))

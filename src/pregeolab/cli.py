@@ -41,12 +41,13 @@ def load_instance(spec: str) -> Instance:
         raise UsageError(f"--instance: {spec}: {exc}") from exc
 
 
-def resolve_relation(inst: Instance, rel_id: str) -> relcalc.TernaryRelation:
-    """`instances.relation`, with its errors as usage errors."""
+def resolve_relation(inst: Instance, rel_id: str,
+                     flag: str = "--relation") -> relcalc.TernaryRelation:
+    """`instances.relation`, with its errors as usage errors of `flag`."""
     try:
         return instances.relation(inst, rel_id)
     except instances.RelationError as exc:
-        raise UsageError(f"--relation: {exc}") from exc
+        raise UsageError(f"{flag}: {exc}") from exc
 
 
 def _parse_set(inst: Instance, flag: str, text: str) -> int:
@@ -61,14 +62,16 @@ def _parse_set(inst: Instance, flag: str, text: str) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
+    if args.all and args.axiom is not None:
+        raise UsageError("--axiom: not with --all")
+    if not args.all and args.axiom is None:
+        raise UsageError("--axiom: required unless --all is given")
     inst = load_instance(args.instance)
     relation = resolve_relation(inst, args.relation)
     op = instance_operator(inst)
     if args.all:
         reports = axioms.check_all(relation, op)
     else:
-        if args.axiom is None:
-            raise UsageError("--axiom: required unless --all is given")
         try:
             ax = AxiomId.parse(args.axiom)
         except ValueError as exc:
@@ -85,8 +88,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     ids = [part.strip() for part in args.relations.split(",")]
     if len(ids) != 2:
         raise UsageError("--relations: need exactly two ids, comma separated")
-    r1 = resolve_relation(inst, ids[0])
-    r2 = resolve_relation(inst, ids[1])
+    r1, r2 = (resolve_relation(inst, rid, "--relations") for rid in ids)
     cmp = axioms.compare(r1, r2)
     line = f"COMPARE {ids[0]} {ids[1]} {cmp.verdict}"
     if cmp.witness is not None:
@@ -160,18 +162,24 @@ def _search_instances(kind: Optional[str], max_n: int) -> list[Instance]:
 
 
 def cmd_search(args: argparse.Namespace) -> int:
-    flags = {"--relation": args.relation, "--kind": args.kind,
+    exchange = args.goal == "exchange-fail"  # a search over closure operators
+    flags = {"--goal exchange-fail": exchange or None,
+             "--relation": args.relation, "--kind": args.kind,
              "--max-n": args.max_n}
     given = [flag for flag, value in flags.items() if value is not None]
     if args.space == "enum1" and given:  # they choose catalog instances
         raise UsageError(f"--space enum1: not with {', '.join(given)}")
+    if exchange and args.relation is not None:
+        raise UsageError("--relation: not with --goal exchange-fail")
+    if args.max_n is not None and args.max_n < 0:
+        raise UsageError(f"--max-n: must be at least 0, got {args.max_n}")
     relation = "a" if args.relation is None else args.relation
     max_n = 6 if args.max_n is None else args.max_n
     try:
         rid = instances.relation_id(relation)[0]
     except instances.RelationError as exc:
         raise UsageError(f"--relation: {exc}") from exc
-    if args.goal == "exchange-fail":
+    if exchange:
         for inst in _search_instances(args.kind, max_n):
             if inst.op is None:
                 continue

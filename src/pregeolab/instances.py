@@ -608,27 +608,15 @@ class InstanceFormatError(ValueError):
     """Malformed instance file."""
 
 
-_KNOWN_KEYS = {"type", "size", "rank", "field", "vectors", "edges", "points"}
-
-
 def parse_instance(text: str, name: str = "file") -> Instance:
     """Parse the line-oriented instance format; the only way an
     `Instance` is built (the catalog is a table of such files, see
     `CATALOG`).
 
     Lines are `key = value`; `#` starts a comment; each key appears at
-    most once.  The `type` key picks the construction and its keys:
-
-      * `trivial`, `size`: every set is closed (a pregeometry)
-      * `gebert`, `size`: the initial-segment closure
-      * `uniform`, `size`, `rank`: the uniform pregeometry
-      * `linear`, `field` (gf2, the default, or gf3), `vectors`: the span
-        pregeometry of space-separated digit strings such as `10 01 11`
-      * `table`, `size`, and one `cl {..} = {..}` line per subset: an
-        explicit closure operator, validated
-      * `graph`, `size`, `edges` (pairs `u-v`, space or comma separated,
-        default none)
-      * `order`, `points`: strictly increasing rationals such as `0 1/2 3`
+    most once.  The `type` key picks a row of `_TYPES`, which names the
+    keys that type requires and the keys it may take; any other key is
+    refused.  Only `type = table` takes `cl {..} = {..}` lines.
     """
     fields: dict[str, str] = {}
     cl_lines: list[tuple[int, str, str]] = []
@@ -639,23 +627,29 @@ def parse_instance(text: str, name: str = "file") -> Instance:
         if "=" not in line:
             raise InstanceFormatError(f"line {lineno}: expected key = value")
         key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, value = key.strip(), value.strip()
         if key.startswith("cl "):
             cl_lines.append((lineno, key[3:], value))
             continue
-        if key not in _KNOWN_KEYS:
-            raise InstanceFormatError(f"line {lineno}: unknown key {key!r}")
         if key in fields:
             raise InstanceFormatError(f"line {lineno}: duplicate key {key!r}")
         fields[key] = value
-    kind = fields.get("type")
+    kind = fields.pop("type", None)
     if kind is None:
         raise InstanceFormatError("missing required key 'type'")
+    if kind not in _TYPES:
+        raise InstanceFormatError(f"unknown instance type {kind!r}")
+    required, optional, build = _TYPES[kind]
+    for key in fields:  # in file order, so the message is deterministic
+        if key not in required + optional:
+            raise InstanceFormatError(f"unknown key {key!r} for type = {kind}")
+    for key in required:
+        if key not in fields:
+            raise InstanceFormatError(f"missing required key {key!r}")
     if cl_lines and kind != "table":
         raise InstanceFormatError("cl lines only allowed for type = table")
     try:
-        return _build_instance(kind, fields, cl_lines, name)
+        return Instance(name, **build(fields, cl_lines))
     except InstanceFormatError:
         raise
     except ValueError as exc:
@@ -663,68 +657,80 @@ def parse_instance(text: str, name: str = "file") -> Instance:
 
 
 def _int_field(fields: dict[str, str], key: str) -> int:
-    if key not in fields:
-        raise InstanceFormatError(f"missing required key {key!r}")
     try:
         return int(fields[key])
     except ValueError:
         raise InstanceFormatError(f"key {key!r} must be an integer") from None
 
 
-def _build_instance(
-    kind: str, fields: dict[str, str], cl_lines: list[tuple[int, str, str]],
-    name: str
-) -> Instance:
-    if kind == "gebert":
-        return Instance(name, op=gebert_closure(_int_field(fields, "size")))
-    if kind == "table":
-        size = _int_field(fields, "size")
-        ground = GroundSet(size)
-        mapping: dict[int, int] = {}
-        for lineno, key_text, value_text in cl_lines:
-            try:
-                arg = parse_mask(key_text, size)
-                val = parse_mask(value_text, size)
-            except ValueError as exc:
-                raise InstanceFormatError(f"line {lineno}: {exc}") from exc
-            if arg in mapping:
-                raise InstanceFormatError(f"line {lineno}: duplicate cl line")
-            mapping[arg] = val
-        return Instance(name, op=operator_from_table(ground, mapping))
-    if kind == "graph":
-        size = _int_field(fields, "size")
-        pairs = []
-        for chunk in fields.get("edges", "").replace(",", " ").split():
-            u, _, v = chunk.partition("-")
-            try:
-                pairs.append((int(u), int(v)))
-            except ValueError:
-                raise InstanceFormatError(f"bad edge {chunk!r}") from None
-        return Instance(name, graph=Graph.build(size, pairs))
-    if kind == "order":
-        if "points" not in fields:
-            raise InstanceFormatError("order instance needs 'points'")
+def _pregeometry(pg: Pregeometry) -> dict:
+    return {"op": pg.op, "pg": pg}
+
+
+def _linear(fields: dict[str, str], cl_lines: list) -> dict:
+    fld = fields.get("field", "gf2")
+    if fld not in ("gf2", "gf3"):
+        raise InstanceFormatError(f"unknown field {fld!r}")
+    vectors = [tuple(int(ch) for ch in chunk)
+               for chunk in fields["vectors"].split()]
+    if len({len(v) for v in vectors}) > 1:
+        raise InstanceFormatError("vectors must share a dimension")
+    return _pregeometry(linear_pregeometry(vectors, 2 if fld == "gf2" else 3))
+
+
+def _table(fields: dict[str, str], cl_lines: list) -> dict:
+    ground = GroundSet(_int_field(fields, "size"))
+    mapping: dict[int, int] = {}
+    for lineno, key_text, value_text in cl_lines:
         try:
-            pts = tuple(Fraction(p) for p in fields["points"].split())
-        except ZeroDivisionError:
-            raise InstanceFormatError("points: zero denominator") from None
-        return Instance(name, config=OrderedConfig(pts))
-    if kind == "trivial":
-        pg = Pregeometry(trivial_closure(GroundSet(_int_field(fields, "size"))))
-    elif kind == "uniform":
-        size = _int_field(fields, "size")
-        pg = uniform_pregeometry(_int_field(fields, "rank"), size)
-    elif kind == "linear":
-        fld = fields.get("field", "gf2")
-        if fld not in ("gf2", "gf3"):
-            raise InstanceFormatError(f"unknown field {fld!r}")
-        if "vectors" not in fields:
-            raise InstanceFormatError("linear instance needs 'vectors'")
-        vectors = [tuple(int(ch) for ch in chunk)
-                   for chunk in fields["vectors"].split()]
-        if len({len(v) for v in vectors}) > 1:
-            raise InstanceFormatError("vectors must share a dimension")
-        pg = linear_pregeometry(vectors, 2 if fld == "gf2" else 3)
-    else:
-        raise InstanceFormatError(f"unknown instance type {kind!r}")
-    return Instance(name, op=pg.op, pg=pg)
+            arg = parse_mask(key_text, ground.size)
+            val = parse_mask(value_text, ground.size)
+        except ValueError as exc:
+            raise InstanceFormatError(f"line {lineno}: {exc}") from exc
+        if arg in mapping:
+            raise InstanceFormatError(f"line {lineno}: duplicate cl line")
+        mapping[arg] = val
+    return {"op": operator_from_table(ground, mapping)}
+
+
+def _graph(fields: dict[str, str], cl_lines: list) -> dict:
+    size = _int_field(fields, "size")
+    pairs = []
+    for chunk in fields.get("edges", "").replace(",", " ").split():
+        u, _, v = chunk.partition("-")
+        try:
+            pairs.append((int(u), int(v)))
+        except ValueError:
+            raise InstanceFormatError(f"bad edge {chunk!r}") from None
+    return {"graph": Graph.build(size, pairs)}
+
+
+def _order(fields: dict[str, str], cl_lines: list) -> dict:
+    try:
+        pts = tuple(Fraction(p) for p in fields["points"].split())
+    except ZeroDivisionError:
+        raise InstanceFormatError("points: zero denominator") from None
+    return {"config": OrderedConfig(pts)}
+
+
+#: instance type -> (the keys it requires, the keys it may take, the
+#: builder of the keyword arguments of its `Instance` from the key values
+#: and the (line number, subset, closure) cl lines).
+#: Values: `size` and `rank` are integers; `field` is gf2 (the default)
+#: or gf3; `vectors` are digit strings of one length such as `10 01 11`;
+#: `edges` are pairs `u-v`, space or comma separated (default none);
+#: `points` are strictly increasing rationals such as `0 1/2 3`.
+_TYPES: dict[str, tuple[tuple[str, ...], tuple[str, ...],
+                        Callable[[dict[str, str], list], dict]]] = {
+    "trivial": (("size",), (), lambda f, _: _pregeometry(
+        Pregeometry(trivial_closure(GroundSet(_int_field(f, "size")))))),
+    "gebert": (("size",), (),
+               lambda f, _: {"op": gebert_closure(_int_field(f, "size"))}),
+    "uniform": (("size", "rank"), (), lambda f, _: _pregeometry(
+        uniform_pregeometry(size=_int_field(f, "size"),
+                            rank=_int_field(f, "rank")))),
+    "linear": (("vectors",), ("field",), _linear),
+    "table": (("size",), (), _table),
+    "graph": (("size",), ("edges",), _graph),
+    "order": (("points",), (), _order),
+}

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .axioms import AxiomId, Comparison, check_axiom, compare
+from .axioms import AxiomId, Comparison, check_axiom, compare, result_line
 from .closure import ClosureOperator, Pregeometry, trivial_closure
 from .geometry import (
     brute_dim_oracle,
@@ -55,7 +55,7 @@ from .instances import (
     relation,
     st_holds,
 )
-from .lattice import GroundSet, first_true, format_witness
+from .lattice import GroundSet, first_true
 from .relcalc import (
     TernaryRelation,
     closure_extend_c,
@@ -86,10 +86,7 @@ class CheckResult:
         return self.status != "fail"
 
     def result_line(self) -> str:
-        parts = [f"RESULT {self.subject} {self.check} {self.status}"]
-        if self.witness is not None:
-            parts.append("witness=" + format_witness(self.witness))
-        return " ".join(parts)
+        return result_line(self.subject, self.check, self.status, self.witness)
 
 
 @dataclass

@@ -151,6 +151,17 @@ def grid_witness(t3, ax, cl=None):
     return None
 
 
+def scalar_ac_witness(r, ax, op):
+    """The least (A, C) at which the scalar route (`evaluate_axiom_body`
+    through r.fn) finds the body of EX or AREF false, A ascending and then
+    C, A a singleton for AREF; shares no grid code with the scan."""
+    count = r.ground.subset_count
+    firsts = ([1 << e for e in range(r.ground.size)]
+              if ax is AxiomId.AREF else range(count))
+    return next(((a, c) for a in firsts for c in range(count)
+                 if not evaluate_axiom_body(r, ax, (a, c), op)), None)
+
+
 _STRONG = (AxiomId.TRA_STRONG, AxiomId.BMON_STRONG, AxiomId.FREE)
 
 
@@ -187,15 +198,20 @@ def _dense_cases():
 def test_witness_minimality_against_scalar_rescan(axiom):
     """Each reported witness is the least False cell of the axiom's body on
     index grids over the table, and the scalar route through r.fn
-    evaluates the same body to False on it."""
+    evaluates the same body to False on it.  EX and AREF scan that body on
+    the (A, C) grid themselves, so at n <= 3 a scalar rescan in (A, C)
+    order must also find their witness."""
     g = GroundSet(2)
     # 32 random n = 2 tables: some least BMON-STRONG witnesses need D & C
     cases = [(random_relation(g, seed), trivial_closure(g)) for seed in range(32)]
     cases += _dense_cases()
     rows_hit = set()
-    passed = 0
+    passed = rescanned = 0
     for k, (r, op) in enumerate(cases):
         rep = check_axiom(r, axiom, op)
+        if axiom in (AxiomId.EX, AxiomId.AREF) and r.ground.size <= 3:
+            assert rep.witness == scalar_ac_witness(r, axiom, op), (axiom, k)
+            rescanned += rep.witness is not None
         expected = grid_witness(materialize(r).table, axiom, op.table)
         if expected is None:
             assert rep.status == "pass", (axiom, k)
@@ -206,6 +222,8 @@ def test_witness_minimality_against_scalar_rescan(axiom):
             assert not evaluate_axiom_body(r, axiom, rep.witness, op), k
             rows_hit.add(expected[0])
     assert max(rows_hit) > 0  # some least witness lies past the row A = {}
+    if axiom in (AxiomId.EX, AxiomId.AREF):
+        assert rescanned > 10  # the rescan compared failing witnesses
     if axiom in _STRONG:
         assert passed  # the pass path of these scans is covered
 

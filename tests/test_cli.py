@@ -55,6 +55,15 @@ def test_check_missing_axiom_flag(capsys):
     assert "--axiom" in err
 
 
+def test_check_refuses_axiom_with_all(capsys):
+    """--all runs every axiom, so a named --axiom beside it is refused
+    rather than dropped."""
+    code, out, err = run(capsys, "check", "--instance", "u34", "--relation",
+                         "a", "--all", "--axiom", "SYM")
+    assert code == 2 and out == ""
+    assert err == "error: --axiom: not with --all\n"
+
+
 def test_check_opposite_relation(capsys):
     code, out, _ = run(capsys, "check", "--instance", "gebert4",
                        "--relation", "opp(sup)", "--axiom", "SYM")
@@ -80,6 +89,14 @@ def test_compare_needs_two_ids(capsys):
     code, _, err = run(capsys, "compare", "--instance", "u34",
                        "--relations", "cl")
     assert code == 2 and "--relations" in err
+
+
+def test_compare_unknown_id_names_relations_flag(capsys):
+    for ids in ("a,nope", "nope,a"):
+        code, out, err = run(capsys, "compare", "--instance", "u34",
+                             "--relations", ids)
+        assert code == 2 and out == ""
+        assert err == "error: --relations: unknown relation id 'nope'\n"
 
 
 def test_dim_and_basis(capsys):
@@ -145,6 +162,32 @@ def test_search_enum_space_refuses_catalog_flags(capsys):
                              "--space", "enum1", flag, value)
         assert code == 2 and out == ""
         assert err == f"error: --space enum1: not with {flag}\n"
+
+
+def test_search_exchange_fail_refuses_enum_space(capsys):
+    """exchange-fail scans the catalog's closure operators, and enum1
+    holds none."""
+    code, out, err = run(capsys, "search", "--goal", "exchange-fail",
+                         "--space", "enum1")
+    assert code == 2 and out == ""
+    assert err == "error: --space enum1: not with --goal exchange-fail\n"
+
+
+def test_search_exchange_fail_refuses_relation(capsys):
+    """exchange-fail checks closure operators, not a relation."""
+    code, out, err = run(capsys, "search", "--goal", "exchange-fail",
+                         "--relation", "st")
+    assert code == 2 and out == ""
+    assert err == "error: --relation: not with --goal exchange-fail\n"
+
+
+def test_search_refuses_negative_max_n(capsys):
+    code, out, err = run(capsys, "search", "--goal", "!BMON-R",
+                         "--max-n", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: --max-n: must be at least 0, got -3\n"
+    code, out, _ = run(capsys, "search", "--goal", "!BMON-R", "--max-n", "0")
+    assert code == 0 and out == "EXHAUSTED\n"
 
 
 def test_search_exhausted(capsys):
@@ -276,6 +319,43 @@ def test_file_instance_parse_error(capsys, tmp_path):
     path.write_text("type = uniform\nsize = 4\n")  # missing rank
     code, _, err = run(capsys, "dim", "--instance", str(path), "--set", "0")
     assert code == 2 and "error:" in err
+
+
+@pytest.mark.parametrize("text,key", [
+    ("type = trivial\nsize = 3\nedges = 0-1", "edges"),
+    ("type = gebert\nsize = 3\nfield = gf2", "field"),
+    ("type = uniform\nsize = 4\nrank = 3\nvectors = 10 01", "vectors"),
+    ("type = linear\nvectors = 10 01\nsize = 9", "size"),
+    ("type = table\nsize = 1\nrank = 1\ncl {} = {}\ncl {0} = {0}", "rank"),
+    ("type = graph\nsize = 3\nrank = 2", "rank"),
+    ("type = order\npoints = 0 1\nsize = 2", "size"),
+])
+def test_key_the_type_does_not_take_is_refused(capsys, tmp_path, text, key):
+    """A key outside its type's row of `instances._TYPES` is one error
+    line, not a silently ignored value (a linear file with `size = 9`
+    would build two elements)."""
+    kind = text.split("\n")[0].split(" = ")[1]
+    path = tmp_path / "stray.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "modular", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: --instance: {path}: unknown key {key!r}"
+                   f" for type = {kind}\n")
+
+
+@pytest.mark.parametrize("text,key", [
+    ("type = uniform\nsize = 4", "rank"),
+    ("type = linear\nfield = gf3", "vectors"),
+    ("type = order", "points"),
+    ("type = graph\nedges = 0-1", "size"),
+    ("type = table\ncl {} = {}", "size"),
+])
+def test_missing_required_key_is_named(capsys, tmp_path, text, key):
+    path = tmp_path / "missing.txt"
+    path.write_text(text + "\n")
+    code, out, err = run(capsys, "modular", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: --instance: {path}: missing required key {key!r}\n"
 
 
 def test_zero_denominator_point_is_usage_error(capsys, tmp_path):

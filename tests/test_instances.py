@@ -1,5 +1,7 @@
+import re
 from fractions import Fraction
 from itertools import combinations, permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from pregeolab.axioms import compare
 from pregeolab.cli import resolve_relation
 from pregeolab.closure import ClosureOperator, Pregeometry, trivial_closure
 from pregeolab.geometry import basis_of, independence_table
+from pregeolab import instances
 from pregeolab.instances import (
     CATALOG,
     CATALOG_NAMES,
@@ -466,6 +469,30 @@ def test_parse_instance_errors():
         parse_instance("type trivial\n")
     with pytest.raises(InstanceFormatError):
         parse_instance("type = mystery\n")
+
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+    encoding="utf-8")
+
+
+def test_readme_instance_examples_parse():
+    """Every fenced block of the README that is an instance file builds."""
+    blocks = re.findall(r"^```\n(type = .*?)^```$", README, re.M | re.S)
+    assert len(blocks) >= 2
+    for text in blocks:
+        parse_instance(text)
+
+
+def test_readme_key_table_mirrors_types():
+    """The README's instance-format table lists, per type, exactly the
+    required and optional keys of `instances._TYPES`, in its order."""
+    rows = re.findall(r"^\| `(\w+)` \|([^|]*)\|([^|]*)\|", README, re.M)
+    table = {kind: (tuple(re.findall(r"`(\w+)`", req)),
+                    tuple(re.findall(r"`(\w+)`", opt)))
+             for kind, req, opt in rows if kind in instances._TYPES}
+    assert table == {kind: (required, optional) for kind, (
+        required, optional, _) in instances._TYPES.items()}
+    assert list(table) == list(instances._TYPES)
 
 
 def test_parse_instance_table_with_comments():
