@@ -203,20 +203,21 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     """The table's `axis` (0 or 1) packed into bits: rows indexed by the
     other two axes in row-major order, each row the bits of `axis` packed
     little-endian, as np.packbits(..., bitorder="little") lays them out.
+    With axis 1, the leading axis may have any length (the class rows).
 
     An einsum weights the j-th of each k = min(2^n, 8) cells along the
     axis by 2^j: cells are 0 or 1, so the uint8 sum is the packed byte,
     and below n = 3 the one byte per row has zero padding bits.  It runs
     on blocks of 64 rows of the other axis (one block up to n = 6)."""
-    count = len(t3)
+    count = t3.shape[-1]
     k = min(count, 8)  # cells per byte
     # [X, g, k, C]: the k cells of byte g along the axis, X the other one
     # of A and B
     cells = np.moveaxis(t3, 1 - axis, 0).view(np.uint8)
-    cells = cells.reshape(count, count // k, k, count)
+    cells = cells.reshape(len(cells), count // k, k, count)
     weights = np.left_shift(1, np.arange(k, dtype=np.uint8))
-    rows = np.empty((count, count, count // k), dtype=np.uint8)
-    for lo in range(0, count, 64):
+    rows = np.empty((len(cells), count, count // k), dtype=np.uint8)
+    for lo in range(0, len(cells), 64):
         rows[lo:lo + 64] = np.einsum("xgkc,k->xcg", cells[lo:lo + 64], weights)
     return rows.reshape(-1, count // k)
 
@@ -224,10 +225,16 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
 def _packed(r: TernaryRelation, t3: np.ndarray, axis: int) -> np.ndarray:
     """r's table t3 packed over `axis`, read-only.  It is packed on first
     use and kept in `r.packed` next to t3, so every later scan of t3 reads
-    the same rows, and a table that replaces t3 is packed again."""
+    the same rows, and a table that replaces t3 is packed again.  The left
+    layout of a table expanded from class rows packs those k rows and
+    takes their packed rows by A's class."""
     source, p = r.packed.get(axis, (None, None))
     if source is not t3:
-        p = _pack(t3, axis)
+        if axis == 1 and t3 is r.expanded:
+            p = _pack(r.rows, 1).reshape(len(r.rows), -1)
+            p = p.take(r.classes, axis=0).reshape(len(t3) ** 2, -1)
+        else:
+            p = _pack(t3, axis)
         p.flags.writeable = False
         r.packed[axis] = (t3, p)
     return p

@@ -15,19 +15,30 @@ Builders fill the table one such A row, or one block of A rows, at a
 time from (B, C) planes of closures, dimensions or maxima computed once;
 the axiom scans read it the same way.
 
-Transformer stacks materialize their base relation once.  The
-monotonisations copy that table and AND it along the C axis in n
-passes, one per element, each masked by the (B, C) plane of the
-elements of cl(B+C) outside C: a superset-AND zeta transform over the
-intervals [C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto,
-"Fourier meets Mobius: fast subset convolution", STOC 2007).  The
-passes run on blocks of A rows that fit in cache, all n on one block
-before the next; a pass shifts the block by 2^i cells into one buffer,
-ORs in the mask and ANDs the buffer into the block, on machine words of
-up to 8 cells.  The dimension relation `cl` runs on the same blocks:
-one `np.take` of a single (B, C) index plane of B+C gathers dim(A/B+C)
-for every A row of a block into the table's own bytes, which the
-comparison with dim(A/C) then overwrites in place.
+Class rows: `a` and `cl` see A only through cl(A).  For any closure
+cl(A+C) = cl(cl(A)+C), and in a pregeometry dim(A/X) = dim(cl(A)/X).
+So their builders make one A row per closed set, k of them (9 of 256 on
+gebert8), kept read-only as `rows`, with `classes` mapping each A to the
+row of cl(A); `materialize` expands them into the table with one
+`take`.  M, m and c act on each A row alone, so they keep their base's
+`classes` and build their rows from the base's rows, never from its
+table.  Every other relation, and `a` or `cl` under a closure whose
+every set is closed, has `classes = None`, and its builder makes the
+whole table.
+
+Transformer stacks build their base's rows once.  The monotonisations
+copy those rows and AND them along the C axis in n passes, one per
+element, each masked by the (B, C) plane of the elements of cl(B+C)
+outside C: a superset-AND zeta transform over the intervals
+[C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+Mobius: fast subset convolution", STOC 2007).  The passes run on blocks
+of rows that fit in cache, all n on one block before the next; a pass
+shifts the block by 2^i cells into one buffer, ORs in the mask and ANDs
+the buffer into the block, on machine words of up to 8 cells.  The
+dimension relation `cl` runs on the same blocks: one `np.take` of a
+single (B, C) index plane of B+C gathers dim(A/B+C) for every row of a
+block into the rows' own bytes, which the comparison with dim(A/C) then
+overwrites in place.
 """
 
 from __future__ import annotations
@@ -64,6 +75,13 @@ class TernaryRelation:
     table: Optional[np.ndarray] = field(default=None, repr=False)
     #: the table packed over A and over B, each with its source (axioms._packed)
     packed: dict = field(default_factory=dict, repr=False, compare=False)
+    #: A -> the index of cl(A) among the closed sets, ascending, when the
+    #: builder makes one A row per closed set; None when it makes them all
+    classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    #: the builder's rows for the closed sets, [k, B, C], read-only
+    rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    #: the table `materialize` expanded from `rows`
+    expanded: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def check_table_budget(ground: GroundSet) -> None:
@@ -75,13 +93,32 @@ def check_table_budget(ground: GroundSet) -> None:
             f"truth table needs {cells} cells, cap is {DEFAULT_TABLE_CAP_BITS}")
 
 
-def materialize(r: TernaryRelation) -> TernaryRelation:
-    """Build the truth table once, after `check_table_budget`: the table
-    is kept on `r`, which is returned, and every later call returns `r`
-    as it is."""
-    if r.table is None:
+def _built_rows(r: TernaryRelation) -> np.ndarray:
+    """The A rows r's builder makes, built once after `check_table_budget`
+    and read-only: `r.rows`, one row per closed set, when `r.classes` is
+    set, and the whole table otherwise."""
+    if r.classes is None:
+        return materialize(r).table
+    if r.rows is None:
         check_table_budget(r.ground)
-        r.table = r.builder()
+        r.rows = r.builder()
+        r.rows.flags.writeable = False
+    return r.rows
+
+
+def materialize(r: TernaryRelation) -> TernaryRelation:
+    """Build the truth table once, read-only: the builder's table, after
+    `check_table_budget`, or the class rows taken by `r.classes`.  The
+    table is kept on `r`, which is returned, and every later call returns
+    `r` as it is."""
+    if r.table is None:
+        if r.classes is None:
+            check_table_budget(r.ground)
+            table = r.builder()
+        else:  # no out=: "take" into it buffers, 11 against 0.9 ms at n = 8
+            table = r.expanded = _built_rows(r).take(r.classes, axis=0)
+        table.flags.writeable = False
+        r.table = table
     return r
 
 
@@ -117,6 +154,15 @@ def _masks(count: int) -> np.ndarray:
     return np.arange(count, dtype=np.min_scalar_type(count - 1))
 
 
+def _classes(op: ClosureOperator) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The closed sets of op, ascending, and A -> the index of cl(A) among
+    them; None for the index when every set is closed."""
+    closed = np.flatnonzero(op.table == np.arange(len(op.table)))
+    if len(closed) == len(op.table):
+        return closed, None
+    return closed, np.searchsorted(closed, op.table)
+
+
 def rel_intersection(ground: GroundSet) -> TernaryRelation:
     """(A, B, C) |-> A & B <= C."""
 
@@ -138,6 +184,7 @@ def rel_intersection(ground: GroundSet) -> TernaryRelation:
 def rel_a(op: ClosureOperator) -> TernaryRelation:
     """(A, B, C) |-> cl(A+C) & cl(B+C) == cl(C)."""
     cl = op.table
+    closed, classes = _classes(op)
 
     def fn(a: int, b: int, c: int) -> bool:
         return cl[a | c] & cl[b | c] == cl[c]
@@ -147,12 +194,12 @@ def rel_a(op: ClosureOperator) -> TernaryRelation:
         masks = _masks(count)
         cl_arr = cl.astype(masks.dtype)
         joined = cl_arr[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
-        table = np.empty((count, count, count), dtype=bool)
-        for a in range(count):
-            np.equal(joined & joined[a], cl_arr, out=table[a])
-        return table
+        rows = np.empty((len(closed), count, count), dtype=bool)
+        for row, a in zip(rows, closed):
+            np.equal(joined & joined[a], cl_arr, out=row)
+        return rows
 
-    return TernaryRelation(op.ground, "a", fn, build)
+    return TernaryRelation(op.ground, "a", fn, build, classes=classes)
 
 
 def rel_cl(pg: Pregeometry) -> TernaryRelation:
@@ -163,6 +210,7 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     """
     check_table_budget(pg.ground)  # refuse before the count^2 dim_table
     dims = dim_table(pg)  # (A, X): dim(A/X)
+    closed, classes = _classes(pg.op)
 
     def fn(a: int, b: int, c: int) -> bool:
         return dims[a, b | c] == dims[a, c]
@@ -171,23 +219,22 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
         count = pg.ground.subset_count
         masks = np.arange(count)
         joined = masks[:, None] | masks[None, :]  # (B, C): B+C
-        rows = _block_rows(count)
-        table = np.empty((count, count, count), dtype=bool)
-        # dim(A/B+C) for a block of A rows goes into the table's own
+        step = _block_rows(count)
+        rows = np.empty((len(closed), count, count), dtype=bool)
+        # dim(A/B+C) for a block of closed A goes into the rows' own
         # bytes (dims is int8), and the comparison with dim(A/C)
         # overwrites them as 0/1 bytes; with the same array as input and
         # output numpy needs no temporary, so no block buffer is held.
         # "clip" spares `take` a buffered bounds check: every index is in
         # range.
-        cells = table.view(dims.dtype)
-        for a in range(0, count, rows):
-            block = cells[a:a + rows]
-            np.take(dims[a:a + rows], joined, axis=1, out=block, mode="clip")
-            np.equal(block, dims[a:a + rows, None, :], out=block,
-                     casting="unsafe")
-        return table
+        cells = rows.view(dims.dtype)
+        for lo in range(0, len(closed), step):
+            block, a = cells[lo:lo + step], closed[lo:lo + step]
+            np.take(dims[a], joined, axis=1, out=block, mode="clip")
+            np.equal(block, dims[a, None, :], out=block, casting="unsafe")
+        return rows
 
-    return TernaryRelation(pg.ground, "cl", fn, build)
+    return TernaryRelation(pg.ground, "cl", fn, build, classes=classes)
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +275,16 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
         # elements below i + 1 a cell holds the AND over [C, C + (cl(B+C)
         # & those elements)], and after all n the AND over [C, cl(B+C)].
         # A pass reads only cells with bit i and writes only cells without
-        # it, so each (A, B) row is its own problem: a block of A rows is
-        # copied from the base and runs all n passes while it is in
-        # cache.  Pass i copies the block 2^i cells down into `up`, so
-        # that cell C + 2^i lies under C, ORs in keep_i and ANDs `up`
-        # into the block, on words of up to 8 cells.  keep_i is 1
-        # wherever C has bit i, so what lies under those cells (the next
-        # row, or stale bytes at the block's end) never reaches a 0/1 cell.
-        base = materialize(r).table
+        # it, so each (A, B) row is its own problem: a block of the base's
+        # rows is copied and runs all n passes while it is in cache.  Pass
+        # i copies the block 2^i cells down into `up`, so that cell
+        # C + 2^i lies under C, ORs in keep_i and ANDs `up` into the
+        # block, on words of up to 8 cells.  keep_i is 1 wherever C has
+        # bit i, so what lies under those cells (the next row, or stale
+        # bytes at the block's end) never reaches a 0/1 cell.
+        base = _built_rows(r)
         t = np.empty(base.shape, dtype=bool)
-        count = len(t)
+        count = r.ground.subset_count
         masks = _masks(count)
         free = cl.astype(masks.dtype)[masks[:, None] | masks[None, :]] & ~masks
         word = np.dtype(f"u{min(count, 8)}")
@@ -247,18 +294,21 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
         ]
         rows = _block_rows(count)
         up = np.ones(rows * count * count, dtype=bool)
-        up_words = up.view(word).reshape(rows, -1)
-        for a in range(0, count, rows):
-            t[a:a + rows] = base[a:a + rows]
-            block = t[a:a + rows].reshape(-1)
-            words = block.view(word).reshape(rows, -1)
+        for a in range(0, len(t), rows):  # the last block may be short
+            block = t[a:a + rows]
+            block[...] = base[a:a + rows]
+            cells = block.reshape(-1)
+            words = cells.view(word).reshape(len(block), -1)
+            shifted = up[:len(cells)]
+            shifted_words = shifted.view(word).reshape(words.shape)
             for i, keep in enumerate(keeps):
-                up[:-(1 << i)] = block[1 << i:]
-                up_words |= keep
-                words &= up_words
+                shifted[:-(1 << i)] = cells[1 << i:]
+                shifted_words |= keep
+                words &= shifted_words
         return t
 
-    return TernaryRelation(r.ground, _suffix(r, "M"), fn, build)
+    return TernaryRelation(r.ground, _suffix(r, "M"), fn, build,
+                           classes=r.classes)
 
 
 def monotonise_m(r: TernaryRelation) -> TernaryRelation:
@@ -278,17 +328,18 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
         return r.fn(a, int(cl[b | c]), c)
 
     def build() -> np.ndarray:
-        base = materialize(r).table
+        base = _built_rows(r)
         count = r.ground.subset_count
         masks = np.arange(count)
         # (B, C): flat index of (cl(B+C), C) in one A row
         cells = cl[masks[:, None] | masks[None, :]] * count + masks
-        table = np.empty((count, count, count), dtype=bool)
-        for a in range(count):
+        table = np.empty(base.shape, dtype=bool)
+        for a in range(len(base)):
             np.take(base[a], cells, out=table[a], mode="clip")  # in range
         return table
 
-    return TernaryRelation(r.ground, _suffix(r, "c"), fn, build)
+    return TernaryRelation(r.ground, _suffix(r, "c"), fn, build,
+                           classes=r.classes)
 
 
 def opposite(r: TernaryRelation) -> TernaryRelation:

@@ -319,17 +319,31 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
             view[0] = 0
 
 
-def test_replaced_table_is_packed_again():
+def test_replaced_table_is_packed_again(monkeypatch):
     """A table that replaces the one a scan packed is packed anew, so the
-    next check reads the new table, not the old layout."""
-    r = from_table(GroundSet(3), "rand", np.ones((8, 8, 8), dtype=bool))
-    assert check_axiom(r, AxiomId.SYM).status == "pass"
-    table = r.table.copy()
-    table[1, 2, 4] = False  # r(1, 2, 4) fails while r(2, 1, 4) holds
-    r.table = table
-    rep = check_axiom(r, AxiomId.SYM)
-    assert rep.status == "fail" and rep.witness == (2, 4, 1)
-    assert r.packed[0][0] is table
+    next check reads the new table, not the old layout.  The left layout
+    of `a` on gebert4 is packed from its five class rows, and that of a
+    table put in its place from the table itself."""
+    packed = []
+
+    def counted(t3, axis):
+        packed.append((axis, len(t3)))
+        return _pack(t3, axis)
+
+    monkeypatch.setattr(axioms, "_pack", counted)
+    ones = from_table(GroundSet(4), "rand", np.ones((16, 16, 16), dtype=bool))
+    a = rel_a(catalog_instance("gebert4").op)
+    for r, left_rows in ((ones, 16), (a, 5)):
+        packed.clear()
+        assert check_axiom(r, AxiomId.SYM).status == "pass"
+        assert packed == [(0, 16), (1, left_rows)]
+        table = r.table.copy()
+        table[1, 2, 4] = False  # r(1, 2, 4) fails while r(2, 1, 4) holds
+        r.table = table
+        rep = check_axiom(r, AxiomId.SYM)
+        assert rep.status == "fail" and rep.witness == (2, 4, 1)
+        assert r.packed[0][0] is table and r.packed[1][0] is table
+        assert packed[2:] == [(0, 16), (1, 16)]
 
 
 def test_sclo_matches_row_scan_on_random_tables():

@@ -469,21 +469,28 @@ FILE_VALUES = {
     "cl {0}": ("{0}", "{0,1}", "{9}", "{0"),
     "colour": ("red",),
 }
-#: instance type -> the keys it needs
+#: instance type -> the keys it needs and the keys it may take
 FILE_TYPES = {
-    "trivial": ("size",), "gebert": ("size",), "uniform": ("size", "rank"),
-    "linear": ("field", "vectors"), "table": ("size", "cl {}", "cl {0}"),
-    "graph": ("size", "edges"), "order": ("points",), "mystery": (),
+    "trivial": (("size",), ()), "gebert": (("size",), ()),
+    "uniform": (("size", "rank"), ()), "linear": (("vectors",), ("field",)),
+    "table": (("size",), ("cl {}", "cl {0}")),
+    "graph": (("size",), ("edges",)), "order": (("points",), ()),
+    "mystery": ((), ()),
 }
 
 
 @st.composite
 def instance_files(draw) -> str:
+    """A file of one type with its required keys and some of its optional
+    ones; one file in four also has a stray key, which the type may not
+    take or already has."""
     kind = draw(st.sampled_from(tuple(FILE_TYPES)))
-    extra = draw(st.lists(st.sampled_from(tuple(FILE_VALUES)), max_size=2))
+    required, optional = FILE_TYPES[kind]
+    keys = [*required, *(key for key in optional if draw(st.booleans()))]
+    if draw(st.integers(0, 3)) == 0:
+        keys.append(draw(st.sampled_from(tuple(FILE_VALUES))))
     lines = [f"type = {kind}"] + [
-        f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}"
-        for key in (*FILE_TYPES[kind], *extra)
+        f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}" for key in keys
     ]
     return "\n".join(lines) + "\n"
 

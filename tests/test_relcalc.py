@@ -6,6 +6,7 @@ import pytest
 from pregeolab import relcalc
 from pregeolab.axioms import compare
 from pregeolab.cli import UsageError, resolve_relation
+from pregeolab.closure import from_table as operator_from_table
 from pregeolab.closure import trivial_closure
 from pregeolab.geometry import dim_table
 from pregeolab.instances import (
@@ -116,15 +117,16 @@ def test_builders_match_scalar_eval(u34):
 
 def test_transformer_predicates_read_no_table(u34):
     """A transformer's scalar predicate calls its base's predicate, not
-    the base's table: after the stack is built, a corrupted base table
-    leaves the predicate unchanged."""
+    the base's rows or table: after the stack is built, corrupted base
+    class rows (which M and c read) and a corrupted base table (which opp
+    reads) leave the predicate unchanged."""
     op = u34.op
     stacks = (lambda base: monotonise_M(base, op),
               lambda base: closure_extend_c(base, op), opposite)
     for stack in stacks:
         base = rel_a(op)
-        r = materialize(stack(base))  # builds the base table too
-        base.table = ~base.table
+        r = materialize(stack(base))  # builds the base's class rows too
+        base.rows, base.table = ~base.rows, ~materialize(base).table
         assert_table_matches_scalar(r)
 
 
@@ -169,6 +171,23 @@ def reference_monotonise_M(base, cl):
     return t
 
 
+def reference_a(cl):
+    """The `a` table one A row at a time: cl(A+C) & cl(B+C) == cl(C)."""
+    count = len(cl)
+    masks = np.arange(count)
+    joined = cl[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
+    table = np.empty((count, count, count), dtype=bool)
+    for a in range(count):
+        np.equal(cl[a | masks] & joined, cl, out=table[a])
+    return table
+
+
+def reference_c(base, cl):
+    """`closure_extend_c` as one gather: base[A, cl(B+C), C]."""
+    masks = np.arange(len(cl))
+    return base[:, cl[masks[:, None] | masks], masks]
+
+
 def reference_cl(dims):
     """The `cl` table one A row at a time: dim(A/B+C) == dim(A/C)."""
     count = len(dims)
@@ -182,28 +201,34 @@ def reference_cl(dims):
 
 # The default block is one block up to n = 6, 16 at n = 7 and 64 at
 # n = 8; 2^10 cells are 4 A rows at n = 4 and one row from n = 5 on, and
-# 1 puts every A row in a block of its own.
+# 1 puts every A row in a block of its own.  A relation with class rows
+# has one row per closed set (k = 9 on gebert8, 23 on u36), so its last
+# block may be short.
 DEFAULT_BLOCK = relcalc._BUILD_BLOCK_CELLS
 BLOCKS = (DEFAULT_BLOCK, 1 << 10, 1)
 
 
 @pytest.mark.parametrize("block", BLOCKS)
 def test_builders_match_reference_on_catalog(block, monkeypatch):
-    """aM, am and cl on every catalog closure and pregeometry equal the
-    reference builders cell for cell; gebert8 (0.7 s) with the default
-    blocks only."""
+    """a, aM, am, ac and cl on every catalog closure and pregeometry equal
+    the reference builders cell for cell; gebert8 with the default blocks
+    only."""
     monkeypatch.setattr(relcalc, "_BUILD_BLOCK_CELLS", block)
     checked = []
     for inst in catalog().values():
         if inst.op is None or block != DEFAULT_BLOCK and inst.ground.size > 7:
             continue
         op = inst.op
-        base = materialize(rel_a(op))
+        base, expected = rel_a(op), reference_a(op.table)
+        # the transformers read the base's class rows, not a table
         assert_same_table(monotonise_M(base, op),
-                          reference_monotonise_M(base.table, op.table))
+                          reference_monotonise_M(expected, op.table))
         trivial = trivial_closure(op.ground).table
         assert_same_table(monotonise_m(base),
-                          reference_monotonise_M(base.table, trivial))
+                          reference_monotonise_M(expected, trivial))
+        assert_same_table(closure_extend_c(base, op),
+                          reference_c(expected, op.table))
+        assert_same_table(base, expected)
         if inst.pg is not None:
             assert_same_table(rel_cl(inst.pg), reference_cl(dim_table(inst.pg)))
         checked.append(inst.name)
@@ -230,6 +255,67 @@ def test_monotonise_matches_reference_on_random_bases(block, monkeypatch):
             trivial = trivial_closure(g).table
             assert_same_table(monotonise_m(base),
                               reference_monotonise_M(base.table, trivial))
+
+
+def test_dim_sees_only_the_closure_of_A():
+    """dim(A/X) = dim(cl(A)/X) in a pregeometry: the fact that lets `cl`
+    build one A row per closed set."""
+    pgs = [inst.pg for inst in catalog().values() if inst.pg is not None]
+    assert len(pgs) >= 8
+    for pg in pgs:
+        dims = dim_table(pg)
+        assert np.array_equal(dims[pg.op.table], dims)
+
+
+def random_closure(size, rng):
+    """A closure whose closed sets are the ground set and the
+    intersections of a random family; every set is closed when the
+    family draws them all."""
+    count = 1 << size
+    p = rng.choice((rng.random(), 1.0))
+    family = [count - 1] + [m for m in range(count) if rng.random() < p]
+    table = [count - 1] * count
+    for x in range(count):
+        for f in family:
+            if x & ~f == 0:
+                table[x] &= f
+    return operator_from_table(GroundSet(size), table)
+
+
+def test_class_rows_match_reference_on_random_closures():
+    """a and its transformers on random closures at n <= 4 equal the
+    references; a closure with every set closed builds the whole table
+    with no class rows, and any other one row per closed set."""
+    rng = np.random.default_rng(23)
+    kinds = set()
+    for size in range(5):
+        ops = [random_closure(size, rng) for _ in range(8)]
+        for op in ops + [trivial_closure(GroundSet(size))]:
+            r, expected = rel_a(op), reference_a(op.table)
+            assert_same_table(monotonise_M(r, op),
+                              reference_monotonise_M(expected, op.table))
+            assert_same_table(closure_extend_c(r, op),
+                              reference_c(expected, op.table))
+            assert_same_table(r, expected)
+            closed = np.flatnonzero(op.table == np.arange(len(op.table)))
+            if r.classes is None:
+                assert len(closed) == len(op.table) and r.rows is None
+                assert r.expanded is None
+            else:
+                assert len(r.rows) == len(closed) < len(op.table)
+                assert np.array_equal(closed[r.classes], op.table)
+            kinds.add(r.classes is None)
+    assert kinds == {True, False}
+
+
+def test_built_tables_and_class_rows_are_read_only(u34):
+    """An in-place edit cannot put a table out of step with the class
+    rows its left layout is packed from."""
+    a = materialize(rel_a(u34.op))
+    for array in (a.table, a.rows,
+                  materialize(rel_intersection(u34.ground)).table):
+        with pytest.raises(ValueError):
+            array[0, 0, 0] = False
 
 
 def test_monotonise_M_known_answer_on_fano():
