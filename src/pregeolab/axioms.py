@@ -26,9 +26,11 @@ Every scan except EX and AREF runs on the table packed into bits along
 one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
 word operation on a row serves every value of that axis at once and no
 scan loops over the 2^n A rows.  There are two layouts, each packed once
-per table and kept read-only on the relation (`_packed`), so every scan
-of a table reads the same rows.  Each layout has one extractor of the
-least (A, C, B) from a packed violation array:
+per relation and kept read-only on it (`_packed`), so every scan of a
+relation reads the same rows.  The right one packs the table, and the
+left one packs the relation's rows (`relcalc.built_rows`), taken by
+class for class rows.  Each layout has one extractor of the least
+(A, C, B) from a packed violation array:
 
 - right: A packed, rows (B, C).  `_least_right` takes the least bit of
   the OR of all rows as A, then the least (C, B) whose row has that bit.
@@ -42,6 +44,10 @@ SYM takes the bits of the right layout that the left one, whose row
 gather of the rows (X+C, C) or (cl(X), C), X the row's other variable
 (`_scan_gather`).  SCLO XORs the left layout with the rows of its
 right side, one packed row per pair of closed sets (`_scan_sclo`).
+`compare` XORs the two relations' left layouts, so it builds no table
+from class rows, and its witness is the least (A, B, C), not (A, C, B):
+`_least_abc` takes the least A with a nonzero row, then the least bit B
+of the OR of that A's rows, then the least C whose row has bit B.
 The four-variable axioms never build the 2^(4n) array:
 
 - zeta scan (MON-*, FREE): one whole-row OR per element marks the
@@ -77,7 +83,7 @@ import numpy as np
 
 from .closure import ClosureOperator
 from .lattice import GroundSet, first_true, format_witness
-from .relcalc import TernaryRelation, from_table, materialize
+from .relcalc import TernaryRelation, built_rows, from_table, materialize
 
 class MissingClosure(Exception):
     """The axiom needs an ambient closure operator and none was given."""
@@ -222,21 +228,23 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     return rows.reshape(-1, count // k)
 
 
-def _packed(r: TernaryRelation, t3: np.ndarray, axis: int) -> np.ndarray:
-    """r's table t3 packed over `axis`, read-only.  It is packed on first
-    use and kept in `r.packed` next to t3, so every later scan of t3 reads
-    the same rows, and a table that replaces t3 is packed again.  The left
-    layout of a table expanded from class rows packs those k rows and
-    takes their packed rows by A's class."""
-    source, p = r.packed.get(axis, (None, None))
-    if source is not t3:
-        if axis == 1 and t3 is r.expanded:
-            p = _pack(r.rows, 1).reshape(len(r.rows), -1)
-            p = p.take(r.classes, axis=0).reshape(len(t3) ** 2, -1)
+def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
+    """r's table packed over `axis`, read-only, packed on first use and
+    kept in `r.packed`, so every later scan of r reads the same rows.  The
+    right layout packs the table; the left one packs r's rows and, for
+    class rows, takes their packed rows by A's class, so it never needs
+    the table."""
+    p = r.packed.get(axis)
+    if p is None:
+        if axis == 0:
+            p = _pack(materialize(r).table, 0)
         else:
-            p = _pack(t3, axis)
+            p = _pack(built_rows(r), 1)
+            if r.classes is not None:
+                by_class = p.reshape(len(r.rows), -1).take(r.classes, axis=0)
+                p = by_class.reshape(-1, p.shape[1])
         p.flags.writeable = False
-        r.packed[axis] = (t3, p)
+        r.packed[axis] = p
     return p
 
 
@@ -512,13 +520,13 @@ def _find_violation(
         return None if hit is None else (int(firsts[hit[0]]), hit[1])
 
     left = ax in _LEFT_FORMS
-    p = _packed(r, t3, int(left))
+    p = _packed(r, int(left))
     if ax is AxiomId.SCLO:
         return _scan_sclo(t3, p, cl)
     if ax in _CHAIN_AXIOMS:
         return _scan_chain(p, count, _CHAIN_AXIOMS[ax])
     if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-        viol = _packed(r, t3, 1) ^ p
+        viol = _packed(r, 1) ^ p
         viol &= p
     elif ax in (AxiomId.NOR_R, AxiomId.NOR_L):  # X replaced by X+C
         viol = _scan_gather(p, count, masks[:, None] | masks)
@@ -582,28 +590,30 @@ class Comparison:
     witness: Optional[tuple[int, int, int]]  # least differing (A, B, C)
 
 
+def _least_abc(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
+    """Least (A, B, C) of violation rows (A, C) packed over B: the least A
+    with a nonzero row, then the least (B, C) among its rows' bits, which
+    is the least bit B of their OR and the least C whose row has it.
+    Padding bits of the rows must be 0."""
+    a = int(np.argmax(viol.reshape(count, -1).max(axis=1) != 0))
+    bits = np.unpackbits(viol[a * count:(a + 1) * count], axis=1,
+                         bitorder="little")
+    b, c = divmod(int(np.argmax(bits.T)), count)
+    return (a, b, c) if bits[c, b] else None
+
+
 def compare(r1: TernaryRelation, r2: TernaryRelation) -> Comparison:
-    """Table-level comparison; "implies" means r1 is stronger (r1 <= r2)."""
+    """Table-level comparison; "implies" means r1 is stronger (r1 <= r2).
+    It XORs the two left layouts, so it never builds a class-row table."""
     if r1.ground != r2.ground:
         raise ValueError("relations live on different ground sets")
-    t1 = materialize(r1).table
-    t2 = materialize(r2).table
-    count = len(t1)
-    witness = None
-    more = less = False  # some cell with r1 and not r2; with r2 and not r1
-    for a in range(count):  # one A row at a time: no 2^(3n) temporaries
-        diff = t1[a] != t2[a]
-        if not diff.any():
-            continue
-        if witness is None:
-            b, c = divmod(int(np.argmax(diff)), count)
-            witness = (a, b, c)
-        more = more or bool(np.greater(t1[a], t2[a]).any())
-        less = less or bool(np.greater(t2[a], t1[a]).any())
-        if more and less:
-            break
+    p1, p2 = _packed(r1, 1), _packed(r2, 1)
+    diff = p1 ^ p2
+    witness = _least_abc(diff, r1.ground.subset_count)
     if witness is None:
         return Comparison("equal", None)
+    more = bool((diff & p1).any())  # some cell with r1 and not r2
+    less = bool((diff & p2).any())  # some cell with r2 and not r1
     verdict = "implies" if not more else ("implied" if not less else "incomparable")
     return Comparison(verdict, witness)
 

@@ -2,12 +2,13 @@
 
 A relation carries two evaluation routes: a scalar predicate on masks
 (the definitional route, which `axioms.evaluate_axiom_body` reads) and
-a vectorized builder, the only route to the full 2^(3n) truth table.
-The two routes are independent implementations and are cross-checked
-in the test suite, among other ways through one axiom body evaluated on
-each; all heavy scanning (axiom checks, table comparisons) runs on the
-materialized table.  A transformer's predicate calls its base's
-predicate, so the scalar route never reads a table, built or not.
+a vectorized builder, the only route to the rows and the 2^(3n) truth
+table.  The two routes are independent implementations and are
+cross-checked in the test suite, among other ways through one axiom
+body evaluated on each; all heavy scanning (axiom checks, table
+comparisons) runs on what the builder made.  A transformer's predicate
+calls its base's predicate, so the scalar route never reads a table,
+built or not.
 
 Table layout: every truth table is a C-contiguous `bool` array indexed
 [A, B, C], so the (B, C) plane of one A is one contiguous block.
@@ -15,16 +16,19 @@ Builders fill the table one such A row, or one block of A rows, at a
 time from (B, C) planes of closures, dimensions or maxima computed once;
 the axiom scans read it the same way.
 
-Class rows: `a` and `cl` see A only through cl(A).  For any closure
-cl(A+C) = cl(cl(A)+C), and in a pregeometry dim(A/X) = dim(cl(A)/X).
-So their builders make one A row per closed set, k of them (9 of 256 on
-gebert8), kept read-only as `rows`, with `classes` mapping each A to the
-row of cl(A); `materialize` expands them into the table with one
-`take`.  M, m and c act on each A row alone, so they keep their base's
-`classes` and build their rows from the base's rows, never from its
-table.  Every other relation, and `a` or `cl` under a closure whose
-every set is closed, has `classes = None`, and its builder makes the
-whole table.
+Rows: a relation's one stored form is what its builder makes, built
+once and kept read-only as `rows` (`built_rows`).  `a` and `cl` see A
+only through cl(A).  For any closure cl(A+C) = cl(cl(A)+C), and in a
+pregeometry dim(A/X) = dim(cl(A)/X).  So their builders make one A row
+per closed set, k of them (9 of 256 on gebert8), with `classes` mapping
+each A to the row of cl(A).  M, m and c act on each A row alone, so
+they keep their base's `classes` and build their rows from the base's
+rows, never from its table.  Every other relation, and `a` or `cl`
+under a closure whose every set is closed, has `classes = None`, and
+its rows are the whole table.  The table derives from the rows:
+`materialize` takes the class rows by `classes` with one `take`, or
+uses the rows themselves.  So do both packed layouts of `axioms`, and
+the left one never needs the table.
 
 Transformer stacks build their base's rows once.  The monotonisations
 copy those rows and AND them along the C axis in n passes, one per
@@ -73,15 +77,14 @@ class TernaryRelation:
     fn: Callable[[int, int, int], bool]
     builder: Callable[[], np.ndarray]
     table: Optional[np.ndarray] = field(default=None, repr=False)
-    #: the table packed over A and over B, each with its source (axioms._packed)
+    #: axis -> the table packed over that axis, read-only (axioms._packed)
     packed: dict = field(default_factory=dict, repr=False, compare=False)
     #: A -> the index of cl(A) among the closed sets, ascending, when the
     #: builder makes one A row per closed set; None when it makes them all
     classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: the builder's rows for the closed sets, [k, B, C], read-only
+    #: the builder's rows, read-only: [k, B, C] for the closed sets when
+    #: `classes` is set, and the whole table otherwise
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: the table `materialize` expanded from `rows`
-    expanded: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def check_table_budget(ground: GroundSet) -> None:
@@ -93,12 +96,10 @@ def check_table_budget(ground: GroundSet) -> None:
             f"truth table needs {cells} cells, cap is {DEFAULT_TABLE_CAP_BITS}")
 
 
-def _built_rows(r: TernaryRelation) -> np.ndarray:
-    """The A rows r's builder makes, built once after `check_table_budget`
-    and read-only: `r.rows`, one row per closed set, when `r.classes` is
-    set, and the whole table otherwise."""
-    if r.classes is None:
-        return materialize(r).table
+def built_rows(r: TernaryRelation) -> np.ndarray:
+    """The A rows r's builder makes, built once after `check_table_budget`,
+    kept read-only as `r.rows` and returned: one row per closed set when
+    `r.classes` is set, and the whole table otherwise."""
     if r.rows is None:
         check_table_budget(r.ground)
         r.rows = r.builder()
@@ -107,29 +108,27 @@ def _built_rows(r: TernaryRelation) -> np.ndarray:
 
 
 def materialize(r: TernaryRelation) -> TernaryRelation:
-    """Build the truth table once, read-only: the builder's table, after
-    `check_table_budget`, or the class rows taken by `r.classes`.  The
-    table is kept on `r`, which is returned, and every later call returns
-    `r` as it is."""
+    """Derive the truth table from `built_rows` once, read-only: the rows
+    themselves, or the class rows taken by `r.classes`.  The table is kept
+    on `r`, which is returned, and every later call returns `r` as it is."""
     if r.table is None:
-        if r.classes is None:
-            check_table_budget(r.ground)
-            table = r.builder()
-        else:  # no out=: "take" into it buffers, 11 against 0.9 ms at n = 8
-            table = r.expanded = _built_rows(r).take(r.classes, axis=0)
-        table.flags.writeable = False
-        r.table = table
+        rows = built_rows(r)
+        # no out=: "take" into it buffers, 11 against 0.9 ms at n = 8
+        r.table = rows if r.classes is None else rows.take(r.classes, axis=0)
+        r.table.flags.writeable = False
     return r
 
 
 def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelation:
-    """Wrap an explicit truth table (used for enumerated/random relations)."""
+    """Wrap a read-only copy of an explicit truth table (used for
+    enumerated/random relations) as both its rows and its table."""
     count = ground.subset_count
     if table.shape != (count, count, count):
         raise ValueError("table shape does not match the ground set")
     t = table.astype(bool, order="C")
+    t.flags.writeable = False
     return TernaryRelation(
-        ground, name, lambda a, b, c: bool(t[a, b, c]), lambda: t, t
+        ground, name, lambda a, b, c: bool(t[a, b, c]), lambda: t, t, rows=t
     )
 
 
@@ -282,7 +281,7 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
         # block, on words of up to 8 cells.  keep_i is 1 wherever C has
         # bit i, so what lies under those cells (the next row, or stale
         # bytes at the block's end) never reaches a 0/1 cell.
-        base = _built_rows(r)
+        base = built_rows(r)
         t = np.empty(base.shape, dtype=bool)
         count = r.ground.subset_count
         masks = _masks(count)
@@ -328,7 +327,7 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
         return r.fn(a, int(cl[b | c]), c)
 
     def build() -> np.ndarray:
-        base = _built_rows(r)
+        base = built_rows(r)
         count = r.ground.subset_count
         masks = np.arange(count)
         # (B, C): flat index of (cl(B+C), C) in one A row

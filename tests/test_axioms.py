@@ -1,4 +1,5 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,17 +314,18 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
     check_all(r, instance_operator(inst))
     assert sorted(axes) == [0, 1]
     for axis in (0, 1):
-        source, view = r.packed[axis]
-        assert source is r.table and not view.flags.writeable
+        view = r.packed[axis]
+        assert not view.flags.writeable
         with pytest.raises(ValueError):
             view[0] = 0
 
 
-def test_replaced_table_is_packed_again(monkeypatch):
-    """A table that replaces the one a scan packed is packed anew, so the
-    next check reads the new table, not the old layout.  The left layout
-    of `a` on gebert4 is packed from its five class rows, and that of a
-    table put in its place from the table itself."""
+def test_layouts_derive_from_read_only_rows(monkeypatch):
+    """Each layout is packed once from a relation's rows: the left layout
+    of `a` on gebert4 from its five class rows, and that of a `from_table`
+    relation from its 16 rows, which are its table.  from_table copies
+    its input, and neither the table nor the rows can be written into, so
+    no edit can leave a layout stale."""
     packed = []
 
     def counted(t3, axis):
@@ -331,19 +333,20 @@ def test_replaced_table_is_packed_again(monkeypatch):
         return _pack(t3, axis)
 
     monkeypatch.setattr(axioms, "_pack", counted)
-    ones = from_table(GroundSet(4), "rand", np.ones((16, 16, 16), dtype=bool))
+    source = np.ones((16, 16, 16), dtype=bool)
+    ones = from_table(GroundSet(4), "rand", source)
+    source[1, 2, 4] = False  # r(1, 2, 4) would fail while r(2, 1, 4) holds
     a = rel_a(catalog_instance("gebert4").op)
     for r, left_rows in ((ones, 16), (a, 5)):
         packed.clear()
-        assert check_axiom(r, AxiomId.SYM).status == "pass"
+        for _ in range(2):
+            assert check_axiom(r, AxiomId.SYM).status == "pass"
         assert packed == [(0, 16), (1, left_rows)]
-        table = r.table.copy()
-        table[1, 2, 4] = False  # r(1, 2, 4) fails while r(2, 1, 4) holds
-        r.table = table
-        rep = check_axiom(r, AxiomId.SYM)
-        assert rep.status == "fail" and rep.witness == (2, 4, 1)
-        assert r.packed[0][0] is table and r.packed[1][0] is table
-        assert packed[2:] == [(0, 16), (1, 16)]
+        for array in (r.table, r.rows):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[1, 2, 4] = False
+    assert ones.rows is ones.table
 
 
 def test_sclo_matches_row_scan_on_random_tables():
@@ -543,30 +546,56 @@ def test_compare_incomparable():
 
 
 def test_compare_matches_scalar_scan():
-    """Verdict and least differing (A, B, C) against a loop over the
-    scalar predicates."""
+    """Verdict and least differing (A, B, C) against the scalar predicates
+    on every cell, at n = 1..5, where a packed row is one, two or four
+    bytes; the second table differs from the first nowhere, in a few
+    cells either way, or in about half of them."""
     rng = np.random.default_rng(5)
     verdicts = set()
-    for size in (1, 2, 3):
+    late = 0
+    for size, pairs in ((1, 12), (2, 12), (3, 12), (4, 8), (5, 4)):
         g = GroundSet(size)
         shape = (1 << size,) * 3
-        for k in range(12):
+        cells = list(product(range(1 << size), repeat=3))
+        for k in range(pairs):
             t1 = rng.random(shape) < 0.5
-            extra = rng.random(shape) < 0.05
+            extra = np.zeros(shape, dtype=bool)
+            extra[tuple(rng.integers(0, 1 << size, (3, 1 + k % 3)))] = True
             t2 = (t1, t1 | extra, t1 & ~extra, rng.random(shape) < 0.5)[k % 4]
             r1, r2 = from_table(g, "r1", t1), from_table(g, "r2", t2)
-            cells = list(product(range(1 << size), repeat=3))
-            more = [x for x in cells if r1.fn(*x) and not r2.fn(*x)]
-            less = [x for x in cells if r2.fn(*x) and not r1.fn(*x)]
+            h1, h2 = (np.array([r.fn(*x) for x in cells]).reshape(shape)
+                      for r in (r1, r2))
+            more, less = (h1 & ~h2).any(), (h2 & ~h1).any()
             if not more and not less:
                 expected = Comparison("equal", None)
             else:
                 verdict = ("implies" if not more else
                            "implied" if not less else "incomparable")
-                expected = Comparison(verdict, min(more + less))
+                least = np.argwhere(h1 != h2)[0]  # in (A, B, C) order
+                expected = Comparison(verdict, tuple(map(int, least)))
             assert compare(r1, r2) == expected, (size, k)
             verdicts.add(expected.verdict)
+            late += expected.witness is not None and expected.witness[0] > 0
     assert verdicts == {"equal", "implies", "implied", "incomparable"}
+    assert late > 5
+
+
+def test_compare_builds_no_class_row_table():
+    """compare(aM, cl) on gf2-7 packs both left layouts from class rows,
+    so neither relation holds a 2^21-cell table after it; a later check of
+    either still reports the verdicts of tests/data/golden.txt."""
+    inst = catalog_instance("gf2-7")
+    op = instance_operator(inst)
+    aM, cl = resolve_relation(inst, "aM"), resolve_relation(inst, "cl")
+    assert compare(aM, cl) == Comparison("equal", None)
+    assert aM.table is None and cl.table is None
+    golden = (Path(__file__).parent / "data" / "golden.txt").read_text(
+        encoding="utf-8")
+    for r in (aM, cl):
+        head = f"$ pregeolab check --instance gf2-7 --relation {r.name} --all\n"
+        section = golden.split(head)[1].split("$ ")[0]
+        assert section == "".join(
+            rep.result_line() + "\n" for rep in check_all(r, op))
 
 
 def test_search_finds_u34_for_bmon_r_failure():

@@ -8,6 +8,7 @@ from pregeolab import geometry, instances, relcalc, verify
 from pregeolab.axioms import AxiomId
 from pregeolab.cli import main
 from pregeolab.instances import CATALOG_NAMES, RELATIONS, catalog_instance
+from pregeolab.lattice import format_mask
 
 
 def run(capsys, *argv):
@@ -457,41 +458,68 @@ SMALL_CATALOG = tuple(
     name for name in CATALOG_NAMES if catalog_instance(name).ground.size <= 4
 )
 #: instance file key -> the values drawn for it: sizes in and out of
-#: range, and malformed values of every key
+#: range, and malformed values of every key; `vectors` and `points` are
+#: well-formed more often than not
 FILE_VALUES = {
-    "size": ("0", "1", "3", "4", "9", "-1", "17", "x"),
+    "size": ("0", "1", "2", "3", "4", "9", "-1", "17", "x"),
     "rank": ("2", "5", "-1"),
     "field": ("gf2", "gf3", "gf7"),
-    "vectors": ("10 01 11", "1 2x", "100 01", ""),
+    "vectors": ("10 01 11", "110 011 101", "1 1", "01 10 11 00",
+                "1 2x", "100 01", ""),
     "edges": ("0-1 1-2", "0-0", "0-9", "a-b"),
-    "points": ("0 1/2 3", "1/0", "0 1/0", "2 1", "x", ""),
+    "points": ("0 1/2 3", "-1 0 2/3", "5", "0 1 2 3 4", "",
+               "1/0", "0 1/0", "2 1", "x"),
     "cl {}": ("{}", "{0}"),
     "cl {0}": ("{0}", "{0,1}", "{9}", "{0"),
     "colour": ("red",),
 }
-#: instance type -> the keys it needs and the keys it may take
+#: instance type -> the keys it needs and the keys it may take; the cl
+#: lines of `type = table` come from `closure_lines`
 FILE_TYPES = {
     "trivial": (("size",), ()), "gebert": (("size",), ()),
     "uniform": (("size", "rank"), ()), "linear": (("vectors",), ("field",)),
-    "table": (("size",), ("cl {}", "cl {0}")),
+    "table": (("size",), ()),
     "graph": (("size",), ("edges",)), "order": (("points",), ()),
     "mystery": ((), ()),
 }
 
 
 @st.composite
+def closure_lines(draw, size: str) -> list[str]:
+    """The cl lines of a `type = table` file of `size`.  Below size 3 they
+    are a whole table: the closure whose closed sets are the ground set
+    and the intersections of a drawn family.  Otherwise they are at most
+    two lines, malformed or too few."""
+    if size not in ("0", "1", "2"):
+        return [f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}"
+                for key in ("cl {}", "cl {0}") if draw(st.booleans())]
+    count = 1 << int(size)
+    family = draw(st.lists(st.integers(0, count - 1), max_size=3))
+    lines = []
+    for x in range(count):
+        closed = count - 1
+        for f in family:
+            if x & ~f == 0:
+                closed &= f
+        lines.append(f"cl {format_mask(x)} = {format_mask(closed)}")
+    return lines
+
+
+@st.composite
 def instance_files(draw) -> str:
     """A file of one type with its required keys and some of its optional
-    ones; one file in four also has a stray key, which the type may not
-    take or already has."""
+    ones, and for `type = table` its cl lines; one file in four also has
+    a stray key, which the type may not take or already has."""
     kind = draw(st.sampled_from(tuple(FILE_TYPES)))
     required, optional = FILE_TYPES[kind]
     keys = [*required, *(key for key in optional if draw(st.booleans()))]
+    values = [draw(st.sampled_from(FILE_VALUES[key])) for key in keys]
+    lines = [f"type = {kind}"] + [f"{k} = {v}" for k, v in zip(keys, values)]
+    if kind == "table":
+        lines += draw(closure_lines(values[0]))
     if draw(st.integers(0, 3)) == 0:
-        keys.append(draw(st.sampled_from(tuple(FILE_VALUES))))
-    lines = [f"type = {kind}"] + [
-        f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}" for key in keys
-    ]
+        key = draw(st.sampled_from(tuple(FILE_VALUES)))
+        lines.append(f"{key} = {draw(st.sampled_from(FILE_VALUES[key]))}")
     return "\n".join(lines) + "\n"
 
 

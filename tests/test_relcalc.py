@@ -299,13 +299,41 @@ def test_class_rows_match_reference_on_random_closures():
             assert_same_table(r, expected)
             closed = np.flatnonzero(op.table == np.arange(len(op.table)))
             if r.classes is None:
-                assert len(closed) == len(op.table) and r.rows is None
-                assert r.expanded is None
+                assert len(closed) == len(op.table) and r.rows is r.table
             else:
                 assert len(r.rows) == len(closed) < len(op.table)
                 assert np.array_equal(closed[r.classes], op.table)
             kinds.add(r.classes is None)
     assert kinds == {True, False}
+
+
+def test_compare_class_rows_matches_expanded_tables():
+    """a, aM and ac on random closures with class rows at n = 4 and 5,
+    under one closure and under two different ones: compare builds neither
+    table and agrees with compare on the expanded tables, which
+    test_axioms checks against the scalar predicates."""
+    rng = np.random.default_rng(24)
+    kinds = (rel_a, lambda op: monotonise_M(rel_a(op), op),
+             lambda op: closure_extend_c(rel_a(op), op))
+    verdicts = set()
+    for size in (4, 5):
+        ops = []
+        while len(ops) < 3:
+            op = random_closure(size, rng)
+            if rel_a(op).classes is not None:
+                ops.append(op)
+        for op1, op2 in ((ops[0], ops[0]), (ops[1], ops[1]),
+                         (ops[0], ops[1]), (ops[1], ops[2])):
+            for make1, make2 in product(kinds, repeat=2):
+                r1, r2 = make1(op1), make2(op2)
+                got = compare(r1, r2)
+                assert r1.table is None and r2.table is None
+                want = compare(*(from_table(r.ground, r.name,
+                                            materialize(r).table)
+                                 for r in (r1, r2)))
+                assert got == want, (size, r1.name, r2.name)
+                verdicts.add(got.verdict)
+    assert verdicts == {"equal", "implies", "implied", "incomparable"}
 
 
 def test_built_tables_and_class_rows_are_read_only(u34):
