@@ -27,14 +27,18 @@ one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
 word operation on a row serves every value of that axis at once and no
 scan loops over the 2^n A rows.  There are two layouts, each packed once
 per relation and kept read-only on it (`_packed`), so every scan of a
-relation reads the same rows.  The right one packs the table, and the
-left one packs the relation's rows (`relcalc.built_rows`), taken by
-class for class rows.  Each layout has one extractor of the least
-(A, C, B) from a packed violation array:
+relation reads the same rows.  Both are packed from the relation's rows
+(`relcalc.built_rows`).  For class rows, the right one expands them one
+block of 64 B values at a time and the left one takes their packed rows
+by class; where the scans read cells (EX, AREF, SCLO's pair rows and the
+least D), holds(A, B, C) reads row classes[A].  So no scan of a
+class-row relation builds its 2^(3n) table.  Each layout has one
+extractor of the least (A, C, B) from a packed violation array:
 
 - right: A packed, rows (B, C).  `_least_right` takes the least bit of
   the OR of all rows as A, then the least (C, B) whose row has that bit.
-  SYM, NOR-R, CLO-R, MON-R, FREE, TRA-STRONG and BMON-STRONG use it.
+  SYM, NOR-R, CLO-R, MON-R, FREE and TRA-STRONG use it.  BMON-STRONG
+  applies the same rule to rows it never holds (below).
 - left: B packed, rows (A, C).  `_least_left` takes the first nonzero
   row as (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO
   use it.
@@ -65,8 +69,10 @@ The four-variable axioms never build the 2^(4n) array:
   violates (`_scan_tra_strong`, `_scan_bmon_strong`).  The rest of D
   ranges over the subsets of the base, so whole-row OR passes along B or
   C absorb it.  BMON-STRONG gathers 5^n rows in all, and TRA-STRONG 6^n
-  rows and about n 6^n row ORs.  The least D completes the least
-  marked (A, C, B), as for FREE.
+  rows and about n 6^n row ORs.  BMON-STRONG keeps no marked rows: it
+  ORs each E's rows into one word row, whose least bit is the least A,
+  and then runs the E loop again on bit A alone for the least (C, B).
+  The least D completes the least marked (A, C, B), as for FREE.
 
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
@@ -205,11 +211,15 @@ def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, b, d
 
 
-def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
+def _pack(t3: np.ndarray, axis: int,
+          classes: Optional[np.ndarray] = None) -> np.ndarray:
     """The table's `axis` (0 or 1) packed into bits: rows indexed by the
     other two axes in row-major order, each row the bits of `axis` packed
     little-endian, as np.packbits(..., bitorder="little") lays them out.
-    With axis 1, the leading axis may have any length (the class rows).
+    With `classes`, t3 holds the class rows and the table is
+    t3.take(classes, axis=0), which is never built: axis 0 expands the
+    rows one block at a time, and axis 1 packs the rows and takes their
+    packed rows by class.
 
     An einsum weights the j-th of each k = min(2^n, 8) cells along the
     axis by 2^j: cells are 0 or 1, so the uint8 sum is the packed byte,
@@ -217,32 +227,34 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     on blocks of 64 rows of the other axis (one block up to n = 6)."""
     count = t3.shape[-1]
     k = min(count, 8)  # cells per byte
-    # [X, g, k, C]: the k cells of byte g along the axis, X the other one
-    # of A and B
+    # [X, Y, C]: Y the packed axis, X the other one of A and B
     cells = np.moveaxis(t3, 1 - axis, 0).view(np.uint8)
-    cells = cells.reshape(len(cells), count // k, k, count)
     weights = np.left_shift(1, np.arange(k, dtype=np.uint8))
     rows = np.empty((len(cells), count, count // k), dtype=np.uint8)
     for lo in range(0, len(cells), 64):
-        rows[lo:lo + 64] = np.einsum("xgkc,k->xcg", cells[lo:lo + 64], weights)
+        block = cells[lo:lo + 64]
+        if axis == 0 and classes is not None:  # 4 MB of cells at n = 8
+            block = block.take(classes, axis=1)
+        block = block.reshape(len(block), count // k, k, count)
+        rows[lo:lo + 64] = np.einsum("xgkc,k->xcg", block, weights)
+    if axis == 1 and classes is not None:
+        rows = rows.take(classes, axis=0)
     return rows.reshape(-1, count // k)
 
 
+def _rows(r: TernaryRelation) -> np.ndarray:
+    """r's A rows: its class rows, or, without classes, its table, which
+    is its rows, so that `materialize` makes no copy."""
+    return built_rows(r) if r.classes is not None else materialize(r).table
+
+
 def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
-    """r's table packed over `axis`, read-only, packed on first use and
-    kept in `r.packed`, so every later scan of r reads the same rows.  The
-    right layout packs the table; the left one packs r's rows and, for
-    class rows, takes their packed rows by A's class, so it never needs
-    the table."""
+    """r's table packed over `axis`, read-only, packed from r's rows on
+    first use and kept in `r.packed`, so every later scan of r reads the
+    same rows.  Neither layout needs the table of class rows."""
     p = r.packed.get(axis)
     if p is None:
-        if axis == 0:
-            p = _pack(materialize(r).table, 0)
-        else:
-            p = _pack(built_rows(r), 1)
-            if r.classes is not None:
-                by_class = p.reshape(len(r.rows), -1).take(r.classes, axis=0)
-                p = by_class.reshape(-1, p.shape[1])
+        p = _pack(_rows(r), axis, r.classes)
         p.flags.writeable = False
         r.packed[axis] = p
     return p
@@ -255,24 +267,37 @@ def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
     return p.reshape(half, 2, 1 << i, half, 2, 1 << i, -1)
 
 
-def _least_a(
-    viol: np.ndarray, count: int
-) -> Optional[tuple[int, np.ndarray]]:
-    """The least bit A set in any of the count^2 packed rows of viol, and
-    bit A of every row; None when no row has a bit.  The OR runs over
-    blocks of count rows first, so no reduction has a short inner loop."""
-    found = np.bitwise_or.reduce(viol.reshape(count, -1), axis=0)
-    found = np.bitwise_or.reduce(found.reshape(count, -1), axis=0)
+def _or_rows(rows: np.ndarray) -> np.ndarray:
+    """The OR of 4^j packed rows.  It runs over blocks of 2^j rows first,
+    so no reduction has a short inner loop."""
+    half = 1 << (len(rows).bit_length() - 1) // 2
+    found = np.bitwise_or.reduce(rows.reshape(half, -1), axis=0)
+    return np.bitwise_or.reduce(found.reshape(half, -1), axis=0)
+
+
+def _least_bit(found: np.ndarray) -> Optional[int]:
+    """The least bit set in the packed row `found`; None when it is 0."""
     if not found.any():
         return None
-    a = int(np.argmax(np.unpackbits(found, bitorder="little")))
-    return a, viol[:, a >> 3] >> (a & 7) & 1
+    return int(np.argmax(np.unpackbits(found, bitorder="little")))
+
+
+def _bit(rows: np.ndarray, a: int) -> np.ndarray:
+    """Bit a of every packed row, as 0 or 1."""
+    return rows[:, a >> 3] >> (a & 7) & 1
+
+
+def _least_a(viol: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """The least bit A set in any of the 4^n packed rows of viol, and bit
+    A of every row; None when no row has a bit."""
+    a = _least_bit(_or_rows(viol))
+    return None if a is None else (a, _bit(viol, a))
 
 
 def _least_right(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
     """Least (A, C, B) of violation rows (B, C) packed over A: the least A
     set in any row, then the least (C, B) whose row has it."""
-    hit = _least_a(viol, count)
+    hit = _least_a(viol)
     if hit is None:
         return None
     a, has = hit
@@ -315,7 +340,7 @@ def _scan_chain(p: np.ndarray, count: int, transitive: bool):
         viol, off = at(d, c), at(d, b)
     viol &= np.invert(off, out=off)
     del off
-    hit = _least_a(viol, count)
+    hit = _least_a(viol)
     if hit is None:
         return None
     a, has = hit
@@ -341,7 +366,7 @@ _SCLO_BLOCK_CELLS = 1 << 18
 
 
 def _scan_sclo(
-    t3: np.ndarray, left: np.ndarray, cl: np.ndarray
+    rows: np.ndarray, row: np.ndarray, left: np.ndarray, cl: np.ndarray
 ) -> Optional[tuple[int, int, int]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
     closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
@@ -351,8 +376,9 @@ def _scan_sclo(
     nonzero row of their XOR is the least (A, C), and its least bit is B.
     The scan runs in blocks of A rows that double, and a block gathers
     only the pair rows it reaches that no earlier block gathered, so an
-    early A stays cheap."""
-    count = len(t3)
+    early A stays cheap.  The pair rows are read from `rows`, A's row
+    being row[A], so the table is never built."""
+    count = len(row)
     masks = np.arange(count)
     closed = np.flatnonzero(cl == masks)
     rank = np.empty(count, dtype=np.intp)
@@ -377,11 +403,11 @@ def _scan_sclo(
         new = np.flatnonzero(want > done)
         done[new] = True
         cells = right_cells[zs[new]]
-        cells += closed[xs[new], None] * count**2
-        right[new] = np.packbits(t3.take(cells), axis=-1, bitorder="little")
-        rows = right.take(at, axis=0)
-        rows ^= left[lo * count:hi * count]
-        hit = _least_left(rows, count)
+        cells += row[closed[xs[new]], None] * count**2
+        right[new] = np.packbits(rows.take(cells), axis=-1, bitorder="little")
+        viol = right.take(at, axis=0)
+        viol ^= left[lo * count:hi * count]
+        hit = _least_left(viol, count)
         if hit is not None:
             return (lo + hit[0],) + hit[1:]
         lo = hi
@@ -402,28 +428,47 @@ def _scan_mon(p: np.ndarray, count: int) -> np.ndarray:
     return bad
 
 
-def _scan_bmon_strong(p: np.ndarray, count: int) -> np.ndarray:
+def _outside(count: int):
+    """Each E with the flat indexes of the rows (B, C) whose B and C lie
+    outside E."""
+    masks = np.arange(count)
+    for e in range(count):
+        rest = masks[masks & e == 0]
+        yield e, (rest[:, None] * count + rest).ravel()
+
+
+def _scan_bmon_strong(p: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
     """BMON-STRONG: r(A, B+D, C) holds and r(A, B, C+D) fails.  With E the
     part of D outside B+C, the body is r(A, B+E+P, C) and not r(A, B,
     C+E+Q), P and Q any subsets of C and of B.  On the table packed over A,
     rows (B, C), f ORs r over the supersets of B by elements of C, g ORs
     not r over the supersets of C by elements of B, one whole-row OR per
-    element each, and each E ORs f[B+E, C] & g[B, C+E] into row (B, C)."""
-    masks = np.arange(count)
+    element each, and (A, C, B) violates for some D where bit A of
+    f[B+E, C] & g[B, C+E] is set for some E.  The least A is the least bit
+    of the OR of every E's rows; a second loop over bit A of f and g finds
+    the least (C, B), so no array of violation rows is held."""
     f = p.copy()
     g = np.invert(p)
     for i in range(count.bit_length() - 1):
         fv, gv = _planes(f, count, i), _planes(g, count, i)
         fv[:, 0, :, :, 1] |= fv[:, 1, :, :, 1]  # C has i: B takes B+i
         gv[:, 1, :, :, 0] |= gv[:, 1, :, :, 1]  # B has i: C takes C+i
-    viol = f & g  # E = {}
-    for e in range(1, count):
-        rest = masks[masks & e == 0]  # B and C outside E
-        rows = (rest[:, None] * count + rest).ravel()
-        hit = f.take(rows + e * count, axis=0)
-        hit &= g.take(rows + e, axis=0)
-        viol[rows] |= hit
-    return viol
+    found = np.zeros(p.shape[1], dtype=np.uint8)
+    chunk = max(1, count * count // 4)  # no gather larger than E = {i}'s
+    for e, rows in _outside(count):
+        for part in rows.reshape(-1, min(chunk, len(rows))):
+            hit = f.take(part + e * count, axis=0)
+            hit &= g.take(part + e, axis=0)
+            found |= _or_rows(hit)
+    a = _least_bit(found)
+    if a is None:
+        return None
+    f, g = _bit(f, a), _bit(g, a)
+    has = np.zeros_like(f)
+    for e, rows in _outside(count):
+        has[rows] |= f[rows + e * count] & g[rows + e]
+    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
+    return (a, c, b)
 
 
 def _scan_tra_strong(p: np.ndarray, count: int) -> np.ndarray:
@@ -475,9 +520,9 @@ def _scan_free(p: np.ndarray, count: int) -> np.ndarray:
     return bad
 
 
-def _least_d(t3: np.ndarray, ax: AxiomId, a: int, c: int, b: int):
+def _least_d(holds, count: int, ax: AxiomId, a: int, c: int, b: int):
     """Complete a violating (A, C, B) with the least D its body fails at."""
-    ok = _BODIES[ax](lambda *abc: t3[abc], None, a, c, b, np.arange(len(t3)))
+    ok = _BODIES[ax](holds, None, a, c, b, np.arange(count))
     return (a, c, b, int(np.argmax(~ok)))
 
 
@@ -493,8 +538,7 @@ _CHAIN_AXIOMS = {  # axiom -> whether it is a transitive form
 
 _D_SCANS = {  # axiom -> the violation rows of the (A, C, B) some D violates
     AxiomId.MON_R: _scan_mon, AxiomId.MON_L: _scan_mon,
-    AxiomId.TRA_STRONG: _scan_tra_strong,
-    AxiomId.BMON_STRONG: _scan_bmon_strong, AxiomId.FREE: _scan_free,
+    AxiomId.TRA_STRONG: _scan_tra_strong, AxiomId.FREE: _scan_free,
 }
 
 
@@ -508,36 +552,43 @@ def _find_violation(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator]
 ) -> Optional[tuple[int, ...]]:
     cl = _require_op(ax, op).table if ax.needs_closure else None
-    t3 = materialize(r).table
     count = r.ground.subset_count
     masks = np.arange(count)
+    rows = _rows(r)
+    row = masks if r.classes is None else r.classes  # A -> its row
+
+    def holds(a, b, c):
+        return rows[row[a], b, c]
 
     if ax in (AxiomId.EX, AxiomId.AREF):  # the body on the (A, C) grid;
         # AREF's A runs over the singletons {a}
         firsts = 1 << np.arange(r.ground.size) if ax is AxiomId.AREF else masks
-        ok = _BODIES[ax](lambda *abc: t3[abc], cl, firsts[:, None], masks)
+        ok = _BODIES[ax](holds, cl, firsts[:, None], masks)
         hit = first_true(~ok)
         return None if hit is None else (int(firsts[hit[0]]), hit[1])
 
     left = ax in _LEFT_FORMS
     p = _packed(r, int(left))
     if ax is AxiomId.SCLO:
-        return _scan_sclo(t3, p, cl)
+        return _scan_sclo(rows, row, p, cl)
     if ax in _CHAIN_AXIOMS:
         return _scan_chain(p, count, _CHAIN_AXIOMS[ax])
-    if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-        viol = _packed(r, 1) ^ p
-        viol &= p
-    elif ax in (AxiomId.NOR_R, AxiomId.NOR_L):  # X replaced by X+C
-        viol = _scan_gather(p, count, masks[:, None] | masks)
-    elif ax in (AxiomId.CLO_R, AxiomId.CLO_L):  # X replaced by cl(X)
-        viol = _scan_gather(p, count, cl[:, None])
+    if ax is AxiomId.BMON_STRONG:  # no violation rows: it finds (A, C, B)
+        hit = _scan_bmon_strong(p, count)
     else:
-        viol = _D_SCANS[ax](p, count)
-    hit = (_least_left if left else _least_right)(viol, count)
-    if hit is None or ax not in _D_SCANS:
+        if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
+            viol = _packed(r, 1) ^ p
+            viol &= p
+        elif ax in (AxiomId.NOR_R, AxiomId.NOR_L):  # X replaced by X+C
+            viol = _scan_gather(p, count, masks[:, None] | masks)
+        elif ax in (AxiomId.CLO_R, AxiomId.CLO_L):  # X replaced by cl(X)
+            viol = _scan_gather(p, count, cl[:, None])
+        else:
+            viol = _D_SCANS[ax](p, count)
+        hit = (_least_left if left else _least_right)(viol, count)
+    if hit is None or _arity(ax) == 3:
         return hit
-    return _least_d(t3, ax, *hit)
+    return _least_d(holds, count, ax, *hit)
 
 
 def check_axiom(

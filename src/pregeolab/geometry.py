@@ -207,7 +207,8 @@ def check_modular(pg: Pregeometry) -> ModularityVerdict:
     from . import relcalc
     from .axioms import AxiomId, check_axiom, compare
 
-    # conditions 2 and 3 build truth tables; refuse before any count^2 work
+    # conditions 2 and 3 build relations of 2^(3n) cells; refuse before
+    # any count^2 work
     relcalc.check_table_budget(pg.ground)
     op = pg.op
     rel_a = relcalc.rel_a(op)

@@ -21,14 +21,17 @@ once and kept read-only as `rows` (`built_rows`).  `a` and `cl` see A
 only through cl(A).  For any closure cl(A+C) = cl(cl(A)+C), and in a
 pregeometry dim(A/X) = dim(cl(A)/X).  So their builders make one A row
 per closed set, k of them (9 of 256 on gebert8), with `classes` mapping
-each A to the row of cl(A).  M, m and c act on each A row alone, so
-they keep their base's `classes` and build their rows from the base's
-rows, never from its table.  Every other relation, and `a` or `cl`
-under a closure whose every set is closed, has `classes = None`, and
-its rows are the whole table.  The table derives from the rows:
-`materialize` takes the class rows by `classes` with one `take`, or
-uses the rows themselves.  So do both packed layouts of `axioms`, and
-the left one never needs the table.
+each A to the row of cl(A).  `sup` sees A only through max(A), so it
+makes n + 1 rows.  M, m and c act on each A row alone, so they keep
+their base's `classes` and build their rows from the base's rows, never
+from its table, and `opposite` gathers its table from its base's rows.
+Every other relation, and `a` or `cl` under a closure whose every set is
+closed, has `classes = None`, and its rows are the whole table.  The
+table derives from the rows: `materialize` takes the class rows by
+`classes` with one `take`, or uses the rows themselves.  No scan or
+comparison of `axioms` calls it for class rows: both packed layouts and
+every cell the scans read come from the rows, so a class-row relation
+never builds its 2^(3n) table unless a caller asks for it.
 
 Transformer stacks build their base's rows once.  The monotonisations
 copy those rows and AND them along the C axis in n passes, one per
@@ -79,10 +82,10 @@ class TernaryRelation:
     table: Optional[np.ndarray] = field(default=None, repr=False)
     #: axis -> the table packed over that axis, read-only (axioms._packed)
     packed: dict = field(default_factory=dict, repr=False, compare=False)
-    #: A -> the index of cl(A) among the closed sets, ascending, when the
-    #: builder makes one A row per closed set; None when it makes them all
+    #: A -> its row, when the builder makes one A row per class of A
+    #: (per closed set cl(A), or per max(A)); None when it makes them all
     classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: the builder's rows, read-only: [k, B, C] for the closed sets when
+    #: the builder's rows, read-only: [k, B, C], one per class, when
     #: `classes` is set, and the whole table otherwise
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -348,7 +351,15 @@ def opposite(r: TernaryRelation) -> TernaryRelation:
         return r.fn(b, a, c)
 
     def build() -> np.ndarray:
-        return materialize(r).table.transpose(1, 0, 2).copy()
+        # row A of the result is (B, C) |-> r(B, A, C): the (A, C) slices
+        # of r's rows taken by B's row, so r's table is never expanded
+        rows = built_rows(r)
+        count = r.ground.subset_count
+        classes = np.arange(count) if r.classes is None else r.classes
+        table = np.empty((count,) * 3, dtype=bool)
+        for a in range(count):
+            table[a] = rows[:, a].take(classes, axis=0)
+        return table
 
     return TernaryRelation(r.ground, f"opp({r.name})", fn, build)
 
@@ -366,12 +377,13 @@ def rel_sup(ground: GroundSet) -> TernaryRelation:
     def fn(a: int, b: int, c: int) -> bool:
         return top(a) <= top(c) or top(b) <= top(c)
 
-    def build() -> np.ndarray:
-        tops = np.array([m.bit_length() for m in ground.masks()], dtype=np.int8)
-        below = tops[:, None] <= tops[None, :]  # (X, C): top(X) <= top(C)
-        table = np.empty((ground.subset_count,) * 3, dtype=bool)
-        for a in range(ground.subset_count):
-            np.bitwise_or(below, below[a], out=table[a])
-        return table
+    # A is seen only through top(A): row t, of the n + 1 rows, is every A
+    # with top(A) = t
+    tops = np.array([top(m) for m in ground.masks()], dtype=np.intp)
 
-    return TernaryRelation(ground, "sup", fn, build)
+    def build() -> np.ndarray:
+        below = tops[:, None] <= tops  # (X, C): top(X) <= top(C)
+        ts = np.arange(ground.size + 1)
+        return below | (ts[:, None] <= tops)[:, None, :]
+
+    return TernaryRelation(ground, "sup", fn, build, classes=tops)

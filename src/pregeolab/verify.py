@@ -390,8 +390,9 @@ def _st_axiom_unit() -> list[CheckResult]:
     ident = trivial_closure(GroundSet(size))
     failed: dict[AxiomId, CheckResult] = {}
     for code in _graph_class_representatives(size):
-        # check_axiom materializes the table onto `relation`, so every
-        # axiom below reads the one table built for this graph
+        # check_axiom builds the rows and the packed layouts onto
+        # `relation` once, so every axiom below reads what was built for
+        # this graph
         relation = rel_st(graph_of_code(size, code))
         for ax in ST_AXIOMS:
             if ax in failed:

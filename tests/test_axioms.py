@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pregeolab import axioms, closure
+from pregeolab import axioms, closure, instances
 from pregeolab.axioms import (
     _pack,
     AXIOM_ORDER,
@@ -30,6 +30,8 @@ from pregeolab.instances import (
 )
 from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import (
+    TernaryRelation,
+    built_rows,
     from_table,
     materialize,
     random_relation,
@@ -289,30 +291,40 @@ def test_packed_scans_match_axiom_bodies_on_random_tables():
 
 @pytest.mark.parametrize("size", range(9))
 def test_pack_matches_packbits(size):
+    """Packing a table, or class rows by a class map that leaves the last
+    row unused from n = 2, gives np.packbits of the (expanded) table."""
     count = 1 << size
     rng = np.random.default_rng(size)
     t3 = rng.integers(0, 2, (count,) * 3, dtype=np.uint8).view(bool)
+    rows = t3[:size + 2]
+    classes = rng.integers(0, size + 1, count)
     for axis in (0, 1):
-        bits = np.packbits(t3, axis, bitorder="little")
-        want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
-        np.testing.assert_array_equal(_pack(t3, axis), want)
+        for cells, got in ((t3, _pack(t3, axis)),
+                           (rows[classes], _pack(rows, axis, classes))):
+            bits = np.packbits(cells, axis, bitorder="little")
+            want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
+            np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("name,rel_id", [("u36", "cl"), ("gebert8", "a")])
+@pytest.mark.parametrize("name,rel_id", [
+    ("u36", "cl"), ("gebert8", "a"), ("gebert8", "aM"), ("gebert8", "sup")])
 def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
-    """Every scan of one table reads the same two packed layouts, each
-    read-only and packed at most once."""
+    """Every scan of one relation reads the same two packed layouts, each
+    read-only and packed at most once, from the class rows: no scan
+    builds the 2^(3n) table."""
     axes = []
 
-    def counted(t3, axis):
+    def counted(t3, axis, classes=None):
         axes.append(axis)
-        return _pack(t3, axis)
+        assert len(t3) == len(r.rows) < len(classes)
+        return _pack(t3, axis, classes)
 
     monkeypatch.setattr(axioms, "_pack", counted)
     inst = catalog_instance(name)
     r = resolve_relation(inst, rel_id)
     check_all(r, instance_operator(inst))
     assert sorted(axes) == [0, 1]
+    assert r.table is None
     for axis in (0, 1):
         view = r.packed[axis]
         assert not view.flags.writeable
@@ -321,32 +333,33 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
 
 
 def test_layouts_derive_from_read_only_rows(monkeypatch):
-    """Each layout is packed once from a relation's rows: the left layout
-    of `a` on gebert4 from its five class rows, and that of a `from_table`
-    relation from its 16 rows, which are its table.  from_table copies
-    its input, and neither the table nor the rows can be written into, so
-    no edit can leave a layout stale."""
+    """Each layout is packed once from a relation's rows: those of `a` on
+    gebert4 from its five class rows, which builds no table, and those of
+    a `from_table` relation from its 16 rows, which are its table.
+    from_table copies its input, and neither the table nor the rows can be
+    written into, so no edit can leave a layout stale."""
     packed = []
 
-    def counted(t3, axis):
+    def counted(t3, axis, classes=None):
         packed.append((axis, len(t3)))
-        return _pack(t3, axis)
+        return _pack(t3, axis, classes)
 
     monkeypatch.setattr(axioms, "_pack", counted)
     source = np.ones((16, 16, 16), dtype=bool)
     ones = from_table(GroundSet(4), "rand", source)
     source[1, 2, 4] = False  # r(1, 2, 4) would fail while r(2, 1, 4) holds
     a = rel_a(catalog_instance("gebert4").op)
-    for r, left_rows in ((ones, 16), (a, 5)):
+    for r, rows in ((ones, 16), (a, 5)):
         packed.clear()
         for _ in range(2):
             assert check_axiom(r, AxiomId.SYM).status == "pass"
-        assert packed == [(0, 16), (1, left_rows)]
-        for array in (r.table, r.rows):
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[1, 2, 4] = False
-    assert ones.rows is ones.table
+        assert packed == [(0, rows), (1, rows)]
+        for array in (r.rows, r.table):
+            if array is not None:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[1, 2, 4] = False
+    assert ones.rows is ones.table and a.table is None
 
 
 def test_sclo_matches_row_scan_on_random_tables():
@@ -596,6 +609,70 @@ def test_compare_builds_no_class_row_table():
         section = golden.split(head)[1].split("$ ")[0]
         assert section == "".join(
             rep.result_line() + "\n" for rep in check_all(r, op))
+
+
+def verdicts(r, op):
+    """(status, witness) of every axiom of `check_all` on r."""
+    return [(rep.status, rep.witness) for rep in check_all(r, op)]
+
+
+def expanded(r):
+    """A `from_table` relation of r's expanded table, built apart from r."""
+    return from_table(r.ground, r.name, r.rows.take(r.classes, axis=0))
+
+
+@pytest.mark.parametrize("name", ["gebert4", "u36", "gf2-7"])
+def test_catalog_class_rows_scan_like_their_expanded_tables(name):
+    """Every axiom and every `compare` reports the same on each class-row
+    relation of the catalog as on `from_table` of its expanded table, and
+    none of them builds the table of a class-row relation."""
+    inst = catalog_instance(name)
+    op = instance_operator(inst)
+    ids = [rid for rid in ("a", "cl", "aM", "am", "ac", "amc", "sup")
+           if instances.defines(inst, rid)]
+    pairs = []
+    for rid in ids:
+        r = resolve_relation(inst, rid)
+        built_rows(r)
+        assert r.classes is not None, rid
+        t = expanded(r)
+        assert verdicts(r, op) == verdicts(t, op), rid
+        pairs.append((r, t))
+    for (r1, t1), (r2, t2) in product(pairs, repeat=2):
+        assert compare(r1, r2) == compare(t1, t2), (r1.name, r2.name)
+    assert all(r.table is None for r, _ in pairs)
+    assert len(pairs) == (7 if inst.pg is not None else 6)
+
+
+def test_random_class_rows_scan_like_their_expanded_tables():
+    """Random rows with random class maps at n = 0..7 (at n = 7 the right
+    layout packs two blocks of B) report, on every axiom and in `compare`
+    either way with another relation, what `from_table` of their expanded
+    table reports, and build no table.  Some class maps leave rows unused,
+    and dense rows put witnesses past A = {}."""
+    rng = np.random.default_rng(25)
+    late = 0
+    for size in range(8):
+        g = GroundSet(size)
+        count = 1 << size
+        op = random_closure(g, rng)
+        for density in (0.5, 0.99):
+            k = int(rng.integers(1, count + 1))
+            rows = rng.random((k, count, count)) < density
+            classes = rng.integers(0, k, count)
+            r = TernaryRelation(g, "rows",
+                                lambda a, b, c: bool(rows[classes[a], b, c]),
+                                lambda rows=rows: rows, classes=classes)
+            t = from_table(g, "rows", rows[classes])
+            want = verdicts(t, op)
+            assert verdicts(r, op) == want, (size, density)
+            late += sum(w is not None and w[0] > 0 for _, w in want)
+            other = random_relation(g, size)
+            assert compare(r, other) == compare(t, other), (size, density)
+            assert compare(other, r) == compare(other, t), (size, density)
+            assert compare(r, t) == Comparison("equal", None)
+            assert r.table is None
+    assert late > 30
 
 
 def test_search_finds_u34_for_bmon_r_failure():

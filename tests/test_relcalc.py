@@ -476,6 +476,30 @@ def test_opposite_involution_and_symmetry(u34):
     assert compare(opposite(sym), sym).verdict == "equal"
 
 
+def test_opposite_builds_from_its_base_rows(u34):
+    """opp(r)'s table is r's table with A and B swapped, gathered from r's
+    rows, so a class-row base never builds its own table."""
+    g = gebert_closure(4)
+    for base, twin in ((rel_a(u34.op), rel_a(u34.op)),
+                       (monotonise_M(rel_a(g), g), monotonise_M(rel_a(g), g)),
+                       (rel_sup(GroundSet(4)), rel_sup(GroundSet(4))),
+                       (random_relation(GroundSet(3), 7),
+                        random_relation(GroundSet(3), 7))):
+        opp = opposite(base)
+        assert_same_table(opp, materialize(twin).table.transpose(1, 0, 2))
+        assert (base.table is None) == (base.classes is not None)
+        assert_table_matches_scalar(opp)
+
+
+def test_sup_builds_one_row_per_max():
+    """sup sees A only through max(A): n + 1 rows, A = {} first."""
+    for size in range(6):
+        r = rel_sup(GroundSet(size))
+        assert_table_matches_scalar(r)
+        assert len(r.rows) == size + 1
+        assert list(r.classes) == [m.bit_length() for m in range(1 << size)]
+
+
 def test_opposite_of_one_sided_sup_relation():
     g = gebert_closure(2)
     cells = product(g.ground.masks(), repeat=3)
