@@ -22,26 +22,33 @@ the whole scan of EX and AREF, and, in the tests, on broadcast index
 grids over the table as the reference every scan below is checked
 against.
 
-Every scan except EX and AREF runs on the table packed into bits along
-one axis (`_pack`: 2^n bits per row, 32 bytes at n = 8), so that one
-word operation on a row serves every value of that axis at once and no
-scan loops over the 2^n A rows.  There are two layouts, each packed once
-per relation and kept read-only on it (`_packed`), so every scan of a
-relation reads the same rows.  Both are packed from the relation's rows
-(`relcalc.built_rows`).  For class rows, the right one expands them one
-block of 64 B values at a time and the left one takes their packed rows
-by class; where the scans read cells (EX, AREF, SCLO's pair rows and the
-least D), holds(A, B, C) reads row classes[A].  So no scan of a
-class-row relation builds its 2^(3n) table.  Each layout has one
-extractor of the least (A, C, B) from a packed violation array:
+Every scan except EX and AREF runs on the relation's rows packed into
+bits along one axis (`_pack`), so that one word operation on a row
+serves every value of that axis at once and no scan loops over the 2^n
+A rows.  There are two layouts, each packed once per relation from its
+rows (`relcalc.built_rows`) and kept read-only on it (`_packed`), so
+every scan of a relation reads the same rows.  Each has one extractor of
+the least (A, C, B) from a packed violation array:
 
-- right: A packed, rows (B, C).  `_least_right` takes the least bit of
-  the OR of all rows as A, then the least (C, B) whose row has that bit.
-  SYM, NOR-R, CLO-R, MON-R, FREE and TRA-STRONG use it.  BMON-STRONG
-  applies the same rule to rows it never holds (below).
-- left: B packed, rows (A, C).  `_least_left` takes the first nonzero
-  row as (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO
-  use it.
+- right: rows (B, C), one bit per A row the relation stores: per A (2^n
+  bits, 32 bytes at n = 8), or per class for class rows (k bits, 2 bytes
+  for the 9 classes of gebert8 `a`).  `_least_right` takes the least A
+  whose bit is set in the OR of all rows (`_least_member`: for class
+  bits, the least member of a set class), then the least (C, B) whose
+  row has that bit.  SYM, NOR-R, CLO-R, MON-R, FREE and TRA-STRONG use
+  it, and BMON-STRONG applies the same rule to rows it never holds
+  (below).  Every right-layout body but SYM's and FREE's reads A only
+  through holds(A, ., .), so those scans run on class bits unchanged.
+  SYM and FREE compare A's bits with something that depends on A
+  itself, so they read the class bits expanded to A bits (`_over_a`,
+  one lookup table per byte of class bits), which are never stored.
+- left: B packed, rows (A, C), 2^n bits per row; the packed class rows
+  are taken by class.  `_least_left` takes the first nonzero row as
+  (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO use it.
+
+Where the scans read cells (EX, AREF, SCLO's pair rows and the least
+D), holds(A, B, C) reads row classes[A].  So no scan of a class-row
+relation builds its 2^(3n) table.
 
 SYM takes the bits of the right layout that the left one, whose row
 (B, C) is r(B, A, C), lacks.  NOR and CLO AND a layout with the negated
@@ -60,9 +67,9 @@ The four-variable axioms never build the 2^(4n) array:
 - chain scan (BMON-*, TRA-*): on the right layout, or the left one for
   the left forms, whose A is the table's second variable, the violation
   rows of the 4^n chains C <= B <= D are two or three gathers of packed
-  rows (`_scan_chain`).  The least bit of their OR is the least A, and
-  the least (C, B, D) among the chains with that bit completes the
-  least (A, C, B, D).
+  rows (`_scan_chain`).  The least A set in their OR (`_least_a`), and
+  the least (C, B, D) among the chains with A's bit, make the least
+  (A, C, B, D).
 - strong scan (TRA-STRONG, BMON-STRONG): on the right layout, a loop
   over E, the part of D outside the base (B for TRA-STRONG, B+C for
   BMON-STRONG), ORs into row (B, C) the rows that some D with that part
@@ -70,8 +77,8 @@ The four-variable axioms never build the 2^(4n) array:
   ranges over the subsets of the base, so whole-row OR passes along B or
   C absorb it.  BMON-STRONG gathers 5^n rows in all, and TRA-STRONG 6^n
   rows and about n 6^n row ORs.  BMON-STRONG keeps no marked rows: it
-  ORs each E's rows into one word row, whose least bit is the least A,
-  and then runs the E loop again on bit A alone for the least (C, B).
+  ORs each E's rows into one word row, whose least set A is the least A,
+  and then runs the E loop again on A's bit alone for the least (C, B).
   The least D completes the least marked (A, C, B), as for FREE.
 
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
@@ -82,6 +89,7 @@ STOC 2007).
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -199,47 +207,50 @@ def _arity(ax: AxiomId) -> int:
     return _BODIES[ax].__code__.co_argcount - 2
 
 
+@functools.lru_cache(maxsize=1)
 def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4^n chains C <= B <= D as three arrays, in no particular order:
-    each element in turn is outside D, in D only, in B only, or in C."""
-    c = b = d = np.zeros(1, dtype=np.intp)
+    """The 4^n chains C <= B <= D as three read-only arrays, in no
+    particular order: each element in turn is outside D, in D only, in B
+    only, or in C.  The arrays of the last size asked for are kept, in
+    the narrowest unsigned dtype that holds X * 2^n + Y for masks X, Y."""
+    c = b = d = np.zeros(1, dtype=np.min_scalar_type((1 << 2 * size) - 1))
     for i in range(size):
         bit = 1 << i
         c = np.concatenate((c, c, c, c | bit))
         b = np.concatenate((b, b, b | bit, b | bit))
         d = np.concatenate((d, d | bit, d | bit, d | bit))
+    for array in (c, b, d):
+        array.flags.writeable = False
     return c, b, d
 
 
-def _pack(t3: np.ndarray, axis: int,
-          classes: Optional[np.ndarray] = None) -> np.ndarray:
-    """The table's `axis` (0 or 1) packed into bits: rows indexed by the
-    other two axes in row-major order, each row the bits of `axis` packed
-    little-endian, as np.packbits(..., bitorder="little") lays them out.
-    With `classes`, t3 holds the class rows and the table is
-    t3.take(classes, axis=0), which is never built: axis 0 expands the
-    rows one block at a time, and axis 1 packs the rows and takes their
-    packed rows by class.
+def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
+    """Rows t3[X, B, C] packed into bits along `axis` (0 or 1): rows
+    indexed by the other two axes in row-major order, each row the bits
+    of `axis` packed little-endian, as np.packbits(..., bitorder="little")
+    lays them out, with the padding bits of the last byte 0.  X is A, or
+    A's class for class rows, so axis 0 of class rows packs one bit per
+    class, ceil(k / 8) bytes a row.
 
-    An einsum weights the j-th of each k = min(2^n, 8) cells along the
-    axis by 2^j: cells are 0 or 1, so the uint8 sum is the packed byte,
-    and below n = 3 the one byte per row has zero padding bits.  It runs
-    on blocks of 64 rows of the other axis (one block up to n = 6)."""
+    An einsum weights the j-th of each 8 cells along the axis by 2^j:
+    cells are 0 or 1, so the uint8 sum is the packed byte, and a last
+    group of fewer than 8 cells gets only its own weights.  It runs on
+    blocks of 64 rows of the other axis (one block up to n = 6)."""
     count = t3.shape[-1]
-    k = min(count, 8)  # cells per byte
-    # [X, Y, C]: Y the packed axis, X the other one of A and B
+    # [X, Y, C]: Y the packed axis, X the other one of the first two
     cells = np.moveaxis(t3, 1 - axis, 0).view(np.uint8)
-    weights = np.left_shift(1, np.arange(k, dtype=np.uint8))
-    rows = np.empty((len(cells), count, count // k), dtype=np.uint8)
+    full, tail = divmod(cells.shape[1], 8)
+    weights = np.left_shift(1, np.arange(8, dtype=np.uint8))
+    rows = np.empty((len(cells), count, full + (tail > 0)), dtype=np.uint8)
     for lo in range(0, len(cells), 64):
-        block = cells[lo:lo + 64]
-        if axis == 0 and classes is not None:  # 4 MB of cells at n = 8
-            block = block.take(classes, axis=1)
-        block = block.reshape(len(block), count // k, k, count)
-        rows[lo:lo + 64] = np.einsum("xgkc,k->xcg", block, weights)
-    if axis == 1 and classes is not None:
-        rows = rows.take(classes, axis=0)
-    return rows.reshape(-1, count // k)
+        block, out = cells[lo:lo + 64], rows[lo:lo + 64]
+        if full:
+            groups = block[:, :8 * full].reshape(len(block), full, 8, count)
+            out[..., :full] = np.einsum("xgkc,k->xcg", groups, weights)
+        if tail:
+            out[..., full] = np.einsum("xkc,k->xc", block[:, 8 * full:],
+                                       weights[:tail])
+    return rows.reshape(-1, rows.shape[-1])
 
 
 def _rows(r: TernaryRelation) -> np.ndarray:
@@ -249,15 +260,51 @@ def _rows(r: TernaryRelation) -> np.ndarray:
 
 
 def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
-    """r's table packed over `axis`, read-only, packed from r's rows on
-    first use and kept in `r.packed`, so every later scan of r reads the
-    same rows.  Neither layout needs the table of class rows."""
+    """r's rows packed over `axis`, read-only, packed on first use and kept
+    in `r.packed`, so every later scan of r reads the same rows.  Over
+    axis 0 class rows keep one bit per class; over axis 1 the packed class
+    rows are taken by class, so that the rows are (A, C).  Neither layout
+    needs the table of class rows."""
     p = r.packed.get(axis)
     if p is None:
-        p = _pack(_rows(r), axis, r.classes)
+        p = _pack(_rows(r), axis)
+        if axis == 1 and r.classes is not None:
+            count = r.ground.subset_count
+            p = p.reshape(-1, count, p.shape[1]).take(r.classes, axis=0)
+            p = p.reshape(-1, p.shape[-1])
         p.flags.writeable = False
         r.packed[axis] = p
     return p
+
+
+#: bytes of A bits in one block of rows of `_over_a`
+_EXPAND_BLOCK_BYTES = 1 << 18
+
+
+def _over_a(p: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
+    """Rows packed over classes re-packed over A: bit A of a row is its bit
+    classes[A].  Byte t of a row stands for the classes 8t..8t+7, so
+    lut[t, byte] holds the A bits of the classes set in it, and a row over
+    A is the OR over t of lut[t, byte t].  It runs on blocks of rows, so no
+    temporary has the size of the result.  Without classes the rows are
+    over A already, and p itself is returned."""
+    if classes is None:
+        return p
+    width = p.shape[1]
+    # [class, A bits]: the A in each class, 8 * width classes
+    members = np.packbits(classes == np.arange(8 * width)[:, None], axis=1,
+                          bitorder="little")
+    lut = np.zeros((width, 256, members.shape[1]), dtype=np.uint8)
+    for j in range(8):  # bytes with bit j on: those without it, and class 8t+j
+        lut[:, 1 << j:2 << j] = lut[:, :1 << j] | members[j::8, None]
+    out = np.empty((len(p), members.shape[1]), dtype=np.uint8)
+    step = max(1, _EXPAND_BLOCK_BYTES // members.shape[1])
+    for lo in range(0, len(p), step):
+        block, bytes_ = out[lo:lo + step], p[lo:lo + step]
+        np.take(lut[0], bytes_[:, 0], axis=0, out=block, mode="clip")
+        for t in range(1, width):
+            block |= lut[t].take(bytes_[:, t], axis=0)
+    return out
 
 
 def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
@@ -275,11 +322,17 @@ def _or_rows(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(found.reshape(half, -1), axis=0)
 
 
-def _least_bit(found: np.ndarray) -> Optional[int]:
-    """The least bit set in the packed row `found`; None when it is 0."""
-    if not found.any():
+def _least_member(found: np.ndarray, classes: Optional[np.ndarray]
+                  ) -> Optional[tuple[int, int]]:
+    """The least A whose bit is set in the packed row `found`, and that
+    bit: bit classes[A], or bit A without classes.  None when no A has it."""
+    bits = np.unpackbits(found, bitorder="little")
+    if classes is not None:
+        bits = bits[classes]
+    a = int(np.argmax(bits))
+    if not bits[a]:
         return None
-    return int(np.argmax(np.unpackbits(found, bitorder="little")))
+    return a, a if classes is None else int(classes[a])
 
 
 def _bit(rows: np.ndarray, a: int) -> np.ndarray:
@@ -287,17 +340,20 @@ def _bit(rows: np.ndarray, a: int) -> np.ndarray:
     return rows[:, a >> 3] >> (a & 7) & 1
 
 
-def _least_a(viol: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
-    """The least bit A set in any of the 4^n packed rows of viol, and bit
-    A of every row; None when no row has a bit."""
-    a = _least_bit(_or_rows(viol))
-    return None if a is None else (a, _bit(viol, a))
+def _least_a(viol: np.ndarray, classes: Optional[np.ndarray]
+             ) -> Optional[tuple[int, np.ndarray]]:
+    """The least A whose bit (`_least_member`) is set in any of the 4^n
+    packed rows of viol, and that bit of every row; None when no A is."""
+    hit = _least_member(_or_rows(viol), classes)
+    return None if hit is None else (hit[0], _bit(viol, hit[1]))
 
 
-def _least_right(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
-    """Least (A, C, B) of violation rows (B, C) packed over A: the least A
-    set in any row, then the least (C, B) whose row has it."""
-    hit = _least_a(viol)
+def _least_right(viol: np.ndarray, count: int, classes: Optional[np.ndarray]
+                 ) -> Optional[tuple[int, int, int]]:
+    """Least (A, C, B) of violation rows (B, C) packed over A, or over A's
+    class: the least A whose bit is set in any row, then the least (C, B)
+    whose row has it."""
+    hit = _least_a(viol, classes)
     if hit is None:
         return None
     a, has = hit
@@ -319,11 +375,12 @@ def _least_left(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
     return (a, c, b)
 
 
-def _scan_chain(p: np.ndarray, count: int, transitive: bool):
+def _scan_chain(p: np.ndarray, count: int, transitive: bool,
+                classes: Optional[np.ndarray]):
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
-    t[D, B] and not t[D, C].  The rows of t are packed over A, so one
-    gather of a row answers every A at once."""
+    t[D, B] and not t[D, C].  The rows of t are packed over A, or over A's
+    class (`classes`), so one gather of a row answers every A at once."""
     size = count.bit_length() - 1
     c, b, d = _chains(size)
 
@@ -331,7 +388,7 @@ def _scan_chain(p: np.ndarray, count: int, transitive: bool):
         return p.take(x * count + y, axis=0)
 
     # each word has a positive factor, so the zero padding bits of a row
-    # (n < 3) never mark a violation
+    # (of class bits, or of A bits below n = 3) never mark a violation
     if transitive:
         viol = at(b, c)
         viol &= at(d, b)
@@ -340,12 +397,12 @@ def _scan_chain(p: np.ndarray, count: int, transitive: bool):
         viol, off = at(d, c), at(d, b)
     viol &= np.invert(off, out=off)
     del off
-    hit = _least_a(viol)
+    hit = _least_a(viol, classes)
     if hit is None:
         return None
     a, has = hit
     chains = np.flatnonzero(has)
-    key = (c[chains] << 2 * size) | (b[chains] << size) | d[chains]
+    key = c[chains].astype(np.intp) << 2 * size | b[chains] << size | d[chains]
     i = chains[np.argmin(key)]
     return (a, int(c[i]), int(b[i]), int(d[i]))
 
@@ -437,7 +494,8 @@ def _outside(count: int):
         yield e, (rest[:, None] * count + rest).ravel()
 
 
-def _scan_bmon_strong(p: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
+def _scan_bmon_strong(p: np.ndarray, count: int, classes: Optional[np.ndarray]
+                      ) -> Optional[tuple[int, int, int]]:
     """BMON-STRONG: r(A, B+D, C) holds and r(A, B, C+D) fails.  With E the
     part of D outside B+C, the body is r(A, B+E+P, C) and not r(A, B,
     C+E+Q), P and Q any subsets of C and of B.  On the table packed over A,
@@ -446,7 +504,8 @@ def _scan_bmon_strong(p: np.ndarray, count: int) -> Optional[tuple[int, int, int
     element each, and (A, C, B) violates for some D where bit A of
     f[B+E, C] & g[B, C+E] is set for some E.  The least A is the least bit
     of the OR of every E's rows; a second loop over bit A of f and g finds
-    the least (C, B), so no array of violation rows is held."""
+    the least (C, B), so no array of violation rows is held.  The rows may
+    be packed over A's class (`classes`), as for `_least_right`."""
     f = p.copy()
     g = np.invert(p)
     for i in range(count.bit_length() - 1):
@@ -460,10 +519,11 @@ def _scan_bmon_strong(p: np.ndarray, count: int) -> Optional[tuple[int, int, int
             hit = f.take(part + e * count, axis=0)
             hit &= g.take(part + e, axis=0)
             found |= _or_rows(hit)
-    a = _least_bit(found)
-    if a is None:
+    hit = _least_member(found, classes)
+    if hit is None:
         return None
-    f, g = _bit(f, a), _bit(g, a)
+    a, bit = hit
+    f, g = _bit(f, bit), _bit(g, bit)
     has = np.zeros_like(f)
     for e, rows in _outside(count):
         has[rows] |= f[rows + e * count] & g[rows + e]
@@ -569,23 +629,30 @@ def _find_violation(
 
     left = ax in _LEFT_FORMS
     p = _packed(r, int(left))
+    bits = None if left else r.classes  # A -> its bit in the rows of p
     if ax is AxiomId.SCLO:
         return _scan_sclo(rows, row, p, cl)
     if ax in _CHAIN_AXIOMS:
-        return _scan_chain(p, count, _CHAIN_AXIOMS[ax])
+        return _scan_chain(p, count, _CHAIN_AXIOMS[ax], bits)
     if ax is AxiomId.BMON_STRONG:  # no violation rows: it finds (A, C, B)
-        hit = _scan_bmon_strong(p, count)
+        hit = _scan_bmon_strong(p, count, bits)
     else:
+        if ax in (AxiomId.SYM, AxiomId.FREE):  # they read bits over A
+            p, bits = _over_a(p, bits), None
         if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-            viol = _packed(r, 1) ^ p
-            viol &= p
+            other = _packed(r, 1)
+            # r(A, B, C) and not r(B, A, C), in place on the A bits that
+            # `_over_a` made for this scan, never on a stored layout
+            viol = np.bitwise_or(p, other, out=p if p.flags.writeable else None)
+            viol ^= other
         elif ax in (AxiomId.NOR_R, AxiomId.NOR_L):  # X replaced by X+C
             viol = _scan_gather(p, count, masks[:, None] | masks)
         elif ax in (AxiomId.CLO_R, AxiomId.CLO_L):  # X replaced by cl(X)
             viol = _scan_gather(p, count, cl[:, None])
         else:
             viol = _D_SCANS[ax](p, count)
-        hit = (_least_left if left else _least_right)(viol, count)
+        hit = (_least_left(viol, count) if left
+               else _least_right(viol, count, bits))
     if hit is None or _arity(ax) == 3:
         return hit
     return _least_d(holds, count, ax, *hit)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -263,7 +264,10 @@ def cmd_list(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later `main` call in the process: parsing keeps no state on it."""
     parser = argparse.ArgumentParser(
         prog="pregeolab",
         description="finite closure operators, pregeometries and"

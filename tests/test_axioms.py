@@ -6,6 +6,7 @@ import pytest
 
 from pregeolab import axioms, closure, instances
 from pregeolab.axioms import (
+    _over_a,
     _pack,
     AXIOM_ORDER,
     AxiomId,
@@ -289,35 +290,62 @@ def test_packed_scans_match_axiom_bodies_on_random_tables():
     assert clo_sizes >= {1, 2, 6}
 
 
+def class_rows(g, rows, classes):
+    """A relation whose A row is rows[classes[A]], kept as class rows."""
+    return TernaryRelation(g, "rows",
+                           lambda a, b, c: bool(rows[classes[a], b, c]),
+                           lambda: rows, classes=classes)
+
+
 @pytest.mark.parametrize("size", range(9))
 def test_pack_matches_packbits(size):
-    """Packing a table, or class rows by a class map that leaves the last
-    row unused from n = 2, gives np.packbits of the (expanded) table."""
+    """Packing a table over either axis gives np.packbits of it.  Class
+    rows, k = 8, 9, 16, 17 and 2^n of them (one to three bytes of class
+    bits; 2^n up to n = 7), pack over axis 0 into np.packbits of the rows
+    themselves, one bit per class with zero padding bits, and `_over_a`
+    expands those bits into np.packbits of the expanded table, as
+    `_packed` lays out the left layout of the class rows.  From k = 2 the
+    class map leaves the last class unused."""
     count = 1 << size
     rng = np.random.default_rng(size)
     t3 = rng.integers(0, 2, (count,) * 3, dtype=np.uint8).view(bool)
-    rows = t3[:size + 2]
-    classes = rng.integers(0, size + 1, count)
+
+    def packbits(cells, axis):
+        bits = np.packbits(cells, axis, bitorder="little")
+        return np.moveaxis(bits, axis, -1).reshape(count * count, -1)
+
     for axis in (0, 1):
-        for cells, got in ((t3, _pack(t3, axis)),
-                           (rows[classes], _pack(rows, axis, classes))):
-            bits = np.packbits(cells, axis, bitorder="little")
-            want = np.moveaxis(bits, axis, -1).reshape(count * count, -1)
-            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(_pack(t3, axis), packbits(t3, axis))
+    # 2^n classes at n = 8 would cost a second: n <= 7 has k = 2^n
+    for k in sorted({8, 9, 16, 17, count} - {256}):
+        rows = t3 if k == count else rng.random((k, count, count)) < 0.9
+        classes = rng.integers(0, max(1, k - 1), count)
+        right = _pack(rows, 0)
+        assert right.shape == (count * count, -(-k // 8))
+        np.testing.assert_array_equal(right, packbits(rows, 0))
+        # the expanded table's cells, rows (B, C) over A, from the class bits
+        cells = np.unpackbits(right, axis=1, bitorder="little")[:, classes]
+        np.testing.assert_array_equal(
+            _over_a(right, classes), np.packbits(cells, 1, bitorder="little"))
+        r = class_rows(GroundSet(size), rows, classes)
+        np.testing.assert_array_equal(axioms._packed(r, 1),
+                                      packbits(rows[classes], 1))
+        assert r.table is None
 
 
 @pytest.mark.parametrize("name,rel_id", [
     ("u36", "cl"), ("gebert8", "a"), ("gebert8", "aM"), ("gebert8", "sup")])
 def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
     """Every scan of one relation reads the same two packed layouts, each
-    read-only and packed at most once, from the class rows: no scan
-    builds the 2^(3n) table."""
+    read-only and packed at most once from the class rows themselves: no
+    scan builds the 2^(3n) table, and the right layout holds one bit per
+    class, not one per A."""
     axes = []
 
-    def counted(t3, axis, classes=None):
+    def counted(t3, axis):
         axes.append(axis)
-        assert len(t3) == len(r.rows) < len(classes)
-        return _pack(t3, axis, classes)
+        assert t3 is r.rows and len(t3) < len(r.classes)
+        return _pack(t3, axis)
 
     monkeypatch.setattr(axioms, "_pack", counted)
     inst = catalog_instance(name)
@@ -325,6 +353,9 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
     check_all(r, instance_operator(inst))
     assert sorted(axes) == [0, 1]
     assert r.table is None
+    count = r.ground.subset_count
+    assert r.packed[0].shape == (count * count, -(-len(r.rows) // 8))
+    assert r.packed[1].shape == (count * count, count // 8)
     for axis in (0, 1):
         view = r.packed[axis]
         assert not view.flags.writeable
@@ -340,9 +371,9 @@ def test_layouts_derive_from_read_only_rows(monkeypatch):
     written into, so no edit can leave a layout stale."""
     packed = []
 
-    def counted(t3, axis, classes=None):
+    def counted(t3, axis):
         packed.append((axis, len(t3)))
-        return _pack(t3, axis, classes)
+        return _pack(t3, axis)
 
     monkeypatch.setattr(axioms, "_pack", counted)
     source = np.ones((16, 16, 16), dtype=bool)
@@ -648,31 +679,111 @@ def test_random_class_rows_scan_like_their_expanded_tables():
     """Random rows with random class maps at n = 0..7 (at n = 7 the right
     layout packs two blocks of B) report, on every axiom and in `compare`
     either way with another relation, what `from_table` of their expanded
-    table reports, and build no table.  Some class maps leave rows unused,
-    and dense rows put witnesses past A = {}."""
+    table reports, and build no table.  Besides a random k, from n = 3 the
+    class bits of a row span one, two and three bytes (k = 8, 9, 16, 17
+    and 2^n), with dense rows.  Some class maps leave rows unused, and
+    dense rows put witnesses past A = {}."""
     rng = np.random.default_rng(25)
     late = 0
+    widths = set()
     for size in range(8):
         g = GroundSet(size)
         count = 1 << size
         op = random_closure(g, rng)
-        for density in (0.5, 0.99):
-            k = int(rng.integers(1, count + 1))
+        draws = [(int(rng.integers(1, count + 1)), d) for d in (0.5, 0.99)]
+        if size >= 3:
+            draws += [(k, 0.99) for k in sorted({8, 9, 16, 17, count})]
+        for k, density in draws:
             rows = rng.random((k, count, count)) < density
             classes = rng.integers(0, k, count)
-            r = TernaryRelation(g, "rows",
-                                lambda a, b, c: bool(rows[classes[a], b, c]),
-                                lambda rows=rows: rows, classes=classes)
+            r = class_rows(g, rows, classes)
             t = from_table(g, "rows", rows[classes])
             want = verdicts(t, op)
-            assert verdicts(r, op) == want, (size, density)
+            assert verdicts(r, op) == want, (size, k, density)
+            widths.add(r.packed[0].shape[1])
             late += sum(w is not None and w[0] > 0 for _, w in want)
             other = random_relation(g, size)
-            assert compare(r, other) == compare(t, other), (size, density)
-            assert compare(other, r) == compare(other, t), (size, density)
+            assert compare(r, other) == compare(t, other), (size, k, density)
+            assert compare(other, r) == compare(other, t), (size, k, density)
             assert compare(r, t) == Comparison("equal", None)
             assert r.table is None
-    assert late > 30
+    assert late > 30 and widths >= {1, 2, 3}
+
+
+def test_chains_are_kept_read_only_for_the_last_size():
+    """`_chains` lists each chain C <= B <= D once, in read-only arrays
+    that it hands out again for the size it was last asked for."""
+    c, b, d = axioms._chains(4)
+    assert sorted(zip(c, b, d)) == [
+        (x, y, z) for x, y, z in product(range(16), repeat=3)
+        if x & ~y == 0 and y & ~z == 0]
+    assert all(axioms._chains(4)[i] is x for i, x in enumerate((c, b, d)))
+    for x in (c, b, d):
+        with pytest.raises(ValueError):
+            x[0] = 1
+    axioms._chains(3)
+    assert axioms._chains(4)[0] is not c
+
+
+#: the right-layout axioms whose body reads A only through holds(A, ., .)
+_CLASS_AXIOMS = (AxiomId.NOR_R, AxiomId.CLO_R, AxiomId.MON_R, AxiomId.BMON_R,
+                 AxiomId.TRA_R, AxiomId.TRA_STRONG, AxiomId.BMON_STRONG)
+
+
+def test_least_a_is_the_least_member_of_a_violated_class():
+    """With the classes numbered against A (A = 0 in the last class), the
+    least violating A lies in the violated class whose least member is
+    least, which is not the least violated class index.  Each axiom that
+    reads A only through holds(A, ., .) reports that A, and completes it
+    as a relation whose every A row is that class's row does."""
+    rng = np.random.default_rng(28)
+    g = GroundSet(4)
+    count, k = 16, 9
+    classes = (count - 1 - np.arange(count)) * k // count  # 8, 7, 7, ..., 0
+    assert set(classes) == set(range(k))
+    op = random_closure(g, rng)
+    crossed = 0
+    for density in (0.9, 0.97):
+        rows = rng.random((k, count, count)) < density
+        r = class_rows(g, rows, classes)
+        for ax in _CLASS_AXIOMS:
+            alone = [check_axiom(from_table(g, "row", np.broadcast_to(
+                row, (count,) * 3)), ax, op).witness for row in rows]
+            violated = [j for j, w in enumerate(alone) if w is not None]
+            got = check_axiom(r, ax, op).witness
+            if not violated:
+                assert got is None
+                continue
+            a = min(np.flatnonzero(np.isin(classes, violated)))
+            assert got == (a,) + alone[classes[a]][1:], (density, ax)
+            crossed += classes[a] != min(violated)
+    assert crossed >= 5
+
+
+def test_scans_keep_padding_bits_zero():
+    """Rows of k = 9 or 17 class bits, and of A bits below n = 3, have
+    padding bits in their last byte.  `_pack`, `_over_a` and every scan
+    that returns violation rows leave them 0, so no padding bit can stand
+    for a class or an A: the gathers of NOR-R and CLO-R, MON-R's
+    superset-OR, TRA-STRONG, and FREE on the A bits."""
+    rng = np.random.default_rng(29)
+    for size, k in ((4, 9), (4, 17), (2, 4), (1, 2), (0, 1), (2, 3)):
+        count = 1 << size
+        op = random_closure(GroundSet(size), rng)
+        masks = np.arange(count)
+        classes = rng.integers(0, k, count)
+        for density in (0.5, 0.9):
+            p = _pack(rng.random((k, count, count)) < density, 0)
+            over_a = _over_a(p, classes) if k != count else p
+            class_rows_out = [
+                p, axioms._scan_gather(p, count, masks[:, None] | masks),
+                axioms._scan_gather(p, count, op.table[:, None]),
+                axioms._scan_mon(p, count), axioms._scan_tra_strong(p, count)]
+            for out, bits in [(x, k) for x in class_rows_out] + [
+                    (over_a, count), (axioms._scan_free(over_a, count), count)]:
+                assert out.shape[1] == -(-bits // 8)
+                pad = 0xFF << bits % 8 & 0xFF if bits % 8 else 0
+                assert not (out[:, -1] & pad).any(), (size, k, density)
 
 
 def test_search_finds_u34_for_bmon_r_failure():

@@ -4,7 +4,7 @@ import io
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pregeolab import geometry, instances, relcalc, verify
+from pregeolab import cli, geometry, instances, relcalc, verify
 from pregeolab.axioms import AxiomId
 from pregeolab.cli import main
 from pregeolab.instances import CATALOG_NAMES, RELATIONS, catalog_instance
@@ -411,6 +411,54 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+#: argument vectors that leave options behind them for a shared parser to
+#: keep: --strict on and then off, argparse usage errors between commands
+_SUCCESSIVE = (
+    ["check", "--instance", "u34", "--relation", "a", "--axiom", "BMON-R",
+     "--strict"],
+    ["check", "--instance", "u34", "--relation", "a", "--axiom", "BMON-R"],
+    ["compare", "--instance", "u34", "--relations", "cl,a", "--strict"],
+    ["check", "--instance", "u34", "--relation"],
+    ["compare", "--instance", "u34", "--relations", "cl,a"],
+    ["modular", "--instance", "u34", "--strict"],
+    ["dim", "--instance", "u34", "--set", "{0,1}"],
+    ["modular", "--instance", "u34"],
+    ["nope"],
+    ["check", "--instance", "u34", "--relation", "a", "--all"],
+    ["check", "--instance", "u34", "--relation", "a", "--axiom", "SYM",
+     "--strict"],
+    ["verify", "--suite", "bogus"],
+    ["list"],
+)
+
+
+def outcomes(capsys, argvs):
+    """(exit code, stdout, stderr) of `main` on each argument vector in turn,
+    the code of an argparse usage error read from its SystemExit."""
+    seen = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    return seen
+
+
+def test_main_reuses_one_parser_as_fresh_parsers_would(capsys, monkeypatch):
+    """`main` builds its parser once per process.  Successive calls with
+    different commands, with and without --strict, with usage errors in
+    between, exit and print as when each call builds a fresh parser."""
+    shared = outcomes(capsys, _SUCCESSIVE)
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert shared == outcomes(capsys, _SUCCESSIVE)
+    assert [code for code, _, _ in shared] == [1, 0, 1, 2, 0, 1, 0, 0, 2, 0,
+                                              0, 2, 0]
 
 
 def test_directory_instance_is_usage_error(capsys, tmp_path):
