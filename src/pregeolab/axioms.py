@@ -42,9 +42,21 @@ the least (A, C, B) from a packed violation array:
   SYM and FREE compare A's bits with something that depends on A
   itself, so they read the class bits expanded to A bits (`_over_a`,
   one lookup table per byte of class bits), which are never stored.
-- left: B packed, rows (A, C), 2^n bits per row; the packed class rows
-  are taken by class.  `_least_left` takes the first nonzero row as
-  (A, C) and its least bit as B.  NOR-L, CLO-L, MON-L and SCLO use it.
+- left: B packed, 2^n bits per row, rows (A, C), or (class, C) for class
+  rows: k x 2^n rows, 72 KB for gebert8 `a` in place of 2 MB.
+  `_least_left` takes the least A whose block of rows C is nonzero, the
+  block being A's own, or one that A shares with the other A of its
+  class or of its pair of row indexes, then the block's first set bit as
+  (C, B).  NOR-L, CLO-L, MON-L and SCLO use it.  On class rows NOR-L's
+  second row (class(A+C), C) is a row of A's class wherever the class of
+  A+C depends on A only through its class (`_union_classes`), as it does
+  for closure classes and max-classes, so NOR-L runs one block per class;
+  CLO-L runs one block per distinct pair (class(A), class(cl(A)))
+  (`_pair_blocks`); SCLO takes each block of A rows by class; and the
+  chain scans of BMON-L and TRA-L gather rows (class(X), Y).  Only SYM,
+  MON-L, and NOR-L under another class map take the rows by class into
+  one row per (A, C) (`_left_over_a`), a fresh array each time: stored,
+  it would lift a fresh gebert8 `a --all` from 36.8 to 38.8 MB.
 
 Where the scans read cells (EX, AREF, SCLO's pair rows and the least
 D), holds(A, B, C) reads row classes[A].  So no scan of a class-row
@@ -55,10 +67,12 @@ SYM takes the bits of the right layout that the left one, whose row
 gather of the rows (X+C, C) or (cl(X), C), X the row's other variable
 (`_scan_gather`).  SCLO XORs the left layout with the rows of its
 right side, one packed row per pair of closed sets (`_scan_sclo`).
-`compare` XORs the two relations' left layouts, so it builds no table
-from class rows, and its witness is the least (A, B, C), not (A, C, B):
-`_least_abc` takes the least A with a nonzero row, then the least bit B
-of the OR of that A's rows, then the least C whose row has bit B.
+`compare` XORs the two relations' left layouts, one block of rows C per
+distinct pair (class1(A), class2(A)) where either has class rows, so it
+builds no table from class rows, and its witness is the least (A, B, C),
+not (A, C, B): `_least_abc` takes the least A with a nonzero block, then
+the least bit B of the OR of that block, then the least C whose row has
+bit B.
 The four-variable axioms never build the 2^(4n) array:
 
 - zeta scan (MON-*, FREE): one whole-row OR per element marks the
@@ -262,19 +276,65 @@ def _rows(r: TernaryRelation) -> np.ndarray:
 def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
     """r's rows packed over `axis`, read-only, packed on first use and kept
     in `r.packed`, so every later scan of r reads the same rows.  Over
-    axis 0 class rows keep one bit per class; over axis 1 the packed class
-    rows are taken by class, so that the rows are (A, C).  Neither layout
-    needs the table of class rows."""
+    axis 0 class rows keep one bit per class; over axis 1 their rows are
+    (class, C), k x 2^n of them, and `_left_over_a` takes them by class
+    for the scans that need rows (A, C).  Neither layout needs the table
+    of class rows."""
     p = r.packed.get(axis)
     if p is None:
         p = _pack(_rows(r), axis)
-        if axis == 1 and r.classes is not None:
-            count = r.ground.subset_count
-            p = p.reshape(-1, count, p.shape[1]).take(r.classes, axis=0)
-            p = p.reshape(-1, p.shape[-1])
         p.flags.writeable = False
         r.packed[axis] = p
     return p
+
+
+def _left_over_a(r: TernaryRelation) -> np.ndarray:
+    """r's left layout with one row per (A, C): the packed class rows
+    taken by class, a fresh array each call, or, without classes, the
+    stored layout itself."""
+    p = _packed(r, 1)
+    if r.classes is None:
+        return p
+    count = r.ground.subset_count
+    return p.reshape(-1, count, p.shape[1]).take(r.classes, axis=0).reshape(
+        -1, p.shape[1])
+
+
+def _union_classes(classes: np.ndarray, k: int, count: int
+                   ) -> Optional[np.ndarray]:
+    """[class, C]: the class of A + C for the A of that class, when that
+    class depends on A only through its class (classes is a union
+    congruence: class(A) = class(A') gives class(A + C) = class(A' + C));
+    None when it does not.  Closure classes are one, since cl(A + C) =
+    cl(cl(A) + C), and so are max-classes.  One gather over (A, C) checks
+    it; the rows of classes no A has are 0."""
+    cls = classes.astype(np.min_scalar_type(k - 1))
+    masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
+    union = cls[masks[:, None] | masks]  # [A, C]: class(A + C)
+    used, first = np.unique(cls, return_index=True)
+    table = np.zeros((k, count), dtype=cls.dtype)
+    table[used] = union[first]
+    if not np.array_equal(union, table[cls]):
+        return None
+    return table.astype(np.intp)
+
+
+def _pair_blocks(p1: np.ndarray, rows1: Optional[np.ndarray],
+                 p2: np.ndarray, rows2: Optional[np.ndarray], count: int
+                 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Left layouts p1 and p2 whose row (A, C) is row (rows1[A], C) and row
+    (rows2[A], C), or row (A, C) where the map is None, as fresh blocks of
+    `count` rows C, one per distinct pair (rows1[A], rows2[A]), with A ->
+    its block.  When both maps are None, p1 and p2 themselves and None."""
+    if rows1 is None and rows2 is None:
+        return p1, p2, None
+    masks = np.arange(count)
+    first = masks if rows1 is None else rows1
+    second = masks if rows2 is None else rows2
+    width = int(second.max()) + 1
+    codes, index = np.unique(first * width + second, return_inverse=True)
+    return (*(p.reshape(-1, count, p.shape[1])[x].reshape(-1, p.shape[1])
+              for p, x in ((p1, codes // width), (p2, codes % width))), index)
 
 
 #: bytes of A bits in one block of rows of `_over_a`
@@ -361,30 +421,55 @@ def _least_right(viol: np.ndarray, count: int, classes: Optional[np.ndarray]
     return (a, c, b)
 
 
-def _least_left(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
-    """Least (A, C, B) of violation rows (A, C) packed over B: the least A
-    with a nonzero row, then the first set bit of its rows, which lies in
-    the least C and is its least B.  Padding bits of the rows must be 0."""
+def _least_block(viol: np.ndarray, count: int, index: Optional[np.ndarray]
+                 ) -> Optional[tuple[int, np.ndarray]]:
+    """The least A whose block of `count` rows in viol is nonzero, and that
+    block: block index[A], or block A when index is None.  None when no A's
+    block is.  Padding bits of the rows must be 0."""
     width = viol.shape[1]
-    a = int(np.argmax(viol.reshape(-1, count * width).max(axis=1) != 0))
-    bits = np.unpackbits(viol[a * count:(a + 1) * count], bitorder="little")
-    k = int(np.argmax(bits))
-    if not bits[k]:
+    nonzero = viol.reshape(-1, count * width).max(axis=1) != 0
+    if index is not None:
+        nonzero = nonzero[index]
+    a = int(np.argmax(nonzero))
+    if not nonzero[a]:
         return None
-    c, b = divmod(k, 8 * width)
+    block = a if index is None else int(index[a])
+    return a, viol[block * count:(block + 1) * count]
+
+
+def _least_left(viol: np.ndarray, count: int,
+                index: Optional[np.ndarray] = None
+                ) -> Optional[tuple[int, int, int]]:
+    """Least (A, C, B) of violation rows (A, C) packed over B, or of blocks
+    of rows C that A reads as block index[A] (`_least_block`): the least A
+    with a nonzero block, then the first set bit of the block, which lies
+    in the least C and is its least B."""
+    hit = _least_block(viol, count, index)
+    if hit is None:
+        return None
+    a, block = hit
+    c, b = divmod(int(np.argmax(np.unpackbits(block, bitorder="little"))),
+                  8 * viol.shape[1])
     return (a, c, b)
 
 
 def _scan_chain(p: np.ndarray, count: int, transitive: bool,
-                classes: Optional[np.ndarray]):
+                classes: Optional[np.ndarray],
+                row_of: Optional[np.ndarray] = None):
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
     t[D, B] and not t[D, C].  The rows of t are packed over A, or over A's
-    class (`classes`), so one gather of a row answers every A at once."""
+    class (`classes`), so one gather of a row answers every A at once.
+    Row (x, y) of t is row (row_of[x], y) of p when row_of is given: the
+    left layout of class rows, whose x is the table's first variable."""
     size = count.bit_length() - 1
     c, b, d = _chains(size)
+    if row_of is not None:  # x * count + y stays below k * 2^n
+        row_of = row_of.astype(c.dtype)
 
     def at(x, y):
+        if row_of is not None:
+            x = row_of[x]
         return p.take(x * count + y, axis=0)
 
     # each word has a positive factor, so the zero padding bits of a row
@@ -410,7 +495,8 @@ def _scan_chain(p: np.ndarray, count: int, transitive: bool,
 def _scan_gather(p: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
     """Violation rows (X, C), X being B on the right layout and A on the
     left one, where r holds and fails with X replaced by x[X, C]: the
-    second cell is row (x[X, C], C), so one gather gives every such cell."""
+    second cell is row (x[X, C], C), so one gather gives every such cell.
+    X may also be a class of A, whose rows p holds (NOR-L on class rows)."""
     viol = p.take((x * count + np.arange(count)).ravel(), axis=0)
     np.invert(viol, out=viol)
     viol &= p
@@ -423,7 +509,8 @@ _SCLO_BLOCK_CELLS = 1 << 18
 
 
 def _scan_sclo(
-    rows: np.ndarray, row: np.ndarray, left: np.ndarray, cl: np.ndarray
+    rows: np.ndarray, classes: Optional[np.ndarray], left: np.ndarray,
+    cl: np.ndarray
 ) -> Optional[tuple[int, int, int]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
     closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
@@ -434,19 +521,27 @@ def _scan_sclo(
     The scan runs in blocks of A rows that double, and a block gathers
     only the pair rows it reaches that no earlier block gathered, so an
     early A stays cheap.  The pair rows are read from `rows`, A's row
-    being row[A], so the table is never built."""
-    count = len(row)
+    being classes[A], so the table is never built, and for class rows a
+    block's rows of `left`, which are (class, C), are taken by class.  The
+    2-D index arrays are in the narrowest unsigned dtype that holds them."""
+    count = len(cl)
     masks = np.arange(count)
+    row = masks if classes is None else classes
     closed = np.flatnonzero(cl == masks)
     rank = np.empty(count, dtype=np.intp)
     rank[closed] = np.arange(len(closed))
     zs, xs = np.nonzero(closed[:, None] & ~closed == 0)  # the pairs Z <= X
-    pair = np.zeros((len(closed),) * 2, dtype=np.intp)  # [Z, X] -> its row
+    # [Z, X] -> its row
+    pair = np.zeros((len(closed),) * 2, dtype=np.min_scalar_type(len(zs) - 1))
     pair[zs, xs] = np.arange(len(zs))
-    up = cl[closed[:, None] | masks]  # [Z, B]: cl(B+Z)
+    narrow = np.arange(count, dtype=np.min_scalar_type(count - 1))
+    up = cl.astype(narrow.dtype)[closed[:, None] | narrow]  # [Z, B]: cl(B+Z)
     reach = pair[np.arange(len(closed)), rank[up.T]]  # [A, Z]: (Z, cl(A+Z))
     base = rank[cl]  # C -> the rank of cl(C)
-    right_cells = up * count + closed[:, None]  # [Z, B]: (cl(B+Z), Z)
+    # [Z, B]: the flat index of (cl(B+Z), Z) in A's row, in a dtype that
+    # holds every flat index of `rows`
+    cell = np.min_scalar_type(rows.size - 1)
+    right_cells = up.astype(cell) * count + closed[:, None].astype(cell)
     # [pair, B]: r(X, cl(B+Z), Z), packed over B
     right = np.empty((len(zs), count + 7 >> 3), dtype=np.uint8)
     done = np.zeros(len(zs), dtype=bool)  # the rows of right gathered so far
@@ -460,10 +555,14 @@ def _scan_sclo(
         new = np.flatnonzero(want > done)
         done[new] = True
         cells = right_cells[zs[new]]
-        cells += row[closed[xs[new]], None] * count**2
+        cells += (row[closed[xs[new]]] * count**2).astype(cell)[:, None]
         right[new] = np.packbits(rows.take(cells), axis=-1, bitorder="little")
         viol = right.take(at, axis=0)
-        viol ^= left[lo * count:hi * count]
+        if classes is None:
+            viol ^= left[lo * count:hi * count]
+        else:
+            viol ^= left.reshape(-1, count, left.shape[1]).take(
+                classes[lo:hi], axis=0).reshape(viol.shape)
         hit = _least_left(viol, count)
         if hit is not None:
             return (lo + hit[0],) + hit[1:]
@@ -631,16 +730,29 @@ def _find_violation(
     p = _packed(r, int(left))
     bits = None if left else r.classes  # A -> its bit in the rows of p
     if ax is AxiomId.SCLO:
-        return _scan_sclo(rows, row, p, cl)
-    if ax in _CHAIN_AXIOMS:
-        return _scan_chain(p, count, _CHAIN_AXIOMS[ax], bits)
+        return _scan_sclo(rows, r.classes, p, cl)
+    if ax in _CHAIN_AXIOMS:  # a left form reads rows (class(x), y)
+        return _scan_chain(p, count, _CHAIN_AXIOMS[ax], bits,
+                           r.classes if left else None)
+    if left and r.classes is not None:  # p's rows are (class, C)
+        if ax is AxiomId.NOR_L:
+            union = _union_classes(r.classes, len(rows), count)
+            if union is not None:  # one block of rows C per class
+                viol = _scan_gather(p, count, union)
+                return _least_left(viol, count, r.classes)
+        elif ax is AxiomId.CLO_L:  # one block per (class(A), class(cl(A)))
+            p, off, index = _pair_blocks(p, r.classes, p, r.classes[cl], count)
+            np.invert(off, out=off)
+            off &= p
+            return _least_left(off, count, index)
+        p = _left_over_a(r)  # MON-L ORs along A, NOR-L reads every A
     if ax is AxiomId.BMON_STRONG:  # no violation rows: it finds (A, C, B)
         hit = _scan_bmon_strong(p, count, bits)
     else:
         if ax in (AxiomId.SYM, AxiomId.FREE):  # they read bits over A
             p, bits = _over_a(p, bits), None
         if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-            other = _packed(r, 1)
+            other = _left_over_a(r)
             # r(A, B, C) and not r(B, A, C), in place on the A bits that
             # `_over_a` made for this scan, never on a stored layout
             viol = np.bitwise_or(p, other, out=p if p.flags.writeable else None)
@@ -708,26 +820,34 @@ class Comparison:
     witness: Optional[tuple[int, int, int]]  # least differing (A, B, C)
 
 
-def _least_abc(viol: np.ndarray, count: int) -> Optional[tuple[int, int, int]]:
-    """Least (A, B, C) of violation rows (A, C) packed over B: the least A
-    with a nonzero row, then the least (B, C) among its rows' bits, which
-    is the least bit B of their OR and the least C whose row has it.
-    Padding bits of the rows must be 0."""
-    a = int(np.argmax(viol.reshape(count, -1).max(axis=1) != 0))
-    bits = np.unpackbits(viol[a * count:(a + 1) * count], axis=1,
-                         bitorder="little")
+def _least_abc(viol: np.ndarray, count: int, index: Optional[np.ndarray]
+               ) -> Optional[tuple[int, int, int]]:
+    """Least (A, B, C) of violation rows (A, C) packed over B, or of blocks
+    as for `_least_left`: the least A with a nonzero block, then the least
+    (B, C) among its bits, which is the least bit B of the block's OR and
+    the least C whose row has it."""
+    hit = _least_block(viol, count, index)
+    if hit is None:
+        return None
+    a, block = hit
+    bits = np.unpackbits(block, axis=1, bitorder="little")
     b, c = divmod(int(np.argmax(bits.T)), count)
-    return (a, b, c) if bits[c, b] else None
+    return (a, b, c)
 
 
 def compare(r1: TernaryRelation, r2: TernaryRelation) -> Comparison:
     """Table-level comparison; "implies" means r1 is stronger (r1 <= r2).
-    It XORs the two left layouts, so it never builds a class-row table."""
+    It XORs the two left layouts, so it never builds a class-row table.
+    Where a relation has class rows, row (A, C) depends on A only through
+    the pair of row indexes (class1(A), class2(A)), so one block of rows C
+    per distinct pair is compared, 9 on gebert8 `a` against `sup`."""
     if r1.ground != r2.ground:
         raise ValueError("relations live on different ground sets")
-    p1, p2 = _packed(r1, 1), _packed(r2, 1)
+    count = r1.ground.subset_count
+    p1, p2, index = _pair_blocks(_packed(r1, 1), r1.classes,
+                                 _packed(r2, 1), r2.classes, count)
     diff = p1 ^ p2
-    witness = _least_abc(diff, r1.ground.subset_count)
+    witness = _least_abc(diff, count, index)
     if witness is None:
         return Comparison("equal", None)
     more = bool((diff & p1).any())  # some cell with r1 and not r2

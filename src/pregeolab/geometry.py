@@ -6,13 +6,16 @@ is meaningless.  `independence_table` works for any closure operator.
 
 Like the closure table, the layer is arrays over pairs of masks, each
 built in n passes: `independence_table` [I, X], and `dim_table`, dim(A/X)
-as one read-only int8 array [A, X].  The dimension relation, the
-`dim-laws` suite and modularity conditions 4 and 5 index `dim_table`,
-and every law is a boolean violation array whose least witness is its
-first true cell (`lattice.first_true`).  `basis_of` stays scalar for the
-`dim` and `basis` queries and as a test reference, and
-`brute_dim_oracle`, a maximum over all independent subsets rather than
-the greedy, is the independent oracle.
+as one read-only int8 array [A, X].  The `dim-laws` suite and
+modularity conditions 4 and 5 index `dim_table`.  The dimension
+relation reads only `rank_vector`, dim(A) for every A, since in a
+pregeometry dim(A/X) = dim(A + X) - dim(X); its scalar predicate still
+reads `dim_table`, so the two routes stay independent.  Every law is a
+boolean violation array whose least witness is its first true cell
+(`lattice.first_true`).  `basis_of` stays scalar for the `dim` and
+`basis` queries and as a test reference, and `brute_dim_oracle`, a
+maximum over all independent subsets rather than the greedy, is the
+independent oracle.
 """
 
 from __future__ import annotations
@@ -121,6 +124,20 @@ def _build_dim_table(pg: Pregeometry) -> np.ndarray:
         np.add(dim_rows, 1, out=dim_rows, where=take)
     dims.flags.writeable = False
     return dims
+
+
+def rank_vector(pg: Pregeometry) -> np.ndarray:
+    """dim(A) for every mask A, an int8 array: n passes, the one for
+    element t filling the masks whose top element is t from the masks
+    below 2^t, rank(A + t) = rank(A) + (t not in cl(A)).  In a
+    pregeometry dim(A/X) = rank(A + X) - rank(X), so with 2^n cells this
+    stands in for the 2^(2n) cells of `dim_table`."""
+    cl = pg.op.table
+    rank = np.zeros(pg.ground.subset_count, dtype=np.int8)
+    for t in range(pg.ground.size):
+        lo = 1 << t
+        np.add(rank[:lo], cl[:lo] >> t & 1 == 0, out=rank[lo:2 * lo])
+    return rank
 
 
 def closed_pair_excess(pg: Pregeometry) -> np.ndarray:

@@ -72,51 +72,94 @@ def linear_pregeometry(vectors: Sequence[Sequence[int]], modulus: int) -> Pregeo
     cl(A) = { i : vectors[i] lies in the span of {vectors[j] : j in A} }.
     Supported moduli: 2 and 3.
 
-    Spans grow subset by subset: the span of A is the span of A without
-    its top element t, or, when t is not yet in it, its `modulus` disjoint
-    cosets by multiples of vectors[t].  Every span is kept, which is
-    about (modulus + 1)^k vectors for k independent vectors, so a
-    ValueError refuses the input once the spans would store more than
-    `DEFAULT_TABLE_CAP_BITS` coordinates, one byte each.
+    The spans grow by batched Gaussian elimination.  red[A, i] is
+    vectors[i] reduced against an echelon basis of the span of A, so it
+    is zero exactly when vectors[i] lies in that span.  Level t fills the
+    masks with top element t from the masks below 2^t in one step: the
+    pivot of A + t is the first nonzero coordinate p of red[A, t], and
+    every red[A, i] sheds red[A, i, p] * w times red[A, t], w = red[A, t,
+    p], which is its own inverse mod 2 and mod 3, so that red[A + t, i, p]
+    is 0.  Coordinates beyond n are first cut by row-reducing the
+    vectors, which keeps every linear relation among them.
+
+    A ValueError refuses the input by what storing every span as a list
+    of its vectors would cost: `dim` coordinates for the empty span, and
+    modulus * q^rank(A) * dim more for each A + t whose top element t
+    grows the span of A.  Once a level adds to that count and it exceeds
+    `DEFAULT_TABLE_CAP_BITS`, the input is refused before the level is
+    written (`red` is `np.empty`, so no page of the levels above is
+    touched).
     """
     if modulus not in (2, 3):
         raise ValueError("only GF(2) and GF(3) are supported")
     cols = (np.array([list(v) for v in vectors], dtype=np.int64).T
-            % modulus).astype(np.int8)  # sums below stay at most 6
+            % modulus).astype(np.int8)  # sums below stay at most 18
     if cols.ndim != 2 or cols.shape[1] == 0:
         raise ValueError("need at least one vector")
     dim, n = cols.shape
     ground = GroundSet(n)
-    vecs = np.ascontiguousarray(cols.T)
-    owners: dict[bytes, int] = {}  # code -> mask of the vectors with that code
-    for j, code in enumerate(_row_codes(vecs)):
-        owners[code] = owners.get(code, 0) | 1 << j
-    multiples = np.arange(modulus, dtype=np.int8)[:, None, None]
-    spans = [np.zeros((1, dim), dtype=np.int8)]
-    stored = dim  # coordinates held by the distinct span arrays
-    table = []
-    for m in range(ground.subset_count):
-        if m:
-            top = m.bit_length() - 1
-            rest = m ^ 1 << top
-            span = spans[rest]
-            if not table[rest] >> top & 1:
-                stored += span.size * modulus
-                if stored > DEFAULT_TABLE_CAP_BITS:
-                    raise ValueError(
-                        f"the spans of {n} vectors need more than"
-                        f" {DEFAULT_TABLE_CAP_BITS} coordinates")
-                span = ((span + multiples * vecs[top]) % modulus).reshape(-1, dim)
-            spans.append(span)
-        # span members are distinct, so their owner masks are disjoint
-        table.append(sum(owners.get(c, 0) for c in _row_codes(spans[m])))
+    if dim > n:
+        cols = _row_reduce(cols, modulus)
+    if not len(cols):  # no coordinates: every vector is zero
+        cols = np.zeros((1, n), dtype=np.int8)
+    table = _span_closure(cols, modulus, dim)
     return Pregeometry(operator_from_table(ground, table))
 
 
-def _row_codes(rows: np.ndarray) -> list[bytes]:
-    """Each row of a C-contiguous int8 array as its bytes: a code with no
-    arithmetic, so no dimension makes two vectors share one."""
-    return rows.view(np.dtype((np.void, rows.shape[1]))).ravel().tolist()
+def _span_closure(cols: np.ndarray, modulus: int, dim: int) -> np.ndarray:
+    """cl(A) for every mask A, as `linear_pregeometry` says, from the
+    columns `cols` reduced mod `modulus`; `dim` coordinates count towards
+    the budget."""
+    n = cols.shape[1]
+    count = 1 << n
+    red = np.empty((count, n, len(cols)), dtype=np.int8)  # [A, i, coordinate]
+    red[0] = cols.T
+    rank = np.zeros(count, dtype=np.intp)  # rank[A]: the dimension of span(A)
+    # modulus^(rank + 1): the vectors t adds to the span of A, over each
+    # of the modulus^rank vectors of the span
+    grown = np.array([modulus ** (j + 1) for j in range(n + 1)])
+    stored = dim  # coordinates the span lists would hold
+    for t in range(n):
+        lo = 1 << t
+        row = red[:lo, t]  # [A, coordinate]: vectors[t] reduced against A
+        grows = row.any(axis=1)
+        added = dim * int(grown[rank[:lo][grows]].sum())
+        stored += added
+        if added and stored > DEFAULT_TABLE_CAP_BITS:
+            raise ValueError(
+                f"the spans of {n} vectors need more than"
+                f" {DEFAULT_TABLE_CAP_BITS} coordinates")
+        at = np.arange(lo)
+        pivot = (row != 0).argmax(axis=1)  # the first nonzero coordinate
+        # -red[A, i, p] * w mod q; 0 where vectors[t] is in span(A)
+        factor = red[at, :, pivot] * (row[at, pivot] * (modulus - 1))[:, None]
+        step = red[lo:2 * lo]
+        np.multiply(factor[:, :, None], row[:, None, :], out=step)
+        np.add(step, red[:lo], out=step)
+        np.remainder(step, modulus, out=step)
+        rank[lo:2 * lo] = rank[:lo] + grows
+    inside = ~red.any(axis=2)  # [A, i]: vectors[i] in span(A)
+    return (inside << np.arange(n)).sum(axis=1)
+
+
+def _row_reduce(cols: np.ndarray, modulus: int) -> np.ndarray:
+    """The nonzero rows of an echelon form of `cols` (coordinates x
+    vectors) over GF(modulus): at most one row per vector, and the same
+    linear relations among the columns."""
+    m = cols.copy()
+    rank = 0
+    for j in range(m.shape[1]):
+        below = np.flatnonzero(m[rank:, j])
+        if not len(below):
+            continue
+        k = rank + below[0]
+        m[[rank, k]] = m[[k, rank]]
+        m[rank] = m[rank] * m[rank, j] % modulus  # the pivot becomes 1
+        m[rank + 1:] = (m[rank + 1:] - m[rank + 1:, j, None] * m[rank]) % modulus
+        rank += 1
+        if rank == len(m):
+            break
+    return m[:rank]
 
 
 # ---------------------------------------------------------------------------
@@ -671,11 +714,17 @@ def _linear(fields: dict[str, str], cl_lines: list) -> dict:
     fld = fields.get("field", "gf2")
     if fld not in ("gf2", "gf3"):
         raise InstanceFormatError(f"unknown field {fld!r}")
-    vectors = [tuple(int(ch) for ch in chunk)
-               for chunk in fields["vectors"].split()]
+    modulus = 2 if fld == "gf2" else 3
+    chunks = fields["vectors"].split()
+    for chunk in chunks:  # linear_pregeometry would reduce a digit mod q
+        if not set(chunk) <= set("012"[:modulus]):
+            raise InstanceFormatError(
+                f"key 'vectors' must hold the digits 0..{modulus - 1} of"
+                f" {fld}, got {chunk!r}")
+    vectors = [tuple(map(int, chunk)) for chunk in chunks]
     if len({len(v) for v in vectors}) > 1:
         raise InstanceFormatError("vectors must share a dimension")
-    return _pregeometry(linear_pregeometry(vectors, 2 if fld == "gf2" else 3))
+    return _pregeometry(linear_pregeometry(vectors, modulus))
 
 
 def _table(fields: dict[str, str], cl_lines: list) -> dict:

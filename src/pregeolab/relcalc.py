@@ -42,10 +42,12 @@ Mobius: fast subset convolution", STOC 2007).  The passes run on blocks
 of rows that fit in cache, all n on one block before the next; a pass
 shifts the block by 2^i cells into one buffer, ORs in the mask and ANDs
 the buffer into the block, on machine words of up to 8 cells.  The
-dimension relation `cl` runs on the same blocks: one `np.take` of a
-single (B, C) index plane of B+C gathers dim(A/B+C) for every row of a
-block into the rows' own bytes, which the comparison with dim(A/C) then
-overwrites in place.
+dimension relation `cl` runs on the same blocks: its k x 2^n array of
+dim(A/X) = rank(A+X) - rank(X), for the closed A, comes from the 2^n
+ranks of `geometry.rank_vector`, never from `dim_table`, and one
+`np.take` of a single (B, C) index plane of B+C gathers dim(A/B+C) for
+every row of a block into the rows' own bytes, which the comparison with
+dim(A/C) then overwrites in place.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .closure import ClosureOperator, Pregeometry, trivial_closure
-from .geometry import dim_table
+from .geometry import dim_table, rank_vector
 from .lattice import GroundSet
 
 # Default budget: 2^24 truth-table cells, i.e. ground size up to 8.
@@ -210,30 +212,38 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     On a finite ground set the finite-subset quantifier in the definition
     collapses to A itself; the collapse is verified as a test property.
     """
-    check_table_budget(pg.ground)  # refuse before the count^2 dim_table
-    dims = dim_table(pg)  # (A, X): dim(A/X)
+    # the rows have 2^(3n) cells at most: refuse an instance over budget
+    # before any work, as every other relation is refused at build time
+    check_table_budget(pg.ground)
     closed, classes = _classes(pg.op)
+    dims = None
 
     def fn(a: int, b: int, c: int) -> bool:
+        nonlocal dims
+        if dims is None:  # the definition, through `dim_table`
+            dims = dim_table(pg)  # (A, X): dim(A/X)
         return dims[a, b | c] == dims[a, c]
 
     def build() -> np.ndarray:
         count = pg.ground.subset_count
         masks = np.arange(count)
         joined = masks[:, None] | masks[None, :]  # (B, C): B+C
+        # [closed A, X]: dim(A/X) = rank(A+X) - rank(X) in a pregeometry
+        rank = rank_vector(pg)
+        over = rank[closed[:, None] | masks] - rank
         step = _block_rows(count)
         rows = np.empty((len(closed), count, count), dtype=bool)
         # dim(A/B+C) for a block of closed A goes into the rows' own
-        # bytes (dims is int8), and the comparison with dim(A/C)
+        # bytes (`over` is int8), and the comparison with dim(A/C)
         # overwrites them as 0/1 bytes; with the same array as input and
         # output numpy needs no temporary, so no block buffer is held.
         # "clip" spares `take` a buffered bounds check: every index is in
         # range.
-        cells = rows.view(dims.dtype)
+        cells = rows.view(over.dtype)
         for lo in range(0, len(closed), step):
-            block, a = cells[lo:lo + step], closed[lo:lo + step]
-            np.take(dims[a], joined, axis=1, out=block, mode="clip")
-            np.equal(block, dims[a, None, :], out=block, casting="unsafe")
+            block, a = cells[lo:lo + step], over[lo:lo + step]
+            np.take(a, joined, axis=1, out=block, mode="clip")
+            np.equal(block, a[:, None, :], out=block, casting="unsafe")
         return rows
 
     return TernaryRelation(pg.ground, "cl", fn, build, classes=classes)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
@@ -303,8 +304,10 @@ def test_pack_matches_packbits(size):
     rows, k = 8, 9, 16, 17 and 2^n of them (one to three bytes of class
     bits; 2^n up to n = 7), pack over axis 0 into np.packbits of the rows
     themselves, one bit per class with zero padding bits, and `_over_a`
-    expands those bits into np.packbits of the expanded table, as
-    `_packed` lays out the left layout of the class rows.  From k = 2 the
+    expands those bits into np.packbits of the expanded table.  The left
+    layout of class rows is np.packbits of the rows over B, and
+    `_left_over_a` takes it by class into np.packbits of the expanded
+    table.  From k = 2 the
     class map leaves the last class unused."""
     count = 1 << size
     rng = np.random.default_rng(size)
@@ -328,7 +331,12 @@ def test_pack_matches_packbits(size):
         np.testing.assert_array_equal(
             _over_a(right, classes), np.packbits(cells, 1, bitorder="little"))
         r = class_rows(GroundSet(size), rows, classes)
+        # the left layout keeps rows (class, C), and `_left_over_a` takes
+        # them by class into rows (A, C)
+        left = np.moveaxis(np.packbits(rows, 1, bitorder="little"), 1, -1)
         np.testing.assert_array_equal(axioms._packed(r, 1),
+                                      left.reshape(k * count, -1))
+        np.testing.assert_array_equal(axioms._left_over_a(r),
                                       packbits(rows[classes], 1))
         assert r.table is None
 
@@ -338,8 +346,9 @@ def test_pack_matches_packbits(size):
 def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
     """Every scan of one relation reads the same two packed layouts, each
     read-only and packed at most once from the class rows themselves: no
-    scan builds the 2^(3n) table, and the right layout holds one bit per
-    class, not one per A."""
+    scan builds the 2^(3n) table, the right layout holds one bit per
+    class, not one per A, and the left layout one row (class, C) per class
+    and C, not one per (A, C)."""
     axes = []
 
     def counted(t3, axis):
@@ -355,7 +364,7 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
     assert r.table is None
     count = r.ground.subset_count
     assert r.packed[0].shape == (count * count, -(-len(r.rows) // 8))
-    assert r.packed[1].shape == (count * count, count // 8)
+    assert r.packed[1].shape == (len(r.rows) * count, count // 8)
     for axis in (0, 1):
         view = r.packed[axis]
         assert not view.flags.writeable
@@ -708,6 +717,126 @@ def test_random_class_rows_scan_like_their_expanded_tables():
             assert compare(r, t) == Comparison("equal", None)
             assert r.table is None
     assert late > 30 and widths >= {1, 2, 3}
+
+
+def test_nor_l_reads_every_a_where_classes_are_no_union_congruence():
+    """A random class map is seldom a union congruence (`_union_classes`
+    is None), so NOR-L's second row, (class(A + C), C), is no row of A's
+    class, and NOR-L reads every A's rows.  With rows that hold but for a
+    few cells of one class, A + C reaches that class from A in some
+    classes and not from others, so the least violation often sits at a
+    member of its class that is not the least one.  Every witness is the
+    one a `from_table` copy of the expanded table gives."""
+    rng = np.random.default_rng(31)
+    inner = 0
+    for trial in range(150):
+        size = int(rng.integers(2, 6))
+        g, count = GroundSet(size), 1 << size
+        k = int(rng.integers(2, count))
+        classes = rng.integers(0, k, count)
+        rows = np.ones((k, count, count), dtype=bool)
+        b, c = rng.integers(0, count, (2, 3))
+        rows[rng.integers(0, k), b, c] = False
+        r = class_rows(g, rows, classes)
+        t = from_table(g, "rows", rows[classes])
+        want = check_axiom(t, AxiomId.NOR_L).witness
+        assert check_axiom(r, AxiomId.NOR_L).witness == want, trial
+        congruent = axioms._union_classes(classes, k, count) is not None
+        if want is not None and not congruent:
+            inner += want[0] != np.flatnonzero(classes == classes[want[0]])[0]
+    assert inner >= 8
+
+
+def test_every_class_map_of_the_catalog_is_a_union_congruence():
+    """class(A) = class(A') gives class(A + C) = class(A' + C) for every
+    class map a relation of the catalog has: closure classes, since
+    cl(A + C) = cl(cl(A) + C), and the max-classes of `sup`.  So NOR-L
+    on them reads one block of rows per class."""
+    seen = set()
+    for name in instances.CATALOG_NAMES:
+        inst = catalog_instance(name)
+        for rid in instances.RELATIONS:
+            if not instances.defines(inst, rid):
+                continue
+            r = instances.relation(inst, rid)
+            if r.classes is None:
+                continue
+            k, count = int(r.classes.max()) + 1, r.ground.subset_count
+            assert axioms._union_classes(r.classes, k, count) is not None, (
+                name, rid)
+            seen.add(rid)
+    assert seen == {"a", "cl", "aM", "am", "ac", "amc", "sup"}
+
+
+def test_clo_l_reads_one_block_per_pair_of_row_indexes():
+    """CLO-L's rows depend on A only through (class(A), class(cl(A))).
+    Under closures that split the max-classes of `sup`, there are more
+    such pairs than classes, and CLO-L still reports what a `from_table`
+    copy of the expanded table reports."""
+    rng = np.random.default_rng(32)
+    subjects = [(catalog_instance(name).ground, instance_operator(
+        catalog_instance(name))) for name in ("u36", "gf2-7", "gebert4")]
+    for size in range(1, 6):
+        subjects += [(GroundSet(size), random_closure(GroundSet(size), rng))
+                     for _ in range(3)]
+    split = fails = 0
+    for g, op in subjects:
+        r = instances.rel_sup(g)
+        pairs = set(zip(r.classes, r.classes[op.table]))
+        split += len(pairs) > len(built_rows(r))
+        want = check_axiom(expanded(r), AxiomId.CLO_L, op)
+        assert check_axiom(r, AxiomId.CLO_L, op) == want, g
+        fails += want.status == "fail"
+    assert split >= 4 and fails >= 4
+
+
+def test_compare_across_two_class_maps():
+    """Two relations whose class maps differ, the second one splitting
+    each class of the first by A's lowest bit, with a few cells flipped:
+    `compare` either way reads one block per pair (class1(A), class2(A))
+    and reports what `from_table` copies of the expanded tables do."""
+    rng = np.random.default_rng(33)
+    verdicts_seen = set()
+    for trial in range(30):
+        size = int(rng.integers(1, 6))
+        g, count = GroundSet(size), 1 << size
+        k = int(rng.integers(1, count + 1))
+        classes = rng.integers(0, k, count)
+        rows = rng.random((k, count, count)) < 0.9
+        split = rows.repeat(2, axis=0)
+        for _ in range(int(rng.integers(0, 3))):
+            j, b, c = rng.integers(0, 2 * k), *rng.integers(0, count, 2)
+            split[j, b, c] ^= True
+        r1 = class_rows(g, rows, classes)
+        r2 = class_rows(g, split, 2 * classes + (np.arange(count) & 1))
+        for x, y in ((r1, r2), (r2, r1)):
+            got = compare(x, y)
+            assert got == compare(expanded(x), expanded(y)), trial
+            verdicts_seen.add(got.verdict)
+    assert verdicts_seen == {"equal", "implies", "implied", "incomparable"}
+
+
+def test_left_scans_of_class_rows_hold_no_row_per_a_and_c():
+    """On gebert8 `a`, NOR-L, CLO-L, SCLO and `compare` with `sup` never
+    hold an array of one row per (A, C), 2 MB of packed rows: their
+    tracemalloc peak, past the layouts already packed, stays under half
+    of that."""
+    inst = catalog_instance("gebert8")
+    layout = 4**8 * 32
+    for ax in (AxiomId.NOR_L, AxiomId.CLO_L, AxiomId.SCLO, None):
+        r, s = resolve_relation(inst, "a"), resolve_relation(inst, "sup")
+        for x in (r, s):
+            axioms._packed(x, 1)
+        tracemalloc.start()
+        try:
+            if ax is None:
+                compare(r, s)
+            else:
+                check_axiom(r, ax, inst.op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layout // 2, (ax, peak)
 
 
 def test_chains_are_kept_read_only_for_the_last_size():

@@ -381,6 +381,27 @@ def test_linear_instance_over_the_span_budget_is_usage_error(capsys, tmp_path):
                    f" more than {relcalc.DEFAULT_TABLE_CAP_BITS} coordinates\n")
 
 
+@pytest.mark.parametrize("field,units,builds", [
+    ("gf3", 10, True), ("gf3", 11, False), ("gf2", 12, True), ("gf2", 13, False)])
+def test_linear_span_budget_boundary(capsys, tmp_path, field, units, builds):
+    """k unit vectors would store k * (q + 1)^k span coordinates: 10 GF(3)
+    and 12 GF(2) unit vectors are within 2^24 and build, and one more of
+    either is refused with the message of the span lists.  `dim` has no
+    table budget of its own."""
+    vectors = " ".join(f"{1 << j:0{units}b}" for j in range(units))
+    path = tmp_path / "units.txt"
+    path.write_text(f"type = linear\nfield = {field}\nvectors = {vectors}\n")
+    code, out, err = run(capsys, "dim", "--instance", str(path),
+                         "--set", "{0,1}", "--over", "{1}")
+    if builds:
+        assert (code, out, err) == (0, "dim=1 basis={0}\n", "")
+    else:
+        assert code == 2 and out == ""
+        assert err == (f"error: --instance: {path}: the spans of {units}"
+                       f" vectors need more than"
+                       f" {relcalc.DEFAULT_TABLE_CAP_BITS} coordinates\n")
+
+
 def test_linear_vectors_past_64_coordinates_stay_distinct(capsys, tmp_path):
     """Two independent GF(2) vectors of 65 coordinates, one in the first
     and one in the last: neither lies in the span of the empty set, so
@@ -393,6 +414,26 @@ def test_linear_vectors_past_64_coordinates_stay_distinct(capsys, tmp_path):
     code, out, _ = run(capsys, "basis", "--instance", str(path),
                        "--set", "{0,1}")
     assert code == 0 and out == "basis={0,1}\n"
+
+
+@pytest.mark.parametrize("field,vectors,chunk", [
+    ("", "19 01", "19"),  # 9 would be read as 1 mod 2
+    ("field = gf2\n", "10 1a", "1a"),
+    ("field = gf3\n", "12 03", "03"),
+])
+def test_linear_digit_outside_the_field_is_refused(
+        capsys, tmp_path, field, vectors, chunk):
+    """A vector digit that is no element of the field is one error line
+    naming `vectors` and the field, not a value reduced mod q or a
+    Python conversion error."""
+    fld = field.split(" = ")[1].strip() if field else "gf2"
+    top = 1 if fld == "gf2" else 2
+    path = tmp_path / "digits.txt"
+    path.write_text(f"type = linear\n{field}vectors = {vectors}\n")
+    code, out, err = run(capsys, "modular", "--instance", str(path))
+    assert code == 2 and out == ""
+    assert err == (f"error: --instance: {path}: key 'vectors' must hold the"
+                   f" digits 0..{top} of {fld}, got {chunk!r}\n")
 
 
 def test_unknown_instance(capsys):

@@ -14,6 +14,7 @@ from pregeolab.instances import (
     catalog,
     catalog_instance,
     gebert_closure,
+    linear_pregeometry,
     uniform_pregeometry,
 )
 from pregeolab.lattice import GroundSet
@@ -265,6 +266,32 @@ def test_dim_sees_only_the_closure_of_A():
     for pg in pgs:
         dims = dim_table(pg)
         assert np.array_equal(dims[pg.op.table], dims)
+
+
+def test_cl_rows_from_ranks_match_dim_table():
+    """The `cl` builder's rows, dim(A/X) as rank(A+X) - rank(X) for the
+    closed A, are dims[a, b|c] == dims[a, c] of `dim_table` on every
+    catalog pregeometry and on random linear ones, and building them
+    builds no `dim_table`: only the scalar predicate reads it."""
+    rng = np.random.default_rng(30)
+    pgs = [inst.pg for inst in catalog().values() if inst.pg is not None]
+    for _ in range(12):
+        modulus, n = int(rng.choice([2, 3])), int(rng.integers(1, 7))
+        vectors = rng.integers(0, modulus, (n, int(rng.integers(1, 5))))
+        pgs.append(linear_pregeometry(vectors.tolist(), modulus))
+    for pg in pgs:
+        misses = dim_table.cache_info().misses
+        r = rel_cl(pg)
+        rows = relcalc.built_rows(r)
+        assert dim_table.cache_info().misses == misses
+        dims = dim_table(pg)
+        count = pg.ground.subset_count
+        masks = np.arange(count)
+        closed = np.flatnonzero(pg.op.table == masks)
+        a = closed[:, None, None]
+        want = dims[a, masks[:, None] | masks] == dims[a, masks]
+        assert np.array_equal(rows, want)
+        assert r.fn(int(closed[-1]), 1, 0) == bool(want[-1, 1, 0])
 
 
 def random_closure(size, rng):
