@@ -33,7 +33,7 @@ the least (A, C, B) from a packed violation array:
 - right: rows (B, C), one bit per A row the relation stores: per A (2^n
   bits, 32 bytes at n = 8), or per class for class rows (k bits, 2 bytes
   for the 9 classes of gebert8 `a`).  `_least_right` takes the least A
-  whose bit is set in the OR of all rows (`_least_member`: for class
+  whose bit is set in the OR of all rows (`_least_members`: for class
   bits, the least member of a set class), then the least (C, B) whose
   row has that bit.  SYM, NOR-R, CLO-R, MON-R, FREE and TRA-STRONG use
   it, and BMON-STRONG applies the same rule to rows it never holds
@@ -81,9 +81,8 @@ The four-variable axioms never build the 2^(4n) array:
 - chain scan (BMON-*, TRA-*): on the right layout, or the left one for
   the left forms, whose A is the table's second variable, the violation
   rows of the 4^n chains C <= B <= D are two or three gathers of packed
-  rows (`_scan_chain`).  The least A set in their OR (`_least_a`), and
-  the least (C, B, D) among the chains with A's bit, make the least
-  (A, C, B, D).
+  rows (`_scan_chain`).  The least A set in their OR, and the least (C,
+  B, D) among the chains with A's bit, make the least (A, C, B, D).
 - strong scan (TRA-STRONG, BMON-STRONG): on the right layout, a loop
   over E, the part of D outside the base (B for TRA-STRONG, B+C for
   BMON-STRONG), ORs into row (B, C) the rows that some D with that part
@@ -98,6 +97,29 @@ The four-variable axioms never build the 2^(4n) array:
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
 STOC 2007).
+
+Lanes and batches.  `check_axioms` checks one axiom on many relations,
+and `check_axiom` is its batch of one.  Relations of one ground size,
+one number of rows and one class map (or none) form a batch
+(`_batches`), and their stored layouts are set side by side along the
+byte axis (`_lanes`): each relation owns the same whole bytes of every
+row, its lane, padded to a byte as its own layout is.  Their rows stand
+for the same (X, Y), so every gather, OR, zeta and strong pass, SYM's
+OR and XOR, FREE's mask of the A that lack i (the same in every lane)
+and the class logic of the left layout (`_union_classes`, `_pair_blocks`,
+`row_of`) run once over all the lanes, unchanged.  This is bit-slicing
+(Biham, "A fast new DES implementation in software", FSE 1997), which
+the scans already apply to A and to A's classes.  Only the extraction of
+the least witness reads each lane alone: `_least_members`, the least
+(C, B) and the chain key, `_least_blocks`, BMON-STRONG's second loop,
+SCLO's blocks (which stop once every lane has its witness), the EX and
+AREF grids and `_least_d`.  So every relation gets the witness it gets
+alone, byte for byte.  A batch of one reads its stored layout itself,
+with no copy, and a batch is split so that its layout stays within one
+n = 8 layout (2 MB).  The rg-st suite checks each axiom on its 34 graphs
+(n = 5) in one call: with their layouts packed, its fifteen scanned
+axioms take 4.7 ms so, against 18.5 ms as 34 calls each (NOR-R 0.20
+against 0.88 ms; in process, best of 7).
 """
 
 from __future__ import annotations
@@ -288,16 +310,40 @@ def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
     return p
 
 
-def _left_over_a(r: TernaryRelation) -> np.ndarray:
-    """r's left layout with one row per (A, C): the packed class rows
-    taken by class, a fresh array each call, or, without classes, the
-    stored layout itself."""
-    p = _packed(r, 1)
-    if r.classes is None:
+#: bytes of one n = 8 layout (4^8 rows of 32 bytes): a batch is split so
+#: that its layout, its lanes side by side, stays within it
+_BATCH_BYTES = 1 << 21
+
+
+def _lanes(relations: Sequence[TernaryRelation], axis: int) -> np.ndarray:
+    """The relations' layouts over `axis` side by side, read-only: row i
+    is row i of each `_packed` layout in turn, so relation j owns the
+    same whole bytes of every row, its lane.  The relations share one
+    class map (or none), so their rows stand for the same (X, Y).  A
+    batch of one reads its stored layout itself."""
+    layouts = [_packed(r, axis) for r in relations]
+    if len(layouts) == 1:
+        return layouts[0]
+    # in words: byte by byte the copy takes 3 times as long at 4-byte lanes
+    p = np.concatenate([_words(x, x.shape[1]) for x in layouts], axis=1)
+    p = p.view(np.uint8)
+    p.flags.writeable = False
+    return p
+
+
+def _words(p: np.ndarray, width: int) -> np.ndarray:
+    """The rows of p, lanes of `width` bytes, as the widest unsigned words
+    (up to 8 bytes) that split every lane into whole words."""
+    return p.view(f"u{min(width & -width, 8)}")
+
+
+def _left_over_a(p: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
+    """The left layout p with one row per (A, C): its rows (class, C) taken
+    by class, a fresh array each call, or, without classes, p itself."""
+    if classes is None:
         return p
-    count = r.ground.subset_count
-    return p.reshape(-1, count, p.shape[1]).take(r.classes, axis=0).reshape(
-        -1, p.shape[1])
+    return p.reshape(-1, len(classes), p.shape[1]).take(
+        classes, axis=0).reshape(-1, p.shape[1])
 
 
 def _union_classes(classes: np.ndarray, k: int, count: int
@@ -341,15 +387,18 @@ def _pair_blocks(p1: np.ndarray, rows1: Optional[np.ndarray],
 _EXPAND_BLOCK_BYTES = 1 << 18
 
 
-def _over_a(p: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
-    """Rows packed over classes re-packed over A: bit A of a row is its bit
-    classes[A].  Byte t of a row stands for the classes 8t..8t+7, so
-    lut[t, byte] holds the A bits of the classes set in it, and a row over
-    A is the OR over t of lut[t, byte t].  It runs on blocks of rows, so no
-    temporary has the size of the result.  Without classes the rows are
+def _over_a(p: np.ndarray, classes: Optional[np.ndarray], lanes: int = 1
+            ) -> np.ndarray:
+    """Rows packed over classes re-packed over A: bit A of a lane is its
+    bit classes[A].  Byte t of a lane stands for the classes 8t..8t+7, so
+    lut[t, byte] holds the A bits of the classes set in it, and a lane over
+    A is the OR over t of lut[t, byte t].  It runs on blocks of lanes, so
+    no temporary has the size of the result.  Without classes the rows are
     over A already, and p itself is returned."""
     if classes is None:
         return p
+    rows = len(p)
+    p = p.reshape(rows * lanes, -1)  # one lane a row
     width = p.shape[1]
     # [class, A bits]: the A in each class, 8 * width classes
     members = np.packbits(classes == np.arange(8 * width)[:, None], axis=1,
@@ -364,7 +413,7 @@ def _over_a(p: np.ndarray, classes: Optional[np.ndarray]) -> np.ndarray:
         np.take(lut[0], bytes_[:, 0], axis=0, out=block, mode="clip")
         for t in range(1, width):
             block |= lut[t].take(bytes_[:, t], axis=0)
-    return out
+    return out.reshape(rows, -1)
 
 
 def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
@@ -382,86 +431,110 @@ def _or_rows(rows: np.ndarray) -> np.ndarray:
     return np.bitwise_or.reduce(found.reshape(half, -1), axis=0)
 
 
-def _least_member(found: np.ndarray, classes: Optional[np.ndarray]
-                  ) -> Optional[tuple[int, int]]:
-    """The least A whose bit is set in the packed row `found`, and that
-    bit: bit classes[A], or bit A without classes.  None when no A has it."""
-    bits = np.unpackbits(found, bitorder="little")
+def _least_members(found: np.ndarray, lanes: int,
+                   classes: Optional[np.ndarray]
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per lane of the packed row `found`, the least A whose bit is set,
+    bit classes[A] or, without classes, bit A: the lanes that have one,
+    their A, and the index of that bit in the whole row."""
+    width = found.size // lanes
+    if not found.any():  # the common case of a passing batch
+        none = np.zeros(0, dtype=np.intp)
+        return none, none, none
+    bits = np.unpackbits(found, bitorder="little").reshape(lanes, -1)
     if classes is not None:
-        bits = bits[classes]
-    a = int(np.argmax(bits))
-    if not bits[a]:
-        return None
-    return a, a if classes is None else int(classes[a])
+        bits = bits[:, classes]
+    a = bits.argmax(axis=1)
+    hit = np.flatnonzero(bits.max(axis=1))
+    a = a[hit]
+    bit = a if classes is None else classes[a]
+    return hit, a, bit + 8 * width * hit
 
 
-def _bit(rows: np.ndarray, a: int) -> np.ndarray:
-    """Bit a of every packed row, as 0 or 1."""
-    return rows[:, a >> 3] >> (a & 7) & 1
+def _bits(rows: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """[row, j]: bit at[j] of every packed row, as 0 or 1."""
+    return rows[:, at >> 3] >> (at & 7).astype(np.uint8) & 1
 
 
-def _least_a(viol: np.ndarray, classes: Optional[np.ndarray]
-             ) -> Optional[tuple[int, np.ndarray]]:
-    """The least A whose bit (`_least_member`) is set in any of the 4^n
-    packed rows of viol, and that bit of every row; None when no A is."""
-    hit = _least_member(_or_rows(viol), classes)
-    return None if hit is None else (hit[0], _bit(viol, hit[1]))
+def _least_cb(has: np.ndarray, count: int) -> np.ndarray:
+    """[j]: the least (C, B), as C * count + B, whose row (B, C) has column
+    j of `has` set."""
+    cb = has.reshape(count, count, -1).transpose(1, 0, 2)
+    return cb.reshape(count * count, -1).argmax(axis=0)
 
 
-def _least_right(viol: np.ndarray, count: int, classes: Optional[np.ndarray]
-                 ) -> Optional[tuple[int, int, int]]:
-    """Least (A, C, B) of violation rows (B, C) packed over A, or over A's
-    class: the least A whose bit is set in any row, then the least (C, B)
-    whose row has it."""
-    hit = _least_a(viol, classes)
-    if hit is None:
-        return None
-    a, has = hit
-    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
-    return (a, c, b)
+def _least_right(viol: np.ndarray, count: int, lanes: int,
+                 classes: Optional[np.ndarray]
+                 ) -> list[Optional[tuple[int, int, int]]]:
+    """Per lane, the least (A, C, B) of violation rows (B, C) packed over
+    A, or over A's class: the least A whose bit is set in any row, then
+    the least (C, B) whose row has it."""
+    out: list[Optional[tuple[int, int, int]]] = [None] * lanes
+    hit, a, at = _least_members(_or_rows(viol), lanes, classes)
+    if len(hit):
+        for j, x, cb in zip(hit, a, _least_cb(_bits(viol, at), count)):
+            out[j] = (int(x), *divmod(int(cb), count))
+    return out
 
 
-def _least_block(viol: np.ndarray, count: int, index: Optional[np.ndarray]
-                 ) -> Optional[tuple[int, np.ndarray]]:
-    """The least A whose block of `count` rows in viol is nonzero, and that
-    block: block index[A], or block A when index is None.  None when no A's
-    block is.  Padding bits of the rows must be 0."""
-    width = viol.shape[1]
-    nonzero = viol.reshape(-1, count * width).max(axis=1) != 0
+def _least_blocks(viol: np.ndarray, count: int, lanes: int,
+                  index: Optional[np.ndarray]
+                  ) -> list[Optional[tuple[int, np.ndarray]]]:
+    """Per lane, the least A whose block of `count` rows is nonzero in that
+    lane, and the lane's bytes of the block: block index[A], or block A
+    when index is None.  None for a lane where no A's block is.  Padding
+    bits of the rows must be 0."""
+    width = viol.shape[1] // lanes
+    # each lane's blocks as whole words, lane by lane, so that each max
+    # runs over contiguous words: a max over a short inner axis of bytes
+    # takes 20 times as long at 34 lanes of 4 bytes
+    words = _words(viol, width).reshape(len(viol), lanes, -1)
+    nonzero = words.transpose(1, 0, 2).reshape(lanes, len(viol) // count, -1)
+    nonzero = nonzero.max(axis=2).T != 0  # [block, lane]
+    out: list[Optional[tuple[int, np.ndarray]]] = [None] * lanes
+    if not nonzero.any():
+        return out
     if index is not None:
         nonzero = nonzero[index]
-    a = int(np.argmax(nonzero))
-    if not nonzero[a]:
-        return None
-    block = a if index is None else int(index[a])
-    return a, viol[block * count:(block + 1) * count]
+    least = nonzero.argmax(axis=0)
+    for j in np.flatnonzero(nonzero[least, np.arange(lanes)]):
+        a = int(least[j])
+        block = a if index is None else int(index[a])
+        out[j] = (a, viol[block * count:(block + 1) * count,
+                          j * width:(j + 1) * width])
+    return out
 
 
-def _least_left(viol: np.ndarray, count: int,
+def _least_left(viol: np.ndarray, count: int, lanes: int = 1,
                 index: Optional[np.ndarray] = None
-                ) -> Optional[tuple[int, int, int]]:
-    """Least (A, C, B) of violation rows (A, C) packed over B, or of blocks
-    of rows C that A reads as block index[A] (`_least_block`): the least A
-    with a nonzero block, then the first set bit of the block, which lies
-    in the least C and is its least B."""
-    hit = _least_block(viol, count, index)
-    if hit is None:
-        return None
-    a, block = hit
-    c, b = divmod(int(np.argmax(np.unpackbits(block, bitorder="little"))),
-                  8 * viol.shape[1])
-    return (a, c, b)
+                ) -> list[Optional[tuple[int, int, int]]]:
+    """Per lane, the least (A, C, B) of violation rows (A, C) packed over
+    B, or of blocks of rows C that A reads as block index[A]
+    (`_least_blocks`): the least A with a nonzero block, then the first
+    set bit of the block, which lies in the least C and is its least B."""
+    out: list[Optional[tuple[int, int, int]]] = []
+    for hit in _least_blocks(viol, count, lanes, index):
+        if hit is None:
+            out.append(None)
+            continue
+        a, block = hit
+        first = int(np.argmax(np.unpackbits(block, bitorder="little")))
+        out.append((a, *divmod(first, 8 * block.shape[1])))
+    return out
 
 
-def _scan_chain(p: np.ndarray, count: int, transitive: bool,
+def _scan_chain(p: np.ndarray, count: int, lanes: int, transitive: bool,
                 classes: Optional[np.ndarray],
-                row_of: Optional[np.ndarray] = None):
+                row_of: Optional[np.ndarray] = None
+                ) -> list[Optional[tuple[int, int, int, int]]]:
     """With t[x, y] = r(A, x, y), or r(x, A, y) for the left forms, a chain
     violates BMON by t[D, C] and not t[D, B], and TRA by t[B, C] and
     t[D, B] and not t[D, C].  The rows of t are packed over A, or over A's
-    class (`classes`), so one gather of a row answers every A at once.
-    Row (x, y) of t is row (row_of[x], y) of p when row_of is given: the
-    left layout of class rows, whose x is the table's first variable."""
+    class (`classes`), so one gather of a row answers every A of every
+    lane at once.  Row (x, y) of t is row (row_of[x], y) of p when row_of
+    is given: the left layout of class rows, whose x is the table's first
+    variable.  Per lane, the least A with a violating chain, and its
+    least (C, B, D)."""
     size = count.bit_length() - 1
     c, b, d = _chains(size)
     if row_of is not None:  # x * count + y stays below k * 2^n
@@ -482,14 +555,16 @@ def _scan_chain(p: np.ndarray, count: int, transitive: bool,
         viol, off = at(d, c), at(d, b)
     viol &= np.invert(off, out=off)
     del off
-    hit = _least_a(viol, classes)
-    if hit is None:
-        return None
-    a, has = hit
-    chains = np.flatnonzero(has)
-    key = c[chains].astype(np.intp) << 2 * size | b[chains] << size | d[chains]
-    i = chains[np.argmin(key)]
-    return (a, int(c[i]), int(b[i]), int(d[i]))
+    out: list[Optional[tuple[int, int, int, int]]] = [None] * lanes
+    hit, a, bit = _least_members(_or_rows(viol), lanes, classes)
+    if len(hit):  # per lane, the least key among the chains with its bit
+        for j, x, has in zip(hit, a, _bits(viol, bit).T):
+            chains = np.flatnonzero(has)
+            key = (c[chains].astype(np.intp) << 2 * size
+                   | b[chains] << size | d[chains])
+            i = chains[np.argmin(key)]
+            out[j] = (int(x), int(c[i]), int(b[i]), int(d[i]))
+    return out
 
 
 def _scan_gather(p: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
@@ -509,9 +584,9 @@ _SCLO_BLOCK_CELLS = 1 << 18
 
 
 def _scan_sclo(
-    rows: np.ndarray, classes: Optional[np.ndarray], left: np.ndarray,
-    cl: np.ndarray
-) -> Optional[tuple[int, int, int]]:
+    rows: Sequence[np.ndarray], classes: Optional[np.ndarray],
+    left: np.ndarray, cl: np.ndarray
+) -> list[Optional[tuple[int, int, int]]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
     closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
     with Z = cl(C) and X = cl(A+Z), a pair Z <= X of closed sets: one
@@ -523,8 +598,13 @@ def _scan_sclo(
     early A stays cheap.  The pair rows are read from `rows`, A's row
     being classes[A], so the table is never built, and for class rows a
     block's rows of `left`, which are (class, C), are taken by class.  The
-    2-D index arrays are in the narrowest unsigned dtype that holds them."""
+    2-D index arrays are in the narrowest unsigned dtype that holds them.
+    `rows` holds the rows of each lane of `left`: a block gathers each
+    lane's pair rows into that lane's bytes, and the scan stops at the
+    first block after which every lane has its least (A, C, B)."""
     count = len(cl)
+    lanes = len(rows)
+    width = count + 7 >> 3
     masks = np.arange(count)
     row = masks if classes is None else classes
     closed = np.flatnonzero(cl == masks)
@@ -540,11 +620,12 @@ def _scan_sclo(
     base = rank[cl]  # C -> the rank of cl(C)
     # [Z, B]: the flat index of (cl(B+Z), Z) in A's row, in a dtype that
     # holds every flat index of `rows`
-    cell = np.min_scalar_type(rows.size - 1)
+    cell = np.min_scalar_type(rows[0].size - 1)
     right_cells = up.astype(cell) * count + closed[:, None].astype(cell)
     # [pair, B]: r(X, cl(B+Z), Z), packed over B
-    right = np.empty((len(zs), count + 7 >> 3), dtype=np.uint8)
+    right = np.empty((len(zs), lanes * width), dtype=np.uint8)
     done = np.zeros(len(zs), dtype=bool)  # the rows of right gathered so far
+    found: list[Optional[tuple[int, int, int]]] = [None] * lanes
     step = max(1, _SCLO_BLOCK_CELLS // count**2)
     lo = 0
     while lo < count:
@@ -556,18 +637,22 @@ def _scan_sclo(
         done[new] = True
         cells = right_cells[zs[new]]
         cells += (row[closed[xs[new]]] * count**2).astype(cell)[:, None]
-        right[new] = np.packbits(rows.take(cells), axis=-1, bitorder="little")
+        for j, lane in enumerate(rows):
+            right[new, j * width:(j + 1) * width] = np.packbits(
+                lane.take(cells), axis=-1, bitorder="little")
         viol = right.take(at, axis=0)
         if classes is None:
             viol ^= left[lo * count:hi * count]
         else:
             viol ^= left.reshape(-1, count, left.shape[1]).take(
                 classes[lo:hi], axis=0).reshape(viol.shape)
-        hit = _least_left(viol, count)
-        if hit is not None:
-            return (lo + hit[0],) + hit[1:]
+        for j, hit in enumerate(_least_left(viol, count, lanes)):
+            if hit is not None and found[j] is None:
+                found[j] = (lo + hit[0],) + hit[1:]
+        if None not in found:
+            break
         lo = hi
-    return None
+    return found
 
 
 def _scan_mon(p: np.ndarray, count: int) -> np.ndarray:
@@ -593,8 +678,9 @@ def _outside(count: int):
         yield e, (rest[:, None] * count + rest).ravel()
 
 
-def _scan_bmon_strong(p: np.ndarray, count: int, classes: Optional[np.ndarray]
-                      ) -> Optional[tuple[int, int, int]]:
+def _scan_bmon_strong(p: np.ndarray, count: int, lanes: int,
+                      classes: Optional[np.ndarray]
+                      ) -> list[Optional[tuple[int, int, int]]]:
     """BMON-STRONG: r(A, B+D, C) holds and r(A, B, C+D) fails.  With E the
     part of D outside B+C, the body is r(A, B+E+P, C) and not r(A, B,
     C+E+Q), P and Q any subsets of C and of B.  On the table packed over A,
@@ -604,7 +690,8 @@ def _scan_bmon_strong(p: np.ndarray, count: int, classes: Optional[np.ndarray]
     f[B+E, C] & g[B, C+E] is set for some E.  The least A is the least bit
     of the OR of every E's rows; a second loop over bit A of f and g finds
     the least (C, B), so no array of violation rows is held.  The rows may
-    be packed over A's class (`classes`), as for `_least_right`."""
+    be packed over A's class (`classes`), as for `_least_right`, and the
+    second loop runs on the bit of each lane's least A at once."""
     f = p.copy()
     g = np.invert(p)
     for i in range(count.bit_length() - 1):
@@ -618,16 +705,16 @@ def _scan_bmon_strong(p: np.ndarray, count: int, classes: Optional[np.ndarray]
             hit = f.take(part + e * count, axis=0)
             hit &= g.take(part + e, axis=0)
             found |= _or_rows(hit)
-    hit = _least_member(found, classes)
-    if hit is None:
-        return None
-    a, bit = hit
-    f, g = _bit(f, bit), _bit(g, bit)
-    has = np.zeros_like(f)
-    for e, rows in _outside(count):
-        has[rows] |= f[rows + e * count] & g[rows + e]
-    c, b = divmod(int(np.argmax(has.reshape(count, count).T)), count)
-    return (a, c, b)
+    out: list[Optional[tuple[int, int, int]]] = [None] * lanes
+    hit, a, bit = _least_members(found, lanes, classes)
+    if len(hit):
+        f, g = _bits(f, bit), _bits(g, bit)
+        has = np.zeros_like(f)
+        for e, rows in _outside(count):
+            has[rows] |= f[rows + e * count] & g[rows + e]
+        for j, x, cb in zip(hit, a, _least_cb(has, count)):
+            out[j] = (int(x), *divmod(int(cb), count))
+    return out
 
 
 def _scan_tra_strong(p: np.ndarray, count: int) -> np.ndarray:
@@ -663,7 +750,9 @@ def _scan_free(p: np.ndarray, count: int) -> np.ndarray:
     """Violation rows (B, C) where r(A, B, C) holds and r(A, B, D) fails for
     some D in [C & (A+B), C].  On the table packed over A, rows (B, C), this
     is a subset-OR of not r along C, for each element i over the rows whose
-    B lacks i and in each word over the A that lack i."""
+    B lacks i and in each word over the A that lack i.  A lane of A bits
+    is a power of two bits wide, at least 2^n, so bit i < n of a bit's
+    place in the row is bit i of its A, in every lane."""
     size = count.bit_length() - 1
     bad = np.invert(p)
     bits = np.arange(8 * p.shape[1]) >> np.arange(size)[:, None] & 1
@@ -707,52 +796,64 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     return op
 
 
-def _find_violation(
-    r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator]
-) -> Optional[tuple[int, ...]]:
-    cl = _require_op(ax, op).table if ax.needs_closure else None
-    count = r.ground.subset_count
-    masks = np.arange(count)
-    rows = _rows(r)
-    row = masks if r.classes is None else r.classes  # A -> its row
+def _holds(rows: np.ndarray, row: np.ndarray):
+    """holds(A, B, C) on one relation's rows, A's row being row[A]."""
+    return lambda a, b, c: rows[row[a], b, c]
 
-    def holds(a, b, c):
-        return rows[row[a], b, c]
+
+def _find_violations(
+    relations: Sequence[TernaryRelation], rows: Sequence[np.ndarray],
+    ax: AxiomId, cl: Optional[np.ndarray]
+) -> list[Optional[tuple[int, ...]]]:
+    """The least violation of ax in each of a batch of relations, with
+    their `_rows`, that share one ground size, one number of rows and one
+    class map (`_batches`): one scan over their layouts side by side
+    (`_lanes`), then each lane's least witness."""
+    first = relations[0]
+    count = first.ground.subset_count
+    masks = np.arange(count)
+    classes = first.classes
+    lanes = len(relations)
+    row = masks if classes is None else classes  # A -> its row
 
     if ax in (AxiomId.EX, AxiomId.AREF):  # the body on the (A, C) grid;
         # AREF's A runs over the singletons {a}
-        firsts = 1 << np.arange(r.ground.size) if ax is AxiomId.AREF else masks
-        ok = _BODIES[ax](holds, cl, firsts[:, None], masks)
-        hit = first_true(~ok)
-        return None if hit is None else (int(firsts[hit[0]]), hit[1])
+        firsts = (1 << np.arange(first.ground.size) if ax is AxiomId.AREF
+                  else masks)
+        out = []
+        for x in rows:
+            ok = _BODIES[ax](_holds(x, row), cl, firsts[:, None], masks)
+            hit = first_true(~ok)
+            out.append(None if hit is None else (int(firsts[hit[0]]), hit[1]))
+        return out
 
     left = ax in _LEFT_FORMS
-    p = _packed(r, int(left))
-    bits = None if left else r.classes  # A -> its bit in the rows of p
+    p = _lanes(relations, int(left))
+    bits = None if left else classes  # A -> its bit in the lanes of p
     if ax is AxiomId.SCLO:
-        return _scan_sclo(rows, r.classes, p, cl)
+        return _scan_sclo(rows, classes, p, cl)
     if ax in _CHAIN_AXIOMS:  # a left form reads rows (class(x), y)
-        return _scan_chain(p, count, _CHAIN_AXIOMS[ax], bits,
-                           r.classes if left else None)
-    if left and r.classes is not None:  # p's rows are (class, C)
+        return _scan_chain(p, count, lanes, _CHAIN_AXIOMS[ax], bits,
+                           classes if left else None)
+    if left and classes is not None:  # p's rows are (class, C)
         if ax is AxiomId.NOR_L:
-            union = _union_classes(r.classes, len(rows), count)
+            union = _union_classes(classes, len(rows[0]), count)
             if union is not None:  # one block of rows C per class
                 viol = _scan_gather(p, count, union)
-                return _least_left(viol, count, r.classes)
+                return _least_left(viol, count, lanes, classes)
         elif ax is AxiomId.CLO_L:  # one block per (class(A), class(cl(A)))
-            p, off, index = _pair_blocks(p, r.classes, p, r.classes[cl], count)
+            p, off, index = _pair_blocks(p, classes, p, classes[cl], count)
             np.invert(off, out=off)
             off &= p
-            return _least_left(off, count, index)
-        p = _left_over_a(r)  # MON-L ORs along A, NOR-L reads every A
+            return _least_left(off, count, lanes, index)
+        p = _left_over_a(p, classes)  # MON-L ORs along A, NOR-L reads every A
     if ax is AxiomId.BMON_STRONG:  # no violation rows: it finds (A, C, B)
-        hit = _scan_bmon_strong(p, count, bits)
+        hits = _scan_bmon_strong(p, count, lanes, bits)
     else:
         if ax in (AxiomId.SYM, AxiomId.FREE):  # they read bits over A
-            p, bits = _over_a(p, bits), None
+            p, bits = _over_a(p, bits, lanes), None
         if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-            other = _left_over_a(r)
+            other = _left_over_a(_lanes(relations, 1), classes)
             # r(A, B, C) and not r(B, A, C), in place on the A bits that
             # `_over_a` made for this scan, never on a stored layout
             viol = np.bitwise_or(p, other, out=p if p.flags.writeable else None)
@@ -763,24 +864,69 @@ def _find_violation(
             viol = _scan_gather(p, count, cl[:, None])
         else:
             viol = _D_SCANS[ax](p, count)
-        hit = (_least_left(viol, count) if left
-               else _least_right(viol, count, bits))
-    if hit is None or _arity(ax) == 3:
-        return hit
-    return _least_d(holds, count, ax, *hit)
+        hits = (_least_left(viol, count, lanes) if left
+                else _least_right(viol, count, lanes, bits))
+    if _arity(ax) == 3:
+        return hits
+    return [hit if hit is None else _least_d(_holds(x, row), count, ax, *hit)
+            for x, hit in zip(rows, hits)]
+
+
+def _batches(relations: Sequence[TernaryRelation],
+             rows: Sequence[np.ndarray]) -> Iterable[list[int]]:
+    """The indexes of `relations`, whose `_rows` are `rows`, grouped into
+    batches, each in input order: one ground size, one number of rows and
+    one class map (or none) per batch, and as many relations as keep the
+    batch's layout within `_BATCH_BYTES`, at least one."""
+    if len(relations) == 1:  # every single check: no key to build
+        yield [0]
+        return
+    groups: dict[tuple, list[int]] = {}
+    for i, (r, x) in enumerate(zip(relations, rows)):
+        classes = None if r.classes is None else r.classes.tobytes()
+        key = (r.ground.size, len(x), classes)
+        groups.setdefault(key, []).append(i)
+    for (size, k, _), members in groups.items():
+        count = 1 << size
+        # the larger of the right layout, rows (B, C) of k bits, and the
+        # left one, rows (class, C) of 2^n bits
+        layout = max(count * count * -(-k // 8), k * count * -(-count // 8))
+        step = max(1, _BATCH_BYTES // layout)
+        for lo in range(0, len(members), step):
+            yield members[lo:lo + step]
+
+
+def check_axioms(
+    relations: Iterable[TernaryRelation], ax: AxiomId,
+    op: Optional[ClosureOperator] = None
+) -> list[AxiomReport]:
+    """Exhaustively check one axiom on each relation, one report per
+    relation in input order, each with the first violation in scan order.
+    The relations that can share a batch (`_batches`) are scanned at once,
+    their layouts side by side, and each gets the witness it gets alone."""
+    relations = list(relations)
+    # on a finite ground set every subset is finite (FIN), and LOC holds
+    # with cardinal bound n + 1
+    if ax in (AxiomId.FIN, AxiomId.LOC):
+        return [AxiomReport(ax, r.name, "vacuous", None) for r in relations]
+    cl = _require_op(ax, op).table if ax.needs_closure else None
+    rows = [_rows(r) for r in relations]
+    witnesses: list[Optional[tuple[int, ...]]] = [None] * len(relations)
+    for batch in _batches(relations, rows):
+        found = _find_violations([relations[i] for i in batch],
+                                 [rows[i] for i in batch], ax, cl)
+        for i, witness in zip(batch, found):
+            witnesses[i] = witness
+    return [AxiomReport(ax, r.name, "pass" if w is None else "fail", w)
+            for r, w in zip(relations, witnesses)]
 
 
 def check_axiom(
     r: TernaryRelation, ax: AxiomId, op: Optional[ClosureOperator] = None
 ) -> AxiomReport:
-    """Exhaustively check one axiom; first violation in scan order is reported."""
-    # on a finite ground set every subset is finite (FIN), and LOC holds
-    # with cardinal bound n + 1
-    if ax in (AxiomId.FIN, AxiomId.LOC):
-        return AxiomReport(ax, r.name, "vacuous", None)
-    witness = _find_violation(r, ax, op)
-    status = "pass" if witness is None else "fail"
-    return AxiomReport(ax, r.name, status, witness)
+    """Exhaustively check one axiom; first violation in scan order is
+    reported.  The batch of one of `check_axioms`."""
+    return check_axioms([r], ax, op)[0]
 
 
 def check_all(
@@ -826,7 +972,7 @@ def _least_abc(viol: np.ndarray, count: int, index: Optional[np.ndarray]
     as for `_least_left`: the least A with a nonzero block, then the least
     (B, C) among its bits, which is the least bit B of the block's OR and
     the least C whose row has it."""
-    hit = _least_block(viol, count, index)
+    hit = _least_blocks(viol, count, 1, index)[0]
     if hit is None:
         return None
     a, block = hit

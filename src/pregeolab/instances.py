@@ -226,12 +226,12 @@ def rel_st(graph: Graph) -> TernaryRelation:
         reach = np.zeros_like(masks)  # reach[m]: neighbourhood of m
         for u in range(graph.size):
             reach[masks >> u & 1 == 1] |= adj[u]
-        off_base = masks[:, None] & ~masks[None, :]  # (B, C): B \ C
-        table = np.empty((count, count, count), dtype=bool)
-        for a in range(count):
-            blocked = a | reach[a & ~masks]  # over C
-            np.equal(off_base & blocked, 0, out=table[a])
-        return table
+        off_base = masks[:, None] & ~masks[None, :]  # (X, C): X \ C
+        blocked = masks[:, None] | reach[off_base]  # (A, C): A + N(A \ C)
+        # (A, B, C): B \ C misses what A blocks over C; one byte per cell,
+        # tested for 0 in place, so the table is the one 2^(3n) array
+        table = np.bitwise_and(off_base, blocked[:, None, :])
+        return np.equal(table, 0, out=table.view(bool))
 
     return TernaryRelation(ground, "st", fn, builder=builder)
 

@@ -9,8 +9,8 @@ tuples.  The scans of closure tables and dimension laws, and the EX and
 AREF axiom scans, build a boolean violation array whose indices follow
 that order and take their witness from `first_true`.  The other axiom
 scans pack the violation array into bits and read the least witness
-from the packed words (`axioms._least_a` and the two extractors built
-on it).
+from the packed words (`axioms._least_members`, `_least_right` and
+`_least_left`).
 """
 
 from __future__ import annotations

@@ -13,9 +13,15 @@ one with the least edge code: `rel_st` and the identity closure commute
 with relabelling, so every verdict is constant on a class, and the first
 failing representative in ascending code order is the first failing
 labeled graph.  Each representative's truth table is built once and
-serves every axiom.  Its free-amalgamation unit works on integer edge
-codes (`instances.free_amalgam_codes`, `canonical_codes`, `st_holds`),
-so the axiom unit takes most of the suite's time.
+serves every axiom, and each axiom is one `check_axioms` call over all
+34 representatives, which scans their layouts side by side.  Its
+free-amalgamation unit works on integer edge codes
+(`instances.free_amalgam_codes`, `canonical_codes`, `st_holds`) and now
+takes about as long as the axiom unit.
+
+`--instances` restricts only the suites that take catalog instances:
+`rg-st` and `dlo-div` (`CATALOG_FREE_SUITES`) run whole beside them, and
+a request that names instances for those two alone is refused.
 
 The catalog suites trim a whole-catalog run to instances of at most
 `TABLE_SUITE_MAX` or `STACK_SUITE_MAX` elements; an instance named in
@@ -31,7 +37,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .axioms import AxiomId, Comparison, check_axiom, compare, result_line
+from .axioms import (
+    AxiomId,
+    Comparison,
+    check_axiom,
+    check_axioms,
+    compare,
+    result_line,
+)
 from .closure import ClosureOperator, Pregeometry, trivial_closure
 from .geometry import (
     brute_dim_oracle,
@@ -71,7 +84,8 @@ class UnknownSuite(ValueError):
 
 class UnknownInstance(UnknownSuite):
     """A suite was restricted to names that are not in the catalog, or
-    to one name twice."""
+    to one name twice, or only suites that take no catalog instance
+    were given names."""
 
 
 @dataclass(frozen=True)
@@ -148,6 +162,10 @@ DIV_AXIOMS = (
 
 # Catalog pregeometries known to violate the modular law.
 NONMODULAR = frozenset({"u34", "u36"})
+
+#: the suites that quantify over their own structures, not the catalog,
+#: so no instance name restricts them
+CATALOG_FREE_SUITES = frozenset({"rg-st", "dlo-div"})
 
 TABLE_SUITE_MAX = 6  # table-equality suites
 STACK_SUITE_MAX = 5  # transformer-stack suites
@@ -247,23 +265,22 @@ RANDOM_RELATION_SIZE = 4
 
 
 def _suite_mon_preserve(pool: InstancePool) -> list[CheckResult]:
-    out = []
-    for label, base, op in _catalog_relations(pool):
-        out += _bmon_r_checks(label, base, op)
+    """BMON-R on the M and m of every catalog base and random relation.
+    BMON-R reads no closure, so they all go to one `check_axioms` call,
+    which scans those of one size and class map at once."""
+    subjects = [(label, r) for label, base, op in _catalog_relations(pool)
+                for r in (monotonise_M(base, op), monotonise_m(base))]
     if pool.names is None:
         ground = GroundSet(RANDOM_RELATION_SIZE)
         ident = trivial_closure(ground)
         for seed in range(RANDOM_RELATION_COUNT):
-            out += _bmon_r_checks("rand", random_relation(ground, seed), ident)
-    return out
-
-
-def _bmon_r_checks(label: str, base: TernaryRelation,
-                   op: ClosureOperator) -> list[CheckResult]:
-    out = []
-    for r in (monotonise_M(base, op), monotonise_m(base)):
-        out += _axiom_checks(f"{label}:{r.name}", r, op, (AxiomId.BMON_R,))
-    return out
+            base = random_relation(ground, seed)
+            subjects += [("rand", monotonise_M(base, ident)),
+                         ("rand", monotonise_m(base))]
+    reports = check_axioms([r for _, r in subjects], AxiomId.BMON_R)
+    return [CheckResult(f"{label}:{r.name}", rep.axiom.value, rep.status,
+                        rep.witness)
+            for (label, r), rep in zip(subjects, reports)]
 
 
 def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
@@ -386,27 +403,27 @@ def _suite_rg_st(pool: InstancePool) -> list[CheckResult]:
 
 
 def _st_axiom_unit() -> list[CheckResult]:
+    """One `check_axioms` call per axiom over the representatives, which
+    share one ground set and have no class rows, so each axiom is one
+    scan of their layouts side by side.  Each relation's rows and
+    layouts are built on first use and serve every axiom."""
     size = GRAPH_SUITE_VERTICES
     ident = trivial_closure(GroundSet(size))
-    failed: dict[AxiomId, CheckResult] = {}
-    for code in _graph_class_representatives(size):
-        # check_axiom builds the rows and the packed layouts onto
-        # `relation` once, so every axiom below reads what was built for
-        # this graph
-        relation = rel_st(graph_of_code(size, code))
-        for ax in ST_AXIOMS:
-            if ax in failed:
-                continue
-            rep = check_axiom(relation, ax, ident)
-            if rep.status == "fail":
-                failed[ax] = CheckResult(f"graphs{size}#{code}:st", ax.value,
-                                         "fail", rep.witness)
-    return [
-        failed.get(ax)
-        or CheckResult(f"graphs{size}:st", ax.value,
-                       "vacuous" if ax in (AxiomId.FIN, AxiomId.LOC) else "pass")
-        for ax in ST_AXIOMS
-    ]
+    codes = _graph_class_representatives(size)
+    relations = [rel_st(graph_of_code(size, code)) for code in codes]
+    out = []
+    for ax in ST_AXIOMS:
+        reports = check_axioms(relations, ax, ident)
+        failed = [(code, rep) for code, rep in zip(codes, reports)
+                  if rep.status == "fail"]
+        if failed:
+            code, rep = failed[0]
+            out.append(CheckResult(f"graphs{size}#{code}:st", ax.value,
+                                   "fail", rep.witness))
+        else:
+            out.append(CheckResult(f"graphs{size}:st", ax.value,
+                                   reports[0].status))
+    return out
 
 
 def _amalgam_unit() -> list[CheckResult]:
@@ -523,7 +540,8 @@ def _check_request(
     suite_ids: Sequence[str], instances: Optional[Sequence[str]]
 ) -> None:
     """Refuse an unknown suite id, then a repeated suite id, then unknown
-    instance names, then a repeated instance name."""
+    instance names, then a repeated instance name, then instance names
+    when no suite takes catalog instances."""
     for suite_id in suite_ids:
         if suite_id not in _SUITE_BODIES:
             raise UnknownSuite(f"unknown suite: {suite_id!r}")
@@ -535,6 +553,9 @@ def _check_request(
             raise UnknownInstance(f"unknown instances: {', '.join(missing)}")
         if repeated := _repeated(instances):
             raise UnknownInstance(f"repeated instances: {repeated}")
+        if CATALOG_FREE_SUITES.issuperset(suite_ids):
+            raise UnknownInstance("suites without catalog instances: "
+                                  + ", ".join(suite_ids))
 
 
 def _repeated(names: Sequence[str]) -> str:
@@ -550,10 +571,12 @@ def run_suite(
     """Run one suite; `instances` restricts to named catalog entries.
 
     `pool` holds those entries when several suites share one build of
-    them; by default the suite builds its own.
+    them, and then the caller has checked the request as a whole
+    (`run_suites`), which may name instances for a suite that takes none;
+    by default the suite checks its request and builds its own.
     """
-    _check_request([suite_id], instances)
     if pool is None:
+        _check_request([suite_id], instances)
         pool = InstancePool(instances)
     return SuiteResult(suite_id, _SUITE_BODIES[suite_id](pool))
 

@@ -16,6 +16,7 @@ from pregeolab.axioms import (
     MissingClosure,
     check_all,
     check_axiom,
+    check_axioms,
     compare,
     enumerate_all_relations,
     evaluate_axiom_body,
@@ -336,8 +337,9 @@ def test_pack_matches_packbits(size):
         left = np.moveaxis(np.packbits(rows, 1, bitorder="little"), 1, -1)
         np.testing.assert_array_equal(axioms._packed(r, 1),
                                       left.reshape(k * count, -1))
-        np.testing.assert_array_equal(axioms._left_over_a(r),
-                                      packbits(rows[classes], 1))
+        np.testing.assert_array_equal(
+            axioms._left_over_a(axioms._packed(r, 1), r.classes),
+            packbits(rows[classes], 1))
         assert r.table is None
 
 
@@ -887,6 +889,107 @@ def test_least_a_is_the_least_member_of_a_violated_class():
             assert got == (a,) + alone[classes[a]][1:], (density, ax)
             crossed += classes[a] != min(violated)
     assert crossed >= 5
+
+
+def batch_cases():
+    """Batches of relations that share one ground size and one class map,
+    each with its closure: random tables at n = 0..5 from sparse to
+    density 0.999, with `int`, which passes most axioms; random class
+    rows under one random class map; and the closure relations of u34
+    and gebert4, which share the map of their closed sets."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for size in range(6):
+        g = GroundSet(size)
+        count = g.subset_count
+        tables = [rng.random((count,) * 3) < density
+                  for density in (0.02, 0.5, 0.9, 0.99, 0.999, 0.999)]
+        rels = [from_table(g, "rand", t) for t in tables]
+        cases.append((rels + [rel_intersection(g)], random_closure(g, rng)))
+        if size:
+            k = max(2, count // 3)
+            classes = rng.integers(0, k, count)
+            rows = [rng.random((k, count, count)) < density
+                    for density in (0.9, 0.999, 0.999, 1)]
+            cases.append(([class_rows(g, x, classes) for x in rows],
+                          random_closure(g, rng)))
+    for name in ("u34", "gebert4"):
+        inst = catalog_instance(name)
+        rels = [resolve_relation(inst, rid)
+                for rid in ("a", "cl", "aM", "am", "ac")
+                if instances.defines(inst, rid)]
+        cases.append((rels, instance_operator(inst)))
+    return cases
+
+
+@pytest.mark.parametrize("sclo_block", [None, 1 << 6])
+def test_batched_scans_match_each_relation_alone(sclo_block, monkeypatch):
+    """`check_axioms` scans each batch once, the relations' layouts side by
+    side, and reports for every relation what `check_axiom` reports for
+    it alone; every fail witness is a violation under the scalar route.
+    Below n = 3 each lane of the left layout is one byte with padding.
+    With small SCLO blocks the lanes find their witnesses in different
+    blocks of A rows."""
+    if sclo_block is not None:
+        monkeypatch.setattr(axioms, "_SCLO_BLOCK_CELLS", sclo_block)
+    outcomes = set()
+    for rels, op in batch_cases():
+        rows = [axioms._rows(r) for r in rels]
+        assert [len(b) for b in axioms._batches(rels, rows)] == [len(rels)]
+        for ax in AXIOM_ORDER:
+            if ax not in axioms._BODIES:
+                continue
+            batched = check_axioms(rels, ax, op)
+            assert batched == [check_axiom(r, ax, op) for r in rels], ax
+            for r, rep in zip(rels, batched):
+                if rep.status == "fail":
+                    assert not evaluate_axiom_body(r, ax, rep.witness, op)
+            statuses = {rep.status for rep in batched}
+            outcomes.add("mixed" if len(statuses) > 1 else statuses.pop())
+            outcomes.update("past A = {}" for rep in batched
+                            if ax is not AxiomId.AREF and rep.witness
+                            and rep.witness[0])
+    assert outcomes == {"mixed", "pass", "fail", "past A = {}"}
+
+
+def test_batches_split_at_one_n8_layout():
+    """A batch's layout stays within one n = 8 layout: 512 lanes of 4 KB at
+    n = 5, one lane of a whole table at n = 8 (2 MB), but 16 lanes of
+    gebert8 `a`, whose right layout has 2 bytes of class bits a row.
+    Relations of another size or class map go to their own batch, and
+    every batch keeps input order."""
+    small = [rel_intersection(GroundSet(5)) for _ in range(600)]
+    rows = [axioms._rows(r) for r in small]
+    assert [len(b) for b in axioms._batches(small, rows)] == [512, 88]
+    mixed = [small[0], rel_intersection(GroundSet(4)), small[1]]
+    rows = [axioms._rows(r) for r in mixed]
+    assert list(axioms._batches(mixed, rows)) == [[0, 2], [1]]
+    for r, step in ((rel_intersection(GroundSet(8)), 1),
+                    (resolve_relation(catalog_instance("gebert8"), "a"), 16)):
+        rows = [axioms._rows(r)] * 20
+        assert [len(b) for b in axioms._batches([r] * 20, rows)] == [
+            step] * (20 // step) + [20 % step] * (20 % step > 0)
+
+
+@pytest.mark.parametrize("name,rel_id", [("gebert8", "a"), ("dlo6", "div")])
+def test_single_relation_scan_reads_the_stored_layout(name, rel_id,
+                                                      monkeypatch):
+    """A batch of one hands each scan body the relation's stored layout
+    itself, `r.packed[axis]`, with no concatenated copy, on class rows
+    and on a whole table."""
+    seen = []
+    for scan in ("_scan_gather", "_scan_chain"):
+        real = getattr(axioms, scan)
+        monkeypatch.setattr(axioms, scan, lambda p, *rest, real=real:
+                            seen.append(p) or real(p, *rest))
+    inst = catalog_instance(name)
+    r = resolve_relation(inst, rel_id)
+    for ax, axis in ((AxiomId.NOR_R, 0), (AxiomId.CLO_R, 0),
+                     (AxiomId.BMON_R, 0), (AxiomId.NOR_L, 1),
+                     (AxiomId.TRA_L, 1)):
+        seen.clear()
+        check_axiom(r, ax, instance_operator(inst))
+        assert len(seen) == 1 and seen[0] is r.packed[axis], ax
 
 
 def test_scans_keep_padding_bits_zero():

@@ -265,6 +265,22 @@ def test_verify_repeated_suite_is_usage_error(capsys):
     assert err == "error: --suite: repeated suites: dim-laws\n"
 
 
+@pytest.mark.parametrize("suites", ["rg-st", "dlo-div", "dlo-div,rg-st"])
+def test_verify_instances_refused_where_no_suite_takes_them(capsys, suites):
+    """rg-st and dlo-div quantify over their own structures, so no name
+    restricts them: naming instances for them alone is a usage error
+    before any suite runs, while beside a catalog suite they run whole."""
+    code, out, err = run(capsys, "verify", "--suite", suites,
+                         "--instances", "u34")
+    assert code == 2 and out == ""
+    assert err == ("error: --instances: suites without catalog instances: "
+                   + suites.replace(",", ", ") + "\n")
+    code, out, err = run(capsys, "verify", "--suite", f"{suites},dim-laws",
+                         "--instances", "u34")
+    assert code == 0 and err == ""
+    assert out.count(" pass ") == len(suites.split(",")) + 1
+
+
 def test_over_budget_instance_is_usage_error(capsys, tmp_path):
     path = tmp_path / "big.txt"
     path.write_text("type = trivial\nsize = 9\n")

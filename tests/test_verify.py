@@ -59,6 +59,7 @@ def test_unknown_suite():
 @pytest.mark.parametrize("suites, names, error", [
     (["rg-st", "nope"], None, UnknownSuite),
     (["rg-st", "dim-laws"], ["u34", "nope"], UnknownInstance),
+    (["rg-st", "dlo-div"], ["u34"], UnknownInstance),
 ])
 def test_run_suites_refuses_before_any_suite_runs(monkeypatch, suites, names,
                                                   error):
