@@ -27,8 +27,12 @@ bits along one axis (`_pack`), so that one word operation on a row
 serves every value of that axis at once and no scan loops over the 2^n
 A rows.  There are two layouts, each packed once per relation from its
 rows (`relcalc.built_rows`) and kept read-only on it (`_packed`), so
-every scan of a relation reads the same rows.  Each has one extractor of
-the least (A, C, B) from a packed violation array:
+every scan of a relation reads the same rows.  An opposite, r(B, A, C),
+packs nothing: its layout over A is its base's layout over B with rows
+(A, C), and its layout over B is its base's layout over A with bits over
+A, each its base's stored array when the base has no class rows.  Each
+layout has one extractor of the least (A, C, B) from a packed violation
+array:
 
 - right: rows (B, C), one bit per A row the relation stores: per A (2^n
   bits, 32 bytes at n = 8), or per class for class rows (k bits, 2 bytes
@@ -59,8 +63,10 @@ the least (A, C, B) from a packed violation array:
   it would lift a fresh gebert8 `a --all` from 36.8 to 38.8 MB.
 
 Where the scans read cells (EX, AREF, SCLO's pair rows and the least
-D), holds(A, B, C) reads row classes[A].  So no scan of a class-row
-relation builds its 2^(3n) table.
+D), they read them through `_holds`: holds(A, B, C) is cell (B, C) of
+the stored row of A's class, or of A's own row without classes, and an
+opposite's holds(A, B, C) is its base's holds(B, A, C).  So no scan
+builds a 2^(3n) table: not of class rows, and not of an opposite.
 
 SYM takes the bits of the right layout that the left one, whose row
 (B, C) is r(B, A, C), lacks.  NOR and CLO AND a layout with the negated
@@ -103,7 +109,9 @@ and `check_axiom` is its batch of one.  Relations of one ground size,
 one number of rows and one class map (or none) form a batch
 (`_batches`), and their stored layouts are set side by side along the
 byte axis (`_lanes`): each relation owns the same whole bytes of every
-row, its lane, padded to a byte as its own layout is.  Their rows stand
+row, its lane, padded to a byte as its own layout is.  An opposite has
+no class map of its own, whatever its base's, so it shares a batch with
+the whole tables of its ground size.  Their rows stand
 for the same (X, Y), so every gather, OR, zeta and strong pass, SYM's
 OR and XOR, FREE's mask of the A that lack i (the same in every lane)
 and the class logic of the left layout (`_union_classes`, `_pair_blocks`,
@@ -127,12 +135,14 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .closure import ClosureOperator
 from .lattice import GroundSet, first_true, format_witness
+# `materialize` is read by perfbench/selftest.py only, which checks that
+# a wrapped function imported from relcalc is wrapped here too
 from .relcalc import TernaryRelation, built_rows, from_table, materialize
 
 class MissingClosure(Exception):
@@ -289,25 +299,56 @@ def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
     return rows.reshape(-1, rows.shape[-1])
 
 
-def _rows(r: TernaryRelation) -> np.ndarray:
-    """r's A rows: its class rows, or, without classes, its table, which
-    is its rows, so that `materialize` makes no copy."""
-    return built_rows(r) if r.classes is not None else materialize(r).table
-
-
 def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
     """r's rows packed over `axis`, read-only, packed on first use and kept
     in `r.packed`, so every later scan of r reads the same rows.  Over
     axis 0 class rows keep one bit per class; over axis 1 their rows are
     (class, C), k x 2^n of them, and `_left_over_a` takes them by class
     for the scans that need rows (A, C).  Neither layout needs the table
-    of class rows."""
+    of class rows.  An opposite r(A, B, C) = base(B, A, C) takes its
+    base's other layout, its rows (class, C) taken by class or its class
+    bits expanded to A bits, and builds no rows."""
     p = r.packed.get(axis)
     if p is None:
-        p = _pack(_rows(r), axis)
+        base = r.opposite_of
+        if base is None:
+            p = _pack(built_rows(r), axis)
+        else:  # r(A, B, C) = base(B, A, C): the base's other layout
+            p = _OPPOSITE_LAYOUT[axis](_packed(base, 1 - axis), base.classes)
         p.flags.writeable = False
         r.packed[axis] = p
     return p
+
+
+class _Cells(NamedTuple):
+    """Where a relation's cells are stored: cell (A, B, C) is rows[row[A],
+    B, C], or rows[row[B], A, C] when `swap` is set, with row[X] read as X
+    where `row` is None."""
+
+    rows: np.ndarray  # a relation's `built_rows`
+    row: Optional[np.ndarray]  # its class map
+    swap: bool
+
+    def where(self, a, b, c) -> tuple:
+        """The index of cell (A, B, C) in `rows`, one index array, or mask,
+        per axis of `rows`: those of A, B and C broadcast."""
+        if self.swap:
+            a, b = b, a
+        return (a if self.row is None else self.row[a]), b, c
+
+    def __call__(self, a, b, c):
+        """holds(A, B, C)."""
+        return self.rows[self.where(a, b, c)]
+
+
+def _holds(r: TernaryRelation) -> _Cells:
+    """The one reader of r's cells: its rows and class map, or for an
+    opposite its base's cells with A and B swapped, so that an opposite
+    builds no rows."""
+    if r.opposite_of is not None:
+        rows, row, swap = _holds(r.opposite_of)
+        return _Cells(rows, row, not swap)
+    return _Cells(built_rows(r), r.classes, False)
 
 
 #: bytes of one n = 8 layout (4^8 rows of 32 bytes): a batch is split so
@@ -414,6 +455,13 @@ def _over_a(p: np.ndarray, classes: Optional[np.ndarray], lanes: int = 1
         for t in range(1, width):
             block |= lut[t].take(bytes_[:, t], axis=0)
     return out.reshape(rows, -1)
+
+
+#: axis -> how an opposite's layout over it comes from its base's layout
+#: over the other axis and the base's class map: over A, the base's rows
+#: (class, C) over B taken by class into rows (A, C); over B, the base's
+#: rows (B, C) with their class bits expanded to A bits
+_OPPOSITE_LAYOUT = {0: _left_over_a, 1: _over_a}
 
 
 def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
@@ -584,7 +632,7 @@ _SCLO_BLOCK_CELLS = 1 << 18
 
 
 def _scan_sclo(
-    rows: Sequence[np.ndarray], classes: Optional[np.ndarray],
+    relations: Sequence[TernaryRelation], classes: Optional[np.ndarray],
     left: np.ndarray, cl: np.ndarray
 ) -> list[Optional[tuple[int, int, int]]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
@@ -595,18 +643,20 @@ def _scan_sclo(
     nonzero row of their XOR is the least (A, C), and its least bit is B.
     The scan runs in blocks of A rows that double, and a block gathers
     only the pair rows it reaches that no earlier block gathered, so an
-    early A stays cheap.  The pair rows are read from `rows`, A's row
-    being classes[A], so the table is never built, and for class rows a
-    block's rows of `left`, which are (class, C), are taken by class.  The
-    2-D index arrays are in the narrowest unsigned dtype that holds them.
-    `rows` holds the rows of each lane of `left`: a block gathers each
-    lane's pair rows into that lane's bytes, and the scan stops at the
-    first block after which every lane has its least (A, C, B)."""
+    early A stays cheap.  The pair rows are read through each relation's
+    `_holds`, so no table is built, and for class rows a block's rows of
+    `left`, which are (class, C), are taken by class.  `relations` are
+    the lanes of `left`: a block gathers each lane's pair rows into that
+    lane's bytes, by one flat index per block for all the lanes that read
+    their cells alike (`_Cells`: one class map object, or none, and A and
+    B swapped or not), so the whole tables of a batch share one index, and
+    the scan stops at the first block after which every lane has its least
+    (A, C, B)."""
     count = len(cl)
-    lanes = len(rows)
+    lanes = len(relations)
+    cells = [_holds(r) for r in relations]
     width = count + 7 >> 3
     masks = np.arange(count)
-    row = masks if classes is None else classes
     closed = np.flatnonzero(cl == masks)
     rank = np.empty(count, dtype=np.intp)
     rank[closed] = np.arange(len(closed))
@@ -614,14 +664,9 @@ def _scan_sclo(
     # [Z, X] -> its row
     pair = np.zeros((len(closed),) * 2, dtype=np.min_scalar_type(len(zs) - 1))
     pair[zs, xs] = np.arange(len(zs))
-    narrow = np.arange(count, dtype=np.min_scalar_type(count - 1))
-    up = cl.astype(narrow.dtype)[closed[:, None] | narrow]  # [Z, B]: cl(B+Z)
+    up = cl[closed[:, None] | masks]  # [Z, B]: cl(B+Z)
     reach = pair[np.arange(len(closed)), rank[up.T]]  # [A, Z]: (Z, cl(A+Z))
     base = rank[cl]  # C -> the rank of cl(C)
-    # [Z, B]: the flat index of (cl(B+Z), Z) in A's row, in a dtype that
-    # holds every flat index of `rows`
-    cell = np.min_scalar_type(rows[0].size - 1)
-    right_cells = up.astype(cell) * count + closed[:, None].astype(cell)
     # [pair, B]: r(X, cl(B+Z), Z), packed over B
     right = np.empty((len(zs), lanes * width), dtype=np.uint8)
     done = np.zeros(len(zs), dtype=bool)  # the rows of right gathered so far
@@ -635,11 +680,16 @@ def _scan_sclo(
         want[at] = True
         new = np.flatnonzero(want > done)
         done[new] = True
-        cells = right_cells[zs[new]]
-        cells += (row[closed[xs[new]]] * count**2).astype(cell)[:, None]
-        for j, lane in enumerate(rows):
+        # the cells (X, cl(B+Z), Z) of the new pairs, one flat index per
+        # way of reading them
+        x, y, z = closed[xs[new], None], up[zs[new]], closed[zs[new], None]
+        flat: dict[tuple, np.ndarray] = {}
+        for j, h in enumerate(cells):
+            key = (h.swap, id(h.row))  # one class map object, one index
+            if key not in flat:
+                flat[key] = np.ravel_multi_index(h.where(x, y, z), h.rows.shape)
             right[new, j * width:(j + 1) * width] = np.packbits(
-                lane.take(cells), axis=-1, bitorder="little")
+                h.rows.take(flat[key]), axis=-1, bitorder="little")
         viol = right.take(at, axis=0)
         if classes is None:
             viol ^= left[lo * count:hi * count]
@@ -796,33 +846,27 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     return op
 
 
-def _holds(rows: np.ndarray, row: np.ndarray):
-    """holds(A, B, C) on one relation's rows, A's row being row[A]."""
-    return lambda a, b, c: rows[row[a], b, c]
-
-
 def _find_violations(
-    relations: Sequence[TernaryRelation], rows: Sequence[np.ndarray],
-    ax: AxiomId, cl: Optional[np.ndarray]
+    relations: Sequence[TernaryRelation], ax: AxiomId,
+    cl: Optional[np.ndarray]
 ) -> list[Optional[tuple[int, ...]]]:
-    """The least violation of ax in each of a batch of relations, with
-    their `_rows`, that share one ground size, one number of rows and one
-    class map (`_batches`): one scan over their layouts side by side
-    (`_lanes`), then each lane's least witness."""
+    """The least violation of ax in each of a batch of relations that
+    share one ground size, one number of rows and one class map
+    (`_batches`): one scan over their layouts side by side (`_lanes`),
+    then each lane's least witness."""
     first = relations[0]
     count = first.ground.subset_count
     masks = np.arange(count)
     classes = first.classes
     lanes = len(relations)
-    row = masks if classes is None else classes  # A -> its row
 
     if ax in (AxiomId.EX, AxiomId.AREF):  # the body on the (A, C) grid;
         # AREF's A runs over the singletons {a}
         firsts = (1 << np.arange(first.ground.size) if ax is AxiomId.AREF
                   else masks)
         out = []
-        for x in rows:
-            ok = _BODIES[ax](_holds(x, row), cl, firsts[:, None], masks)
+        for r in relations:
+            ok = _BODIES[ax](_holds(r), cl, firsts[:, None], masks)
             hit = first_true(~ok)
             out.append(None if hit is None else (int(firsts[hit[0]]), hit[1]))
         return out
@@ -831,13 +875,13 @@ def _find_violations(
     p = _lanes(relations, int(left))
     bits = None if left else classes  # A -> its bit in the lanes of p
     if ax is AxiomId.SCLO:
-        return _scan_sclo(rows, classes, p, cl)
+        return _scan_sclo(relations, classes, p, cl)
     if ax in _CHAIN_AXIOMS:  # a left form reads rows (class(x), y)
         return _scan_chain(p, count, lanes, _CHAIN_AXIOMS[ax], bits,
                            classes if left else None)
     if left and classes is not None:  # p's rows are (class, C)
         if ax is AxiomId.NOR_L:
-            union = _union_classes(classes, len(rows[0]), count)
+            union = _union_classes(classes, len(built_rows(first)), count)
             if union is not None:  # one block of rows C per class
                 viol = _scan_gather(p, count, union)
                 return _least_left(viol, count, lanes, classes)
@@ -868,23 +912,21 @@ def _find_violations(
                 else _least_right(viol, count, lanes, bits))
     if _arity(ax) == 3:
         return hits
-    return [hit if hit is None else _least_d(_holds(x, row), count, ax, *hit)
-            for x, hit in zip(rows, hits)]
+    return [hit if hit is None else _least_d(_holds(r), count, ax, *hit)
+            for r, hit in zip(relations, hits)]
 
 
-def _batches(relations: Sequence[TernaryRelation],
-             rows: Sequence[np.ndarray]) -> Iterable[list[int]]:
-    """The indexes of `relations`, whose `_rows` are `rows`, grouped into
-    batches, each in input order: one ground size, one number of rows and
-    one class map (or none) per batch, and as many relations as keep the
-    batch's layout within `_BATCH_BYTES`, at least one."""
-    if len(relations) == 1:  # every single check: no key to build
-        yield [0]
-        return
+def _batches(relations: Sequence[TernaryRelation]) -> Iterable[list[int]]:
+    """The indexes of `relations` grouped into batches, each in input
+    order: one ground size, one number of rows and one class map (or none)
+    per batch, and as many relations as keep the batch's layout within
+    `_BATCH_BYTES`, at least one."""
     groups: dict[tuple, list[int]] = {}
-    for i, (r, x) in enumerate(zip(relations, rows)):
+    for i, r in enumerate(relations):
         classes = None if r.classes is None else r.classes.tobytes()
-        key = (r.ground.size, len(x), classes)
+        # a whole table has 2^n rows, stored or not (an opposite's)
+        rows = r.ground.subset_count if classes is None else len(built_rows(r))
+        key = (r.ground.size, rows, classes)
         groups.setdefault(key, []).append(i)
     for (size, k, _), members in groups.items():
         count = 1 << size
@@ -910,11 +952,10 @@ def check_axioms(
     if ax in (AxiomId.FIN, AxiomId.LOC):
         return [AxiomReport(ax, r.name, "vacuous", None) for r in relations]
     cl = _require_op(ax, op).table if ax.needs_closure else None
-    rows = [_rows(r) for r in relations]
     witnesses: list[Optional[tuple[int, ...]]] = [None] * len(relations)
-    for batch in _batches(relations, rows):
-        found = _find_violations([relations[i] for i in batch],
-                                 [rows[i] for i in batch], ax, cl)
+    # a single check is a batch of one, with no key to build
+    for batch in [[0]] if len(relations) == 1 else _batches(relations):
+        found = _find_violations([relations[i] for i in batch], ax, cl)
         for i, witness in zip(batch, found):
             witnesses[i] = witness
     return [AxiomReport(ax, r.name, "pass" if w is None else "fail", w)

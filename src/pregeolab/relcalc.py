@@ -24,14 +24,16 @@ per closed set, k of them (9 of 256 on gebert8), with `classes` mapping
 each A to the row of cl(A).  `sup` sees A only through max(A), so it
 makes n + 1 rows.  M, m and c act on each A row alone, so they keep
 their base's `classes` and build their rows from the base's rows, never
-from its table, and `opposite` gathers its table from its base's rows.
-Every other relation, and `a` or `cl` under a closure whose every set is
-closed, has `classes = None`, and its rows are the whole table.  The
-table derives from the rows: `materialize` takes the class rows by
-`classes` with one `take`, or uses the rows themselves.  No scan or
-comparison of `axioms` calls it for class rows: both packed layouts and
-every cell the scans read come from the rows, so a class-row relation
-never builds its 2^(3n) table unless a caller asks for it.
+from its table.  `opposite` stores nothing: it keeps its base as
+`opposite_of`, and the scans read its base's layouts and cells with A
+and B swapped.  Every other relation, and `a` or `cl` under a closure
+whose every set is closed, has `classes = None`, and its rows are the
+whole table.  The table derives from the rows: `materialize` takes the
+class rows by `classes` with one `take`, or uses the rows themselves,
+and an opposite's builder transposes its base's table.  No scan or
+comparison of `axioms` calls it: both packed layouts and every cell the
+scans read come from the rows, so no relation builds its 2^(3n) table
+unless a caller asks for it.
 
 Transformer stacks build their base's rows once.  The monotonisations
 copy those rows and AND them along the C axis in n passes, one per
@@ -90,6 +92,8 @@ class TernaryRelation:
     #: the builder's rows, read-only: [k, B, C], one per class, when
     #: `classes` is set, and the whole table otherwise
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    #: r, when this relation is opposite(r): it stores no rows of its own
+    opposite_of: Optional[TernaryRelation] = None
 
 
 def check_table_budget(ground: GroundSet) -> None:
@@ -140,7 +144,11 @@ def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelati
 def random_relation(ground: GroundSet, seed: int) -> TernaryRelation:
     rng = np.random.default_rng(seed)
     count = ground.subset_count
-    table = rng.random((count, count, count)) < 0.5
+    step = _block_rows(count)
+    # the numbers of one draw of count^3 floats, in blocks of A rows, so
+    # that no float array has the table's size (128 MB at n = 8)
+    table = np.concatenate([rng.random((step, count, count)) < 0.5
+                            for _ in range(0, count, step)])
     return from_table(ground, f"rand{seed}", table)
 
 
@@ -355,23 +363,16 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
 
 
 def opposite(r: TernaryRelation) -> TernaryRelation:
-    """Swap the two sides: (A, B, C) |-> r(B, A, C)."""
+    """Swap the two sides: (A, B, C) |-> r(B, A, C).  The scans read r's
+    layouts and cells swapped (`axioms._packed`, `axioms._holds`), so only
+    `materialize` runs the builder, which transposes r's table."""
 
     def fn(a: int, b: int, c: int) -> bool:
         return r.fn(b, a, c)
 
-    def build() -> np.ndarray:
-        # row A of the result is (B, C) |-> r(B, A, C): the (A, C) slices
-        # of r's rows taken by B's row, so r's table is never expanded
-        rows = built_rows(r)
-        count = r.ground.subset_count
-        classes = np.arange(count) if r.classes is None else r.classes
-        table = np.empty((count,) * 3, dtype=bool)
-        for a in range(count):
-            table[a] = rows[:, a].take(classes, axis=0)
-        return table
-
-    return TernaryRelation(r.ground, f"opp({r.name})", fn, build)
+    return TernaryRelation(r.ground, f"opp({r.name})", fn,
+                           lambda: materialize(r).table.transpose(1, 0, 2).copy(),
+                           opposite_of=r)
 
 
 def rel_sup(ground: GroundSet) -> TernaryRelation:

@@ -37,6 +37,7 @@ from pregeolab.relcalc import (
     built_rows,
     from_table,
     materialize,
+    opposite,
     random_relation,
     rel_a,
     rel_cl,
@@ -341,6 +342,31 @@ def test_pack_matches_packbits(size):
             axioms._left_over_a(axioms._packed(r, 1), r.classes),
             packbits(rows[classes], 1))
         assert r.table is None
+
+
+def test_opposite_layouts_are_the_packed_transposed_table():
+    """An opposite packs nothing of its own, yet each of its layouts is
+    `_pack` of its base's expanded table with A and B swapped, for every
+    relation id of every catalog instance with n <= 6 (106 pairs), on
+    class rows and on whole tables."""
+    pairs = 0
+    for inst in catalog().values():
+        if inst.ground.size > 6:
+            continue
+        for rid in instances.RELATIONS:
+            if not instances.defines(inst, rid):
+                continue
+            r = resolve_relation(inst, rid)
+            opp = opposite(r)
+            swapped = np.ascontiguousarray(
+                materialize(resolve_relation(inst, rid)).table.transpose(
+                    1, 0, 2))
+            for axis in (0, 1):
+                np.testing.assert_array_equal(axioms._packed(opp, axis),
+                                              _pack(swapped, axis))
+            assert opp.rows is None and opp.table is None
+            pairs += 1
+    assert pairs == 106
 
 
 @pytest.mark.parametrize("name,rel_id", [
@@ -894,9 +920,12 @@ def test_least_a_is_the_least_member_of_a_violated_class():
 def batch_cases():
     """Batches of relations that share one ground size and one class map,
     each with its closure: random tables at n = 0..5 from sparse to
-    density 0.999, with `int`, which passes most axioms; random class
-    rows under one random class map; and the closure relations of u34
-    and gebert4, which share the map of their closed sets."""
+    density 0.999, with `int`, which passes most axioms, and with
+    opposites, whose lanes read their bases' cells swapped: of a table of
+    the batch, of class rows and, twice swapped, of other class rows;
+    random class rows under one random class map; and the closure
+    relations of u34 and gebert4, which share the map of their closed
+    sets."""
     rng = np.random.default_rng(30)
     cases = []
     for size in range(6):
@@ -905,7 +934,8 @@ def batch_cases():
         tables = [rng.random((count,) * 3) < density
                   for density in (0.02, 0.5, 0.9, 0.99, 0.999, 0.999)]
         rels = [from_table(g, "rand", t) for t in tables]
-        cases.append((rels + [rel_intersection(g)], random_closure(g, rng)))
+        whole = rels + [rel_intersection(g), opposite(rels[1])]
+        cases.append((whole, random_closure(g, rng)))
         if size:
             k = max(2, count // 3)
             classes = rng.integers(0, k, count)
@@ -913,6 +943,8 @@ def batch_cases():
                     for density in (0.9, 0.999, 0.999, 1)]
             cases.append(([class_rows(g, x, classes) for x in rows],
                           random_closure(g, rng)))
+            whole += [opposite(class_rows(g, rows[0], classes)),
+                      opposite(opposite(class_rows(g, rows[1], classes)))]
     for name in ("u34", "gebert4"):
         inst = catalog_instance(name)
         rels = [resolve_relation(inst, rid)
@@ -934,8 +966,7 @@ def test_batched_scans_match_each_relation_alone(sclo_block, monkeypatch):
         monkeypatch.setattr(axioms, "_SCLO_BLOCK_CELLS", sclo_block)
     outcomes = set()
     for rels, op in batch_cases():
-        rows = [axioms._rows(r) for r in rels]
-        assert [len(b) for b in axioms._batches(rels, rows)] == [len(rels)]
+        assert [len(b) for b in axioms._batches(rels)] == [len(rels)]
         for ax in AXIOM_ORDER:
             if ax not in axioms._BODIES:
                 continue
@@ -959,15 +990,12 @@ def test_batches_split_at_one_n8_layout():
     Relations of another size or class map go to their own batch, and
     every batch keeps input order."""
     small = [rel_intersection(GroundSet(5)) for _ in range(600)]
-    rows = [axioms._rows(r) for r in small]
-    assert [len(b) for b in axioms._batches(small, rows)] == [512, 88]
+    assert [len(b) for b in axioms._batches(small)] == [512, 88]
     mixed = [small[0], rel_intersection(GroundSet(4)), small[1]]
-    rows = [axioms._rows(r) for r in mixed]
-    assert list(axioms._batches(mixed, rows)) == [[0, 2], [1]]
+    assert list(axioms._batches(mixed)) == [[0, 2], [1]]
     for r, step in ((rel_intersection(GroundSet(8)), 1),
                     (resolve_relation(catalog_instance("gebert8"), "a"), 16)):
-        rows = [axioms._rows(r)] * 20
-        assert [len(b) for b in axioms._batches([r] * 20, rows)] == [
+        assert [len(b) for b in axioms._batches([r] * 20)] == [
             step] * (20 // step) + [20 % step] * (20 % step > 0)
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pregeolab import relcalc
-from pregeolab.axioms import compare
-from pregeolab.cli import UsageError, resolve_relation
+from pregeolab.axioms import AXIOM_ORDER, check_all, compare
+from pregeolab.cli import UsageError, instance_operator, resolve_relation
 from pregeolab.closure import from_table as operator_from_table
 from pregeolab.closure import trivial_closure
 from pregeolab.geometry import dim_table
@@ -503,19 +503,20 @@ def test_opposite_involution_and_symmetry(u34):
     assert compare(opposite(sym), sym).verdict == "equal"
 
 
-def test_opposite_builds_from_its_base_rows(u34):
-    """opp(r)'s table is r's table with A and B swapped, gathered from r's
-    rows, so a class-row base never builds its own table."""
-    g = gebert_closure(4)
-    for base, twin in ((rel_a(u34.op), rel_a(u34.op)),
-                       (monotonise_M(rel_a(g), g), monotonise_M(rel_a(g), g)),
-                       (rel_sup(GroundSet(4)), rel_sup(GroundSet(4))),
-                       (random_relation(GroundSet(3), 7),
-                        random_relation(GroundSet(3), 7))):
+def test_opposite_scans_build_no_table():
+    """Every axiom of `check_all` on the opposite of gebert8 `a`, `sup` and
+    `int` reads the base's layouts and cells swapped: the opposite builds
+    no rows and no table, and neither does its base, class rows or whole
+    table, build its table."""
+    inst = catalog_instance("gebert8")
+    op = instance_operator(inst)
+    for rid in ("a", "sup", "int"):
+        base = resolve_relation(inst, rid)
         opp = opposite(base)
-        assert_same_table(opp, materialize(twin).table.transpose(1, 0, 2))
-        assert (base.table is None) == (base.classes is not None)
-        assert_table_matches_scalar(opp)
+        reports = check_all(opp, op)
+        assert [rep.axiom for rep in reports] == list(AXIOM_ORDER)
+        assert opp.rows is None and opp.table is None, rid
+        assert base.table is None, rid
 
 
 def test_sup_builds_one_row_per_max():
@@ -551,6 +552,17 @@ def test_from_table_shape_check():
     g = GroundSet(2)
     with pytest.raises(ValueError):
         from_table(g, "bad", np.ones((4, 4), dtype=bool))
+
+
+def test_random_relation_draws_the_one_shot_numbers_in_blocks():
+    """At n = 7 the table is drawn in eight blocks of A rows, and it is the
+    table of one draw of every float at once."""
+    g = GroundSet(7)
+    assert relcalc._block_rows(g.subset_count) == g.subset_count // 8
+    for seed in (0, 42):
+        once = np.random.default_rng(seed).random((g.subset_count,) * 3) < 0.5
+        np.testing.assert_array_equal(
+            materialize(random_relation(g, seed)).table, once)
 
 
 def test_random_relation_is_seed_stable():
