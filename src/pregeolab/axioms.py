@@ -313,8 +313,10 @@ def _packed(r: TernaryRelation, axis: int) -> np.ndarray:
         base = r.opposite_of
         if base is None:
             p = _pack(built_rows(r), axis)
-        else:  # r(A, B, C) = base(B, A, C): the base's other layout
-            p = _OPPOSITE_LAYOUT[axis](_packed(base, 1 - axis), base.classes)
+        elif axis == 0:  # rows (B, C) over A: the base's rows (A, C) over B
+            p = _left_over_a(_packed(base, 1), base.classes)
+        else:  # rows (A, C) over B: the base's rows (B, C) over A
+            p = _over_a(_packed(base, 0), base.classes)
         p.flags.writeable = False
         r.packed[axis] = p
     return p
@@ -455,13 +457,6 @@ def _over_a(p: np.ndarray, classes: Optional[np.ndarray], lanes: int = 1
         for t in range(1, width):
             block |= lut[t].take(bytes_[:, t], axis=0)
     return out.reshape(rows, -1)
-
-
-#: axis -> how an opposite's layout over it comes from its base's layout
-#: over the other axis and the base's class map: over A, the base's rows
-#: (class, C) over B taken by class into rows (A, C); over B, the base's
-#: rows (B, C) with their class bits expanded to A bits
-_OPPOSITE_LAYOUT = {0: _left_over_a, 1: _over_a}
 
 
 def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
@@ -921,6 +916,9 @@ def _batches(relations: Sequence[TernaryRelation]) -> Iterable[list[int]]:
     order: one ground size, one number of rows and one class map (or none)
     per batch, and as many relations as keep the batch's layout within
     `_BATCH_BYTES`, at least one."""
+    if len(relations) == 1:  # every single check: no key to build
+        yield [0]
+        return
     groups: dict[tuple, list[int]] = {}
     for i, r in enumerate(relations):
         classes = None if r.classes is None else r.classes.tobytes()
@@ -953,8 +951,7 @@ def check_axioms(
         return [AxiomReport(ax, r.name, "vacuous", None) for r in relations]
     cl = _require_op(ax, op).table if ax.needs_closure else None
     witnesses: list[Optional[tuple[int, ...]]] = [None] * len(relations)
-    # a single check is a batch of one, with no key to build
-    for batch in [[0]] if len(relations) == 1 else _batches(relations):
+    for batch in _batches(relations):
         found = _find_violations([relations[i] for i in batch], ax, cl)
         for i, witness in zip(batch, found):
             witnesses[i] = witness
