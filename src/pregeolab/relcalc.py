@@ -370,9 +370,9 @@ def opposite(r: TernaryRelation) -> TernaryRelation:
     def fn(a: int, b: int, c: int) -> bool:
         return r.fn(b, a, c)
 
-    return TernaryRelation(r.ground, f"opp({r.name})", fn,
-                           lambda: materialize(r).table.transpose(1, 0, 2).copy(),
-                           opposite_of=r)
+    return TernaryRelation(
+        r.ground, f"opp({r.name})", fn,
+        lambda: materialize(r).table.transpose(1, 0, 2).copy(), opposite_of=r)
 
 
 def rel_sup(ground: GroundSet) -> TernaryRelation:
