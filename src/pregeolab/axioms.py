@@ -55,8 +55,8 @@ array:
   second row (class(A+C), C) is a row of A's class wherever the class of
   A+C depends on A only through its class (`_union_classes`), as it does
   for closure classes and max-classes, so NOR-L runs one block per class;
-  CLO-L runs one block per distinct pair (class(A), class(cl(A)))
-  (`_pair_blocks`); SCLO takes each block of A rows by class; and the
+  CLO-L runs one block per distinct pair (class(A), class(cl(A))) and
+  SCLO one per distinct pair (cl(A), class(A)) (`_pair_blocks`); and the
   chain scans of BMON-L and TRA-L gather rows (class(X), Y).  Only SYM,
   MON-L, and NOR-L under another class map take the rows by class into
   one row per (A, C) (`_left_over_a`), a fresh array each time: stored,
@@ -72,7 +72,9 @@ SYM takes the bits of the right layout that the left one, whose row
 (B, C) is r(B, A, C), lacks.  NOR and CLO AND a layout with the negated
 gather of the rows (X+C, C) or (cl(X), C), X the row's other variable
 (`_scan_gather`).  SCLO XORs the left layout with the rows of its
-right side, one packed row per pair of closed sets (`_scan_sclo`).
+right side, one packed row per pair of closed sets taken into a left
+layout whose row (A, C) depends on A only through cl(A), one block of
+rows C per distinct pair (cl(A), class(A)) (`_scan_sclo`).
 `compare` XORs the two relations' left layouts, one block of rows C per
 distinct pair (class1(A), class2(A)) where either has class rows, so it
 builds no table from class rows, and its witness is the least (A, B, C),
@@ -120,11 +122,11 @@ and the class logic of the left layout (`_union_classes`, `_pair_blocks`,
 the scans already apply to A and to A's classes.  Only the extraction of
 the least witness reads each lane alone: `_least_members`, the least
 (C, B) and the chain key, `_least_blocks`, BMON-STRONG's second loop,
-SCLO's blocks (which stop once every lane has its witness), the EX and
-AREF grids and `_least_d`.  So every relation gets the witness it gets
-alone, byte for byte.  A batch of one reads its stored layout itself,
-with no copy, and a batch is split so that its layout stays within one
-n = 8 layout (2 MB).  The rg-st suite checks each axiom on its 34 graphs
+SCLO's gather of each lane's pair rows, the EX and AREF grids and
+`_least_d`.  So every relation gets the witness it gets alone, byte for
+byte.  A batch of one reads its stored layout itself, with no copy, and
+a batch is split so that its layout stays within one n = 8 layout
+(2 MB).  The rg-st suite checks each axiom on its 34 graphs
 (n = 5) in one call: with their layouts packed, its fifteen scanned
 axioms take 4.7 ms so, against 18.5 ms as 34 calls each (NOR-R 0.20
 against 0.88 ms; in process, best of 7).
@@ -414,7 +416,8 @@ def _pair_blocks(p1: np.ndarray, rows1: Optional[np.ndarray],
     """Left layouts p1 and p2 whose row (A, C) is row (rows1[A], C) and row
     (rows2[A], C), or row (A, C) where the map is None, as fresh blocks of
     `count` rows C, one per distinct pair (rows1[A], rows2[A]), with A ->
-    its block.  When both maps are None, p1 and p2 themselves and None."""
+    its block.  When both maps are None, p1 and p2 themselves and None.
+    CLO-L, SCLO and `compare` read their left layouts through it."""
     if rows1 is None and rows2 is None:
         return p1, p2, None
     masks = np.arange(count)
@@ -621,8 +624,8 @@ def _scan_gather(p: np.ndarray, count: int, x: np.ndarray) -> np.ndarray:
     return viol
 
 
-#: cells of the table in the first block of A rows of the SCLO scan, so
-#: n <= 6 is one block; blocks double up to 8 times this
+#: pair cells (pair of closed sets, B) in one chunk of the SCLO scan, the
+#: size of its flat index, so n <= 6 is one chunk
 _SCLO_BLOCK_CELLS = 1 << 18
 
 
@@ -632,72 +635,50 @@ def _scan_sclo(
 ) -> list[Optional[tuple[int, int, int]]]:
     """SCLO: r(A, B, C) and r(cl(A+C), cl(B+C), cl(C)) differ.  For any
     closure cl(X+C) = cl(X+cl(C)), so the right side is r(X, cl(B+Z), Z)
-    with Z = cl(C) and X = cl(A+Z), a pair Z <= X of closed sets: one
-    row over B per pair, packed, and taken by (A, C) gives the right side
-    as rows (A, C) with bits over B, the layout of `left`.  The first
-    nonzero row of their XOR is the least (A, C), and its least bit is B.
-    The scan runs in blocks of A rows that double, and a block gathers
-    only the pair rows it reaches that no earlier block gathered, so an
-    early A stays cheap.  The pair rows are read through each relation's
-    `_holds`, so no table is built, and for class rows a block's rows of
-    `left`, which are (class, C), are taken by class.  `relations` are
-    the lanes of `left`: a block gathers each lane's pair rows into that
-    lane's bytes, by one flat index per block for all the lanes that read
-    their cells alike (`_Cells`: one class map object, or none, and A and
-    B swapped or not), so the whole tables of a batch share one index, and
-    the scan stops at the first block after which every lane has its least
-    (A, C, B)."""
+    with Z = cl(C) and X = cl(cl(A)+Z), a pair Z <= X of closed sets: one
+    row over B per pair, packed.  The pair rows are read through each
+    relation's `_holds` in chunks of pairs, so no table is built.
+    `relations` are the lanes of `left`: a chunk gathers each lane's pair
+    rows into that lane's bytes, by one flat index per chunk for all the
+    lanes that read their cells alike (`_Cells`: one class map object, or
+    none, and A and B swapped or not), so the whole tables of a batch share
+    one index.  Taken by (closed X, C) the pair rows are a left layout
+    whose row (A, C) is its row (rank of cl(A), C), so one block of rows C
+    per distinct pair (cl(A), class(A)) is XORed with `left`
+    (`_pair_blocks`; under the identity closure, with no class rows, no
+    block is copied), and the least (A, C, B) is the first set bit of the
+    least A's block."""
     count = len(cl)
     lanes = len(relations)
     cells = [_holds(r) for r in relations]
     width = count + 7 >> 3
     masks = np.arange(count)
     closed = np.flatnonzero(cl == masks)
-    rank = np.empty(count, dtype=np.intp)
-    rank[closed] = np.arange(len(closed))
     zs, xs = np.nonzero(closed[:, None] & ~closed == 0)  # the pairs Z <= X
-    # [Z, X] -> its row
-    pair = np.zeros((len(closed),) * 2, dtype=np.min_scalar_type(len(zs) - 1))
-    pair[zs, xs] = np.arange(len(zs))
     up = cl[closed[:, None] | masks]  # [Z, B]: cl(B+Z)
-    reach = pair[np.arange(len(closed)), rank[up.T]]  # [A, Z]: (Z, cl(A+Z))
-    base = rank[cl]  # C -> the rank of cl(C)
     # [pair, B]: r(X, cl(B+Z), Z), packed over B
     right = np.empty((len(zs), lanes * width), dtype=np.uint8)
-    done = np.zeros(len(zs), dtype=bool)  # the rows of right gathered so far
-    found: list[Optional[tuple[int, int, int]]] = [None] * lanes
-    step = max(1, _SCLO_BLOCK_CELLS // count**2)
-    lo = 0
-    while lo < count:
-        hi = min(count, lo + min(8 * step, max(step, lo)))
-        at = reach[lo:hi, base].ravel()
-        want = np.zeros_like(done)
-        want[at] = True
-        new = np.flatnonzero(want > done)
-        done[new] = True
-        # the cells (X, cl(B+Z), Z) of the new pairs, one flat index per
-        # way of reading them
-        x, y, z = closed[xs[new], None], up[zs[new]], closed[zs[new], None]
+    step = max(1, _SCLO_BLOCK_CELLS // count)
+    for lo in range(0, len(zs), step):
+        z, x = zs[lo:lo + step], xs[lo:lo + step]
+        x, y, z = closed[x, None], up[z], closed[z, None]
         flat: dict[tuple, np.ndarray] = {}
         for j, h in enumerate(cells):
             key = (h.swap, id(h.row))  # one class map object, one index
             if key not in flat:
                 flat[key] = np.ravel_multi_index(h.where(x, y, z), h.rows.shape)
-            right[new, j * width:(j + 1) * width] = np.packbits(
+            right[lo:lo + step, j * width:(j + 1) * width] = np.packbits(
                 h.rows.take(flat[key]), axis=-1, bitorder="little")
-        viol = right.take(at, axis=0)
-        if classes is None:
-            viol ^= left[lo * count:hi * count]
-        else:
-            viol ^= left.reshape(-1, count, left.shape[1]).take(
-                classes[lo:hi], axis=0).reshape(viol.shape)
-        for j, hit in enumerate(_least_left(viol, count, lanes)):
-            if hit is not None and found[j] is None:
-                found[j] = (lo + hit[0],) + hit[1:]
-        if None not in found:
-            break
-        lo = hi
-    return found
+    pair = np.zeros((len(closed),) * 2, dtype=np.min_scalar_type(len(zs) - 1))
+    pair[zs, xs] = np.arange(len(zs))
+    base = np.searchsorted(closed, cl)  # C -> the rank of cl(C)
+    # rows (closed X, C): the pair (cl(C), cl(X+cl(C)))
+    at = pair[base, np.searchsorted(closed, up[:, cl])].ravel()
+    viol, other, index = _pair_blocks(
+        right.take(at, axis=0), None if len(closed) == count else base,
+        left, classes, count)
+    viol ^= other
+    return _least_left(viol, count, lanes, index)
 
 
 def _scan_mon(p: np.ndarray, count: int) -> np.ndarray:

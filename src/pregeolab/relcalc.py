@@ -134,7 +134,12 @@ def from_table(ground: GroundSet, name: str, table: np.ndarray) -> TernaryRelati
     count = ground.subset_count
     if table.shape != (count, count, count):
         raise ValueError("table shape does not match the ground set")
-    t = table.astype(bool, order="C")
+    return _wrap(ground, name, table.astype(bool, order="C"))
+
+
+def _wrap(ground: GroundSet, name: str, t: np.ndarray) -> TernaryRelation:
+    """The relation whose rows and table are t, a C-contiguous bool table
+    that this makes read-only, with no copy."""
     t.flags.writeable = False
     return TernaryRelation(
         ground, name, lambda a, b, c: bool(t[a, b, c]), lambda: t, t, rows=t
@@ -146,10 +151,13 @@ def random_relation(ground: GroundSet, seed: int) -> TernaryRelation:
     count = ground.subset_count
     step = _block_rows(count)
     # the numbers of one draw of count^3 floats, in blocks of A rows, so
-    # that no float array has the table's size (128 MB at n = 8)
-    table = np.concatenate([rng.random((step, count, count)) < 0.5
-                            for _ in range(0, count, step)])
-    return from_table(ground, f"rand{seed}", table)
+    # that no float array has the table's size (128 MB at n = 8), into
+    # the one table the relation keeps
+    table = np.empty((count,) * 3, dtype=bool)
+    for lo in range(0, count, step):
+        np.less(rng.random((step, count, count)), 0.5,
+                out=table[lo:lo + step])
+    return _wrap(ground, f"rand{seed}", table)
 
 
 # ---------------------------------------------------------------------------

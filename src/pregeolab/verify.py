@@ -288,9 +288,11 @@ def _suite_c_preserve(pool: InstancePool) -> list[CheckResult]:
     for inst in pool.select(lambda i: i.op is not None,
                             pool.cap(STACK_SUITE_MAX)):
         op = instance_operator(inst)
-        for base in (relation(inst, "int"), relation(inst, "a"),
-                     random_relation(inst.ground, 0)):
-            r = closure_extend_c(base, op)
+        # one base at a time: at n = 8 each whole table is 16 MB
+        for build in (partial(relation, inst, "int"),
+                      partial(relation, inst, "a"),
+                      partial(random_relation, inst.ground, 0)):
+            r = closure_extend_c(build(), op)
             out += _axiom_checks(f"{inst.name}:{r.name}", r, op,
                                  (AxiomId.CLO_R, AxiomId.NOR_R))
     return out

@@ -431,12 +431,14 @@ def test_layouts_derive_from_read_only_rows(monkeypatch):
 
 
 def test_sclo_matches_row_scan_on_random_tables():
-    """Random tables at n = 0..6 under the trivial closure, and tables
+    """Random tables at n = 0..7 under the trivial closure, and tables
     that satisfy SCLO by construction with a few cells (A, B, C) flipped,
-    A not inside C: every tuple that reaches such a cell has A > 0."""
+    A not inside C: every tuple that reaches such a cell has A > 0.  At
+    n = 7 the default chunk of pair rows splits the 3^7 = 2,187 pairs of
+    the trivial closure in two."""
     rng = np.random.default_rng(14)
     late = fails = 0
-    for size in range(7):
+    for size in range(8):
         g = GroundSet(size)
         count, op = 1 << size, trivial_closure(g)
         masks = np.arange(count)
@@ -524,9 +526,9 @@ def test_packed_scans_match_axiom_bodies_on_corrupted_catalog_tables(
 
 @pytest.mark.parametrize("name", ["trivial5", "u36", "gebert4"])
 def test_sclo_in_small_blocks_matches_row_scan(name, monkeypatch):
-    """With blocks of 64 table cells every A row from n = 3 on is in a
-    block of at most 8 rows, and each block gathers only the pair rows
-    that no earlier block gathered."""
+    """With chunks of 64 pair cells the pair rows are gathered in many
+    chunks, one pair per chunk from n = 6 on, and each chunk's rows land
+    where the comparison with the left layout reads them."""
     monkeypatch.setattr(axioms, "_SCLO_BLOCK_CELLS", 1 << 6)
     inst = catalog_instance(name)
     op = instance_operator(inst)
@@ -797,25 +799,29 @@ def test_every_class_map_of_the_catalog_is_a_union_congruence():
 
 
 def test_clo_l_reads_one_block_per_pair_of_row_indexes():
-    """CLO-L's rows depend on A only through (class(A), class(cl(A))).
-    Under closures that split the max-classes of `sup`, there are more
-    such pairs than classes, and CLO-L still reports what a `from_table`
-    copy of the expanded table reports."""
+    """CLO-L's rows depend on A only through (class(A), class(cl(A))),
+    and SCLO's through (cl(A), class(A)).  Under closures that split the
+    max-classes of `sup`, there are more such pairs than classes, and
+    CLO-L and SCLO still report what a `from_table` copy of the expanded
+    table reports."""
     rng = np.random.default_rng(32)
     subjects = [(catalog_instance(name).ground, instance_operator(
         catalog_instance(name))) for name in ("u36", "gf2-7", "gebert4")]
     for size in range(1, 6):
         subjects += [(GroundSet(size), random_closure(GroundSet(size), rng))
                      for _ in range(3)]
-    split = fails = 0
+    split = 0
+    fails = dict.fromkeys((AxiomId.CLO_L, AxiomId.SCLO), 0)
     for g, op in subjects:
         r = instances.rel_sup(g)
         pairs = set(zip(r.classes, r.classes[op.table]))
         split += len(pairs) > len(built_rows(r))
-        want = check_axiom(expanded(r), AxiomId.CLO_L, op)
-        assert check_axiom(r, AxiomId.CLO_L, op) == want, g
-        fails += want.status == "fail"
-    assert split >= 4 and fails >= 4
+        for ax in fails:
+            want = check_axiom(expanded(r), ax, op)
+            assert check_axiom(r, ax, op) == want, (g, ax)
+            fails[ax] += want.status == "fail"
+    assert split >= 4 and fails[AxiomId.CLO_L] >= 4
+    assert fails[AxiomId.SCLO] >= 10
 
 
 def test_compare_across_two_class_maps():
@@ -960,8 +966,8 @@ def test_batched_scans_match_each_relation_alone(sclo_block, monkeypatch):
     side, and reports for every relation what `check_axiom` reports for
     it alone; every fail witness is a violation under the scalar route.
     Below n = 3 each lane of the left layout is one byte with padding.
-    With small SCLO blocks the lanes find their witnesses in different
-    blocks of A rows."""
+    With small SCLO chunks each lane's pair rows are gathered a few pairs
+    at a time, one pair per chunk from n = 6 on."""
     if sclo_block is not None:
         monkeypatch.setattr(axioms, "_SCLO_BLOCK_CELLS", sclo_block)
     outcomes = set()

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -563,6 +564,22 @@ def test_random_relation_draws_the_one_shot_numbers_in_blocks():
         once = np.random.default_rng(seed).random((g.subset_count,) * 3) < 0.5
         np.testing.assert_array_equal(
             materialize(random_relation(g, seed)).table, once)
+
+
+def test_random_relation_holds_its_table_once():
+    """At n = 8 the random draw fills the one table the relation keeps,
+    block by block, and wraps it with no copy: its tracemalloc peak, the
+    16 MB table and one block of floats, stays below 1.25 times the
+    table's bytes (a copy of the table would make it 2 times)."""
+    g = GroundSet(8)
+    tracemalloc.start()
+    try:
+        r = random_relation(g, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.table is r.rows and not r.table.flags.writeable
+    assert peak < 1.25 * r.table.nbytes, peak
 
 
 def test_random_relation_is_seed_stable():
