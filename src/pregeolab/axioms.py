@@ -20,12 +20,47 @@ the definitional route), on the vector of every D to complete a
 four-variable witness (`_least_d`), on the (A, C) grid over the table as
 the whole scan of EX and AREF, and, in the tests, on broadcast index
 grids over the table as the reference every scan below is checked
-against.
+against.  It also runs on the cube route, below, as that route's whole
+scan.
 
-Every scan except EX and AREF runs on the relation's rows packed into
-bits along one axis (`_pack`), so that one word operation on a row
-serves every value of that axis at once and no scan loops over the 2^n
-A rows.  There are two layouts, each packed once per relation from its
+Cube route.  `a`, `cl` and their M and c under the same operator see A,
+B and C only through their closures, so they keep a k x k x k cube over
+the k closed sets (`relcalc.built_cube`; k = 9 on gebert8 against 2^8
+subsets).  Every body but FREE's, which reads the masks themselves,
+reads holds, cl(X) and X + Y only through the classes of their
+arguments, so a violation stays one when a variable moves within its
+class, and the least witness has the least member of its class in each
+place.  `_scan_cube` runs the body on the broadcast grid of the classes'
+least members, ascending, with holds reading the cube through the class
+map, and the first violating grid index is the witness.  AREF's A runs
+over the singletons, whose bits its body reads.  The chains C <= B <= D
+of BMON-* and TRA-* read the masks: their grid runs over A and the least
+chain of each class pattern (l, j, m) with F_l <= F_j <= F_m (C the
+least member of class l, B its least superset in class j, D B's least
+superset in class m, `_least_chains`), and the witness is the least A
+with a violating pattern and the least packed key (C, B, D) among them.
+`check_axioms` takes this route (`_takes_cube`) when the grid's k^arity
+cells are at most 4^n, the rows (B, C) of one layout, and, for an axiom
+that reads a closure, the operator given is the relation's own; all else
+stays on the packed engine below.  On check-large's subjects every axiom
+but FREE takes it on gebert8 (k = 9), the two- and three-variable ones on
+gf2-7 (k = 16), and only EX and AREF on u36 (k = 23).  Measured in
+process (best of 5; n, k, axiom: cube against packed, each with its
+layout or cube built): gebert8 SYM 0.04 against 4.2 ms, TRA-L 0.21
+against 5.4 ms, TRA-STRONG 0.19 against 21 ms, MON-R 0.10 against 0.15 ms.
+At the bound (n = 8, k = 16, k^4 = 4^n) TRA-STRONG still takes 1.2
+against 21 ms and TRA-L 0.30 against 4.9 ms, but MON-R, whose packed scan
+runs on two bytes of class bits, 0.59 against 0.14 ms.  Past it the
+packed engine wins: u36 SYM (k^3 = 3 * 4^n) 0.24 against 0.16 ms, and at
+n = 8, k = 44 (k^4 = 57 * 4^n) MON-R 35 against 0.2 ms and TRA-STRONG 64
+against 33 ms.  `compare` of two cubes over the same closed sets XORs
+them, k^3 cells, and reads its least (A, B, C) the same way.  `opp`,
+`am`, `amc`, `sup` and the whole tables have no cube.
+
+Packed engine.  Every scan except EX and AREF runs on the relation's
+rows packed into bits along one axis (`_pack`), so that one word
+operation on a row serves every value of that axis at once and no scan
+loops over the 2^n A rows.  There are two layouts, each packed once per relation from its
 rows (`relcalc.built_rows`) and kept read-only on it (`_packed`), so
 every scan of a relation reads the same rows.  An opposite, r(B, A, C),
 packs nothing: its layout over A is its base's layout over B with rows
@@ -126,7 +161,9 @@ SCLO's gather of each lane's pair rows, the EX and AREF grids and
 `_least_d`.  So every relation gets the witness it gets alone, byte for
 byte.  A batch of one reads its stored layout itself, with no copy, and
 a batch is split so that its layout stays within one n = 8 layout
-(2 MB).  The rg-st suite checks each axiom on its 34 graphs
+(2 MB).  A caller that checks several axioms on the same relations can
+pass one dict as `shared`, which keeps each batch's layouts side by side
+for the next axiom, so they are set side by side once per axis.  The rg-st suite checks each axiom on its 34 graphs
 (n = 5) in one call: with their layouts packed, its fifteen scanned
 axioms take 4.7 ms so, against 18.5 ms as 34 calls each (NOR-R 0.20
 against 0.88 ms; in process, best of 7).
@@ -145,7 +182,8 @@ from .closure import ClosureOperator
 from .lattice import GroundSet, first_true, format_witness
 # `materialize` is read by perfbench/selftest.py only, which checks that
 # a wrapped function imported from relcalc is wrapped here too
-from .relcalc import TernaryRelation, built_rows, from_table, materialize
+from .relcalc import (Flats, TernaryRelation, built_cube, built_rows,
+                      from_table, materialize)
 
 class MissingClosure(Exception):
     """The axiom needs an ambient closure operator and none was given."""
@@ -360,19 +398,26 @@ def _holds(r: TernaryRelation) -> _Cells:
 _BATCH_BYTES = 1 << 21
 
 
-def _lanes(relations: Sequence[TernaryRelation], axis: int) -> np.ndarray:
+def _lanes(relations: Sequence[TernaryRelation], axis: int,
+           shared: Optional[dict] = None) -> np.ndarray:
     """The relations' layouts over `axis` side by side, read-only: row i
     is row i of each `_packed` layout in turn, so relation j owns the
     same whole bytes of every row, its lane.  The relations share one
     class map (or none), so their rows stand for the same (X, Y).  A
-    batch of one reads its stored layout itself."""
+    batch of one reads its stored layout itself.  Lanes made once are
+    kept in `shared`, when given, by the batch's relations and `axis`."""
+    if len(relations) == 1:
+        return _packed(relations[0], axis)
+    key = (axis, *map(id, relations))
+    if shared is not None and key in shared:
+        return shared[key]
     layouts = [_packed(r, axis) for r in relations]
-    if len(layouts) == 1:
-        return layouts[0]
     # in words: byte by byte the copy takes 3 times as long at 4-byte lanes
     p = np.concatenate([_words(x, x.shape[1]) for x in layouts], axis=1)
     p = p.view(np.uint8)
     p.flags.writeable = False
+    if shared is not None:
+        shared[key] = p
     return p
 
 
@@ -416,10 +461,13 @@ def _pair_blocks(p1: np.ndarray, rows1: Optional[np.ndarray],
     """Left layouts p1 and p2 whose row (A, C) is row (rows1[A], C) and row
     (rows2[A], C), or row (A, C) where the map is None, as fresh blocks of
     `count` rows C, one per distinct pair (rows1[A], rows2[A]), with A ->
-    its block.  When both maps are None, p1 and p2 themselves and None.
-    CLO-L, SCLO and `compare` read their left layouts through it."""
-    if rows1 is None and rows2 is None:
-        return p1, p2, None
+    its block.  When a map is None every A has a pair of its own, so the
+    layouts come in A order, with index None: a layout without a map is
+    returned itself, and one with a map as a fresh copy of its blocks taken
+    by A (`_left_over_a`).  CLO-L, SCLO and `compare` read their left
+    layouts through it."""
+    if rows1 is None or rows2 is None:
+        return _left_over_a(p1, rows1), _left_over_a(p2, rows2), None
     masks = np.arange(count)
     first = masks if rows1 is None else rows1
     second = masks if rows2 is None else rows2
@@ -822,14 +870,86 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     return op
 
 
+def _takes_cube(r: TernaryRelation, ax: AxiomId,
+                op: Optional[ClosureOperator]) -> bool:
+    """Whether ax is checked on r's cube (`_scan_cube`): r has one, ax has
+    a body other than FREE's, which reads the masks themselves, its grid of
+    k^arity cells has no more than the 4^n rows (B, C) of a layout, and an
+    axiom that reads a closure reads r's own."""
+    fl = r.flats
+    return (fl is not None and ax is not AxiomId.FREE
+            and len(fl.closed) ** _arity(ax) <= r.ground.subset_count ** 2
+            and (not ax.needs_closure or fl.closes(op)))
+
+
+def _least_chains(fl: Flats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The least chain C <= B <= D of each class pattern (l, j, m) that has
+    one, F_l <= F_j <= F_m: C the least member of class l, B its least
+    superset in class j and D B's least superset in class m."""
+    closed, count = fl.closed, len(fl.classes)
+    # narrow dtypes: the (pattern, mask) arrays below take a third the time
+    masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
+    classes = fl.classes.astype(np.min_scalar_type(len(closed) - 1))
+    inside = closed[:, None] & ~closed == 0  # [x, y]: F_x <= F_y
+    l, j, m = np.nonzero(inside[:, :, None] & inside)
+
+    def least_superset(x, of):  # [p]: the least superset of x[p] in class of[p]
+        x = x.astype(masks.dtype)[:, None]
+        of = of.astype(classes.dtype)[:, None]
+        return np.argmax((masks & x == x) & (classes == of), axis=1)
+
+    first = np.empty(len(closed), dtype=np.intp)
+    first[fl.classes[fl.least]] = fl.least  # class -> its least member
+    c = first[l]
+    b = least_superset(c, j)
+    return c, b, least_superset(b, m)
+
+
+def _scan_cube(r: TernaryRelation, ax: AxiomId, cl: Optional[np.ndarray]
+               ) -> Optional[tuple[int, ...]]:
+    """The least violation of ax on r's cube.  Every body reads holds(A, B,
+    C) only through the classes of its arguments, and cl(X) and X + Y only
+    through theirs, so a violation stays one when a variable moves within
+    its class: the body runs on the broadcast grid of the least members of
+    the classes, ascending, and the first violating grid index names the
+    least witness.  AREF's A runs over the singletons, whose own bits its
+    body reads.  A chain axiom's C <= B <= D reads the masks, so its grid
+    runs over A and the least chain of each class pattern: the least A
+    with a violating pattern, then the least packed key (C, B, D) among
+    them."""
+    fl = r.flats
+    cube, classes = built_cube(r), fl.classes
+
+    def holds(a, b, c):
+        return cube[classes[a], classes[b], classes[c]]
+
+    least = fl.least
+    if ax in _CHAIN_AXIOMS:
+        c, b, d = _least_chains(fl)
+        bad = ~_BODIES[ax](holds, cl, least[:, None], c, b, d)
+        rows = np.flatnonzero(bad.any(axis=1))
+        if not len(rows):
+            return None
+        chains = np.flatnonzero(bad[rows[0]])
+        size = r.ground.size
+        key = c[chains] << 2 * size | b[chains] << size | d[chains]
+        i = chains[np.argmin(key)]
+        return (int(least[rows[0]]), int(c[i]), int(b[i]), int(d[i]))
+    firsts = 1 << np.arange(r.ground.size) if ax is AxiomId.AREF else least
+    grid = (firsts, *[least] * (_arity(ax) - 1))
+    hit = first_true(~_BODIES[ax](holds, cl, *np.ix_(*grid)))
+    return None if hit is None else tuple(
+        int(values[i]) for values, i in zip(grid, hit))
+
+
 def _find_violations(
     relations: Sequence[TernaryRelation], ax: AxiomId,
-    cl: Optional[np.ndarray]
+    cl: Optional[np.ndarray], shared: Optional[dict] = None
 ) -> list[Optional[tuple[int, ...]]]:
     """The least violation of ax in each of a batch of relations that
     share one ground size, one number of rows and one class map
-    (`_batches`): one scan over their layouts side by side (`_lanes`),
-    then each lane's least witness."""
+    (`_batches`): one scan over their layouts side by side (`_lanes`,
+    kept in `shared` when given), then each lane's least witness."""
     first = relations[0]
     count = first.ground.subset_count
     masks = np.arange(count)
@@ -848,7 +968,7 @@ def _find_violations(
         return out
 
     left = ax in _LEFT_FORMS
-    p = _lanes(relations, int(left))
+    p = _lanes(relations, int(left), shared)
     bits = None if left else classes  # A -> its bit in the lanes of p
     if ax is AxiomId.SCLO:
         return _scan_sclo(relations, classes, p, cl)
@@ -873,7 +993,7 @@ def _find_violations(
         if ax in (AxiomId.SYM, AxiomId.FREE):  # they read bits over A
             p, bits = _over_a(p, bits, lanes), None
         if ax is AxiomId.SYM:  # bit A of row (B, C) packed over B: r(B, A, C)
-            other = _left_over_a(_lanes(relations, 1), classes)
+            other = _left_over_a(_lanes(relations, 1, shared), classes)
             # r(A, B, C) and not r(B, A, C), in place on the A bits that
             # `_over_a` made for this scan, never on a stored layout
             viol = np.bitwise_or(p, other, out=p if p.flags.writeable else None)
@@ -919,12 +1039,15 @@ def _batches(relations: Sequence[TernaryRelation]) -> Iterable[list[int]]:
 
 def check_axioms(
     relations: Iterable[TernaryRelation], ax: AxiomId,
-    op: Optional[ClosureOperator] = None
+    op: Optional[ClosureOperator] = None, shared: Optional[dict] = None
 ) -> list[AxiomReport]:
     """Exhaustively check one axiom on each relation, one report per
     relation in input order, each with the first violation in scan order.
-    The relations that can share a batch (`_batches`) are scanned at once,
-    their layouts side by side, and each gets the witness it gets alone."""
+    A relation that `_takes_cube` is checked on its cube.  The others that
+    can share a batch (`_batches`) are scanned at once, their layouts side
+    by side, and each gets the witness it gets alone.  `shared`, a dict
+    that the caller passes to its checks of several axioms on the same
+    relations, keeps each batch's layouts side by side for the next."""
     relations = list(relations)
     # on a finite ground set every subset is finite (FIN), and LOC holds
     # with cardinal bound n + 1
@@ -932,10 +1055,17 @@ def check_axioms(
         return [AxiomReport(ax, r.name, "vacuous", None) for r in relations]
     cl = _require_op(ax, op).table if ax.needs_closure else None
     witnesses: list[Optional[tuple[int, ...]]] = [None] * len(relations)
-    for batch in _batches(relations):
-        found = _find_violations([relations[i] for i in batch], ax, cl)
+    packed = []
+    for i, r in enumerate(relations):
+        if _takes_cube(r, ax, op):
+            witnesses[i] = _scan_cube(r, ax, cl)
+        else:
+            packed.append(i)
+    for batch in _batches([relations[i] for i in packed]):
+        found = _find_violations([relations[packed[i]] for i in batch], ax,
+                                 cl, shared)
         for i, witness in zip(batch, found):
-            witnesses[i] = witness
+            witnesses[packed[i]] = witness
     return [AxiomReport(ax, r.name, "pass" if w is None else "fail", w)
             for r, w in zip(relations, witnesses)]
 
@@ -1000,19 +1130,37 @@ def _least_abc(viol: np.ndarray, count: int, index: Optional[np.ndarray]
     return (a, b, c)
 
 
+def _least_cube_abc(diff: np.ndarray, fl: Flats
+                    ) -> Optional[tuple[int, int, int]]:
+    """Least (A, B, C) of a cube of differences over the classes of `fl`:
+    the first set cell of the cube with each axis in the order of the
+    classes' least members, read as those members."""
+    order = fl.classes[fl.least]
+    hit = first_true(diff[np.ix_(order, order, order)])
+    return None if hit is None else tuple(int(fl.least[i]) for i in hit)
+
+
 def compare(r1: TernaryRelation, r2: TernaryRelation) -> Comparison:
     """Table-level comparison; "implies" means r1 is stronger (r1 <= r2).
-    It XORs the two left layouts, so it never builds a class-row table.
-    Where a relation has class rows, row (A, C) depends on A only through
-    the pair of row indexes (class1(A), class2(A)), so one block of rows C
-    per distinct pair is compared, 9 on gebert8 `a` against `sup`."""
+    Two cubes over the same closed sets are one XOR of k^3 cells.
+    Otherwise it XORs the two left layouts, so it never builds a class-row
+    table.  Where a relation has class rows, row (A, C) depends on A only
+    through the pair of row indexes (class1(A), class2(A)), so one block of
+    rows C per distinct pair is compared, 9 on gebert8 `a` against
+    `sup`."""
     if r1.ground != r2.ground:
         raise ValueError("relations live on different ground sets")
     count = r1.ground.subset_count
-    p1, p2, index = _pair_blocks(_packed(r1, 1), r1.classes,
-                                 _packed(r2, 1), r2.classes, count)
+    cubes = r1.flats is not None and r2.flats is not None and (
+        np.array_equal(r1.flats.cl, r2.flats.cl))  # over one operator
+    if cubes:
+        p1, p2 = built_cube(r1), built_cube(r2)
+    else:
+        p1, p2, index = _pair_blocks(_packed(r1, 1), r1.classes,
+                                     _packed(r2, 1), r2.classes, count)
     diff = p1 ^ p2
-    witness = _least_abc(diff, count, index)
+    witness = (_least_cube_abc(diff, r1.flats) if cubes
+               else _least_abc(diff, count, index))
     if witness is None:
         return Comparison("equal", None)
     more = bool((diff & p1).any())  # some cell with r1 and not r2

@@ -50,10 +50,35 @@ ranks of `geometry.rank_vector`, never from `dim_table`, and one
 `np.take` of a single (B, C) index plane of B+C gathers dim(A/B+C) for
 every row of a block into the rows' own bytes, which the comparison with
 dim(A/C) then overwrites in place.
+
+Cubes: `a`, `cl` and M and c of either under the same operator see B
+and C, too, only through their closures: dim(A/X) depends on cl(A) and
+cl(X), and every X in M's interval [C, cl(B+C)] has its closure in the
+interval of flats [cl(C), cl(B+C)].  So where the operator has fewer
+closed sets than subsets each such relation is a k x k x k cube over
+the closed sets, the flats of the lattice of flats (Oxley, "Matroid
+Theory", 2nd ed., 2011).  `flats` computes the class structure once per
+operator: the closed sets F, each mask's class, the least member of
+each class and the join table J[i, j], the class of cl(F_i + F_j).  A
+relation with a cube keeps `flats` and a `cube_builder`, and
+`built_cube` builds the cube once, read-only, straight from the closed
+sets and never from the rows: `a` is F[J[i, l]] & F[J[j, l]] == F[l],
+`cl` compares dim(F_i/X) = rank(F_J[i, X]) - rank(F_X) at X = J[j, l]
+and l from `rank_vector` at the flats, c gathers cube[i, J[j, l], l],
+and M ANDs cube[i, j, m] over the flats F_m of [F_l, F_J[j, l]] by the
+passes of its row builder, run along the masks X of [F_l, cl(F_j + X)]
+on a k x k x 2^n array and read at X = F_l.  The cube has 729 cells on
+gebert8 and 4,096 on gf2-7, against 2^21 to 2^24 for the table, and
+`axioms` checks and compares on it where its grid is small enough (see
+the `axioms` module docstring for the rule and the crossovers).  `am`,
+`amc`, `sup`, `opp` and the whole tables keep no cube: m's interval
+[C, B+C] depends on B and C themselves, `sup`'s classes are max-classes,
+and an opposite reads its base's cells swapped.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -94,6 +119,14 @@ class TernaryRelation:
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: r, when this relation is opposite(r): it stores no rows of its own
     opposite_of: Optional[TernaryRelation] = None
+    #: the closed sets of the relation's cube, when it sees A, B and C only
+    #: through their closures under an operator with fewer closed sets
+    #: than subsets, and the builder of that cube
+    flats: Optional[Flats] = field(default=None, repr=False, compare=False)
+    cube_builder: Optional[Callable[[], np.ndarray]] = field(
+        default=None, repr=False, compare=False)
+    #: the cube, read-only: [i, j, l] is r(F_i, F_j, F_l) (`built_cube`)
+    cube: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
 
 def check_table_budget(ground: GroundSet) -> None:
@@ -114,6 +147,17 @@ def built_rows(r: TernaryRelation) -> np.ndarray:
         r.rows = r.builder()
         r.rows.flags.writeable = False
     return r.rows
+
+
+def built_cube(r: TernaryRelation) -> np.ndarray:
+    """r's cube over `r.flats`, built once after `check_table_budget` from
+    the closed sets (or its base's cube), never from the rows, kept
+    read-only as `r.cube` and returned."""
+    if r.cube is None:
+        check_table_budget(r.ground)
+        r.cube = r.cube_builder()
+        r.cube.flags.writeable = False
+    return r.cube
 
 
 def materialize(r: TernaryRelation) -> TernaryRelation:
@@ -174,13 +218,59 @@ def _masks(count: int) -> np.ndarray:
     return np.arange(count, dtype=np.min_scalar_type(count - 1))
 
 
+@dataclass(frozen=True, eq=False)
+class Flats:
+    """The closed sets of an operator with fewer closed sets than subsets,
+    and how the subsets fall into their classes: a relation that sees A, B
+    and C only through their closures is a k x k x k cube over them."""
+
+    #: the operator's table; not the operator, which keys `_FLATS` weakly
+    cl: np.ndarray
+    #: the k closed sets F_0 < ... < F_(k-1), ascending by mask
+    closed: np.ndarray
+    #: mask -> the index of its closure among `closed`
+    classes: np.ndarray
+    #: the least member of each class, ascending
+    least: np.ndarray
+    #: [i, j]: the index of cl(F_i + F_j)
+    join: np.ndarray
+
+    def closes(self, op: Optional[ClosureOperator]) -> bool:
+        """Whether op is the operator of these closed sets."""
+        return op is not None and (op.table is self.cl or np.array_equal(
+            op.table, self.cl))
+
+
+#: operator -> its `Flats`, or None when every set is closed
+_FLATS: "weakref.WeakKeyDictionary[ClosureOperator, Optional[Flats]]" = (
+    weakref.WeakKeyDictionary())
+
+
+def flats(op: ClosureOperator) -> Optional[Flats]:
+    """The closed sets of op and their classes, computed once per operator;
+    None when every set is closed."""
+    if op not in _FLATS:
+        cl = op.table
+        closed = np.flatnonzero(cl == np.arange(len(cl)))
+        fl = None
+        if len(closed) < len(cl):
+            classes = np.searchsorted(closed, cl)
+            least = np.sort(np.unique(classes, return_index=True)[1])
+            fl = Flats(cl, closed, classes, least,
+                       classes[closed[:, None] | closed])
+            for array in (closed, classes, least, fl.join):
+                array.flags.writeable = False
+        _FLATS[op] = fl
+    return _FLATS[op]
+
+
 def _classes(op: ClosureOperator) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The closed sets of op, ascending, and A -> the index of cl(A) among
     them; None for the index when every set is closed."""
-    closed = np.flatnonzero(op.table == np.arange(len(op.table)))
-    if len(closed) == len(op.table):
-        return closed, None
-    return closed, np.searchsorted(closed, op.table)
+    fl = flats(op)
+    if fl is None:
+        return np.arange(len(op.table)), None
+    return fl.closed, fl.classes
 
 
 def rel_intersection(ground: GroundSet) -> TernaryRelation:
@@ -205,9 +295,14 @@ def rel_a(op: ClosureOperator) -> TernaryRelation:
     """(A, B, C) |-> cl(A+C) & cl(B+C) == cl(C)."""
     cl = op.table
     closed, classes = _classes(op)
+    fl = flats(op)
 
     def fn(a: int, b: int, c: int) -> bool:
         return cl[a | c] & cl[b | c] == cl[c]
+
+    def cube() -> np.ndarray:
+        up = fl.closed[fl.join]  # [x, l]: cl(F_x + F_l)
+        return up[:, None] & up == fl.closed
 
     def build() -> np.ndarray:
         count = op.ground.subset_count
@@ -219,7 +314,8 @@ def rel_a(op: ClosureOperator) -> TernaryRelation:
             np.equal(joined & joined[a], cl_arr, out=row)
         return rows
 
-    return TernaryRelation(op.ground, "a", fn, build, classes=classes)
+    return TernaryRelation(op.ground, "a", fn, build, classes=classes,
+                           flats=fl, cube_builder=cube)
 
 
 def rel_cl(pg: Pregeometry) -> TernaryRelation:
@@ -232,6 +328,7 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     # before any work, as every other relation is refused at build time
     check_table_budget(pg.ground)
     closed, classes = _classes(pg.op)
+    fl = flats(pg.op)
     dims = None
 
     def fn(a: int, b: int, c: int) -> bool:
@@ -262,7 +359,15 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
             np.equal(block, a[:, None, :], out=block, casting="unsafe")
         return rows
 
-    return TernaryRelation(pg.ground, "cl", fn, build, classes=classes)
+    def cube() -> np.ndarray:
+        # dim(F_i/X) = rank(cl(F_i + X)) - rank(X) at X = F_J[j,l] and F_l
+        rank = rank_vector(pg)[fl.closed]
+        join = fl.join
+        over = rank[join] - rank  # [i, x]: dim(F_i/F_x)
+        return over[:, join] == over[:, None, :]
+
+    return TernaryRelation(pg.ground, "cl", fn, build, classes=classes,
+                           flats=fl, cube_builder=cube)
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +440,22 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
                 words &= shifted_words
         return t
 
+    fl = r.flats if r.flats is not None and r.flats.closes(op) else None
+
+    def cube() -> np.ndarray:
+        # The AND over the flats of [F_l, cl(F_j + F_l)]: the passes of
+        # `build` along the masks X of [F_l, cl(F_j + X)], on [i, j, X]
+        k, count = len(fl.closed), len(cl)
+        free = fl.closed[fl.join[:, fl.classes]] & ~np.arange(count)  # [j, X]
+        t = built_cube(r)[:, :, fl.classes]
+        for i in range(count.bit_length() - 1):
+            cells = t.reshape(k, k, -1, 2, 1 << i)  # [..., 1, :]: X has i
+            keep = free.reshape(k, -1, 2, 1 << i)[:, :, 0] >> i & 1 == 0
+            cells[:, :, :, 0] &= cells[:, :, :, 1] | keep
+        return t[:, :, fl.closed]
+
     return TernaryRelation(r.ground, _suffix(r, "M"), fn, build,
-                           classes=r.classes)
+                           classes=r.classes, flats=fl, cube_builder=cube)
 
 
 def monotonise_m(r: TernaryRelation) -> TernaryRelation:
@@ -366,8 +485,13 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
             np.take(base[a], cells, out=table[a], mode="clip")  # in range
         return table
 
+    fl = r.flats if r.flats is not None and r.flats.closes(op) else None
+
+    def cube() -> np.ndarray:  # [i, j, l]: r(F_i, cl(F_j + F_l), F_l)
+        return built_cube(r)[:, fl.join, np.arange(len(fl.closed))]
+
     return TernaryRelation(r.ground, _suffix(r, "c"), fn, build,
-                           classes=r.classes)
+                           classes=r.classes, flats=fl, cube_builder=cube)
 
 
 def opposite(r: TernaryRelation) -> TernaryRelation:

@@ -14,7 +14,8 @@ with relabelling, so every verdict is constant on a class, and the first
 failing representative in ascending code order is the first failing
 labeled graph.  Each representative's truth table is built once and
 serves every axiom, and each axiom is one `check_axioms` call over all
-34 representatives, which scans their layouts side by side.  Its
+34 representatives, which scans their layouts side by side, set side by
+side once per axis for all the axioms.  Its
 free-amalgamation unit works on integer edge codes
 (`instances.free_amalgam_codes`, `canonical_codes`, `st_holds`) and now
 takes about as long as the axiom unit.
@@ -408,14 +409,16 @@ def _st_axiom_unit() -> list[CheckResult]:
     """One `check_axioms` call per axiom over the representatives, which
     share one ground set and have no class rows, so each axiom is one
     scan of their layouts side by side.  Each relation's rows and
-    layouts are built on first use and serve every axiom."""
+    layouts are built on first use and serve every axiom, and so do the
+    layouts side by side, set once per axis (`shared`)."""
     size = GRAPH_SUITE_VERTICES
     ident = trivial_closure(GroundSet(size))
     codes = _graph_class_representatives(size)
     relations = [rel_st(graph_of_code(size, code)) for code in codes]
+    shared: dict = {}
     out = []
     for ax in ST_AXIOMS:
-        reports = check_axioms(relations, ax, ident)
+        reports = check_axioms(relations, ax, ident, shared)
         failed = [(code, rep) for code, rep in zip(codes, reports)
                   if rep.status == "fail"]
         if failed:

@@ -369,12 +369,20 @@ def test_opposite_layouts_are_the_packed_transposed_table():
     assert pairs == 106
 
 
+@pytest.fixture
+def packed_route(monkeypatch):
+    """Every check runs on the packed layouts, also where a relation's cube
+    would take it (`axioms._takes_cube`)."""
+    monkeypatch.setattr(axioms, "_takes_cube", lambda *args: False)
+
+
 @pytest.mark.parametrize("name,rel_id", [
     ("u36", "cl"), ("gebert8", "a"), ("gebert8", "aM"), ("gebert8", "sup")])
-def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
-    """Every scan of one relation reads the same two packed layouts, each
-    read-only and packed at most once from the class rows themselves: no
-    scan builds the 2^(3n) table, the right layout holds one bit per
+def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch,
+                                        packed_route):
+    """Every packed scan of one relation reads the same two packed layouts,
+    each read-only and packed at most once from the class rows themselves:
+    no scan builds the 2^(3n) table, the right layout holds one bit per
     class, not one per A, and the left layout one row (class, C) per class
     and C, not one per (A, C)."""
     axes = []
@@ -400,10 +408,11 @@ def test_check_all_packs_each_axis_once(name, rel_id, monkeypatch):
             view[0] = 0
 
 
-def test_layouts_derive_from_read_only_rows(monkeypatch):
+def test_layouts_derive_from_read_only_rows(monkeypatch, packed_route):
     """Each layout is packed once from a relation's rows: those of `a` on
-    gebert4 from its five class rows, which builds no table, and those of
-    a `from_table` relation from its 16 rows, which are its table.
+    gebert4 from its five class rows (on the packed route, which its cube
+    would spare SYM), which builds no table, and those of a `from_table`
+    relation from its 16 rows, which are its table.
     from_table copies its input, and neither the table nor the rows can be
     written into, so no edit can leave a layout stale."""
     packed = []
@@ -873,6 +882,39 @@ def test_left_scans_of_class_rows_hold_no_row_per_a_and_c():
         assert peak < layout // 2, (ax, peak)
 
 
+def test_pair_blocks_return_an_unmapped_layout_itself():
+    """With one map None every A has a pair of its own: the layout without
+    a map comes back itself, the other one taken by A into rows (A, C),
+    and the index is None, either way round.  So SCLO on a whole table
+    under a closure other than the identity copies one layout, not two:
+    on gebert8 `int` its tracemalloc peak, past the layout already packed,
+    stays under 1.5 layouts (2 MB each)."""
+    rng = np.random.default_rng(36)
+    count, k = 32, 5
+    classes = rng.integers(0, k, count)
+    whole = rng.integers(0, 256, (count * count, 4), dtype=np.uint8)
+    rows = rng.integers(0, 256, (k * count, 4), dtype=np.uint8)
+    for first in (True, False):
+        args = (whole, None, rows, classes) if first else (
+            rows, classes, whole, None)
+        p1, p2, index = axioms._pair_blocks(*args, count)
+        mapped = p2 if first else p1
+        assert (p1 if first else p2) is whole and index is None
+        np.testing.assert_array_equal(
+            mapped, axioms._left_over_a(rows, classes))
+    inst = catalog_instance("gebert8")
+    r = resolve_relation(inst, "int")
+    axioms._packed(r, 1)
+    tracemalloc.start()
+    try:
+        rep = check_axiom(r, AxiomId.SCLO, inst.op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.result_line() == "RESULT int SCLO fail witness={0};{};{1}"
+    assert peak < 1.5 * 4**8 * 32, peak
+
+
 def test_chains_are_kept_read_only_for_the_last_size():
     """`_chains` lists each chain C <= B <= D once, in read-only arrays
     that it hands out again for the size it was last asked for."""
@@ -1007,10 +1049,11 @@ def test_batches_split_at_one_n8_layout():
 
 @pytest.mark.parametrize("name,rel_id", [("gebert8", "a"), ("dlo6", "div")])
 def test_single_relation_scan_reads_the_stored_layout(name, rel_id,
-                                                      monkeypatch):
-    """A batch of one hands each scan body the relation's stored layout
-    itself, `r.packed[axis]`, with no concatenated copy, on class rows
-    and on a whole table."""
+                                                      monkeypatch,
+                                                      packed_route):
+    """A batch of one hands each packed scan body the relation's stored
+    layout itself, `r.packed[axis]`, with no concatenated copy, on class
+    rows and on a whole table."""
     seen = []
     for scan in ("_scan_gather", "_scan_chain"):
         real = getattr(axioms, scan)

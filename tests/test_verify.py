@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from pregeolab import verify
+from pregeolab import axioms, verify
 from pregeolab.axioms import check_axiom
 from pregeolab.cli import main
 from pregeolab.closure import trivial_closure
@@ -198,6 +198,24 @@ def _rel_hub(graph):
         )
 
     return _tabulate(graph.ground, "hub", fn)
+
+
+def test_rg_st_sets_its_lanes_side_by_side_once_per_axis(monkeypatch):
+    """The axiom unit of rg-st concatenates the layouts of its 34 graphs
+    once per axis for all its axioms, not once per axiom, and reports what
+    it reports with a fresh concatenation for each."""
+    real = np.concatenate
+    sizes = []
+
+    def counted(arrays, *args, **kwargs):
+        arrays = list(arrays)
+        sizes.append(len(arrays))
+        return real(arrays, *args, **kwargs)
+
+    fresh = verify._st_axiom_unit()
+    monkeypatch.setattr(axioms.np, "concatenate", counted)
+    assert verify._st_axiom_unit() == fresh
+    assert sizes.count(34) == 2
 
 
 @pytest.mark.parametrize("relation", [_rel_apart, _rel_hub])
