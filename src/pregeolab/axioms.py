@@ -870,16 +870,16 @@ def _require_op(ax: AxiomId, op: Optional[ClosureOperator]) -> ClosureOperator:
     return op
 
 
-def _takes_cube(r: TernaryRelation, ax: AxiomId,
-                op: Optional[ClosureOperator]) -> bool:
+def _takes_cube(r: TernaryRelation, ax: AxiomId, cl: Optional[np.ndarray]
+                ) -> bool:
     """Whether ax is checked on r's cube (`_scan_cube`): r has one, ax has
     a body other than FREE's, which reads the masks themselves, its grid of
-    k^arity cells has no more than the 4^n rows (B, C) of a layout, and an
-    axiom that reads a closure reads r's own."""
+    k^arity cells has no more than the 4^n rows (B, C) of a layout, and the
+    closure table cl that an axiom reads, if any, is that of r's cube."""
     fl = r.flats
     return (fl is not None and ax is not AxiomId.FREE
             and len(fl.closed) ** _arity(ax) <= r.ground.subset_count ** 2
-            and (not ax.needs_closure or fl.closes(op)))
+            and (cl is None or fl.closes(cl)))
 
 
 def _least_chains(fl: Flats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1057,7 +1057,7 @@ def check_axioms(
     witnesses: list[Optional[tuple[int, ...]]] = [None] * len(relations)
     packed = []
     for i, r in enumerate(relations):
-        if _takes_cube(r, ax, op):
+        if _takes_cube(r, ax, cl):
             witnesses[i] = _scan_cube(r, ax, cl)
         else:
             packed.append(i)
@@ -1151,8 +1151,8 @@ def compare(r1: TernaryRelation, r2: TernaryRelation) -> Comparison:
     if r1.ground != r2.ground:
         raise ValueError("relations live on different ground sets")
     count = r1.ground.subset_count
-    cubes = r1.flats is not None and r2.flats is not None and (
-        np.array_equal(r1.flats.cl, r2.flats.cl))  # over one operator
+    cubes = (r1.flats is not None and r2.flats is not None
+             and r1.flats.closes(r2.flats.cl))  # over one operator
     if cubes:
         p1, p2 = built_cube(r1), built_cube(r2)
     else:

@@ -235,10 +235,9 @@ class Flats:
     #: [i, j]: the index of cl(F_i + F_j)
     join: np.ndarray
 
-    def closes(self, op: Optional[ClosureOperator]) -> bool:
-        """Whether op is the operator of these closed sets."""
-        return op is not None and (op.table is self.cl or np.array_equal(
-            op.table, self.cl))
+    def closes(self, cl: np.ndarray) -> bool:
+        """Whether cl is the closure table of these closed sets."""
+        return cl is self.cl or np.array_equal(cl, self.cl)
 
 
 #: operator -> its `Flats`, or None when every set is closed
@@ -440,7 +439,7 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
                 words &= shifted_words
         return t
 
-    fl = r.flats if r.flats is not None and r.flats.closes(op) else None
+    fl = r.flats if r.flats is not None and r.flats.closes(cl) else None
 
     def cube() -> np.ndarray:
         # The AND over the flats of [F_l, cl(F_j + F_l)]: the passes of
@@ -485,7 +484,7 @@ def closure_extend_c(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation
             np.take(base[a], cells, out=table[a], mode="clip")  # in range
         return table
 
-    fl = r.flats if r.flats is not None and r.flats.closes(op) else None
+    fl = r.flats if r.flats is not None and r.flats.closes(cl) else None
 
     def cube() -> np.ndarray:  # [i, j, l]: r(F_i, cl(F_j + F_l), F_l)
         return built_cube(r)[:, fl.join, np.arange(len(fl.closed))]
