@@ -468,11 +468,8 @@ def _pair_blocks(p1: np.ndarray, rows1: Optional[np.ndarray],
     layouts through it."""
     if rows1 is None or rows2 is None:
         return _left_over_a(p1, rows1), _left_over_a(p2, rows2), None
-    masks = np.arange(count)
-    first = masks if rows1 is None else rows1
-    second = masks if rows2 is None else rows2
-    width = int(second.max()) + 1
-    codes, index = np.unique(first * width + second, return_inverse=True)
+    width = int(rows2.max()) + 1
+    codes, index = np.unique(rows1 * width + rows2, return_inverse=True)
     return (*(p.reshape(-1, count, p.shape[1])[x].reshape(-1, p.shape[1])
               for p, x in ((p1, codes // width), (p2, codes % width))), index)
 

@@ -2,13 +2,14 @@
 
 A relation carries two evaluation routes: a scalar predicate on masks
 (the definitional route, which `axioms.evaluate_axiom_body` reads) and
-a vectorized builder, the only route to the rows and the 2^(3n) truth
+a vectorized one, its cube builder where it has a cube and its builder
+otherwise, the only route to the cube, the rows and the 2^(3n) truth
 table.  The two routes are independent implementations and are
 cross-checked in the test suite, among other ways through one axiom
 body evaluated on each; all heavy scanning (axiom checks, table
-comparisons) runs on what the builder made.  A transformer's predicate
-calls its base's predicate, so the scalar route never reads a table,
-built or not.
+comparisons) runs on what the vectorized route made.  A transformer's
+predicate calls its base's predicate, so the scalar route never reads a
+table, built or not.
 
 Table layout: every truth table is a C-contiguous `bool` array indexed
 [A, B, C], so the (B, C) plane of one A is one contiguous block.
@@ -16,64 +17,63 @@ Builders fill the table one such A row, or one block of A rows, at a
 time from (B, C) planes of closures, dimensions or maxima computed once;
 the axiom scans read it the same way.
 
-Rows: a relation's one stored form is what its builder makes, built
-once and kept read-only as `rows` (`built_rows`).  `a` and `cl` see A
-only through cl(A).  For any closure cl(A+C) = cl(cl(A)+C), and in a
-pregeometry dim(A/X) = dim(cl(A)/X).  So their builders make one A row
-per closed set, k of them (9 of 256 on gebert8), with `classes` mapping
-each A to the row of cl(A).  `sup` sees A only through max(A), so it
-makes n + 1 rows.  M, m and c act on each A row alone, so they keep
-their base's `classes` and build their rows from the base's rows, never
-from its table.  `opposite` stores nothing: it keeps its base as
-`opposite_of`, and the scans read its base's layouts and cells with A
-and B swapped.  Every other relation, and `a` or `cl` under a closure
-whose every set is closed, has `classes = None`, and its rows are the
-whole table.  The table derives from the rows: `materialize` takes the
-class rows by `classes` with one `take`, or uses the rows themselves,
-and an opposite's builder transposes its base's table.  No scan or
-comparison of `axioms` calls it: both packed layouts and every cell the
-scans read come from the rows, so no relation builds its 2^(3n) table
-unless a caller asks for it.
-
-Transformer stacks build their base's rows once.  The monotonisations
-copy those rows and AND them along the C axis in n passes, one per
-element, each masked by the (B, C) plane of the elements of cl(B+C)
-outside C: a superset-AND zeta transform over the intervals
-[C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
-Mobius: fast subset convolution", STOC 2007).  The passes run on blocks
-of rows that fit in cache, all n on one block before the next; a pass
-shifts the block by 2^i cells into one buffer, ORs in the mask and ANDs
-the buffer into the block, on machine words of up to 8 cells.  The
-dimension relation `cl` runs on the same blocks: its k x 2^n array of
-dim(A/X) = rank(A+X) - rank(X), for the closed A, comes from the 2^n
-ranks of `geometry.rank_vector`, never from `dim_table`, and one
-`np.take` of a single (B, C) index plane of B+C gathers dim(A/B+C) for
-every row of a block into the rows' own bytes, which the comparison with
-dim(A/C) then overwrites in place.
-
-Cubes: `a`, `cl` and M and c of either under the same operator see B
-and C, too, only through their closures: dim(A/X) depends on cl(A) and
-cl(X), and every X in M's interval [C, cl(B+C)] has its closure in the
-interval of flats [cl(C), cl(B+C)].  So where the operator has fewer
-closed sets than subsets each such relation is a k x k x k cube over
-the closed sets, the flats of the lattice of flats (Oxley, "Matroid
-Theory", 2nd ed., 2011).  `flats` computes the class structure once per
-operator: the closed sets F, each mask's class, the least member of
-each class and the join table J[i, j], the class of cl(F_i + F_j).  A
-relation with a cube keeps `flats` and a `cube_builder`, and
-`built_cube` builds the cube once, read-only, straight from the closed
-sets and never from the rows: `a` is F[J[i, l]] & F[J[j, l]] == F[l],
-`cl` compares dim(F_i/X) = rank(F_J[i, X]) - rank(F_X) at X = J[j, l]
-and l from `rank_vector` at the flats, c gathers cube[i, J[j, l], l],
-and M ANDs cube[i, j, m] over the flats F_m of [F_l, F_J[j, l]] by the
-passes of its row builder, run along the masks X of [F_l, cl(F_j + X)]
-on a k x k x 2^n array and read at X = F_l.  The cube has 729 cells on
+Cubes: `a`, `cl` and M and c of either under the same operator see A, B
+and C only through their closures.  For any closure cl(A+C) =
+cl(cl(A)+cl(C)), in a pregeometry dim(A/X) = dim(cl(A)/cl(X)), and
+every X in M's interval [C, cl(B+C)] has its closure in the interval of
+flats [cl(C), cl(B+C)].  So where the operator has fewer closed sets
+than subsets each such relation is a k x k x k cube over the closed
+sets, the flats of the lattice of flats (Oxley, "Matroid Theory", 2nd
+ed., 2011).  `flats` computes the class structure once per operator:
+the closed sets F, each mask's class, the least member of each class
+and the join table J[i, j], the class of cl(F_i + F_j).  A relation with
+a cube keeps `flats` and a `cube_builder`, and `built_cube` builds the
+cube once, read-only, straight from the closed sets and never from the
+rows: `a` is F[J[i, l]] & F[J[j, l]] == F[l] on masks of one byte, `cl`
+compares dim(F_i/X) = rank(F_J[i, X]) - rank(F_X) at X = J[j, l] and l
+from `rank_vector` at the flats, c gathers cube[i, J[j, l], l], and M
+ANDs cube[i, j, m] over the flats F_m of [F_l, F_J[j, l]] by the passes
+of `_and_passes`, run along the masks X of [F_l, cl(F_j + X)] on a
+k x k x 2^n array and read at X = F_l.  No cube builder holds a
+temporary wider than one byte a cube cell.  The cube has 729 cells on
 gebert8 and 4,096 on gf2-7, against 2^21 to 2^24 for the table, and
 `axioms` checks and compares on it where its grid is small enough (see
 the `axioms` module docstring for the rule and the crossovers).  `am`,
 `amc`, `sup`, `opp` and the whole tables keep no cube: m's interval
 [C, B+C] depends on B and C themselves, `sup`'s classes are max-classes,
-and an opposite reads its base's cells swapped.
+and an opposite reads its base's cells swapped.  Where every set is
+closed `a` and `cl` are `int` cell for cell, (A+C) & (B+C) = (A & B) + C
+and dim(A/X) = |A - X|, and they build its table.
+
+Rows: a relation's one stored form is its A rows, built once and kept
+read-only as `rows` (`built_rows`).  A relation with a cube takes them
+from it, one row per closed set, k of them (9 of 256 on gebert8), with
+`classes` mapping each A to the row of cl(A): rows[i, B, C] =
+cube[i, class(B), class(C)], gathered along C and then taken as whole
+rows of B in machine words, a block of i rows at a time.  Every other
+relation runs its builder.  `sup` sees A only through max(A), so it
+makes n + 1 rows.  M, m and c without a cube act on each A row alone, so
+they keep their base's `classes` and build their rows from the base's
+rows, never from its table.  `opposite` stores nothing: it keeps its
+base as `opposite_of`, and the scans read its base's layouts and cells
+with A and B swapped.  Every other relation has `classes = None`, and
+its rows are the whole table.  The table derives from the rows:
+`materialize` takes the class rows by `classes` with one `take`, or
+uses the rows themselves, and an opposite's builder transposes its
+base's table.  No scan or comparison of `axioms` calls it: both packed
+layouts and every cell the scans read come from the rows, so no
+relation builds its 2^(3n) table unless a caller asks for it.
+
+The monotonisations AND their base along the C axis in n passes, one
+per element, each masked by the (B, C) plane of the elements of cl(B+C)
+outside C: a superset-AND zeta transform over the intervals
+[C, cl(B+C)] (Bjorklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+Mobius: fast subset convolution", STOC 2007).  One kernel,
+`_and_passes`, runs them on the base's rows [A, B, C] and on M's cube
+[i, j, X] alike.  The passes run on blocks of rows that fit in cache,
+all n on one block before the next; a pass shifts the block by 2^i
+cells into one buffer, ORs in the mask and ANDs the buffer into the
+block, on machine words of up to 8 cells.
 """
 
 from __future__ import annotations
@@ -91,8 +91,9 @@ from .lattice import GroundSet
 # Default budget: 2^24 truth-table cells, i.e. ground size up to 8.
 DEFAULT_TABLE_CAP_BITS = 1 << 24
 
-#: cells in one block of A rows of the `cl` and monotonisation builders
-#: (256 KB of bool cells), so n <= 6 is one block
+#: cells in one block of rows of the gather of class rows from a cube and
+#: of the monotonisation passes (256 KB of bool cells), so n <= 6 is one
+#: block
 _BUILD_BLOCK_CELLS = 1 << 18
 
 
@@ -107,15 +108,18 @@ class TernaryRelation:
     ground: GroundSet
     name: str
     fn: Callable[[int, int, int], bool]
+    #: makes the rows, one per class when `classes` is set and the whole
+    #: table otherwise; `built_rows` calls it only when `flats` is None
     builder: Callable[[], np.ndarray]
     table: Optional[np.ndarray] = field(default=None, repr=False)
     #: axis -> the table packed over that axis, read-only (axioms._packed)
     packed: dict = field(default_factory=dict, repr=False, compare=False)
-    #: A -> its row, when the builder makes one A row per class of A
-    #: (per closed set cl(A), or per max(A)); None when it makes them all
+    #: A -> its row, when the rows are one per class of A (per closed set
+    #: cl(A), or per max(A)); None when they are the whole table
     classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    #: the builder's rows, read-only: [k, B, C], one per class, when
-    #: `classes` is set, and the whole table otherwise
+    #: the rows, read-only (`built_rows`): [k, B, C], one per class, when
+    #: `classes` is set, and the whole table otherwise; taken from the
+    #: cube when `flats` is set
     rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: r, when this relation is opposite(r): it stores no rows of its own
     opposite_of: Optional[TernaryRelation] = None
@@ -139,12 +143,15 @@ def check_table_budget(ground: GroundSet) -> None:
 
 
 def built_rows(r: TernaryRelation) -> np.ndarray:
-    """The A rows r's builder makes, built once after `check_table_budget`,
-    kept read-only as `r.rows` and returned: one row per closed set when
-    `r.classes` is set, and the whole table otherwise."""
+    """r's A rows, built once after `check_table_budget`, kept read-only as
+    `r.rows` and returned.  A relation with a cube takes them from it
+    (`_cube_rows`), one row per closed set; any other runs its builder,
+    which makes one row per class when `r.classes` is set and the whole
+    table otherwise."""
     if r.rows is None:
         check_table_budget(r.ground)
-        r.rows = r.builder()
+        r.rows = (r.builder() if r.flats is None
+                  else _cube_rows(built_cube(r), r.flats.classes))
         r.rows.flags.writeable = False
     return r.rows
 
@@ -263,13 +270,34 @@ def flats(op: ClosureOperator) -> Optional[Flats]:
     return _FLATS[op]
 
 
-def _classes(op: ClosureOperator) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The closed sets of op, ascending, and A -> the index of cl(A) among
-    them; None for the index when every set is closed."""
-    fl = flats(op)
-    if fl is None:
-        return np.arange(len(op.table)), None
-    return fl.closed, fl.classes
+def _cube_rows(cube: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """The class rows [i, B, C] = cube[i, classes[B], classes[C]].  A block
+    of `_block_rows` i rows is gathered along C, then whole rows of B are
+    taken as machine words of up to 8 cells, so no temporary holds more
+    than one block of k x 2^n cells ("clip": every index is in range)."""
+    count = len(classes)
+    word = np.dtype(f"u{min(count, 8)}")
+    rows = np.empty((len(cube), count, count), dtype=bool)
+    words = rows.view(word)
+    step = _block_rows(count)
+    for lo in range(0, len(cube), step):
+        across = cube[lo:lo + step].take(classes, axis=2)  # [i, class B, C]
+        np.take(across.view(word), classes, axis=1, out=words[lo:lo + step],
+                mode="clip")
+    return rows
+
+
+def _intersection_table(ground: GroundSet) -> np.ndarray:
+    """The table of A & B <= C, one A row at a time: `int`, and `a` and
+    `cl` under an operator whose every set is closed, where cl(A+C) &
+    cl(B+C) = (A & B) + C and dim(A/X) = |A - X|."""
+    count = ground.subset_count
+    masks = _masks(count)
+    off_base = masks[:, None] & ~masks[None, :]  # (B, C): B \ C
+    table = np.empty((count, count, count), dtype=bool)
+    for a in range(count):
+        np.equal(off_base & a, 0, out=table[a])
+    return table
 
 
 def rel_intersection(ground: GroundSet) -> TernaryRelation:
@@ -278,42 +306,27 @@ def rel_intersection(ground: GroundSet) -> TernaryRelation:
     def fn(a: int, b: int, c: int) -> bool:
         return a & b & ~c == 0
 
-    def build() -> np.ndarray:
-        count = ground.subset_count
-        masks = _masks(count)
-        off_base = masks[:, None] & ~masks[None, :]  # (B, C): B \ C
-        table = np.empty((count, count, count), dtype=bool)
-        for a in range(count):
-            np.equal(off_base & a, 0, out=table[a])
-        return table
-
-    return TernaryRelation(ground, "int", fn, build)
+    return TernaryRelation(ground, "int", fn,
+                           lambda: _intersection_table(ground))
 
 
 def rel_a(op: ClosureOperator) -> TernaryRelation:
     """(A, B, C) |-> cl(A+C) & cl(B+C) == cl(C)."""
     cl = op.table
-    closed, classes = _classes(op)
     fl = flats(op)
 
     def fn(a: int, b: int, c: int) -> bool:
         return cl[a | c] & cl[b | c] == cl[c]
 
     def cube() -> np.ndarray:
-        up = fl.closed[fl.join]  # [x, l]: cl(F_x + F_l)
-        return up[:, None] & up == fl.closed
+        # masks in their narrowest dtype: the AND is one byte a cell at n <= 8
+        closed = fl.closed.astype(np.min_scalar_type(len(cl) - 1))
+        up = closed[fl.join]  # [x, l]: cl(F_x + F_l)
+        return up[:, None] & up == closed
 
-    def build() -> np.ndarray:
-        count = op.ground.subset_count
-        masks = _masks(count)
-        cl_arr = cl.astype(masks.dtype)
-        joined = cl_arr[masks[:, None] | masks[None, :]]  # (B, C): cl(B+C)
-        rows = np.empty((len(closed), count, count), dtype=bool)
-        for row, a in zip(rows, closed):
-            np.equal(joined & joined[a], cl_arr, out=row)
-        return rows
-
-    return TernaryRelation(op.ground, "a", fn, build, classes=classes,
+    return TernaryRelation(op.ground, "a", fn,
+                           lambda: _intersection_table(op.ground),
+                           classes=None if fl is None else fl.classes,
                            flats=fl, cube_builder=cube)
 
 
@@ -326,7 +339,6 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
     # the rows have 2^(3n) cells at most: refuse an instance over budget
     # before any work, as every other relation is refused at build time
     check_table_budget(pg.ground)
-    closed, classes = _classes(pg.op)
     fl = flats(pg.op)
     dims = None
 
@@ -336,36 +348,16 @@ def rel_cl(pg: Pregeometry) -> TernaryRelation:
             dims = dim_table(pg)  # (A, X): dim(A/X)
         return dims[a, b | c] == dims[a, c]
 
-    def build() -> np.ndarray:
-        count = pg.ground.subset_count
-        masks = np.arange(count)
-        joined = masks[:, None] | masks[None, :]  # (B, C): B+C
-        # [closed A, X]: dim(A/X) = rank(A+X) - rank(X) in a pregeometry
-        rank = rank_vector(pg)
-        over = rank[closed[:, None] | masks] - rank
-        step = _block_rows(count)
-        rows = np.empty((len(closed), count, count), dtype=bool)
-        # dim(A/B+C) for a block of closed A goes into the rows' own
-        # bytes (`over` is int8), and the comparison with dim(A/C)
-        # overwrites them as 0/1 bytes; with the same array as input and
-        # output numpy needs no temporary, so no block buffer is held.
-        # "clip" spares `take` a buffered bounds check: every index is in
-        # range.
-        cells = rows.view(over.dtype)
-        for lo in range(0, len(closed), step):
-            block, a = cells[lo:lo + step], over[lo:lo + step]
-            np.take(a, joined, axis=1, out=block, mode="clip")
-            np.equal(block, a[:, None, :], out=block, casting="unsafe")
-        return rows
-
     def cube() -> np.ndarray:
         # dim(F_i/X) = rank(cl(F_i + X)) - rank(X) at X = F_J[j,l] and F_l
         rank = rank_vector(pg)[fl.closed]
         join = fl.join
-        over = rank[join] - rank  # [i, x]: dim(F_i/F_x)
+        over = rank[join] - rank  # [i, x]: dim(F_i/F_x), int8
         return over[:, join] == over[:, None, :]
 
-    return TernaryRelation(pg.ground, "cl", fn, build, classes=classes,
+    return TernaryRelation(pg.ground, "cl", fn,
+                           lambda: _intersection_table(pg.ground),
+                           classes=None if fl is None else fl.classes,
                            flats=fl, cube_builder=cube)
 
 
@@ -378,6 +370,46 @@ def _suffix(base: TernaryRelation, suffix: str) -> str:
     if name == "a" or name.startswith(("a", "int", "st", "div", "rand")):
         return name + suffix
     return f"({name}){suffix}"
+
+
+def _and_passes(base: np.ndarray, free: np.ndarray) -> np.ndarray:
+    """base [., Y, X] with each cell ANDed over the X' of [X, X + free[Y, X]],
+    for masks free[Y, X] outside X with X' + free[Y, X'] the same at every
+    X' of that interval: a superset-AND zeta transform along X, masked per
+    (Y, X) (Bjorklund, Husfeldt, Kaski and Koivisto, STOC 2007).
+
+    One pass per element i: a cell with i in free ANDs in the cell at
+    X + i.  After the passes for the elements below i + 1 a cell holds the
+    AND over [X, X + (free & those elements)], and after all n the AND over
+    the interval.  A pass reads only cells with bit i and writes only cells
+    without it, so each [., Y] row is its own problem: a block of base's
+    rows is copied and runs all n passes while it is in cache.  Pass i
+    copies the block 2^i cells down into `up`, so that cell X + 2^i lies
+    under X, ORs in keep_i and ANDs `up` into the block, on words of up to
+    8 cells.  keep_i is 1 wherever X has bit i, so what lies under those
+    cells (the next row, or stale bytes at the block's end) never reaches
+    a 0/1 cell."""
+    count = base.shape[-1]
+    word = np.dtype(f"u{min(count, 8)}")
+    keeps = [  # (Y, X): 1 where i is not in free
+        (free >> i & 1 == 0).ravel().view(word)
+        for i in range(count.bit_length() - 1)
+    ]
+    rows = min(len(base), max(1, _BUILD_BLOCK_CELLS // free.size))
+    t = np.empty(base.shape, dtype=bool)
+    up = np.ones(rows * free.size, dtype=bool)
+    for a in range(0, len(t), rows):  # the last block may be short
+        block = t[a:a + rows]
+        block[...] = base[a:a + rows]
+        cells = block.reshape(-1)
+        words = cells.view(word).reshape(len(block), -1)
+        shifted = up[:len(cells)]
+        shifted_words = shifted.view(word).reshape(words.shape)
+        for i, keep in enumerate(keeps):
+            shifted[:-(1 << i)] = cells[1 << i:]
+            shifted_words |= keep
+            words &= shifted_words
+    return t
 
 
 def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
@@ -400,58 +432,21 @@ def monotonise_M(r: TernaryRelation, op: ClosureOperator) -> TernaryRelation:
                 return True
             sub = (sub - 1) & free
 
+    masks = _masks(len(cl))
+
     def build() -> np.ndarray:
-        # Superset-AND along C, one pass per element i: a cell (A, B, C)
-        # with i in cl(B+C) \ C ANDs in the cell (A, B, C+i).  Every X in
-        # [C, cl(B+C)] has cl(B+X) = cl(B+C), so after the passes for the
-        # elements below i + 1 a cell holds the AND over [C, C + (cl(B+C)
-        # & those elements)], and after all n the AND over [C, cl(B+C)].
-        # A pass reads only cells with bit i and writes only cells without
-        # it, so each (A, B) row is its own problem: a block of the base's
-        # rows is copied and runs all n passes while it is in cache.  Pass
-        # i copies the block 2^i cells down into `up`, so that cell
-        # C + 2^i lies under C, ORs in keep_i and ANDs `up` into the
-        # block, on words of up to 8 cells.  keep_i is 1 wherever C has
-        # bit i, so what lies under those cells (the next row, or stale
-        # bytes at the block's end) never reaches a 0/1 cell.
-        base = built_rows(r)
-        t = np.empty(base.shape, dtype=bool)
-        count = r.ground.subset_count
-        masks = _masks(count)
-        free = cl.astype(masks.dtype)[masks[:, None] | masks[None, :]] & ~masks
-        word = np.dtype(f"u{min(count, 8)}")
-        keeps = [  # (B, C): 1 where i is not in free = cl(B+C) \ C
-            (free >> i & 1 == 0).ravel().view(word)
-            for i in range(count.bit_length() - 1)
-        ]
-        rows = _block_rows(count)
-        up = np.ones(rows * count * count, dtype=bool)
-        for a in range(0, len(t), rows):  # the last block may be short
-            block = t[a:a + rows]
-            block[...] = base[a:a + rows]
-            cells = block.reshape(-1)
-            words = cells.view(word).reshape(len(block), -1)
-            shifted = up[:len(cells)]
-            shifted_words = shifted.view(word).reshape(words.shape)
-            for i, keep in enumerate(keeps):
-                shifted[:-(1 << i)] = cells[1 << i:]
-                shifted_words |= keep
-                words &= shifted_words
-        return t
+        # (B, C): cl(B+C) \ C; every X in [C, cl(B+C)] has cl(B+X) = cl(B+C)
+        free = cl.astype(masks.dtype)[masks[:, None] | masks] & ~masks
+        return _and_passes(built_rows(r), free)
 
     fl = r.flats if r.flats is not None and r.flats.closes(cl) else None
 
     def cube() -> np.ndarray:
-        # The AND over the flats of [F_l, cl(F_j + F_l)]: the passes of
-        # `build` along the masks X of [F_l, cl(F_j + X)], on [i, j, X]
-        k, count = len(fl.closed), len(cl)
-        free = fl.closed[fl.join[:, fl.classes]] & ~np.arange(count)  # [j, X]
-        t = built_cube(r)[:, :, fl.classes]
-        for i in range(count.bit_length() - 1):
-            cells = t.reshape(k, k, -1, 2, 1 << i)  # [..., 1, :]: X has i
-            keep = free.reshape(k, -1, 2, 1 << i)[:, :, 0] >> i & 1 == 0
-            cells[:, :, :, 0] &= cells[:, :, :, 1] | keep
-        return t[:, :, fl.closed]
+        # the AND over the flats of [F_l, cl(F_j + F_l)]: the passes along
+        # the masks X of [F_l, cl(F_j + X)], on [i, j, X], read at X = F_l
+        free = fl.closed.astype(masks.dtype)[fl.join[:, fl.classes]] & ~masks
+        return _and_passes(built_cube(r).take(fl.classes, axis=2),  # [i, j, X]
+                           free).take(fl.closed, axis=2)
 
     return TernaryRelation(r.ground, _suffix(r, "M"), fn, build,
                            classes=r.classes, flats=fl, cube_builder=cube)

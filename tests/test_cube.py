@@ -1,8 +1,10 @@
 """The cube route: relations that see A, B and C only through their
 closures, checked and compared on their k x k x k cube over the closed
-sets, against the packed engine and the class rows."""
+sets, against the packed engine; the cubes, and the class rows taken
+from them, against the scalar predicates and the row builders."""
 
 import gc
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -18,7 +20,12 @@ from pregeolab.axioms import (
 )
 from pregeolab.cli import instance_operator, resolve_relation
 from pregeolab.closure import trivial_closure
-from pregeolab.instances import catalog, catalog_instance, gebert_closure
+from pregeolab.instances import (
+    catalog,
+    catalog_instance,
+    gebert_closure,
+    uniform_pregeometry,
+)
 from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import (
     TernaryRelation,
@@ -27,9 +34,11 @@ from pregeolab.relcalc import (
     closure_extend_c,
     flats,
     from_table,
+    materialize,
     monotonise_M,
     monotonise_m,
     rel_a,
+    rel_cl,
 )
 
 #: every axiom with a body but FREE, which reads the masks themselves
@@ -110,36 +119,70 @@ def random_cube_cases():
 
 def test_catalog_cubes_are_the_class_rows_at_the_closed_sets():
     """The direct builders of `a`, `cl`, M and c make, for every catalog
-    relation with a cube, the cells of its class rows at the closed sets,
-    and build no rows to do so."""
+    relation with a cube, the cells of its relation at the closed sets, and
+    build no rows to do so: against the scalar predicate for `a` and `cl`,
+    and for M and c against their row builders on the expanded table of
+    `a`, which has no cube.  The rows taken from the cube are the
+    reference's rows at the closed sets."""
     seen = set()
     for name, op, r in catalog_cube_relations():
         cube = built_cube(r)
         assert r.rows is None and not cube.flags.writeable
         closed = r.flats.closed
-        np.testing.assert_array_equal(
-            cube, built_rows(r)[:, closed][:, :, closed], err_msg=name)
+        if r.name in ("a", "cl"):
+            want = np.array([[[r.fn(a, b, c) for c in closed] for b in closed]
+                             for a in closed], dtype=bool)
+        else:
+            make = monotonise_M if r.name == "aM" else closure_extend_c
+            ref = make(expanded(rel_a(op)), op)
+            assert ref.flats is None
+            rows = materialize(ref).table[closed]
+            want = rows[:, closed][:, :, closed]
+            np.testing.assert_array_equal(built_rows(r), rows, err_msg=name)
+        np.testing.assert_array_equal(cube, want, err_msg=name)
         seen.add(r.name)
     assert seen == {"a", "cl", "aM", "ac"}
 
 
 def test_random_transformer_cubes_are_the_class_rows():
     """M and c of a random cube under its own operator have cubes, the
-    class rows of their row builders at the closed sets; under any other
-    operator, and m under the identity, they have none."""
+    class rows of their row builders, run on the expanded base, at the
+    closed sets; under any other operator, and m under the identity, they
+    have none."""
     built = 0
     for op, cube in random_cube_cases():
         r = cube_relation(op, cube)
         other = trivial_closure(op.ground)
         closed = r.flats.closed
-        for t in (monotonise_M(r, op), closure_extend_c(r, op)):
+        for make in (monotonise_M, closure_extend_c):
+            t, ref = make(r, op), make(expanded(r), op)
+            assert ref.flats is None
+            rows = materialize(ref).table[closed]
             np.testing.assert_array_equal(
-                built_cube(t), built_rows(t)[:, closed][:, :, closed])
+                built_cube(t), rows[:, closed][:, :, closed])
+            np.testing.assert_array_equal(built_rows(t), rows)
             built += 1
         for t in (monotonise_M(r, other), closure_extend_c(r, other),
                   monotonise_m(r)):
             assert t.flats is None
     assert built > 100
+
+
+def test_cubes_of_a_and_cl_hold_no_wide_temporary():
+    """On U(7, 8), with k = 248 closed sets, the cubes of `a` and `cl` are
+    built on one byte a cell: the tracemalloc peak of the build stays
+    under 2.5 times the cube's 15 MB.  ANDs of int64 masks made it 9
+    times for `a`."""
+    pg = uniform_pregeometry(7, 8)
+    for r in (rel_a(pg.op), rel_cl(pg)):
+        tracemalloc.start()
+        try:
+            cube = built_cube(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cube.shape == (248,) * 3
+        assert peak < 2.5 * cube.nbytes, (r.name, peak / cube.nbytes)
 
 
 def test_cube_route_matches_packed_route_on_catalog():

@@ -90,8 +90,9 @@ def test_builders_match_scalar_eval(u34):
             assert_table_matches_scalar(r)
             checked.add((inst.name, rid))
     assert len(checked) == 160
-    # on u34 and gebert4 some pass of the aM builder has cells (B, C),
-    # C without i, both with i inside cl(B+C) (ANDed) and outside (kept)
+    # on u34 and gebert4 some pass of aM's cube has cells
+    # (F_j, X), X without i, both with i inside cl(F_j + X) (ANDed) and
+    # outside (kept)
     for name in ("u34", "gebert4"):
         op = catalog()[name].op
         count = op.ground.subset_count
@@ -99,10 +100,10 @@ def test_builders_match_scalar_eval(u34):
             i
             for i in range(op.ground.size)
             if len({
-                op.table[b | c] >> i & 1
-                for b in range(count)
-                for c in range(count)
-                if not c >> i & 1
+                op.table[b | x] >> i & 1
+                for b in relcalc.flats(op).closed
+                for x in range(count)
+                if not x >> i & 1
             }) == 2
         ]
         assert mixed and (name, "aM") in checked
@@ -119,17 +120,56 @@ def test_builders_match_scalar_eval(u34):
 
 def test_transformer_predicates_read_no_table(u34):
     """A transformer's scalar predicate calls its base's predicate, not
-    the base's rows or table: after the stack is built, corrupted base
-    class rows (which M and c read) and a corrupted base table (which opp
-    reads) leave the predicate unchanged."""
+    the base's cube, rows or table: after the stack is built, a corrupted
+    base cube (which M and c read), corrupted base class rows and a
+    corrupted base table (which opp reads) leave the predicate unchanged."""
     op = u34.op
     stacks = (lambda base: monotonise_M(base, op),
               lambda base: closure_extend_c(base, op), opposite)
     for stack in stacks:
         base = rel_a(op)
-        r = materialize(stack(base))  # builds the base's class rows too
-        base.rows, base.table = ~base.rows, ~materialize(base).table
+        r = materialize(stack(base))
+        cube, rows = relcalc.built_cube(base), relcalc.built_rows(base)
+        table = materialize(base).table
+        base.cube, base.rows, base.table = ~cube, ~rows, ~table
         assert_table_matches_scalar(r)
+
+
+def test_cube_relations_take_their_rows_from_their_cubes():
+    """On every catalog instance whose operator has fewer closed sets than
+    subsets, `a` and `cl` take their rows from their cubes, with no call to
+    a row builder, and so do `aM` and `ac`, whose cubes come from the cube
+    of `a`: building their rows leaves `a` with no rows.  Under an
+    operator whose every set is closed `a` and `cl` have no cube and equal
+    `int` cell for cell."""
+
+    def refuse():
+        raise AssertionError("a row builder ran")
+
+    seen = set()
+    for inst in catalog().values():
+        op = instance_operator(inst)
+        ints = materialize(rel_intersection(inst.ground)).table
+        rels = [rel_a(op)] + ([rel_cl(inst.pg)] if inst.pg is not None else [])
+        if relcalc.flats(op) is None:
+            for r in rels:
+                assert r.flats is None
+                assert_same_table(r, ints)
+                seen.add((r.name, "int"))
+            continue
+        for r in rels:
+            r.builder = refuse
+            assert len(relcalc.built_rows(r)) == len(r.flats.closed)
+        if inst.op is None:
+            continue
+        for make in (monotonise_M, closure_extend_c):
+            base = rel_a(inst.op)
+            t = make(base, inst.op)
+            t.builder = refuse
+            relcalc.built_rows(t)
+            assert base.rows is None and base.cube is not None, t.name
+            seen.add(t.name)
+    assert seen == {("a", "int"), ("cl", "int"), "aM", "ac"}
 
 
 def test_monotonise_passes_match_scalar_at_size_five():
@@ -203,9 +243,10 @@ def reference_cl(dims):
 
 # The default block is one block up to n = 6, 16 at n = 7 and 64 at
 # n = 8; 2^10 cells are 4 A rows at n = 4 and one row from n = 5 on, and
-# 1 puts every A row in a block of its own.  A relation with class rows
-# has one row per closed set (k = 9 on gebert8, 23 on u36), so its last
-# block may be short.
+# 1 puts every A row in a block of its own.  A relation with a cube has
+# one row per closed set (k = 9 on gebert8, 23 on u36), and its cube's
+# passes and gather run on blocks of those k rows, so its last block may
+# be short.
 DEFAULT_BLOCK = relcalc._BUILD_BLOCK_CELLS
 BLOCKS = (DEFAULT_BLOCK, 1 << 10, 1)
 
@@ -222,7 +263,7 @@ def test_builders_match_reference_on_catalog(block, monkeypatch):
             continue
         op = inst.op
         base, expected = rel_a(op), reference_a(op.table)
-        # the transformers read the base's class rows, not a table
+        # the transformers read the base's cube, not a table
         assert_same_table(monotonise_M(base, op),
                           reference_monotonise_M(expected, op.table))
         trivial = trivial_closure(op.ground).table
@@ -270,10 +311,12 @@ def test_dim_sees_only_the_closure_of_A():
 
 
 def test_cl_rows_from_ranks_match_dim_table():
-    """The `cl` builder's rows, dim(A/X) as rank(A+X) - rank(X) for the
-    closed A, are dims[a, b|c] == dims[a, c] of `dim_table` on every
-    catalog pregeometry and on random linear ones, and building them
-    builds no `dim_table`: only the scalar predicate reads it."""
+    """The rows of `cl`, taken from its cube of dim(F_i/X) as
+    rank(cl(F_i + X)) - rank(X) at the closed sets, or `int`'s table where
+    every set is closed, are dims[a, b|c] == dims[a, c] of `dim_table` for
+    the closed A on every catalog pregeometry and on random linear ones,
+    and building them builds no `dim_table`: only the scalar predicate
+    reads it."""
     rng = np.random.default_rng(30)
     pgs = [inst.pg for inst in catalog().values() if inst.pg is not None]
     for _ in range(12):
