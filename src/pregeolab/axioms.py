@@ -37,7 +37,7 @@ over the singletons, whose bits its body reads.  The chains C <= B <= D
 of BMON-* and TRA-* read the masks: their grid runs over A and the least
 chain of each class pattern (l, j, m) with F_l <= F_j <= F_m (C the
 least member of class l, B its least superset in class j, D B's least
-superset in class m, `_least_chains`), and the witness is the least A
+superset in class m, `Flats.least_chains`), and the witness is the least A
 with a violating pattern and the least packed key (C, B, D) among them.
 `check_axioms` takes this route (`_takes_cube`) when the grid's k^arity
 cells are at most 4^n, the rows (B, C) of one layout, and, for an axiom
@@ -126,16 +126,28 @@ The four-variable axioms never build the 2^(4n) array:
   rows of the 4^n chains C <= B <= D are two or three gathers of packed
   rows (`_scan_chain`).  The least A set in their OR, and the least (C,
   B, D) among the chains with A's bit, make the least (A, C, B, D).
-- strong scan (TRA-STRONG, BMON-STRONG): on the right layout, a loop
-  over E, the part of D outside the base (B for TRA-STRONG, B+C for
-  BMON-STRONG), ORs into row (B, C) the rows that some D with that part
-  violates (`_scan_tra_strong`, `_scan_bmon_strong`).  The rest of D
-  ranges over the subsets of the base, so whole-row OR passes along B or
-  C absorb it.  BMON-STRONG gathers 5^n rows in all, and TRA-STRONG 6^n
-  rows and about n 6^n row ORs.  BMON-STRONG keeps no marked rows: it
-  ORs each E's rows into one word row, whose least set A is the least A,
-  and then runs the E loop again on A's bit alone for the least (C, B).
-  The least D completes the least marked (A, C, B), as for FREE.
+- strong scan (TRA-STRONG, BMON-STRONG): on the right layout.  D splits
+  into E, its part outside the base (B for TRA-STRONG, B+C for
+  BMON-STRONG), and a part inside, which whole-row OR passes along B or
+  C absorb.  Each element then takes one of a few states, such as in E,
+  in B or in neither, so every row a scan reads is one gather by an
+  index over the states (`_states`), and the OR over E is one pass per
+  element that folds E's states into those without E (`_fold_into`):
+  there is no loop over E.  BMON-STRONG gathers 5^n rows of f and of g,
+  and TRA-STRONG 5^n rows for its zeta part and 6^n rows twice for its
+  hit rows, with about n 5^n and n 6^n row ORs
+  (`_scan_bmon_strong`, `_scan_tra_strong`).  Both run in blocks that
+  fix the states of the top elements, so that a block's gathers stay
+  within `_STRONG_BLOCK_BYTES`: n <= 6 is one block on every catalog
+  subject and for rg-st's 34 lanes, and a whole n = 8 table takes 36
+  blocks of TRA-STRONG's hit rows and 25 of BMON-STRONG's rows.
+  BMON-STRONG keeps no marked rows: it ORs every block's rows into one
+  word row, whose least set A is the least A, and then runs the blocks
+  again on A's bit alone, E folded out into rows (B, C), for the least
+  (C, B).  The least D completes the least marked (A, C, B), as for
+  FREE.  In process (best of 7), against the loop over E: u36 `cl`
+  TRA-STRONG 0.45 against 1.6 ms and BMON-STRONG 0.21 against 0.96 ms;
+  gebert8 `int` 25 against 34 ms and 5.6 against 10 ms.
 
 The OR passes are subset-lattice zeta transforms (Bjorklund, Husfeldt,
 Kaski and Koivisto, "Fourier meets Mobius: fast subset convolution",
@@ -156,7 +168,7 @@ and the class logic of the left layout (`_union_classes`, `_pair_blocks`,
 (Biham, "A fast new DES implementation in software", FSE 1997), which
 the scans already apply to A and to A's classes.  Only the extraction of
 the least witness reads each lane alone: `_least_members`, the least
-(C, B) and the chain key, `_least_blocks`, BMON-STRONG's second loop,
+(C, B) and the chain key, `_least_blocks`, BMON-STRONG's second pass,
 SCLO's gather of each lane's pair rows, the EX and AREF grids and
 `_least_d`.  So every relation gets the witness it gets alone, byte for
 byte.  A batch of one reads its stored layout itself, with no copy, and
@@ -173,6 +185,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -293,21 +306,35 @@ def _arity(ax: AxiomId) -> int:
     return _BODIES[ax].__code__.co_argcount - 2
 
 
-@functools.lru_cache(maxsize=1)
-def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The 4^n chains C <= B <= D as three read-only arrays, in no
-    particular order: each element in turn is outside D, in D only, in B
-    only, or in C.  The arrays of the last size asked for are kept, in
-    the narrowest unsigned dtype that holds X * 2^n + Y for masks X, Y."""
-    c = b = d = np.zeros(1, dtype=np.min_scalar_type((1 << 2 * size) - 1))
+@functools.lru_cache(maxsize=16)
+def _states(size: int, states: tuple[tuple[int, ...], ...], base: int = 2
+            ) -> tuple[np.ndarray, ...]:
+    """Every way to put each of `size` elements in one of `states`, as one
+    read-only array per column of the states: the entry of the way that
+    puts element i in state s_i is the sum over i of s_i's column value
+    times base^i, element 0's state varying fastest and element size - 1's
+    slowest.  So with 0 or 1 values and base 2 a column lists masks, and
+    with values x * 2^n + y it lists the flat rows (X, Y) of a layout.  The
+    arrays are in the narrowest unsigned dtype that holds their values and
+    X * 2^size + Y for masks X, Y."""
+    columns = tuple(zip(*states))
+    top = (max(max(column) for column in columns)
+           * (base**size - 1) // (base - 1))
+    out = [np.zeros(1, dtype=np.min_scalar_type(max(top, 4**size - 1)))
+           ] * len(columns)
     for i in range(size):
-        bit = 1 << i
-        c = np.concatenate((c, c, c, c | bit))
-        b = np.concatenate((b, b, b | bit, b | bit))
-        d = np.concatenate((d, d | bit, d | bit, d | bit))
-    for array in (c, b, d):
+        step = base**i
+        out = [np.concatenate([x + v * step for v in column])
+               for x, column in zip(out, columns)]
+    for array in out:
         array.flags.writeable = False
-    return c, b, d
+    return tuple(out)
+
+
+def _chains(size: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 4^n chains C <= B <= D as three read-only arrays (c, b, d), each
+    element outside D, in D only, in B only, or in C (`_states`)."""
+    return _states(size, ((0, 0, 0), (0, 0, 1), (0, 1, 1), (1, 1, 1)))
 
 
 def _pack(t3: np.ndarray, axis: int) -> np.ndarray:
@@ -514,12 +541,14 @@ def _planes(p: np.ndarray, count: int, i: int) -> np.ndarray:
     return p.reshape(half, 2, 1 << i, half, 2, 1 << i, -1)
 
 
-def _or_rows(rows: np.ndarray) -> np.ndarray:
-    """The OR of 4^j packed rows.  It runs over blocks of 2^j rows first,
-    so no reduction has a short inner loop."""
-    half = 1 << (len(rows).bit_length() - 1) // 2
+def _or_rows(rows: np.ndarray, base: int = 2) -> np.ndarray:
+    """The OR of base^j packed rows.  It runs over blocks of base^(j - j//2)
+    rows first, so no reduction has a short inner loop."""
+    half = 1
+    while (half * base) ** 2 <= len(rows):
+        half *= base
     found = np.bitwise_or.reduce(rows.reshape(half, -1), axis=0)
-    return np.bitwise_or.reduce(found.reshape(half, -1), axis=0)
+    return np.bitwise_or.reduce(found.reshape(-1, rows.shape[1]), axis=0)
 
 
 def _least_members(found: np.ndarray, lanes: int,
@@ -740,13 +769,52 @@ def _scan_mon(p: np.ndarray, count: int) -> np.ndarray:
     return bad
 
 
-def _outside(count: int):
-    """Each E with the flat indexes of the rows (B, C) whose B and C lie
-    outside E."""
-    masks = np.arange(count)
-    for e in range(count):
-        rest = masks[masks & e == 0]
-        yield e, (rest[:, None] * count + rest).ravel()
+#: bytes of the rows one block of a strong scan gathers at once: 6^m rows
+#: over m low elements for TRA-STRONG, 5^m for BMON-STRONG, so n <= 6 is
+#: one block on every catalog subject and for the 34 lanes of rg-st (n = 5)
+_STRONG_BLOCK_BYTES = 1 << 21
+
+
+def _low_size(size: int, states: int, width: int) -> int:
+    """The most low elements whose states^low rows of `width` bytes, each
+    with the 8-byte index that `take` reads it by, stay within
+    `_STRONG_BLOCK_BYTES`: all `size` of them where they do."""
+    low = size
+    while low and states**low * (width + 8) > _STRONG_BLOCK_BYTES:
+        low -= 1
+    return low
+
+
+def _fold_into(out: np.ndarray, count: int, grid: np.ndarray, b: int, c: int
+               ) -> None:
+    """OR rows over the states of the low elements into the rows (B, C) of
+    `out`, packed rows (B, C), that they stand for.  grid[s_(m-1), ...,
+    s_0] is the row of the way that puts low element i in state s_i
+    (`_states`).  Each element's states are none, C, B, B and C, then E
+    and, for TRA-STRONG, E and C: one pass per element ORs each E state
+    into the one without E, the OR over E, and keeps the first four, (B, C)
+    bits 2b + c.  The bits of B and C above the low elements are those of
+    b and c."""
+    size = count.bit_length() - 1
+    low = grid.ndim - 1
+    for axis in range(low):
+        lead = (slice(None),) * axis
+        e = grid.shape[axis] - 4
+        grid[lead + (slice(0, e),)] |= grid[lead + (slice(4, 4 + e),)]
+        grid = grid[lead + (slice(0, 4),)]
+    # (b, c) per element to all b bits, then all c bits: the rows (B, C)
+    grid = grid.reshape((2, 2) * low + grid.shape[-1:]).transpose(
+        *range(0, 2 * low, 2), *range(1, 2 * low, 2), 2 * low)
+    top = range(size - 1, low - 1, -1)
+    rest = (slice(None),) * low
+    at = (*(b >> j & 1 for j in top), *rest, *(c >> j & 1 for j in top), *rest)
+    target = out.reshape((2,) * 2 * size + (out.shape[1],))[at]
+    target |= grid
+
+
+#: BMON-STRONG's states of one element for (B, C, E), E outside B + C:
+#: none, C, B, B and C, or E, as its bits of B, C and E
+_BMON_STATES = ((0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1))
 
 
 def _scan_bmon_strong(p: np.ndarray, count: int, lanes: int,
@@ -758,63 +826,111 @@ def _scan_bmon_strong(p: np.ndarray, count: int, lanes: int,
     rows (B, C), f ORs r over the supersets of B by elements of C, g ORs
     not r over the supersets of C by elements of B, one whole-row OR per
     element each, and (A, C, B) violates for some D where bit A of
-    f[B+E, C] & g[B, C+E] is set for some E.  The least A is the least bit
-    of the OR of every E's rows; a second loop over bit A of f and g finds
-    the least (C, B), so no array of violation rows is held.  The rows may
-    be packed over A's class (`classes`), as for `_least_right`, and the
-    second loop runs on the bit of each lane's least A at once."""
+    f[B+E, C] & g[B, C+E] is set for some E.  Each element is in one of
+    five states of (B, C, E) (`_BMON_STATES`), so the 5^n rows f[B+E, C] &
+    g[B, C+E] are two gathers, in blocks that fix the states of the
+    elements above the low ones (`_low_size`): a block's rows sit at one
+    offset from cached indexes of the low elements.  The least A is the
+    least bit of the OR of every block's rows; the same blocks on bit A of
+    f and g, with E folded out of each (`_fold_into`), give the rows
+    (B, C) with that bit and so the least (C, B), and no array of violation
+    rows is held.  The rows may be packed over A's class (`classes`), as
+    for `_least_right`, and the second pass runs on the bit of each lane's
+    least A at once."""
+    size = count.bit_length() - 1
     f = p.copy()
     g = np.invert(p)
-    for i in range(count.bit_length() - 1):
+    for i in range(size):
         fv, gv = _planes(f, count, i), _planes(g, count, i)
         fv[:, 0, :, :, 1] |= fv[:, 1, :, :, 1]  # C has i: B takes B+i
         gv[:, 1, :, :, 0] |= gv[:, 1, :, :, 1]  # B has i: C takes C+i
+    low = _low_size(size, len(_BMON_STATES), p.shape[1])
+    f_at, g_at = _states(low, tuple(((b | e) * count + c, b * count + (c | e))
+                                    for b, c, e in _BMON_STATES))
+    top = range(size - 1, low - 1, -1)
+    blocks = []  # per block: f's and g's row offsets, and its bits of B, C
+    for states in itertools.product(_BMON_STATES, repeat=size - low):
+        b, c, e = (sum(s[k] << j for s, j in zip(states, top))
+                   for k in range(3))
+        blocks.append(((b | e) * count + c, b * count + (c | e), b, c))
     found = np.zeros(p.shape[1], dtype=np.uint8)
-    chunk = max(1, count * count // 4)  # no gather larger than E = {i}'s
-    for e, rows in _outside(count):
-        for part in rows.reshape(-1, min(chunk, len(rows))):
-            hit = f.take(part + e * count, axis=0)
-            hit &= g.take(part + e, axis=0)
-            found |= _or_rows(hit)
+    for at_f, at_g, _, _ in blocks:
+        hit = f[at_f:].take(f_at, axis=0)
+        hit &= g[at_g:].take(g_at, axis=0)
+        found |= _or_rows(hit, len(_BMON_STATES))
     out: list[Optional[tuple[int, int, int]]] = [None] * lanes
     hit, a, bit = _least_members(found, lanes, classes)
     if len(hit):
         f, g = _bits(f, bit), _bits(g, bit)
         has = np.zeros_like(f)
-        for e, rows in _outside(count):
-            has[rows] |= f[rows + e * count] & g[rows + e]
+        for at_f, at_g, b, c in blocks:
+            rows = f[at_f:].take(f_at, axis=0)
+            rows &= g[at_g:].take(g_at, axis=0)
+            _fold_into(has, count, rows.reshape(
+                (len(_BMON_STATES),) * low + (-1,)), b, c)
         for j, x, cb in zip(hit, a, _least_cb(has, count)):
             out[j] = (int(x), *divmod(int(cb), count))
     return out
+
+
+#: TRA-STRONG's states of one element.  U[E, B, Z] is held for E and B
+#: disjoint and B <= Z, where an element is in none, E, Z, E and Z, or B,
+#: and gathered as the row (E + B, Z): each state's bits of E + B and Z.
+_TRA_U = ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1))
+#: The hit rows (E, B, C), E and B disjoint, where an element is in none,
+#: C, B, B and C, E, or E and C: each state's state in U[E, B, B + C] and
+#: its bits of E, B and C.
+_TRA_HIT = ((0, 0, 0, 0), (2, 0, 0, 1), (4, 0, 1, 0), (4, 0, 1, 1),
+            (1, 1, 0, 0), (3, 1, 0, 1))
 
 
 def _scan_tra_strong(p: np.ndarray, count: int) -> np.ndarray:
     """TRA-STRONG: r(A, B, C) and r(A, D, B+C) hold and r(A, B+D, C) fails.
     With E the part of D outside B and V the part inside, that is r(A, B,
     C), not r(A, B+E, C), and r(A, E+V, B+C) for some V <= B.  On the table
-    packed over A, rows (B, C), each E gathers the rows (B+E, Z) of the B
-    outside E, ORs them over the subsets of B, one whole-row OR per element
-    outside E, and takes row (B, B+C) of the result."""
-    masks = np.arange(count)
-    width = p.shape[1]
-    table = p.reshape(count, count, width)
-    viol = np.zeros_like(table)
-    for e in range(count):
-        rest = masks[masks & e == 0]  # B outside E
-        below = table[rest | e]  # [B, Z]: r(A, B+E, Z), then ORed over B's subsets
-        for j in range(len(rest).bit_length() - 1):  # no view keeps below alive
-            pairs = (len(rest) >> j + 1, 2, -1)
-            below.reshape(pairs)[:, 1] |= below.reshape(pairs)[:, 0]
-        at = rest[:, None] | masks  # [B, C]: row (B, B+C) of below
-        at += np.arange(0, at.size, count)[:, None]
-        hit = below.reshape(-1, width).take(at, axis=0)
-        del below
-        off = table[rest | e]
-        hit &= np.invert(off, out=off)
-        del off
-        viol[rest] |= hit
-    viol &= table
-    return viol.reshape(p.shape)
+    packed over A, rows (B, C), U[E, B, Z] ORs the rows (E+V, Z) over the
+    subsets V of B: one gather of the 5^n (E, B, Z) with E and B disjoint
+    and B <= Z (`_TRA_U`), each element in state B gathered with V, then
+    one pass per element ORs state B without V in.  The 6^n hit rows U[E,
+    B, B+C] & not r(A, B+E, C) (`_TRA_HIT`) are a gather of U and one of
+    the table, and one pass per element ORs them over E into rows (B, C)
+    (`_fold_into`), which are ANDed with the table.  It runs in blocks that
+    fix the states of the elements above the low ones (`_low_size`), whose
+    gathers sit at one offset from cached indexes of the low elements.  A
+    block of U that puts a top element in B ORs in the gathers with and
+    without it in V, and its hit blocks are those whose top states it
+    holds, so each block folds its own E."""
+    size = count.bit_length() - 1
+    low = _low_size(size, len(_TRA_HIT), p.shape[1])
+    top = range(size - 1, low - 1, -1)
+    u_at = _states(low, tuple((x * count + z,) for x, z in _TRA_U))[0]
+    hit_u = _states(low, tuple((u,) for u, *_ in _TRA_HIT), len(_TRA_U))[0]
+    hit_at = _states(low, tuple(((e | b) * count + c,)
+                                for _, e, b, c in _TRA_HIT))[0]
+    viol = np.zeros_like(p)
+    for ups in itertools.product(range(len(_TRA_U)), repeat=size - low):
+        u = None  # this block of U: top elements in B (4) with and without V
+        for xs in itertools.product(*[(0, 1) if s == 4 else (_TRA_U[s][0],)
+                                      for s in ups]):
+            at = sum((x * count + _TRA_U[s][1]) << j
+                     for x, s, j in zip(xs, ups, top))
+            rows = p[at:].take(u_at, axis=0)
+            u = rows if u is None else np.bitwise_or(u, rows, out=u)
+        for i in range(low):  # state B (4) ORs in B without V's i: Z (2)
+            grid = u.reshape(-1, len(_TRA_U), len(_TRA_U) ** i * p.shape[1])
+            grid[:, 4] |= grid[:, 2]
+        for states in itertools.product(*[[st for st in _TRA_HIT if st[0] == s]
+                                          for s in ups]):
+            e, b, c = (sum(st[k] << j for st, j in zip(states, top))
+                       for k in (1, 2, 3))
+            hit = u.take(hit_u, axis=0)
+            off = p[(e | b) * count + c:].take(hit_at, axis=0)
+            hit &= np.invert(off, out=off)
+            del off
+            _fold_into(viol, count,
+                       hit.reshape((len(_TRA_HIT),) * low + (-1,)), b, c)
+    viol &= p
+    return viol
 
 
 def _scan_free(p: np.ndarray, count: int) -> np.ndarray:
@@ -879,29 +995,6 @@ def _takes_cube(r: TernaryRelation, ax: AxiomId, cl: Optional[np.ndarray]
             and (cl is None or fl.closes(cl)))
 
 
-def _least_chains(fl: Flats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The least chain C <= B <= D of each class pattern (l, j, m) that has
-    one, F_l <= F_j <= F_m: C the least member of class l, B its least
-    superset in class j and D B's least superset in class m."""
-    closed, count = fl.closed, len(fl.classes)
-    # narrow dtypes: the (pattern, mask) arrays below take a third the time
-    masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
-    classes = fl.classes.astype(np.min_scalar_type(len(closed) - 1))
-    inside = closed[:, None] & ~closed == 0  # [x, y]: F_x <= F_y
-    l, j, m = np.nonzero(inside[:, :, None] & inside)
-
-    def least_superset(x, of):  # [p]: the least superset of x[p] in class of[p]
-        x = x.astype(masks.dtype)[:, None]
-        of = of.astype(classes.dtype)[:, None]
-        return np.argmax((masks & x == x) & (classes == of), axis=1)
-
-    first = np.empty(len(closed), dtype=np.intp)
-    first[fl.classes[fl.least]] = fl.least  # class -> its least member
-    c = first[l]
-    b = least_superset(c, j)
-    return c, b, least_superset(b, m)
-
-
 def _scan_cube(r: TernaryRelation, ax: AxiomId, cl: Optional[np.ndarray]
                ) -> Optional[tuple[int, ...]]:
     """The least violation of ax on r's cube.  Every body reads holds(A, B,
@@ -922,7 +1015,7 @@ def _scan_cube(r: TernaryRelation, ax: AxiomId, cl: Optional[np.ndarray]
 
     least = fl.least
     if ax in _CHAIN_AXIOMS:
-        c, b, d = _least_chains(fl)
+        c, b, d = fl.least_chains
         bad = ~_BODIES[ax](holds, cl, least[:, None], c, b, d)
         rows = np.flatnonzero(bad.any(axis=1))
         if not len(rows):

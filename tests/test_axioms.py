@@ -1,5 +1,5 @@
 import tracemalloc
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 
 import numpy as np
@@ -915,19 +915,28 @@ def test_pair_blocks_return_an_unmapped_layout_itself():
     assert peak < 1.5 * 4**8 * 32, peak
 
 
-def test_chains_are_kept_read_only_for_the_last_size():
-    """`_chains` lists each chain C <= B <= D once, in read-only arrays
-    that it hands out again for the size it was last asked for."""
+def test_states_list_every_combination_once_read_only():
+    """`_states` lists every way to put each element in one state, element
+    0's state fastest, one read-only array per column, and hands the same
+    arrays out again.  `_chains` is its four chain states: each chain
+    C <= B <= D once, in a dtype that holds X * 2^n + Y.  A base-5 column
+    holds each element's value at its own digit."""
     c, b, d = axioms._chains(4)
     assert sorted(zip(c, b, d)) == [
         (x, y, z) for x, y, z in product(range(16), repeat=3)
         if x & ~y == 0 and y & ~z == 0]
+    assert c.dtype == np.uint8 and axioms._chains(5)[0].dtype == np.uint16
     assert all(axioms._chains(4)[i] is x for i, x in enumerate((c, b, d)))
     for x in (c, b, d):
         with pytest.raises(ValueError):
             x[0] = 1
-    axioms._chains(3)
-    assert axioms._chains(4)[0] is not c
+    states = ((3, 0), (1, 1), (0, 4))
+    masks, fives = axioms._states(3, states, 5)
+    ways = [w[::-1] for w in product(range(3), repeat=3)]  # element 0 fastest
+    assert list(masks) == [sum(states[s][0] * 5**i for i, s in enumerate(w))
+                           for w in ways]
+    assert list(fives) == [sum(states[s][1] * 5**i for i, s in enumerate(w))
+                           for w in ways]
 
 
 #: the right-layout axioms whose body reads A only through holds(A, ., .)
@@ -1093,6 +1102,90 @@ def test_scans_keep_padding_bits_zero():
                 assert out.shape[1] == -(-bits // 8)
                 pad = 0xFF << bits % 8 & 0xFF if bits % 8 else 0
                 assert not (out[:, -1] & pad).any(), (size, k, density)
+
+
+def scalar_witness(r, ax, limit):
+    """The least (A, C, B, D) at which the scalar route
+    (`evaluate_axiom_body` through r.fn) finds the body of ax false,
+    scanning the tuples in witness order from the first; None when none
+    of the first `limit` tuples is one.  Shares no code with the scans."""
+    tuples = islice(product(range(r.ground.subset_count), repeat=4), limit)
+    return next((w for w in tuples if not evaluate_axiom_body(r, ax, w)), None)
+
+
+def test_strong_scans_match_the_reference_routes():
+    """TRA-STRONG and BMON-STRONG on batches of several lanes: of whole
+    tables, and of class rows under one map (k = 3 and k = 12, so one and
+    two bytes of class bits).  At n <= 3 each lane reports the least
+    witness of the axiom bodies on index grids.  At n = 4..6, where the
+    grids grow large, the scalar route scans tuples from the first one:
+    at density 0.5 it soon finds the least violation, which each lane
+    must report, and every fail witness is a violation under it."""
+    rng = np.random.default_rng(36)
+    compared = {size: 0 for size in range(7)}
+    for size in range(7):
+        g = GroundSet(size)
+        count = g.subset_count
+        batches = [[from_table(g, "rand", rng.random((count,) * 3) < density)
+                    for density in (0.5, 0.9, 0.99)]]
+        for k in (3, 12):
+            classes = rng.integers(0, k, count)
+            batches.append([class_rows(g, rng.random((k, count, count))
+                                       < density, classes)
+                            for density in (0.5, 0.5, 0.95)])
+        for rels in batches:
+            assert [len(b) for b in axioms._batches(rels)] == [len(rels)]
+            for ax in (AxiomId.TRA_STRONG, AxiomId.BMON_STRONG):
+                for r, rep in zip(rels, check_axioms(rels, ax)):
+                    if size <= 3:
+                        want = grid_witness(materialize(r).table, ax)
+                    else:
+                        want = scalar_witness(r, ax, 4000)
+                        if want is None:  # none among the first tuples
+                            assert rep.witness is None or not \
+                                evaluate_axiom_body(r, ax, rep.witness)
+                            continue
+                    assert rep.witness == want, (size, ax)
+                    compared[size] += want is not None
+    assert all(compared[size] >= 5 for size in range(1, 7)), compared
+
+
+@pytest.mark.parametrize("budget", [1 << 10, 1 << 13])
+def test_strong_scans_in_many_blocks_match_one_block(budget, monkeypatch):
+    """With a block budget of 1 or 8 KB, n = 5 and 6 run in tens to
+    hundreds of blocks whose top elements take every state, where the
+    budget of the module runs one.  TRA-STRONG's violation rows and
+    BMON-STRONG's witnesses are those of one block, on one and two bytes
+    of class bits, on A bits and on four lanes."""
+    rng = np.random.default_rng(37)
+    cases = []
+    for size in (5, 6):
+        count = 1 << size
+        for width, lanes, k in ((1, 1, 7), (2, 1, 12), (count // 8, 1, None),
+                                (count // 2, 4, None)):
+            classes = None if k is None else rng.integers(0, k, count)
+            for density in (0.3, 0.9, 0.99):
+                bits = rng.random((count * count, 8 * width)) < density
+                if k is not None:
+                    bits[:, k:] = False  # zero padding bits
+                p = np.packbits(bits, axis=1, bitorder="little")
+                cases.append((p, count, lanes, classes))
+    one = []
+    for p, count, lanes, classes in cases:
+        assert axioms._low_size(count.bit_length() - 1, 6, p.shape[1]) == (
+            count.bit_length() - 1)
+        one.append((axioms._scan_tra_strong(p, count),
+                    axioms._scan_bmon_strong(p, count, lanes, classes)))
+    monkeypatch.setattr(axioms, "_STRONG_BLOCK_BYTES", budget)
+    found = set()
+    for (p, count, lanes, classes), (viol, hits) in zip(cases, one):
+        assert axioms._low_size(count.bit_length() - 1, 5, p.shape[1]) < (
+            count.bit_length() - 1)
+        np.testing.assert_array_equal(axioms._scan_tra_strong(p, count), viol)
+        assert axioms._scan_bmon_strong(p, count, lanes, classes) == hits
+        found.add(bool(viol.any()))
+        found.update(hit is None for hit in hits)
+    assert found == {True, False}
 
 
 def test_search_finds_u34_for_bmon_r_failure():

@@ -322,3 +322,23 @@ def test_flats_are_computed_once_per_operator_and_dropped_with_it():
     del op, r, s
     gc.collect()
     assert len(relcalc._FLATS) < before
+
+
+def test_least_chains_are_computed_once_per_check_all(capsys, monkeypatch):
+    """One `check --all` on gebert8 `a` runs BMON-L, BMON-R, TRA-L and
+    TRA-R on the cube, and all four read the least chains that its `Flats`
+    computes on first use and keeps."""
+    from pregeolab.cli import main
+
+    real = relcalc.Flats.least_chains.func
+    calls = []
+    monkeypatch.setattr(relcalc.Flats.least_chains, "func",
+                        lambda fl: calls.append(fl) or real(fl))
+    assert main(["check", "--instance", "gebert8", "--relation", "a",
+                 "--all"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    for ax in ("BMON-L", "BMON-R", "TRA-L", "TRA-R"):
+        assert any(f" {ax} " in line for line in lines), ax
+    assert len(calls) == 1
+    c, b, d = calls[0].least_chains
+    assert len(calls) == 1 and not c.flags.writeable
