@@ -13,6 +13,7 @@ witness is its first true cell (`lattice.first_true`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -97,8 +98,10 @@ def from_table(
     return ClosureOperator(ground, _validate(ground, np.asarray(table)))
 
 
+@functools.cache
 def trivial_closure(ground: GroundSet) -> ClosureOperator:
-    """The identity operator cl(A) = A."""
+    """The identity operator cl(A) = A: one operator per ground set, built
+    on first use and shared for the life of the process."""
     identity = np.arange(ground.subset_count)
     return ClosureOperator(ground, _validate(ground, identity))
 

@@ -96,8 +96,9 @@ def dim_table(pg: Pregeometry) -> np.ndarray:
     element i in ascending order: a cell (A, X) with i in A takes i into
     its basis when i is outside cl(X + the basis so far).  So every cell
     is basis_of(pg, A, X).value.  The table is cached for as long as the
-    closure operator of `pg` lives; `dim_table.cache_info()` counts the
-    calls it answered and the tables it built.
+    closure operator of `pg` lives, which for a catalog operator is the
+    whole process; `dim_table.cache_info()` counts the calls it answered
+    and the tables it built.
     """
     dims = _DIMS.get(pg.op)
     if dims is None:

@@ -11,6 +11,7 @@ Element conventions:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -550,16 +551,19 @@ CATALOG: dict[str, tuple[str, str]] = {
 CATALOG_NAMES: tuple[str, ...] = tuple(CATALOG)
 
 
+@functools.cache
 def catalog_instance(name: str) -> Instance:
-    """One built-in instance, built without the others; KeyError when no
-    instance has that name."""
+    """One built-in instance, built without the others on first use and
+    then shared for the life of the process, so what is computed once per
+    operator (`relcalc.flats`, `geometry.dim_table`) is computed once per
+    process; KeyError when no instance has that name."""
     return parse_instance(CATALOG[name][1], name)
 
 
 def catalog() -> dict[str, Instance]:
-    """The built-in instance library, keyed by short name."""
-    return {name: parse_instance(text, name)
-            for name, (_, text) in CATALOG.items()}
+    """The built-in instance library, keyed by short name: a fresh dict of
+    the shared instances of `catalog_instance`."""
+    return {name: catalog_instance(name) for name in CATALOG}
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,10 @@ _FLATS: "weakref.WeakKeyDictionary[ClosureOperator, Optional[Flats]]" = (
 
 
 def flats(op: ClosureOperator) -> Optional[Flats]:
-    """The closed sets of op and their classes, computed once per operator;
-    None when every set is closed."""
+    """The closed sets of op and their classes, computed once per operator
+    and kept as long as it lives, which for a catalog operator or an
+    identity closure is the whole process; None when every set is
+    closed."""
     if op not in _FLATS:
         cl = op.table
         closed = np.flatnonzero(cl == np.arange(len(cl)))

@@ -4,8 +4,9 @@ across the built-in catalog and reports pass/fail per constituent check.
 Reports contain only RESULT lines (no timing), so a suite report is byte
 identical across runs.  Suites run one after another on the calling
 thread, and each emits its checks in construction order.  All suites of
-one `run_suites` call draw their instances from one build of the catalog
-(`InstancePool`).
+one `run_suites` call draw their instances from one `InstancePool`, and
+every run of the process from one build of the catalog
+(`catalog_instance`).
 
 The graph suite `rg-st` quantifies over all labeled graphs on five
 vertices but checks its axioms on one graph per isomorphism class, the
@@ -174,8 +175,10 @@ STACK_SUITE_MAX = 5  # transformer-stack suites
 
 class InstancePool:
     """The catalog instances a run draws from: the named ones, or the
-    whole catalog when `names` is None.  They are built on first use and
-    then shared by every suite of the run."""
+    whole catalog when `names` is None.  The pool looks them up on first
+    use, and every suite of the run shares them.  They are the process's
+    instances (`catalog_instance`), so later runs and commands share them
+    too, with what was computed from their operators."""
 
     def __init__(self, names: Optional[Sequence[str]] = None) -> None:
         self.names = names

@@ -327,18 +327,24 @@ def test_flats_are_computed_once_per_operator_and_dropped_with_it():
 def test_least_chains_are_computed_once_per_check_all(capsys, monkeypatch):
     """One `check --all` on gebert8 `a` runs BMON-L, BMON-R, TRA-L and
     TRA-R on the cube, and all four read the least chains that its `Flats`
-    computes on first use and keeps."""
+    computes on first use and keeps.  The catalog instance, and so its
+    `Flats`, lives as long as the process: a second `check --all` computes
+    them no more."""
     from pregeolab.cli import main
 
+    instances.catalog_instance.cache_clear()  # an earlier test's gebert8
     real = relcalc.Flats.least_chains.func
     calls = []
     monkeypatch.setattr(relcalc.Flats.least_chains, "func",
                         lambda fl: calls.append(fl) or real(fl))
-    assert main(["check", "--instance", "gebert8", "--relation", "a",
-                 "--all"]) == 0
+    argv = ["check", "--instance", "gebert8", "--relation", "a", "--all"]
+    assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     for ax in ("BMON-L", "BMON-R", "TRA-L", "TRA-R"):
         assert any(f" {ax} " in line for line in lines), ax
+    assert len(calls) == 1
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == lines
     assert len(calls) == 1
     c, b, d = calls[0].least_chains
     assert len(calls) == 1 and not c.flags.writeable

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 from pathlib import Path
@@ -7,9 +10,9 @@ import numpy as np
 import pytest
 
 from pregeolab.axioms import compare
-from pregeolab.cli import resolve_relation
+from pregeolab.cli import main, resolve_relation
 from pregeolab.closure import ClosureOperator, Pregeometry, trivial_closure
-from pregeolab.geometry import basis_of, independence_table
+from pregeolab.geometry import basis_of, dim_table, independence_table
 from pregeolab import instances
 from pregeolab.instances import (
     CATALOG,
@@ -40,7 +43,7 @@ from pregeolab.instances import (
     uniform_pregeometry,
 )
 from pregeolab.lattice import GroundSet, elements_of, mask_of
-from pregeolab.relcalc import materialize, rel_intersection
+from pregeolab.relcalc import flats, materialize, rel_intersection
 
 GF2_LINE = ((1, 0), (0, 1), (1, 1))
 GF3_LINE = ((1, 0), (0, 1), (1, 1), (1, 2))
@@ -537,3 +540,103 @@ def test_parse_instance_table_with_comments():
     assert inst.kind == "closure"  # an explicit table is never promoted
     assert inst.op is not None and inst.pg is None
     assert inst.op.table.tolist() == [0, 1, 2, 3]
+
+
+# ---------------------------------------------------------------------------
+# Catalog instances and identity closures live as long as the process
+
+
+def test_catalog_instance_is_built_once_per_process(capsys, monkeypatch):
+    """Commands on gf2-7, each run twice, parse it once and build its
+    dimension table (which `modular` reads) once: later commands read the
+    first one's instance and its caches."""
+    catalog_instance.cache_clear()
+    parsed = []
+    real = instances.parse_instance
+    monkeypatch.setattr(instances, "parse_instance",
+                        lambda *args: parsed.append(args) or real(*args))
+    before = dim_table.cache_info().misses
+    commands = [["check", "--instance", "gf2-7", "--relation", "cl", "--all"],
+                ["modular", "--instance", "gf2-7"]]
+    outputs = []
+    for argv in commands * 2:
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    assert [name for _, name in parsed] == ["gf2-7"]
+    assert dim_table.cache_info().misses == before + 1
+
+
+def test_catalog_holds_the_shared_instances():
+    shared = catalog()
+    assert list(shared) == list(CATALOG_NAMES)
+    for name, inst in shared.items():
+        assert inst is catalog_instance(name)
+    assert catalog() is not shared  # a fresh dict each call
+
+
+def test_identity_closure_is_one_per_ground_size():
+    assert trivial_closure(GroundSet(4)) is trivial_closure(GroundSet(4))
+    assert trivial_closure(GroundSet(4)) is not trivial_closure(GroundSet(3))
+    by_size: dict = {}
+    for inst in catalog().values():
+        if inst.op is None:  # graphs and orders
+            by_size.setdefault(inst.ground.size, set()).add(
+                id(instances.instance_operator(inst)))
+    assert {3, 4} <= set(by_size)
+    assert all(len(ids) == 1 for ids in by_size.values())
+    assert (instances.instance_operator(catalog_instance("path3"))
+            is catalog_instance("trivial3").op)
+
+
+def test_instance_files_are_read_on_every_load(capsys, tmp_path):
+    """A file can change between two commands of one process, so a file
+    instance is parsed afresh each time it is named."""
+    path = tmp_path / "two.txt"
+    head = "type = table\nsize = 2\ncl {} = {}\ncl {0,1} = {0,1}\n"
+    argv = ["check", "--instance", str(path), "--relation", "a", "--all"]
+    path.write_text(head + "cl {0} = {0}\ncl {1} = {1}\n")
+    assert main(argv) == 0
+    identity = capsys.readouterr().out
+    path.write_text(head + "cl {0} = {0,1}\ncl {1} = {0,1}\n")
+    assert main(argv) == 0
+    joined = capsys.readouterr().out
+    assert joined != identity
+    assert "RESULT a FREE fail" in joined and "FREE fail" not in identity
+
+
+def test_shared_catalog_state_is_read_only():
+    """What one command computes for a catalog operator is shared with
+    every later command, so no array it reaches may be written: the
+    operator's table, the identity closures' tables, every `Flats` array
+    and its least chains, and the dimension tables."""
+    for inst in catalog().values():
+        assert all(type(obj).__dataclass_params__.frozen
+                   for obj in (inst, inst.op, inst.pg, inst.graph,
+                               inst.config) if obj is not None)
+        op = instances.instance_operator(inst)
+        arrays = [op.table]
+        fl = flats(op)
+        if fl is not None:
+            arrays += [fl.cl, fl.closed, fl.classes, fl.least, fl.join,
+                       *fl.least_chains]
+        if inst.pg is not None:
+            arrays.append(dim_table(inst.pg))
+        for array in arrays:
+            assert not array.flags.writeable, inst.name
+    for size in range(9):
+        assert not trivial_closure(GroundSet(size)).table.flags.writeable
+
+
+def test_import_builds_no_catalog_instance():
+    """Nothing is built at import: the shared instances and identity
+    closures are built on first use, in a fresh process."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import pregeolab.cli, pregeolab.verify\n"
+            "from pregeolab import closure, instances\n"
+            "print(instances.catalog_instance.cache_info().currsize,"
+            " closure.trivial_closure.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 0\n"
