@@ -54,8 +54,9 @@ runs on two bytes of class bits, 0.59 against 0.14 ms.  Past it the
 packed engine wins: u36 SYM (k^3 = 3 * 4^n) 0.24 against 0.16 ms, and at
 n = 8, k = 44 (k^4 = 57 * 4^n) MON-R 35 against 0.2 ms and TRA-STRONG 64
 against 33 ms.  `compare` of two cubes over the same closed sets XORs
-them, k^3 cells, and reads its least (A, B, C) the same way.  `opp`,
-`am`, `amc`, `sup` and the whole tables have no cube.
+them, k^3 cells, and reads its least (A, B, C) the same way.  `sup`, `a`
+under the initial-segment operator, and `amc`, built as (M a)c, have
+cubes too; `opp`, `am` and the whole tables have none.
 
 Packed engine.  Every scan except EX and AREF runs on the relation's
 rows packed into bits along one axis (`_pack`), so that one word
@@ -89,7 +90,7 @@ array:
   (C, B).  NOR-L, CLO-L, MON-L and SCLO use it.  On class rows NOR-L's
   second row (class(A+C), C) is a row of A's class wherever the class of
   A+C depends on A only through its class (`_union_classes`), as it does
-  for closure classes and max-classes, so NOR-L runs one block per class;
+  for closure classes, so NOR-L runs one block per class;
   CLO-L runs one block per distinct pair (class(A), class(cl(A))) and
   SCLO one per distinct pair (cl(A), class(A)) (`_pair_blocks`); and the
   chain scans of BMON-L and TRA-L gather rows (class(X), Y).  Only SYM,
@@ -469,8 +470,8 @@ def _union_classes(classes: np.ndarray, k: int, count: int
     class depends on A only through its class (classes is a union
     congruence: class(A) = class(A') gives class(A + C) = class(A' + C));
     None when it does not.  Closure classes are one, since cl(A + C) =
-    cl(cl(A) + C), and so are max-classes.  One gather over (A, C) checks
-    it; the rows of classes no A has are 0."""
+    cl(cl(A) + C).  One gather over (A, C) checks it; the rows of classes
+    no A has are 0."""
     cls = classes.astype(np.min_scalar_type(k - 1))
     masks = np.arange(count, dtype=np.min_scalar_type(count - 1))
     union = cls[masks[:, None] | masks]  # [A, C]: class(A + C)
@@ -1236,7 +1237,7 @@ def compare(r1: TernaryRelation, r2: TernaryRelation) -> Comparison:
     Otherwise it XORs the two left layouts, so it never builds a class-row
     table.  Where a relation has class rows, row (A, C) depends on A only
     through the pair of row indexes (class1(A), class2(A)), so one block of
-    rows C per distinct pair is compared, 9 on gebert8 `a` against
+    rows C per distinct pair is compared, 26 on gf2-7 `a` against
     `sup`."""
     if r1.ground != r2.ground:
         raise ValueError("relations live on different ground sets")

@@ -106,6 +106,19 @@ def trivial_closure(ground: GroundSet) -> ClosureOperator:
     return ClosureOperator(ground, _validate(ground, identity))
 
 
+@functools.cache
+def initial_segment_closure(ground: GroundSet) -> ClosureOperator:
+    """The initial-segment operator cl(A) = {0, ..., max A}, cl({}) = {},
+    whose closed sets are the n + 1 initial segments: one operator per
+    ground set, built on first use and shared for the life of the process.
+
+    A closure operator that is not a pregeometry; its nonempty independent
+    sets are exactly the singletons, so sets of two or more elements have
+    no basis inside their own closure."""
+    segments = [(1 << m.bit_length()) - 1 for m in ground.masks()]
+    return ClosureOperator(ground, _validate(ground, np.array(segments)))
+
+
 def has_exchange(op: ClosureOperator) -> Union[Pregeometry, ExchangeFailure]:
     """Exchange scan; returns the least failing (A, a, b) as a value."""
     elems = np.arange(op.ground.size)

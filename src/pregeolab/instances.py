@@ -19,7 +19,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table, trivial_closure
+from .closure import ClosureOperator, Pregeometry, from_table as operator_from_table
+from .closure import initial_segment_closure, trivial_closure
 from .lattice import GroundSet, elements_of, parse_mask
 from .relcalc import (
     DEFAULT_TABLE_CAP_BITS,
@@ -37,22 +38,6 @@ from .relcalc import (
 
 # ---------------------------------------------------------------------------
 # Closure operator constructors
-
-
-def gebert_closure(size: int) -> ClosureOperator:
-    """Initial-segment closure: cl(A) = {0, ..., max A}, cl(empty) = empty.
-
-    A closure operator that is not a pregeometry; its nonempty
-    independent sets are exactly the singletons, so sets of two or more
-    elements have no basis inside their own closure.
-    """
-    if size < 1:
-        raise ValueError("initial-segment closure needs at least one element")
-    ground = GroundSet(size)
-    table = [0] + [
-        (1 << m.bit_length()) - 1 for m in range(1, ground.subset_count)
-    ]
-    return operator_from_table(ground, table)
 
 
 def uniform_pregeometry(rank: int, size: int) -> Pregeometry:
@@ -587,9 +572,12 @@ _NEEDS = {"pg": "a pregeometry", "op": "a closure instance",
           "graph": "a graph instance", "config": "an order instance"}
 
 #: relation id -> (help text, the `Instance` field it needs or None,
-#: builder), in `list` order; opp(<id>) wraps any of them.  A builder
-#: looks its relation function up by name when it is called, so a module
-#: attribute rebound after import (perfbench/tracer.py does) sees the call.
+#: builder), in `list` order; opp(<id>) wraps any of them, and `relation`
+#: names each by its id.  `amc`, (m a)c, is built as (M a)c, the same
+#: cells: once c sets B to cl(B+C), both intervals are [C, cl(B+C)].  A
+#: builder looks its relation function up by name when it is called, so a
+#: module attribute rebound after import (perfbench/tracer.py does) sees
+#: the call.
 RELATIONS: dict[
     str, tuple[str, Optional[str], Callable[[Instance], TernaryRelation]]
 ] = {
@@ -606,7 +594,8 @@ RELATIONS: dict[
     "ac": ("closure extension of `a`", "op",
            lambda i: closure_extend_c(rel_a(i.op), i.op)),
     "amc": ("closure extension of the naive monotonisation of `a`", "op",
-            lambda i: closure_extend_c(monotonise_m(rel_a(i.op)), i.op)),
+            lambda i: closure_extend_c(monotonise_M(rel_a(i.op), i.op),
+                                       i.op)),
     "sup": ("one side's maximum stays below the base's maximum", None,
             lambda i: rel_sup(i.ground)),
     "st": ("graph independence: no meeting and no cross edges off the base",
@@ -639,13 +628,14 @@ def defines(inst: Instance, rid: str) -> bool:
 
 def relation(inst: Instance, text: str) -> TernaryRelation:
     """The relation that `text`, an id of `RELATIONS` or opp(<id>), names
-    on `inst`, with no table yet; RelationError when the id is unknown or
-    `inst` lacks what it needs."""
+    on `inst`, named by its id and with no table yet; RelationError when
+    the id is unknown or `inst` lacks what it needs."""
     rid, opps = relation_id(text)
     if not defines(inst, rid):
         needs = _NEEDS[RELATIONS[rid][1]]
         raise RelationError(f"{rid} needs {needs}, got {inst.kind}")
     r = RELATIONS[rid][2](inst)
+    r.name = rid
     for _ in range(opps):
         r = opposite(r)
     return r
@@ -731,6 +721,14 @@ def _linear(fields: dict[str, str], cl_lines: list) -> dict:
     return _pregeometry(linear_pregeometry(vectors, modulus))
 
 
+def _gebert(fields: dict[str, str], cl_lines: list) -> dict:
+    size = _int_field(fields, "size")
+    if size < 1:
+        raise InstanceFormatError(
+            "initial-segment closure needs at least one element")
+    return {"op": initial_segment_closure(GroundSet(size))}
+
+
 def _table(fields: dict[str, str], cl_lines: list) -> dict:
     ground = GroundSet(_int_field(fields, "size"))
     mapping: dict[int, int] = {}
@@ -777,8 +775,7 @@ _TYPES: dict[str, tuple[tuple[str, ...], tuple[str, ...],
                         Callable[[dict[str, str], list], dict]]] = {
     "trivial": (("size",), (), lambda f, _: _pregeometry(
         Pregeometry(trivial_closure(GroundSet(_int_field(f, "size")))))),
-    "gebert": (("size",), (),
-               lambda f, _: {"op": gebert_closure(_int_field(f, "size"))}),
+    "gebert": (("size",), (), _gebert),
     "uniform": (("size", "rank"), (), lambda f, _: _pregeometry(
         uniform_pregeometry(size=_int_field(f, "size"),
                             rank=_int_field(f, "rank")))),

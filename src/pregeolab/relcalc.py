@@ -39,10 +39,12 @@ k x k x 2^n array and read at X = F_l.  No cube builder holds a
 temporary wider than one byte a cube cell.  The cube has 729 cells on
 gebert8 and 4,096 on gf2-7, against 2^21 to 2^24 for the table, and
 `axioms` checks and compares on it where its grid is small enough (see
-the `axioms` module docstring for the rule and the crossovers).  `am`,
-`amc`, `sup`, `opp` and the whole tables keep no cube: m's interval
-[C, B+C] depends on B and C themselves, `sup`'s classes are max-classes,
-and an opposite reads its base's cells swapped.  Where every set is
+the `axioms` module docstring for the rule and the crossovers).  `sup`
+is `a` under the initial-segment operator, and `amc`, (m a)c, is built
+as (M a)c, whose cells are the same, so both have cubes.  `am`, `opp`
+and the whole tables keep no cube: m's interval [C, B+C] depends on B
+and C themselves, and an opposite reads its base's cells swapped.
+Where every set is
 closed `a` and `cl` are `int` cell for cell, (A+C) & (B+C) = (A & B) + C
 and dim(A/X) = |A - X|, and they build its table.
 
@@ -52,8 +54,7 @@ from it, one row per closed set, k of them (9 of 256 on gebert8), with
 `classes` mapping each A to the row of cl(A): rows[i, B, C] =
 cube[i, class(B), class(C)], gathered along C and then taken as whole
 rows of B in machine words, a block of i rows at a time.  Every other
-relation runs its builder.  `sup` sees A only through max(A), so it
-makes n + 1 rows.  M, m and c without a cube act on each A row alone, so
+relation runs its builder.  M, m and c without a cube act on each A row alone, so
 they keep their base's `classes` and build their rows from the base's
 rows, never from its table.  `opposite` stores nothing: it keeps its
 base as `opposite_of`, and the scans read its base's layouts and cells
@@ -86,7 +87,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .closure import ClosureOperator, Pregeometry, trivial_closure
+from .closure import ClosureOperator, Pregeometry, initial_segment_closure
+from .closure import trivial_closure
 from .geometry import dim_table, rank_vector
 from .lattice import GroundSet
 
@@ -116,8 +118,8 @@ class TernaryRelation:
     table: Optional[np.ndarray] = field(default=None, repr=False)
     #: axis -> the table packed over that axis, read-only (axioms._packed)
     packed: dict = field(default_factory=dict, repr=False, compare=False)
-    #: A -> its row, when the rows are one per class of A (per closed set
-    #: cl(A), or per max(A)); None when they are the whole table
+    #: A -> its row, when the rows are one per class of A, the closed set
+    #: cl(A); None when they are the whole table
     classes: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     #: the rows, read-only (`built_rows`): [k, B, C], one per class, when
     #: `classes` is set, and the whole table otherwise; taken from the
@@ -539,23 +541,17 @@ def opposite(r: TernaryRelation) -> TernaryRelation:
 def rel_sup(ground: GroundSet) -> TernaryRelation:
     """(A, B, C) |-> max A <= max C or max B <= max C, with max {} = -inf.
 
-    Closed-form description of the closure-meeting relation under the
-    initial-segment operator; the agreement is verified in tests.
+    `a` under the initial-segment operator (`initial_segment_closure`) in
+    closed form: cl(A+C) and cl(B+C) meet in cl(C) exactly when one of
+    them is cl(C).  Its cube is `a`'s over the n + 1 initial segments,
+    its class map is max(A) + 1, and the closed form is its scalar
+    route.
     """
 
-    def top(mask: int) -> int:
-        return mask.bit_length()  # order-preserving stand-in for max
-
     def fn(a: int, b: int, c: int) -> bool:
-        return top(a) <= top(c) or top(b) <= top(c)
+        top = c.bit_length()  # order-preserving stand-in for max
+        return a.bit_length() <= top or b.bit_length() <= top
 
-    # A is seen only through top(A): row t, of the n + 1 rows, is every A
-    # with top(A) = t
-    tops = np.array([top(m) for m in ground.masks()], dtype=np.intp)
-
-    def build() -> np.ndarray:
-        below = tops[:, None] <= tops  # (X, C): top(X) <= top(C)
-        ts = np.arange(ground.size + 1)
-        return below | (ts[:, None] <= tops)[:, None, :]
-
-    return TernaryRelation(ground, "sup", fn, build, classes=tops)
+    r = rel_a(initial_segment_closure(ground))
+    r.name, r.fn = "sup", fn
+    return r

@@ -58,7 +58,6 @@ from .instances import (
     CATALOG_NAMES,
     Instance,
     canonical_codes,
-    catalog,
     catalog_instance,
     dlo_config,
     free_amalgam_codes,
@@ -175,14 +174,13 @@ STACK_SUITE_MAX = 5  # transformer-stack suites
 
 class InstancePool:
     """The catalog instances a run draws from: the named ones, or the
-    whole catalog when `names` is None.  The pool looks them up on first
-    use, and every suite of the run shares them.  They are the process's
-    instances (`catalog_instance`), so later runs and commands share them
-    too, with what was computed from their operators."""
+    whole catalog when `names` is None.  They are the process's instances
+    (`catalog_instance`), looked up by name on each `select`, so every
+    suite of the run, and later runs and commands, share them, with what
+    was computed from their operators."""
 
     def __init__(self, names: Optional[Sequence[str]] = None) -> None:
         self.names = names
-        self._built: Optional[list[Instance]] = None
 
     def cap(self, max_size: int) -> Optional[int]:
         """A suite's size bound in this run: `max_size` on the whole
@@ -193,11 +191,9 @@ class InstancePool:
         self, kind_ok: Callable[[Instance], bool],
         max_size: Optional[int] = None,
     ) -> list[Instance]:
-        if self._built is None:
-            self._built = (list(catalog().values()) if self.names is None
-                           else [catalog_instance(n) for n in self.names])
-        return [inst for inst in self._built if kind_ok(inst) and (
-            max_size is None or inst.ground.size <= max_size)]
+        names = CATALOG_NAMES if self.names is None else self.names
+        return [inst for inst in map(catalog_instance, names) if kind_ok(inst)
+                and (max_size is None or inst.ground.size <= max_size)]
 
 
 def _pregeometries(pool: InstancePool) -> list[Instance]:

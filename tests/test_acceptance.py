@@ -10,9 +10,14 @@ import time
 import pytest
 
 from pregeolab.axioms import AxiomId, check_axiom, compare, evaluate_axiom_body
-from pregeolab.closure import has_exchange, ExchangeFailure
+from pregeolab.closure import (
+    ExchangeFailure,
+    has_exchange,
+    initial_segment_closure,
+)
 from pregeolab.geometry import check_modular, dim_table, independence_table
-from pregeolab.instances import catalog, gebert_closure
+from pregeolab.instances import catalog
+from pregeolab.lattice import GroundSet
 from pregeolab.relcalc import monotonise_M, rel_a, rel_sup
 from pregeolab.verify import (
     SUITES,
@@ -83,10 +88,10 @@ def test_c5_transformer_preservation():
 
 
 def test_c6_initial_segment_closure_pathology():
-    op8 = gebert_closure(8)
+    op8 = initial_segment_closure(GroundSet(8))
     # exchange fails; the scan returns the least witness and the classic
     # pair ({}, 1, 2) is also a genuine failure
-    found = has_exchange(gebert_closure(4))
+    found = has_exchange(initial_segment_closure(GroundSet(4)))
     assert isinstance(found, ExchangeFailure)
     assert (found.set_mask, found.a, found.b) == (0, 0, 1)
     assert op8.table[1 << 2] >> 1 & 1 and not op8.table[1 << 1] >> 2 & 1
@@ -97,7 +102,7 @@ def test_c6_initial_segment_closure_pathology():
     a8 = rel_a(op8)
     assert compare(a8, rel_sup(op8.ground)).verdict == "equal"
     assert check_axiom(a8, AxiomId.SYM).status == "pass"
-    op6 = gebert_closure(6)
+    op6 = initial_segment_closure(GroundSet(6))
     a6 = rel_a(op6)
     assert compare(monotonise_M(a6, op6), a6).verdict == "equal"
 

@@ -7,10 +7,11 @@ from pregeolab.closure import (
     Pregeometry,
     from_table,
     has_exchange,
+    initial_segment_closure,
     trivial_closure,
 )
 from pregeolab.geometry import check_modular
-from pregeolab.instances import catalog, gebert_closure, uniform_pregeometry
+from pregeolab.instances import catalog, uniform_pregeometry
 from pregeolab.lattice import GroundSet
 
 
@@ -71,7 +72,7 @@ def test_uniform_exchange():
 
 
 def test_gebert_exchange_failure_witness():
-    failure = has_exchange(gebert_closure(8))
+    failure = has_exchange(initial_segment_closure(GroundSet(8)))
     assert isinstance(failure, ExchangeFailure)
     # least failing triple in (A, a, b) scan order
     assert (failure.set_mask, failure.a, failure.b) == (0, 0, 1)
@@ -79,10 +80,23 @@ def test_gebert_exchange_failure_witness():
 
 
 def test_gebert_closure_values():
-    op = gebert_closure(4)
+    op = initial_segment_closure(GroundSet(4))
     assert op.table[0] == 0
     assert op.table[0b0100] == 0b0111
     assert op.table[0b1010] == 0b1111
+
+
+def test_initial_segment_closure_is_one_per_ground_set():
+    """One read-only operator per ground set, n = 0 included, whose table
+    is {0, ..., max A} at every A."""
+    assert initial_segment_closure(GroundSet(0)).table.tolist() == [0]
+    for size in range(9):
+        g = GroundSet(size)
+        op = initial_segment_closure(g)
+        assert op is initial_segment_closure(GroundSet(size))
+        assert op.table.tolist() == [(1 << m.bit_length()) - 1
+                                     for m in g.masks()]
+        assert not op.table.flags.writeable
 
 
 # ---------------------------------------------------------------------------

@@ -19,11 +19,10 @@ from pregeolab.axioms import (
     evaluate_axiom_body,
 )
 from pregeolab.cli import instance_operator, resolve_relation
-from pregeolab.closure import trivial_closure
+from pregeolab.closure import initial_segment_closure, trivial_closure
 from pregeolab.instances import (
     catalog,
     catalog_instance,
-    gebert_closure,
     uniform_pregeometry,
 )
 from pregeolab.lattice import GroundSet
@@ -81,14 +80,16 @@ def packed_witness(r, ax, op):
 
 def catalog_cube_relations():
     """(instance name, operator, relation) for every relation of the
-    catalog that has a cube: `a`, `cl`, `aM` and `ac` where defined."""
+    catalog that has a cube: `a`, `cl`, `aM`, `ac`, `amc` and `sup` where
+    defined, each with the operator of its own closed sets, which for
+    `sup` is the initial-segment operator rather than the instance's."""
     out = []
     for name, inst in catalog().items():
-        op = instance_operator(inst)
         for rid in instances.RELATIONS:
             if instances.defines(inst, rid):
                 r = instances.relation(inst, rid)
                 if r.flats is not None:
+                    op = closure.from_table(inst.ground, r.flats.cl)
                     out.append((name, op, r))
     return out
 
@@ -120,28 +121,31 @@ def random_cube_cases():
 def test_catalog_cubes_are_the_class_rows_at_the_closed_sets():
     """The direct builders of `a`, `cl`, M and c make, for every catalog
     relation with a cube, the cells of its relation at the closed sets, and
-    build no rows to do so: against the scalar predicate for `a` and `cl`,
-    and for M and c against their row builders on the expanded table of
-    `a`, which has no cube.  The rows taken from the cube are the
-    reference's rows at the closed sets."""
+    build no rows to do so: against the scalar predicate for `a`, `cl` and
+    `sup` (its closed form), and for M and c against their row builders on
+    the expanded table of `a`, which has no cube, with `amc` against (m a)c
+    rather than the (M a)c it is built as.  The rows taken from the cube
+    are the reference's rows at the closed sets."""
+    refs = {"aM": monotonise_M, "ac": closure_extend_c,
+            "amc": lambda t, op: closure_extend_c(monotonise_m(t), op)}
     seen = set()
     for name, op, r in catalog_cube_relations():
         cube = built_cube(r)
         assert r.rows is None and not cube.flags.writeable
         closed = r.flats.closed
-        if r.name in ("a", "cl"):
-            want = np.array([[[r.fn(a, b, c) for c in closed] for b in closed]
-                             for a in closed], dtype=bool)
+        if r.name in ("a", "cl", "sup"):
+            sets = closed.tolist()  # Python ints, which `sup`'s predicate takes
+            want = np.array([[[r.fn(a, b, c) for c in sets] for b in sets]
+                             for a in sets], dtype=bool)
         else:
-            make = monotonise_M if r.name == "aM" else closure_extend_c
-            ref = make(expanded(rel_a(op)), op)
+            ref = refs[r.name](expanded(rel_a(op)), op)
             assert ref.flats is None
             rows = materialize(ref).table[closed]
             want = rows[:, closed][:, :, closed]
             np.testing.assert_array_equal(built_rows(r), rows, err_msg=name)
         np.testing.assert_array_equal(cube, want, err_msg=name)
         seen.add(r.name)
-    assert seen == {"a", "cl", "aM", "ac"}
+    assert seen == {"a", "cl", "aM", "ac", "amc", "sup"}
 
 
 def test_random_transformer_cubes_are_the_class_rows():
@@ -230,8 +234,9 @@ def test_compare_of_two_cubes_is_the_packed_compare():
     rng = np.random.default_rng(35)
     pairs = []
     by_instance = {}
+    # pairs over one operator: `sup`'s is the instance's on gebert* only
     for name, op, r in catalog_cube_relations():
-        by_instance.setdefault(name, []).append(r)
+        by_instance.setdefault((name, r.flats), []).append(r)
     for rels in by_instance.values():
         pairs += list(product(rels, repeat=2))
     for op, cube in random_cube_cases()[::3]:
@@ -260,10 +265,12 @@ def test_gebert8_a_sym_builds_no_rows():
 
 def test_cube_route_follows_k_n_and_the_operator():
     """The route of each check-large subject: every axiom but FREE on
-    gebert8 (k = 9), the two- and three-variable ones on gf2-7 (k = 16)
+    gebert8 `a`, `sup` and `amc` (k = 9), the two- and three-variable
+    ones on gf2-7 (k = 16)
     and only EX and AREF on u36 (k = 23), since the grid may have at most
     4^n cells."""
-    for name, rid, arity in (("gebert8", "a", 4), ("gf2-7", "cl", 3),
+    for name, rid, arity in (("gebert8", "a", 4), ("gebert8", "sup", 4),
+                             ("gebert8", "amc", 4), ("gf2-7", "cl", 3),
                              ("gf2-7", "aM", 3), ("u36", "cl", 2)):
         inst = catalog_instance(name)
         r, op = resolve_relation(inst, rid), instance_operator(inst)
@@ -280,10 +287,10 @@ def test_closure_axioms_under_a_foreign_operator_take_the_packed_route():
     the cube's classes say nothing of cl, so the packed engine checks it,
     with the witness of the expanded table.  An axiom that reads no
     closure keeps the cube under any operator."""
-    r = rel_a(gebert_closure(8))
+    r = rel_a(initial_segment_closure(GroundSet(8)))
     foreign = trivial_closure(r.ground)
-    assert axioms._takes_cube(r, AxiomId.SCLO, gebert_closure(8).table)
-    t = expanded(rel_a(gebert_closure(8)))
+    assert axioms._takes_cube(r, AxiomId.SCLO, initial_segment_closure(GroundSet(8)).table)
+    t = expanded(rel_a(initial_segment_closure(GroundSet(8))))
     assert check_axiom(r, AxiomId.SYM, foreign) == check_axiom(t, AxiomId.SYM)
     assert r.rows is None
     for ax in (AxiomId.AREF, AxiomId.CLO_L, AxiomId.CLO_R, AxiomId.SCLO):
@@ -314,7 +321,8 @@ def test_flats_are_computed_once_per_operator_and_dropped_with_it():
     instance it dropped."""
     import gc
 
-    op = gebert_closure(6)
+    g = GroundSet(6)  # a fresh operator: the shared one lives on
+    op = closure.from_table(g, initial_segment_closure(g).table)
     r, s = rel_a(op), monotonise_M(rel_a(op), op)
     assert r.flats is s.flats is flats(op)
     assert flats(trivial_closure(op.ground)) is None
@@ -332,7 +340,9 @@ def test_least_chains_are_computed_once_per_check_all(capsys, monkeypatch):
     them no more."""
     from pregeolab.cli import main
 
-    instances.catalog_instance.cache_clear()  # an earlier test's gebert8
+    # an earlier test's gebert8, and its operator with its `Flats`
+    instances.catalog_instance.cache_clear()
+    closure.initial_segment_closure.cache_clear()
     real = relcalc.Flats.least_chains.func
     calls = []
     monkeypatch.setattr(relcalc.Flats.least_chains, "func",

@@ -11,7 +11,12 @@ import pytest
 
 from pregeolab.axioms import compare
 from pregeolab.cli import main, resolve_relation
-from pregeolab.closure import ClosureOperator, Pregeometry, trivial_closure
+from pregeolab.closure import (
+    ClosureOperator,
+    Pregeometry,
+    initial_segment_closure,
+    trivial_closure,
+)
 from pregeolab.geometry import basis_of, dim_table, independence_table
 from pregeolab import instances
 from pregeolab.instances import (
@@ -30,7 +35,6 @@ from pregeolab.instances import (
     dlo_config,
     free_amalgam,
     free_amalgam_codes,
-    gebert_closure,
     graph_of_code,
     isomorphic_over_base,
     linear_pregeometry,
@@ -57,14 +61,14 @@ GF2_PLANE = tuple(
 
 
 def test_gebert_closure_values():
-    op = gebert_closure(4)
+    op = initial_segment_closure(GroundSet(4))
     assert op.table[0] == 0
     assert op.table[mask_of([2], 4)] == mask_of([0, 1, 2], 4)
     assert op.table[mask_of([1, 3], 4)] == mask_of([0, 1, 2, 3], 4)
 
 
 def test_gebert_independent_sets_are_small():
-    op = gebert_closure(5)
+    op = initial_segment_closure(GroundSet(5))
     indep = independence_table(op)[:, 0].nonzero()[0].tolist()
     # empty set plus one singleton per element
     assert indep == [0] + [1 << i for i in range(5)]
@@ -433,8 +437,8 @@ REFERENCE = {
     "trivial3": lambda: Pregeometry(trivial_closure(GroundSet(3))),
     "trivial4": lambda: Pregeometry(trivial_closure(GroundSet(4))),
     "trivial5": lambda: Pregeometry(trivial_closure(GroundSet(5))),
-    "gebert4": lambda: gebert_closure(4),
-    "gebert8": lambda: gebert_closure(8),
+    "gebert4": lambda: initial_segment_closure(GroundSet(4)),
+    "gebert8": lambda: initial_segment_closure(GroundSet(8)),
     "u23": lambda: uniform_pregeometry(2, 3),
     "u34": lambda: uniform_pregeometry(3, 4),
     "u36": lambda: uniform_pregeometry(3, 6),
@@ -589,6 +593,23 @@ def test_identity_closure_is_one_per_ground_size():
             is catalog_instance("trivial3").op)
 
 
+def test_initial_segment_closure_is_shared_by_gebert_and_sup():
+    """The gebert instances and `sup` on every instance read one
+    initial-segment operator per ground size, and so one `Flats`: on
+    gebert8, `sup` and `a` are cubes over the same closed sets."""
+    for inst in catalog().values():
+        op = initial_segment_closure(inst.ground)
+        if inst.name.startswith("gebert"):
+            assert inst.op is op, inst.name
+        sup = resolve_relation(inst, "sup")
+        assert sup.flats is flats(op), inst.name
+    gebert8 = catalog_instance("gebert8")
+    assert (resolve_relation(gebert8, "sup").flats
+            is resolve_relation(gebert8, "a").flats)
+    with pytest.raises(instances.InstanceFormatError, match="at least one"):
+        instances.parse_instance("type = gebert\nsize = 0")
+
+
 def test_instance_files_are_read_on_every_load(capsys, tmp_path):
     """A file can change between two commands of one process, so a file
     instance is parsed afresh each time it is named."""
@@ -626,17 +647,21 @@ def test_shared_catalog_state_is_read_only():
             assert not array.flags.writeable, inst.name
     for size in range(9):
         assert not trivial_closure(GroundSet(size)).table.flags.writeable
+        assert not initial_segment_closure(
+            GroundSet(size)).table.flags.writeable
 
 
 def test_import_builds_no_catalog_instance():
-    """Nothing is built at import: the shared instances and identity
-    closures are built on first use, in a fresh process."""
+    """Nothing is built at import: the shared instances, identity closures
+    and initial-segment closures are built on first use, in a fresh
+    process."""
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import pregeolab.cli, pregeolab.verify\n"
             "from pregeolab import closure, instances\n"
             "print(instances.catalog_instance.cache_info().currsize,"
-            " closure.trivial_closure.cache_info().currsize)")
+            " closure.trivial_closure.cache_info().currsize,"
+            " closure.initial_segment_closure.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out == "0 0\n"
+    assert out == "0 0 0\n"

@@ -8,14 +8,16 @@ from pregeolab import relcalc
 from pregeolab.axioms import AXIOM_ORDER, check_all, compare
 from pregeolab.cli import UsageError, instance_operator, resolve_relation
 from pregeolab.closure import from_table as operator_from_table
-from pregeolab.closure import trivial_closure
+from pregeolab.closure import initial_segment_closure, trivial_closure
 from pregeolab.geometry import dim_table
 from pregeolab.instances import (
     RELATIONS,
+    Instance,
     catalog,
     catalog_instance,
-    gebert_closure,
+    defines,
     linear_pregeometry,
+    relation,
     uniform_pregeometry,
 )
 from pregeolab.lattice import GroundSet
@@ -66,7 +68,7 @@ def test_builders_match_scalar_eval(u34):
     assert_table_matches_scalar(rel_a(u34.op))
     assert_table_matches_scalar(rel_cl(u34))
     assert_table_matches_scalar(rel_sup(GroundSet(3)))
-    g = gebert_closure(3)
+    g = initial_segment_closure(GroundSet(3))
     assert_table_matches_scalar(monotonise_M(rel_a(g), g))
     assert_table_matches_scalar(monotonise_m(rel_a(g)))
     assert_table_matches_scalar(closure_extend_c(rel_intersection(g.ground), g))
@@ -112,7 +114,7 @@ def test_builders_match_scalar_eval(u34):
     # predicates need; here under closures other than the identity.
     for name, rid in (("path4", "st"), ("star4", "st"), ("dlo4", "div")):
         inst = catalog_instance(name)
-        for op in (gebert_closure(4), u34.op):
+        for op in (initial_segment_closure(GroundSet(4)), u34.op):
             for transform in (monotonise_M, closure_extend_c):
                 assert_table_matches_scalar(
                     transform(resolve_relation(inst, rid), op))
@@ -182,7 +184,7 @@ def test_monotonise_passes_match_scalar_at_size_five():
         trivial_closure(g),
         uniform_pregeometry(2, 5).op,
         uniform_pregeometry(3, 5).op,
-        gebert_closure(5),
+        initial_segment_closure(GroundSet(5)),
     ]
     rng = np.random.default_rng(6)
     changed = 0
@@ -289,7 +291,7 @@ def test_monotonise_matches_reference_on_random_bases(block, monkeypatch):
         g = GroundSet(n)
         ops = [trivial_closure(g), uniform_pregeometry(n // 2, n).op]
         if n:
-            ops.append(gebert_closure(n))
+            ops.append(initial_segment_closure(GroundSet(n)))
         for density in (0.5, 0.9, 0.99):
             base = from_table(g, "rand", rng.random((1 << n,) * 3) < density)
             for op in ops:
@@ -564,16 +566,22 @@ def test_opposite_scans_build_no_table():
 
 
 def test_sup_builds_one_row_per_max():
-    """sup sees A only through max(A): n + 1 rows, A = {} first."""
+    """sup sees A only through max(A): n + 1 rows, A = {} first.  At
+    n <= 1 every set is an initial segment, so there is no class map, and
+    the rows are the whole table of 2^n = n + 1 rows."""
     for size in range(6):
         r = rel_sup(GroundSet(size))
         assert_table_matches_scalar(r)
         assert len(r.rows) == size + 1
-        assert list(r.classes) == [m.bit_length() for m in range(1 << size)]
+        if size <= 1:
+            assert r.classes is None and r.flats is None
+        else:
+            assert list(r.classes) == [m.bit_length()
+                                       for m in range(1 << size)]
 
 
 def test_opposite_of_one_sided_sup_relation():
-    g = gebert_closure(2)
+    g = initial_segment_closure(GroundSet(2))
     cells = product(g.ground.masks(), repeat=3)
     table = np.fromiter((a.bit_length() <= c.bit_length() for a, _, c in cells),
                         dtype=bool).reshape((4, 4, 4))
@@ -635,5 +643,34 @@ def test_random_relation_is_seed_stable():
 
 
 def test_gebert_sup_formula_at_full_scale():
-    op = gebert_closure(8)
-    assert compare(rel_a(op), rel_sup(op.ground)).verdict == "equal"
+    """sup, `a`'s cube under the initial-segment operator, is its closed
+    form max A <= max C or max B <= max C for n = 0..8: against the
+    table of the n + 1 rows t = max(A) + 1, taken by each A's t."""
+    for size in range(9):
+        g = GroundSet(size)
+        tops = np.array([m.bit_length() for m in g.masks()])
+        below = tops[:, None] <= tops  # (X, C): top(X) <= top(C)
+        rows = below | (np.arange(size + 1)[:, None] <= tops)[:, None, :]
+        want = rows.take(tops, axis=0)
+        assert_same_table(rel_sup(g), want)
+        assert compare(rel_sup(g), from_table(g, "ref", want)).verdict == (
+            "equal")
+
+
+def test_amc_is_the_closure_extension_of_am():
+    """`amc` is built as (M a)c; its table is that of (m a)c on every
+    catalog closure and on random closures, n = 1..5."""
+    rng = np.random.default_rng(38)
+    subjects = [inst for inst in catalog().values()
+                if defines(inst, "amc")]
+    for size in range(1, 6):
+        subjects += [Instance("moore", op=random_closure(size, rng))
+                     for _ in range(6)]
+    cubes = 0
+    for inst in subjects:
+        r = relation(inst, "amc")
+        cubes += r.flats is not None
+        want = closure_extend_c(monotonise_m(rel_a(inst.op)), inst.op)
+        assert r.name == want.name == "amc"
+        assert_same_table(r, materialize(want).table)
+    assert cubes >= 15

@@ -4,7 +4,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from pregeolab import axioms, verify
+from pregeolab import axioms, instances, verify
 from pregeolab.axioms import check_axiom
 from pregeolab.cli import main
 from pregeolab.closure import trivial_closure
@@ -82,16 +82,20 @@ def test_result_line_grammar(fast_results):
 
 
 def test_run_suites_builds_the_catalog_once(monkeypatch):
+    """The suites read the process's catalog instances: the first run that
+    draws instances parses each entry once, and later runs parse none."""
     suites = ["aM-eq-cl", "aM-eq-am", "c-preserve", "dlo-div"]
     alone = render_report([run_suite(s) for s in suites])
-    built = []
-    real = verify.catalog
-    monkeypatch.setattr(verify, "catalog", lambda: built.append(1) or real())
+    instances.catalog_instance.cache_clear()
+    parsed = []
+    real = instances.parse_instance
+    monkeypatch.setattr(instances, "parse_instance",
+                        lambda *args: parsed.append(args[1]) or real(*args))
+    run_suites(["dlo-div"])
+    assert parsed == []  # a suite that draws no instance builds none
     for _ in range(2):
         assert render_report(run_suites(suites)) == alone
-    assert len(built) == 2  # one per run_suites call
-    run_suites(["dlo-div"])
-    assert len(built) == 2  # a suite that draws no instance builds none
+        assert parsed == list(instances.CATALOG_NAMES)
 
 
 def test_instance_restriction(capsys):
