@@ -44,9 +44,9 @@ is `a` under the initial-segment operator, and `amc`, (m a)c, is built
 as (M a)c, whose cells are the same, so both have cubes.  `am`, `opp`
 and the whole tables keep no cube: m's interval [C, B+C] depends on B
 and C themselves, and an opposite reads its base's cells swapped.
-Where every set is
-closed `a` and `cl` are `int` cell for cell, (A+C) & (B+C) = (A & B) + C
-and dim(A/X) = |A - X|, and they build its table.
+Where every set is closed `a` and `cl` are `int` cell for cell,
+(A+C) & (B+C) = (A & B) + C and dim(A/X) = |A - X|, and they build its
+table.
 
 Rows: a relation's one stored form is its A rows, built once and kept
 read-only as `rows` (`built_rows`).  A relation with a cube takes them
@@ -54,12 +54,12 @@ from it, one row per closed set, k of them (9 of 256 on gebert8), with
 `classes` mapping each A to the row of cl(A): rows[i, B, C] =
 cube[i, class(B), class(C)], gathered along C and then taken as whole
 rows of B in machine words, a block of i rows at a time.  Every other
-relation runs its builder.  M, m and c without a cube act on each A row alone, so
-they keep their base's `classes` and build their rows from the base's
-rows, never from its table.  `opposite` stores nothing: it keeps its
-base as `opposite_of`, and the scans read its base's layouts and cells
-with A and B swapped.  Every other relation has `classes = None`, and
-its rows are the whole table.  The table derives from the rows:
+relation runs its builder.  M, m and c without a cube act on each A row
+alone, so they keep their base's `classes` and build their rows from the
+base's rows, never from its table.  `opposite` stores nothing: it keeps
+its base as `opposite_of`, and the scans read its base's layouts and
+cells with A and B swapped.  Every other relation has `classes = None`,
+and its rows are the whole table.  The table derives from the rows:
 `materialize` takes the class rows by `classes` with one `take`, or
 uses the rows themselves, and an opposite's builder transposes its
 base's table.  No scan or comparison of `axioms` calls it: both packed

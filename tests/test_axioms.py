@@ -178,8 +178,8 @@ def _dense_cases():
     The last two n = 4 tables are false only where TRA-STRONG (|B| <= 1)
     or BMON-STRONG (C = {}) cannot use a false cell, so each passes."""
     rng = np.random.default_rng(2023)
-    ops4 = (trivial_closure(GroundSet(4)), initial_segment_closure(GroundSet(4)),
-            uniform_pregeometry(3, 4).op)
+    ops4 = (trivial_closure(GroundSet(4)),
+            initial_segment_closure(GroundSet(4)), uniform_pregeometry(3, 4).op)
     cases = []
     for size, densities in ((3, (0.9, 0.98)), (4, (0.98, 0.995, 0.999))):
         count = 1 << size
@@ -583,8 +583,8 @@ def test_strong_axioms_at_sizes_seven_and_eight():
     rep = check_axiom(a8, AxiomId.FREE)
     assert rep.result_line() == "RESULT a FREE fail witness={0};{1};{0};{}"
     # a relation without a table: the scalar route
-    assert not evaluate_axiom_body(rel_a(initial_segment_closure(GroundSet(8))), AxiomId.FREE,
-                                   rep.witness)
+    assert not evaluate_axiom_body(
+        rel_a(initial_segment_closure(GroundSet(8))), AxiomId.FREE, rep.witness)
 
 
 def test_derived_axiom_theorems_on_catalog():

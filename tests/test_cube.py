@@ -134,7 +134,7 @@ def test_catalog_cubes_are_the_class_rows_at_the_closed_sets():
         assert r.rows is None and not cube.flags.writeable
         closed = r.flats.closed
         if r.name in ("a", "cl", "sup"):
-            sets = closed.tolist()  # Python ints, which `sup`'s predicate takes
+            sets = closed.tolist()  # `sup`'s predicate takes Python ints
             want = np.array([[[r.fn(a, b, c) for c in sets] for b in sets]
                              for a in sets], dtype=bool)
         else:
@@ -266,9 +266,8 @@ def test_gebert8_a_sym_builds_no_rows():
 def test_cube_route_follows_k_n_and_the_operator():
     """The route of each check-large subject: every axiom but FREE on
     gebert8 `a`, `sup` and `amc` (k = 9), the two- and three-variable
-    ones on gf2-7 (k = 16)
-    and only EX and AREF on u36 (k = 23), since the grid may have at most
-    4^n cells."""
+    ones on gf2-7 (k = 16) and only EX and AREF on u36 (k = 23), since the
+    grid may have at most 4^n cells."""
     for name, rid, arity in (("gebert8", "a", 4), ("gebert8", "sup", 4),
                              ("gebert8", "amc", 4), ("gf2-7", "cl", 3),
                              ("gf2-7", "aM", 3), ("u36", "cl", 2)):
@@ -287,10 +286,11 @@ def test_closure_axioms_under_a_foreign_operator_take_the_packed_route():
     the cube's classes say nothing of cl, so the packed engine checks it,
     with the witness of the expanded table.  An axiom that reads no
     closure keeps the cube under any operator."""
-    r = rel_a(initial_segment_closure(GroundSet(8)))
+    op = initial_segment_closure(GroundSet(8))
+    r = rel_a(op)
     foreign = trivial_closure(r.ground)
-    assert axioms._takes_cube(r, AxiomId.SCLO, initial_segment_closure(GroundSet(8)).table)
-    t = expanded(rel_a(initial_segment_closure(GroundSet(8))))
+    assert axioms._takes_cube(r, AxiomId.SCLO, op.table)
+    t = expanded(rel_a(op))
     assert check_axiom(r, AxiomId.SYM, foreign) == check_axiom(t, AxiomId.SYM)
     assert r.rows is None
     for ax in (AxiomId.AREF, AxiomId.CLO_L, AxiomId.CLO_R, AxiomId.SCLO):
